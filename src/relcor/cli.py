@@ -24,7 +24,7 @@ from .relations import (
     relation_to_json,
 )
 from .repair import RepairConfig, export_tree, repair, tree_to_json
-from .specs import enumerate_spec, spec_from_json
+from .specs import spec_from_json
 from .studies import arraysum, fermat, lattice
 from .suites import select_tests
 
@@ -73,7 +73,6 @@ def _emit(doc, path: str | None) -> None:
 
 def cmd_relcheck(args) -> int:
     spec = _load_spec(args.spec) if args.spec else None
-    rel = enumerate_spec(spec) if spec else None
     if args.refines:
         a = _load_operand(args.refines[0], spec) if spec else relation_from_json(
             _load_json(args.refines[0])
@@ -84,15 +83,15 @@ def cmd_relcheck(args) -> int:
         verdict = refines(a, b)
         query = {"refines": args.refines}
     elif args.correct:
-        if rel is None:
+        if spec is None:
             raise RelcorError("--correct requires --spec")
-        verdict = is_correct(_load_operand(args.correct, spec), rel)
+        verdict = is_correct(_load_operand(args.correct, spec), spec)
         query = {"correct": args.correct}
     elif args.competence_domain:
-        if rel is None:
+        if spec is None:
             raise RelcorError("--competence-domain requires --spec")
         cd = competence_domain(
-            rel, _load_operand(args.competence_domain, spec),
+            spec, _load_operand(args.competence_domain, spec),
             warn_nondeterministic=False,
         )
         _emit(
@@ -104,11 +103,11 @@ def cmd_relcheck(args) -> int:
         )
         return 0
     elif args.more_correct:
-        if rel is None:
+        if spec is None:
             raise RelcorError("--more-correct requires --spec")
         p1 = _load_operand(args.more_correct[0], spec)
         p2 = _load_operand(args.more_correct[1], spec)
-        verdict = more_correct(p1, p2, rel, strict=args.strict)
+        verdict = more_correct(p1, p2, spec, strict=args.strict)
         query = {"more_correct": args.more_correct, "strict": args.strict}
     else:
         raise RelcorError(

@@ -30,7 +30,6 @@ from .interp import (
     NonTermination,
     Undefined,
     compile_program,
-    exec_mode_function,
     execute,
 )
 from .parser import parse
@@ -42,6 +41,6 @@ __all__ = [
     "Program", "Seq", "Skip", "Var", "VarTarget", "While",
     "preorder", "replace_nodes", "to_source",
     "FinalState", "NonTermination", "Undefined",
-    "compile_program", "exec_mode_function", "execute",
+    "compile_program", "execute",
     "parse", "denote", "default_fuel",
 ]

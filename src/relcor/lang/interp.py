@@ -274,17 +274,6 @@ def execute(p, s: State, fuel: int, mode: str = "exact"):
     return FinalState(State(s.space, values))
 
 
-def exec_mode_function(p, inputs, fuel: int) -> dict:
-    """Wide-integer execution of `p` on each input; returns the partial map
-    input -> final state (inputs that do not terminate normally are absent)."""
-    out = {}
-    for s in inputs:
-        r = execute(p, s, fuel, mode="wide")
-        if isinstance(r, FinalState):
-            out[s] = r.state
-    return out
-
-
 # -- per-state evaluation helpers used by the denotational semantics ----------------
 
 

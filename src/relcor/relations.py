@@ -1,8 +1,13 @@
 """Exact calculus of finite binary relations over a state space.
 
 Relations are explicit pair sets with extensional equality.  All operations
-are pure; the refinement and correctness predicates are evaluated literally
-from their defining equations.
+are pure; refinement is evaluated literally from its defining equation.
+
+Correctness is decided from competence domains alone.  A relation and both
+spec classes in `relcor.specs` answer the same two questions, `domain()`
+(dom(R)) and `competence_domain(p)` (dom(R & P)), so `competence_domain`,
+`is_correct` and `more_correct` take either a relation or a spec and never
+enumerate a predicate spec.
 """
 
 from __future__ import annotations
@@ -95,9 +100,11 @@ class Relation:
     def image(self, s: State) -> frozenset:
         return frozenset(t for (u, t) in self.pairs if u == s)
 
-    def restrict_domain(self, dom: frozenset) -> "Relation":
-        """RL-style pre-restriction: keep pairs whose source is in dom."""
-        return Relation(self.space, {p for p in self.pairs if p[0] in dom})
+    def competence_domain(self, p: "Relation") -> StateSet:
+        """dom(self & p), in O(|p|) lookups."""
+        self._check(p)
+        pairs = self.pairs
+        return StateSet(self.space, frozenset(s for (s, t) in p.pairs if (s, t) in pairs))
 
     # -- predicates ----------------------------------------------------------
 
@@ -157,28 +164,6 @@ def universal(space: StateSpace, cap: int = DEFAULT_CAP) -> Relation:
     return Relation(space, {(s, t) for s in states for t in states})
 
 
-def build(space: StateSpace, kind: str, cap: int = DEFAULT_CAP) -> Relation:
-    if kind == "empty":
-        return empty(space)
-    if kind == "identity":
-        return identity(space, cap)
-    if kind == "universal":
-        return universal(space, cap)
-    raise ValueError(f"unknown relation kind {kind!r}")
-
-
-def setops(r: Relation, r2: Relation | None, op: str, cap: int = DEFAULT_CAP) -> Relation:
-    if op == "union":
-        return r.union(r2)
-    if op == "intersection":
-        return r.intersection(r2)
-    if op == "difference":
-        return r.difference(r2)
-    if op == "complement":
-        return r.complement(cap)
-    raise ValueError(f"unknown set operation {op!r}")
-
-
 # -- refinement and correctness ------------------------------------------------
 
 
@@ -193,8 +178,18 @@ def refines(rp: Relation, r: Relation) -> bool:
     return lhs == r.pairs
 
 
-def competence_domain(r: Relation, p: Relation, warn_nondeterministic: bool = True) -> StateSet:
-    """dom(R & P): the initial states on which p's behavior satisfies r."""
+def require_deterministic(p: Relation, what: str) -> None:
+    """Raise NonDeterministicError unless p is a function."""
+    if not p.is_deterministic():
+        raise NonDeterministicError(f"{what} requires a deterministic program relation")
+
+
+def competence_domain(r, p: Relation, warn_nondeterministic: bool = True) -> StateSet:
+    """dom(R & P): the initial states on which p's behavior satisfies r.
+
+    `r` is a Relation or a spec; the cost is that of `r.competence_domain(p)`,
+    O(|p|) membership checks.
+    """
     if r.space != p.space:
         raise SpaceMismatchError("relations live on different state spaces")
     if warn_nondeterministic and not p.is_deterministic():
@@ -203,29 +198,34 @@ def competence_domain(r: Relation, p: Relation, warn_nondeterministic: bool = Tr
         logging.getLogger(__name__).warning(
             "competence_domain called with a non-deterministic program relation"
         )
-    return r.intersection(p).domain()
+    return r.competence_domain(p)
 
 
-def is_correct(p: Relation, r: Relation) -> bool:
-    """Absolute correctness of a deterministic program function: dom(R & P) == dom(R)."""
-    if not p.is_deterministic():
-        raise NonDeterministicError("is_correct requires a deterministic program relation")
+def is_correct(p: Relation, r) -> bool:
+    """Absolute correctness of a deterministic program function: dom(R & P) == dom(R).
+
+    `r` is a Relation or a spec.  The cost is one `r.competence_domain(p)`
+    (O(|p|) membership checks) plus `r.domain()`, which a spec computes once
+    and keeps; a predicate spec is never enumerated.
+    """
+    require_deterministic(p, "is_correct")
     return competence_domain(r, p, warn_nondeterministic=False) == r.domain()
 
 
-def more_correct(pp: Relation, p: Relation, r: Relation, strict: bool = False) -> bool:
-    """pp at-least-as-correct-as p with respect to r: CD(pp) >= CD(p)."""
-    for rel, name in ((pp, "candidate"), (p, "base")):
-        if not rel.is_deterministic():
-            raise NonDeterministicError(
-                f"more_correct requires deterministic relations; {name} is not a function"
-            )
+def more_correct(pp: Relation, p: Relation, r, strict: bool = False) -> bool:
+    """pp at-least-as-correct-as p with respect to r: CD(pp) >= CD(p).
+
+    `r` is a Relation or a spec; the cost is two `r.competence_domain`
+    calls, O(|pp| + |p|) membership checks, and nothing enumerates r.
+    """
+    require_deterministic(pp, "more_correct's candidate")
+    require_deterministic(p, "more_correct's base")
     cd_pp = competence_domain(r, pp, warn_nondeterministic=False).members
     cd_p = competence_domain(r, p, warn_nondeterministic=False).members
     return cd_pp > cd_p if strict else cd_pp >= cd_p
 
 
-def correctness_order(programs: list, r: Relation) -> dict:
+def correctness_order(programs: list, r) -> dict:
     """Group programs with equal competence domains and Hasse-reduce the
     strict relative-correctness order between groups.
 

@@ -19,16 +19,15 @@ from .lang.parser import parse
 from .lang.semantics import denote
 from .mutate import generate, semantic_fingerprint
 from .relations import (
-    Relation,
     competence_domain,
     is_correct,
-    more_correct,
     relation_from_json,
+    require_deterministic,
     space_from_json,
     space_to_json,
 )
 from .space import DEFAULT_CAP, StateSpace
-from .specs import Spec, enumerate_spec
+from .specs import Spec
 from .suites import TestSuite, classify, run_suite
 
 
@@ -78,7 +77,8 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
 
     Returns [(mutant, classification, report-or-None), ...].  Testing mode
     scores a suite run; exact mode compares competence domains of the full
-    denotations (ground truth on finite spaces).
+    denotations (ground truth on finite spaces), taken from the spec by
+    membership: the base's once per batch and each mutant's once.
     """
     results = []
     if mode == "testing":
@@ -91,15 +91,19 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     if mode != "exact":
         raise ValueError(f"unknown classification mode {mode!r}")
     space = spec.space
-    r = enumerate_spec(spec, cap)
     p = denote(base, space, cap)
+    require_deterministic(p, "classify_mutants's base")
+    cd_p = competence_domain(spec, p, warn_nondeterministic=False).members
+    dom = spec.domain().members
     for m in mutants:
         pm = denote(m.program, space, cap)
-        if is_correct(pm, r):
+        require_deterministic(pm, "classify_mutants's mutant")
+        cd_m = competence_domain(spec, pm, warn_nondeterministic=False).members
+        if cd_m == dom:
             label = "absolutely_correct"
-        elif more_correct(pm, p, r, strict=True):
+        elif cd_m > cd_p:
             label = "strictly_more_correct"
-        elif more_correct(pm, p, r, strict=False):
+        elif cd_m >= cd_p:
             label = "as_correct"
         else:
             label = "not_more_correct"
@@ -109,7 +113,7 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
 
 def _is_solution(program: Node, spec: Spec, cfg: RepairConfig) -> bool:
     if cfg.mode == "exact":
-        return is_correct(denote(program, spec.space, cfg.cap), enumerate_spec(spec, cfg.cap))
+        return is_correct(denote(program, spec.space, cfg.cap), spec)
     report = run_suite(program, program, spec, cfg.suite, cfg.fuel)
     return report.cumulabs
 
@@ -191,19 +195,14 @@ def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
     return tree, FaultMetrics(fault_density_lb=density, fault_depth_ub=depth_ub)
 
 
-def verify_fault(base: Node, patch, spec: Spec, cap: int = DEFAULT_CAP,
-                 rel: Relation | None = None) -> dict:
-    """Exact-mode fault-removal check for a (possibly multi-site) patch.
-
-    Pass `rel` to reuse an already-enumerated spec relation.
-    """
+def verify_fault(base: Node, patch, spec: Spec, cap: int = DEFAULT_CAP) -> dict:
+    """Exact-mode fault-removal check for a (possibly multi-site) patch."""
     from .mutate import apply_patch
 
     space = spec.space
-    r = rel if rel is not None else enumerate_spec(spec, cap)
     patched = apply_patch(base, patch)
-    cd_before = competence_domain(r, denote(base, space, cap), warn_nondeterministic=False)
-    cd_after = competence_domain(r, denote(patched, space, cap), warn_nondeterministic=False)
+    cd_before = competence_domain(spec, denote(base, space, cap), warn_nondeterministic=False)
+    cd_after = competence_domain(spec, denote(patched, space, cap), warn_nondeterministic=False)
     return {
         "is_fault_removal": cd_after.members > cd_before.members,
         "cd_before": cd_before,

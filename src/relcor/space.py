@@ -120,10 +120,6 @@ class StateSpace:
             values.append(v)
         return State(self, tuple(values))
 
-    def unchecked_state(self, bindings: dict) -> "State":
-        """Build a state without domain checks (wide-integer execution mode)."""
-        return State(self, tuple(bindings[n] for n in self.names))
-
     def extend(self, name: str, dom) -> "StateSpace":
         """Space with one extra trailing variable (block locals)."""
         return StateSpace(self.vars + ((name, dom),))

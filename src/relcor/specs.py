@@ -6,8 +6,28 @@ output variables.  Output variables are written with a prime suffix
 (``x'``); C-style ``&&``, ``||``, ``!``, ``/`` and ``%`` are accepted and
 compiled to Python with truncating division semantics.
 
-The domain predicate defines dom(R) on its own; it is not derived from the
-relation predicate by quantification.
+Both spec classes answer the questions exact mode asks through the same two
+methods that `relcor.relations.Relation` has, so `is_correct` and
+`more_correct` take a spec directly:
+
+* ``competence_domain(p)`` is dom(R & P) = {s | (s, t) in P and (s, t) in R}:
+  one ``membership`` check per pair of the program relation, O(|P|), for
+  deterministic and nondeterministic P alike.
+* ``domain()`` is dom(R).  For an enumerated spec it is the relation's domain,
+  computed when the spec is built.  For a predicate spec it is the set of
+  states where the domain predicate holds and some output satisfies the
+  relation predicate; the first call finds one witness output per state,
+  stopping at the first, and the result is kept for the life of the spec.
+  That costs at most |S| evaluations per state and usually far fewer.
+  ``in_dom``, which the testing-mode oracle uses, reads the domain
+  predicate alone, so it differs from ``domain()`` at states that have no
+  witness output.
+
+Neither method enumerates the spec's |S|^2 pairs; ``enumerate`` still
+builds the full relation for callers that need its pairs.  A predicate that
+raises (say, a division by zero) counts as false where it is undefined; the
+spec counts such evaluations in ``undefined`` and logs a warning the first
+time only.
 """
 
 from __future__ import annotations
@@ -19,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ParseError
 from .relations import Relation
-from .space import DEFAULT_CAP, State, StateSpace
+from .space import DEFAULT_CAP, State, StateSet, StateSpace
 from .lang.interp import FinalState, cdiv, cmod
 
 log = logging.getLogger(__name__)
@@ -113,6 +133,12 @@ class EnumeratedSpec:
     def membership(self, s: State, s_out: State) -> bool:
         return (s, s_out) in self.rel.pairs
 
+    def domain(self) -> StateSet:
+        return StateSet(self.space, self._dom)
+
+    def competence_domain(self, p: Relation) -> StateSet:
+        return self.rel.competence_domain(p)
+
     def enumerate(self, cap: int = DEFAULT_CAP) -> Relation:
         return self.rel
 
@@ -124,24 +150,51 @@ class PredicateSpec:
         self.rel_src = rel_src
         self._dom = compile_predicate(dom_src, space, primed=False)
         self._rel = compile_predicate(rel_src, space, primed=True)
+        self._domain = None
+        #: evaluations of either predicate that raised and so counted as false
+        self.undefined = 0
+
+    def _count_undefined(self, where, e: Exception) -> bool:
+        self.undefined += 1
+        if self.undefined == 1:
+            log.warning(
+                "predicate undefined at %r: %s (later undefined evaluations are "
+                "counted in PredicateSpec.undefined, not logged)", where, e,
+            )
+        return False
 
     def in_dom(self, s: State) -> bool:
         try:
             return self._dom(_in_env(s))
         except Exception as e:  # partial predicate: undefined counts as outside
-            log.warning("domain predicate undefined at %r: %s", s, e)
-            return False
+            return self._count_undefined(s, e)
+
+    def _related(self, env: dict, where) -> bool:
+        try:
+            return self._rel(env)
+        except Exception as e:
+            return self._count_undefined(where, e)
 
     def membership(self, s: State, s_out: State) -> bool:
         if not self.in_dom(s):
             return False
-        env = _in_env(s)
-        env.update(_out_env(s_out))
-        try:
-            return self._rel(env)
-        except Exception as e:
-            log.warning("relation predicate undefined at (%r, %r): %s", s, s_out, e)
-            return False
+        return self._related({**_in_env(s), **_out_env(s_out)}, (s, s_out))
+
+    def domain(self) -> StateSet:
+        if self._domain is None:
+            states = list(self.space.states())
+            out_envs = [(t, _out_env(t)) for t in states]
+            witnessed = set()
+            for s in states:
+                if self.in_dom(s):
+                    ie = _in_env(s)
+                    if any(self._related({**ie, **oe}, (s, t)) for t, oe in out_envs):
+                        witnessed.add(s)
+            self._domain = StateSet(self.space, frozenset(witnessed))
+        return self._domain
+
+    def competence_domain(self, p: Relation) -> StateSet:
+        return StateSet(self.space, frozenset(s for (s, t) in p.pairs if self.membership(s, t)))
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> Relation:
         n = self.space.num_states
@@ -152,25 +205,15 @@ class PredicateSpec:
         states = list(self.space.states(cap))
         in_envs = [(s, _in_env(s)) for s in states if self.in_dom(s)]
         out_envs = [(t, _out_env(t)) for t in states]
-        rel = self._rel
         pairs = set()
         for s, ie in in_envs:
             for t, oe in out_envs:
-                env = dict(ie)
-                env.update(oe)
-                try:
-                    if rel(env):
-                        pairs.add((s, t))
-                except Exception:
-                    pass
+                if self._related({**ie, **oe}, (s, t)):
+                    pairs.add((s, t))
         return Relation(self.space, pairs)
 
 
 Spec = EnumeratedSpec | PredicateSpec
-
-
-def in_dom(spec: Spec, s: State) -> bool:
-    return spec.in_dom(s)
 
 
 def abs_oracle(spec: Spec, s: State, outcome) -> OracleVerdict:

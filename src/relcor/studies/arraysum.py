@@ -19,7 +19,7 @@ from ..lang.semantics import denote
 from ..mutate import ARRAY_INDEX, INTEGER_LITERAL, MutationSite, Patch, apply_patch
 from ..relations import competence_domain, is_correct, more_correct
 from ..repair import verify_fault
-from ..specs import enumerate_spec, spec_from_json
+from ..specs import spec_from_json
 from . import load_fixture_json, load_fixture_text
 
 
@@ -66,9 +66,8 @@ def run() -> dict:
     spec = built["spec"]
     program = built["program"]
     space = spec.space
-    rel = enumerate_spec(spec)
     prog_fn = denote(program, space)
-    cd = competence_domain(rel, prog_fn, warn_nondeterministic=False)
+    cd = competence_domain(spec, prog_fn, warn_nondeterministic=False)
     expected_cd = frozenset(s for s in space.states() if s["a"][0] == s["a"][3])
 
     out = {
@@ -78,19 +77,17 @@ def run() -> dict:
     }
     p = built["patches"]
     for name in ("s1", "s2"):
-        out[f"{name}_is_fault_removal"] = verify_fault(
-            program, p[name], spec, rel=rel
-        )["is_fault_removal"]
+        out[f"{name}_is_fault_removal"] = verify_fault(program, p[name], spec)[
+            "is_fault_removal"
+        ]
         patched = apply_patch(program, p[name])
-        out[f"{name}_alone_absolutely_correct"] = is_correct(
-            denote(patched, space), rel
-        )
+        out[f"{name}_alone_absolutely_correct"] = is_correct(denote(patched, space), spec)
     both = apply_patch(program, Patch(p["s1"].substitutions + p["s2"].substitutions))
-    out["both_applied_absolutely_correct"] = is_correct(denote(both, space), rel)
+    out["both_applied_absolutely_correct"] = is_correct(denote(both, space), spec)
     for name in ("init_alone", "bound_alone"):
         patched = apply_patch(program, p[name])
         out[f"{name.split('_')[0]}_alone_strictly_more_correct"] = more_correct(
-            denote(patched, space), prog_fn, rel, strict=True
+            denote(patched, space), prog_fn, spec, strict=True
         )
     return out
 

@@ -28,7 +28,7 @@ from .lang.interp import FinalState, NonTermination, execute
 from .lang.semantics import denote
 from .relations import competence_domain
 from .space import DEFAULT_CAP, ArrayDomain, State, StateSpace
-from .specs import OracleVerdict, Spec, abs_oracle, enumerate_spec
+from .specs import Spec, abs_oracle
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ class SuiteReport:
             "n3": self.n3,
             "tests": self.rows,
         }
-
-
-def rel_oracle(spec: Spec, base_outcome, s: State, cand_outcome) -> OracleVerdict:
-    """Candidate must pass the absolute oracle wherever the base does."""
-    base = abs_oracle(spec, s, base_outcome)
-    cand = abs_oracle(spec, s, cand_outcome)
-    return OracleVerdict(passed=(not base.passed) or cand.passed, vacuous=not base.passed)
 
 
 # -- test data selection -----------------------------------------------------------
@@ -141,10 +134,7 @@ def select_tests(
     elif strategy == "competence_domain_of_base":
         if base is None:
             raise RelcorError("competence_domain_of_base requires a base program")
-        cd = competence_domain(
-            enumerate_spec(spec, cap), denote(base, space, cap),
-            warn_nondeterministic=False,
-        )
+        cd = competence_domain(spec, denote(base, space, cap), warn_nondeterministic=False)
         inputs = tuple(cd.sorted_states())
         descriptor = {"strategy": "competence_domain_of_base"}
     elif strategy == "file":

@@ -53,6 +53,34 @@ def correct_program_for(rng: random.Random, rel: Relation) -> Relation:
     return Relation(rel.space, frozenset(pairs))
 
 
+def random_predicate(rng: random.Random, names: list, primed: bool) -> str:
+    """A C-style spec predicate over `names`, and over their primed outputs
+    when `primed`.  `/` and `%` may divide by zero, so the predicate can be
+    undefined at some states."""
+    pool = list(names) + ([f"{n}'" for n in names] if primed else [])
+
+    def term() -> str:
+        return str(rng.randint(-2, 3)) if rng.random() < 0.3 else rng.choice(pool)
+
+    def atom() -> str:
+        lhs = term()
+        if rng.random() < 0.5:
+            lhs = f"{lhs} {rng.choice('+-*/%')} {term()}"
+        return f"{lhs} {rng.choice(('<', '<=', '>', '>=', '==', '!='))} {term()}"
+
+    def cond(depth: int) -> str:
+        roll = rng.random()
+        if depth <= 0 or roll < 0.5:
+            return atom()
+        if roll < 0.7:
+            return f"({cond(depth - 1)}) && ({cond(depth - 1)})"
+        if roll < 0.9:
+            return f"({cond(depth - 1)}) || ({cond(depth - 1)})"
+        return f"(!({cond(depth - 1)}))"
+
+    return "true" if rng.random() < 0.15 else cond(2)
+
+
 # -- random programs ---------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from randgen import (
     correct_program_for,
     program_space,
     random_deterministic,
+    random_predicate,
     random_program,
     random_relation,
     small_space,
@@ -18,7 +19,8 @@ from relcor.lang.interp import FinalState, execute
 from relcor.lang.semantics import denote
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
-from relcor.specs import EnumeratedSpec
+from relcor.repair import classify_mutants
+from relcor.specs import EnumeratedSpec, PredicateSpec
 from relcor.suites import classify, run_suite, select_tests
 
 
@@ -47,6 +49,7 @@ def test_property_suites_hold_with_zero_counterexamples():
     _correct_programs_are_more_correct_than_everything(n=500)
     _denote_agrees_with_bounded_execution(n=200)
     _testing_mode_agrees_with_exact_mode(n=100)
+    _spec_domains_agree_with_the_enumerated_spec(n=200)
 
 
 def test_fermat_report_is_byte_identical_across_runs(fermat_report):
@@ -163,3 +166,49 @@ def _testing_mode_agrees_with_exact_mode(n):
         report = run_suite(m.program, base, spec, suite, fuel, mode="exact")
         assert classify(report) == exact_label
         done += 1
+
+
+def _enumerated_label(mut_fn, base_fn, r):
+    """The exact classification, from the set algebra of the enumerated spec."""
+    dom = r.domain().members
+    cd_m = (r & mut_fn).domain().members
+    cd_b = (r & base_fn).domain().members
+    if cd_m == dom:
+        return "absolutely_correct"
+    if cd_m > cd_b:
+        return "strictly_more_correct"
+    if cd_m >= cd_b:
+        return "as_correct"
+    return "not_more_correct"
+
+
+def _spec_domains_agree_with_the_enumerated_spec(n):
+    rng = random.Random(707)
+    partial_domains = labels = 0
+    seen = set()
+    while labels < n:
+        sp = program_space(rng, max_states=40)
+        if rng.random() < 0.5:
+            spec = EnumeratedSpec(random_relation(rng, sp))
+        else:
+            names = list(sp.names)
+            spec = PredicateSpec(sp, random_predicate(rng, names, primed=False),
+                                 random_predicate(rng, names, primed=True))
+        r = spec.enumerate()
+        assert spec.domain() == r.domain()
+        partial_domains += 0 < len(r.domain()) < sp.num_states
+        base = random_program(rng, sp)
+        base_fn = denote(base, sp)
+        # a random relation stands in for a nondeterministic program
+        for p in (base_fn, random_relation(rng, sp)):
+            assert spec.competence_domain(p) == (r & p).domain()
+            assert competence_domain(r, p, warn_nondeterministic=False) == (r & p).domain()
+        mutants = generate(base, ("AORB", "literal+-1"))
+        sample = rng.sample(mutants, min(3, len(mutants)))
+        for m, label, _ in classify_mutants(base, sample, spec, None, mode="exact"):
+            assert label == _enumerated_label(denote(m.program, sp), base_fn, r)
+            seen.add(label)
+            labels += 1
+    assert partial_domains > 0
+    assert seen == {"absolutely_correct", "strictly_more_correct", "as_correct",
+                    "not_more_correct"}

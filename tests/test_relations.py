@@ -3,7 +3,6 @@ import pytest
 from relcor.errors import NonDeterministicError, SpaceMismatchError
 from relcor.relations import (
     Relation,
-    build,
     competence_domain,
     correctness_order,
     empty,
@@ -32,7 +31,6 @@ def test_constructors():
     assert len(empty(SP)) == 0
     assert identity(SP).pairs == rel((0, 0), (1, 1), (2, 2)).pairs
     assert len(universal(SP)) == 9
-    assert build(SP, "identity") == identity(SP)
 
 
 def test_set_operators():

@@ -1,8 +1,12 @@
+import logging
+
 import pytest
 
 from relcor.errors import ParseError
 from relcor.lang.interp import FinalState, NonTermination
-from relcor.relations import Relation
+from relcor.lang.parser import parse
+from relcor.lang.semantics import denote
+from relcor.relations import Relation, is_correct
 from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import (
     EnumeratedSpec,
@@ -56,6 +60,28 @@ def test_undefined_domain_predicate_means_not_in_dom():
     spec = PredicateSpec(SP, "1 / (n - 1) > 0", "true")
     assert not spec.in_dom(st(1, 0, 0))
     assert spec.in_dom(st(2, 0, 0))
+
+
+def test_undefined_predicate_is_counted_and_logged_once(caplog):
+    spec = PredicateSpec(SP, "1 / (n - 1) > 0", "true")
+    with caplog.at_level(logging.WARNING, logger="relcor.specs"):
+        dom = spec.domain()
+        spec.in_dom(st(1, 0, 0))
+    # n == 1 divides by zero at 5 * 5 states, then once more in in_dom
+    assert spec.undefined == 26
+    assert len(caplog.records) == 1
+    # truncating division: 1 / (n - 1) > 0 holds at n == 2 only
+    assert {s["n"] for s in dom.members} == {2}
+
+
+def test_state_without_a_witness_output_is_outside_the_domain():
+    space = StateSpace((("x", Interval(0, 3)),))
+    spec = PredicateSpec(space, "true", "x' == x + 10")
+    program = denote(parse("x = x;", space), space)
+    assert len(spec.domain()) == 0
+    assert spec.domain() == spec.enumerate().domain()
+    assert len(spec.competence_domain(program)) == 0
+    assert is_correct(program, spec)
 
 
 def test_enumerate_matches_brute_force():
