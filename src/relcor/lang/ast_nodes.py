@@ -5,6 +5,22 @@ Nodes are frozen dataclasses.  `preorder` walks a tree in a fixed order
 deterministic site numbering used by the mutation operators;
 `replace_nodes` rebuilds a tree with substitutions at given preorder
 positions.
+
+Trees share structure.  A tree built by `replace_nodes` is a new spine from
+the root down to each substituted site, and every subtree off that spine is
+the very object of the original tree, so a single-site mutant of an n-node
+program costs O(n) time and O(depth) new nodes.
+
+Every node keeps the structural hash its dataclass generates, but computes
+it on first use and stores it in the instance (`space.hash_once`).  Hashing
+a tree therefore touches each node once in its life; a mutant's first hash
+touches only its new spine, and every later one is O(1).  That makes a
+whole program a cheap key for the execution caches (`compile_program`,
+`cached_execute`).  Equality is unchanged: equal trees still compare equal
+and hash equal, whether or not they share nodes.
+
+Nodes must never be mutated, not even with `object.__setattr__`: one node
+may sit in many trees at once, and its stored hash would go stale.
 """
 
 from __future__ import annotations
@@ -12,7 +28,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..space import Interval
+from ..space import Interval, hash_once
+
+
+def _node(cls):
+    """A frozen dataclass whose hash is computed once (see module docstring)."""
+    return hash_once(dataclass(frozen=True)(cls))
 
 
 class Node:
@@ -30,30 +51,30 @@ class Node:
 ARITH_OPS = ("+", "-", "*", "/", "%")
 
 
-@dataclass(frozen=True)
+@_node
 class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class ArrayRead(Node):
     name: str
     index: Node
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Node):
     op: str  # one of ARITH_OPS
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Node):
     operand: Node
 
@@ -63,31 +84,31 @@ class Neg(Node):
 CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(Node):
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp(Node):
     op: str  # one of CMP_OPS
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class And(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Node):
     operand: Node
 
@@ -95,59 +116,59 @@ class Not(Node):
 # -- statements ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Abort(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Skip(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class VarTarget(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class ArrayTarget(Node):
     name: str
     index: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Node):
     target: Node  # VarTarget | ArrayTarget
     expr: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Node):
     first: Node
     second: Node
 
 
-@dataclass(frozen=True)
+@_node
 class If(Node):
     cond: Node
     then: Node
 
 
-@dataclass(frozen=True)
+@_node
 class IfElse(Node):
     cond: Node
     then: Node
     orelse: Node
 
 
-@dataclass(frozen=True)
+@_node
 class While(Node):
     cond: Node
     body: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Block(Node):
     """Scope of a local integer variable over the rest of the block."""
 
@@ -175,30 +196,36 @@ def replace_nodes(node: Node, substitutions: dict):
 
     `substitutions` maps preorder index -> replacement node.  Replaced
     subtrees are not descended into (their indices still count the original
-    subtree's nodes, matching `preorder` on the original tree).
+    subtree's nodes, matching `preorder` on the original tree), so a
+    substitution inside a replaced subtree is ignored.
+
+    One pass: a preorder counter advances by one per node visited and by the
+    whole subtree's size at a substituted index.  Only the spine from the
+    root to each site is rebuilt; every subtree that contains no substitution
+    is returned as the same object, and nothing after the last site is
+    visited.  The cost is O(n) per call instead of a subtree walk per node.
     """
-    counter = [0]
+    if not substitutions:
+        return node
+    last = max(substitutions)
+    counter = 0
 
     def rebuild(n: Node):
-        idx = counter[0]
-        counter[0] += len(preorder(n))
+        nonlocal counter
+        idx = counter
+        if idx > last:
+            return n
         if idx in substitutions:
+            counter += len(preorder(n))
             return substitutions[idx]
+        counter += 1
         updates = {}
-        inner = [idx + 1]
-
-        def rebuild_at(child):
-            save = counter[0]
-            counter[0] = inner[0]
-            new = rebuild(child)
-            inner[0] = counter[0]
-            counter[0] = save
-            return new
-
         for f in dataclasses.fields(n):
             v = getattr(n, f.name)
             if isinstance(v, Node):
-                updates[f.name] = rebuild_at(v)
+                new = rebuild(v)
+                if new is not v:
+                    updates[f.name] = new
         return dataclasses.replace(n, **updates) if updates else n
 
     return rebuild(node)

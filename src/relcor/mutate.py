@@ -27,6 +27,7 @@ from .lang.ast_nodes import (
     to_source,
 )
 from .lang.interp import FinalState, execute
+from .suites import cached_execute
 
 BINARY_ARITH = "binary-arith-op"
 INTEGER_LITERAL = "integer-literal"
@@ -165,11 +166,15 @@ def semantic_fingerprint(p: Node, probe, fuel: int, mode: str = "wide") -> str:
 
     Equal digests flag behavioral-identity candidates (e.g. mutants that
     regenerate each other); confirm with exact denotations when the space
-    permits.
+    permits.  Wide (testing) mode reads the outcomes through
+    `suites.cached_execute`, where `run_suite` has usually just put them;
+    exact mode runs `execute` directly so as not to fill that cache with a
+    whole state space.
     """
+    run = cached_execute if mode == "wide" else execute
     h = hashlib.sha256()
     for s in probe:
-        outcome = execute(p, s, fuel, mode)
+        outcome = run(p, s, fuel, mode)
         if isinstance(outcome, FinalState):
             h.update(repr(outcome.state.values).encode())
         else:

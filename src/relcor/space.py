@@ -18,6 +18,36 @@ from .errors import CapacityError, RelcorError
 DEFAULT_CAP = 10**7
 
 
+def hash_once(cls):
+    """Make a frozen dataclass compute its structural hash on first use and
+    keep it in the instance.
+
+    The hash value is the one `dataclass` generates from the fields, so equal
+    instances still hash equal; `__eq__`, `repr` and `dataclasses.fields` do
+    not see the stored value.  This is sound only because instances are never
+    mutated.  Pickled state leaves the value out: string hashes differ
+    between processes, so a stored hash must not travel.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: int
@@ -64,6 +94,7 @@ class ArrayDomain:
         return itertools.product(self.elem.values(), repeat=self.length)
 
 
+@hash_once
 @dataclass(frozen=True)
 class StateSpace:
     """Ordered, uniquely named variables with finite domains."""

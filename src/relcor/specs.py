@@ -78,7 +78,7 @@ def compile_predicate(src: str, space: StateSpace, primed: bool):
     text = text.replace("&&", " and ").replace("||", " or ")
     text = _NOT.sub(" not ", text)
     text = re.sub(r"\btrue\b", "True", text)
-    text = re.sub(r"\bfalse\b", "False", text)
+    text = re.sub(r"\bfalse\b", "False", text).strip()  # eval mode rejects a leading space
     try:
         tree = pyast.parse(text, mode="eval")
     except SyntaxError as e:

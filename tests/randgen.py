@@ -76,7 +76,7 @@ def random_predicate(rng: random.Random, names: list, primed: bool) -> str:
             return f"({cond(depth - 1)}) && ({cond(depth - 1)})"
         if roll < 0.9:
             return f"({cond(depth - 1)}) || ({cond(depth - 1)})"
-        return f"(!({cond(depth - 1)}))"
+        return f"!({cond(depth - 1)})"
 
     return "true" if rng.random() < 0.15 else cond(2)
 

@@ -3,7 +3,11 @@ property suites over the relation calculus and the interpreter, and report
 determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from randgen import (
     correct_program_for,
@@ -19,7 +23,7 @@ from relcor.lang.interp import FinalState, execute
 from relcor.lang.semantics import denote
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
-from relcor.repair import classify_mutants
+from relcor.repair import RepairConfig, classify_mutants, repair, tree_to_json
 from relcor.specs import EnumeratedSpec, PredicateSpec
 from relcor.suites import classify, run_suite, select_tests
 
@@ -58,6 +62,40 @@ def test_fermat_report_is_byte_identical_across_runs(fermat_report):
     first = json.dumps(fermat_report, sort_keys=True, indent=1).encode()
     second = json.dumps(fermat.run(), sort_keys=True, indent=1).encode()
     assert first == second
+
+
+def fermat_depth1_tree_bytes() -> bytes:
+    """The Fermat study's repair stopped after its first level, as JSON."""
+    from relcor.studies import fermat
+
+    built = fermat.build()
+    cfg = RepairConfig(operators=("AORB",), suite=built["suite"], fuel=fermat.FUEL,
+                       max_depth=1, mode="testing")
+    tree, _ = repair(built["base"], built["spec"], cfg)
+    return json.dumps(tree_to_json(tree, built["spec"].space), sort_keys=True, indent=1).encode()
+
+
+def test_fermat_depth1_tree_is_identical_in_cold_processes_with_other_hash_seeds():
+    here = Path(__file__).parent
+    script = ("import sys, test_acceptance; "
+              "sys.stdout.buffer.write(test_acceptance.fermat_depth1_tree_bytes())")
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = [
+        subprocess.Popen([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for hash_seed in ("1", "2")
+    ]
+    cold = []
+    try:
+        for run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err.decode()
+            cold.append(out)
+    finally:
+        for run in runs:
+            run.kill()
+    assert cold[0] == cold[1] == fermat_depth1_tree_bytes()
 
 
 # -- property suite bodies ----------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from relcor.errors import CapacityError, RelcorError
@@ -71,3 +74,14 @@ def test_extend_appends_a_variable():
     sp = two_var_space().extend("z", Interval(0, 0))
     assert sp.names == ("x", "y", "z")
     assert sp.num_states == 6
+
+
+def test_stored_hash_stays_out_of_equality_repr_and_pickles():
+    sp = StateSpace((("x", Interval(0, 3)),))
+    fresh = StateSpace((("x", Interval(0, 3)),))
+    h = hash(sp)  # stores the hash in `sp` only
+    assert sp == fresh and hash(fresh) == h and repr(sp) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(sp)] == ["vars"]
+    copy = pickle.loads(pickle.dumps(sp))
+    assert "_hash" not in vars(copy)  # string hashes differ between processes
+    assert copy == sp and hash(copy) == h

@@ -31,6 +31,14 @@ def test_domain_predicate_with_c_connectives():
     assert in_dom == [0, 1, 3, 4, 5, 7, 8, 9, 11, 12]
 
 
+def test_predicate_may_begin_with_negation():
+    space = StateSpace((("x", Interval(0, 3)),))
+    spec = PredicateSpec(space, "!(x > 1)", "true")
+    assert [spec.in_dom(s) for s in space.states()] == [
+        s["x"] <= 1 for s in space.states()
+    ]
+
+
 def test_primed_variables_refer_to_outputs():
     spec = PredicateSpec(SP, "true", "n == x'*x' - y'*y'")
     assert spec.membership(st(5, 0, 0), st(5, 3, 2))
