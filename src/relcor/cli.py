@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ParseError, RelcorError, SpaceMismatchError
+from .errors import ParseError, RelcorError
 from .lang.parser import parse
 from .lang.semantics import denote
 from .mutate import OPERATOR_FAMILIES, generate, mutant_manifest
@@ -141,6 +141,8 @@ def _build_suite(args, spec, base):
     path = None
     if strategy.startswith("random:"):
         strategy, _, raw = strategy.partition(":")
+        if not raw.isdigit():
+            raise RelcorError(f"--tests random:N needs a count, got {raw!r}")
         count = int(raw)
     elif strategy.startswith("file:"):
         strategy, _, path = strategy.partition(":")
@@ -319,8 +321,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SpaceMismatchError, FileNotFoundError, json.JSONDecodeError,
-            KeyError, TypeError, ValueError, RelcorError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RelcorError) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,18 @@ one unit of fuel; exhaustion yields ``NonTermination``.  Block locals are
 initialized to the low end of their interval (zero in wide mode); programs
 are expected to assign locals before reading them, which is also what
 keeps their denotations deterministic.
+
+Exact mode also detects repeats.  Each entry into a loop keeps the set of
+states, over every variable in scope, seen at the loop head after each
+completed iteration, and the run yields ``NonTermination`` as soon as one
+recurs.  That changes no outcome for any fuel: a run is deterministic, so a
+repeated head state means it cycles forever and would only have exhausted
+its fuel later.  What it changes is cost, because exact-mode values stay in
+finite intervals: a divergent run stops after at most |states in scope| + 1
+iterations of its loop however much fuel it has, so `tabulate` over a
+whole space (which `semantics.denote` uses) stays linear in the space even
+where the program diverges everywhere.  Wide mode has no such bound (its
+values grow), so it keeps fuel alone.
 """
 
 from __future__ import annotations
@@ -80,6 +92,13 @@ class _Aborted(Exception):
 
 class _OutOfFuel(Exception):
     pass
+
+
+class _Repeated(Exception):
+    pass
+
+
+_NO_END = (_OutOfFuel, _Repeated, _Aborted)  # abort never terminates in any state
 
 
 def cdiv(a: int, b: int) -> int:
@@ -207,10 +226,19 @@ class _Emitter:
             self.emit(depth, "else:")
             self.stmt(s.orelse, depth + 1)
         elif isinstance(s, While):
+            if self.exact:
+                seen = self.fresh()
+                self.emit(depth, f"{seen} = set()")
             self.emit(depth, f"while {self.cond(s.cond)}:")
             self.stmt(s.body, depth + 1)
             self.emit(depth + 1, "fuel -= 1")
             self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
+            if self.exact:
+                head = self.fresh()
+                in_scope = "".join(f"{self.prefix}{n}, " for n in self.domains)
+                self.emit(depth + 1, f"{head} = ({in_scope})")
+                self.emit(depth + 1, f"if {head} in {seen}: raise _Repeated()")
+                self.emit(depth + 1, f"{seen}.add({head})")
         elif isinstance(s, Block):
             if self.exact:
                 if s.interval is None:
@@ -254,6 +282,7 @@ def compile_program(p, space: StateSpace, mode: str = "exact"):
         "UndefinedEval": UndefinedEval,
         "_Aborted": _Aborted,
         "_OutOfFuel": _OutOfFuel,
+        "_Repeated": _Repeated,
     }
     exec(compile(src, "<compiled-program>", "exec"), namespace)
     return namespace["_run"]
@@ -265,13 +294,25 @@ def execute(p, s: State, fuel: int, mode: str = "exact"):
     run = compile_program(p, s.space, mode)
     try:
         values = run(s.values, fuel)
-    except _OutOfFuel:
+    except _NO_END:
         return NONTERMINATION
-    except _Aborted:
-        return NONTERMINATION  # abort never terminates in any state
     except UndefinedEval as u:
         return Undefined(u.site)
     return FinalState(State(s.space, values))
+
+
+def tabulate(p, space: StateSpace, states, fuel: int) -> set:
+    """The pairs (s, t) of the `states` of `space` on which the exact-mode
+    run of `p` ends in t; states where it is undefined or does not
+    terminate within `fuel` contribute none."""
+    run = compile_program(p, space, "exact")
+    pairs = set()
+    for s in states:
+        try:
+            pairs.add((s, State(space, run(s.values, fuel))))
+        except (*_NO_END, UndefinedEval):
+            pass
+    return pairs
 
 
 # -- per-state evaluation helpers used by the denotational semantics ----------------

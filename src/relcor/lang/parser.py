@@ -18,6 +18,18 @@ Concrete syntax (C-like):
 A block-local declaration scopes over the remaining statements of the
 enclosing block.  The optional `: lo..hi` annotation gives the local's
 finite domain, required for exact-mode semantics.
+
+A unary minus on an integer literal (`-1`, also `-(1)`) is read as a
+negative `IntLit`, which is how `to_source` prints one, so
+`parse(to_source(t)) == t` for every parsed tree and every mutant of one.
+
+Statements may nest at most `MAX_NESTING` levels deep, where a statement's
+level counts the statements and braces enclosing it and the statements
+before it in its sequence (a sequence is a right-nested chain of `Seq`
+nodes), so a straight-line program has at most `MAX_NESTING` statements.
+Every walk over a program recurses on that chain, so a deeper program is
+rejected with a `ParseError` here instead of failing later with a
+`RecursionError`.
 """
 
 from __future__ import annotations
@@ -50,6 +62,8 @@ from .ast_nodes import (
 )
 
 KEYWORDS = {"skip", "abort", "if", "else", "while", "int", "true", "false"}
+
+MAX_NESTING = 200
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+|//[^\n]*|/\*.*?\*/)"
@@ -90,6 +104,7 @@ class _Parser:
         self.declared = declared  # None disables scope checking
         self.arrays = arrays
         self.locals: list[str] = []
+        self.depth = 0  # nesting level of the statement parsed next
 
     def peek(self):
         return self.toks[self.i]
@@ -133,15 +148,22 @@ class _Parser:
             self.error(f"unexpected {self.peek()[1]!r}")
         return body
 
+    def check_depth(self):
+        if self.depth >= MAX_NESTING:
+            self.error(f"statements nest more than {MAX_NESTING} levels deep")
+
     def parse_stmts(self, top=False):
         stmts = []
         saved_locals = len(self.locals)
+        base = self.depth
         while not self.at("}") and self.peek()[0] != "eof":
+            self.depth = base + len(stmts)
             if self.at("int"):
                 blk = self.parse_decl(top)
                 stmts.append(blk)
                 break  # the declaration consumed the rest of the scope
             stmts.append(self.parse_stmt())
+        self.depth = base
         del self.locals[saved_locals:]
         if not stmts:
             return Skip()
@@ -151,6 +173,7 @@ class _Parser:
         return out
 
     def parse_decl(self, top):
+        self.check_depth()
         self.expect("int")
         kind, name, line, col = self.next()
         if kind != "name" or name in KEYWORDS:
@@ -167,6 +190,7 @@ class _Parser:
             init = self.parse_expr()
         self.expect(";")
         self.locals.append(name)
+        self.depth += 1 if init is None else 2  # Block, then Seq(init, rest)
         rest = self.parse_stmts(top)
         self.locals.pop()
         if init is not None:
@@ -188,6 +212,7 @@ class _Parser:
         return self.parse_int_bound()
 
     def parse_stmt(self):
+        self.check_depth()
         kind, lx, line, col = self.peek()
         if lx == "skip":
             self.next()
@@ -199,7 +224,9 @@ class _Parser:
             return Abort()
         if lx == "{":
             self.next()
+            self.depth += 1
             body = self.parse_stmts()
+            self.depth -= 1
             self.expect("}")
             return body
         if lx == "if":
@@ -237,12 +264,16 @@ class _Parser:
         self.error(f"expected a statement, found {lx or 'end of input'!r}")
 
     def parse_body(self):
+        """The body of an `if`, `else` or `while`, one level below it."""
+        self.depth += 1
         if self.at("{"):
             self.next()
             body = self.parse_stmts()
             self.expect("}")
-            return body
-        return self.parse_stmt()
+        else:
+            body = self.parse_stmt()
+        self.depth -= 1
+        return body
 
     # -- expressions ----------------------------------------------------------
 
@@ -267,7 +298,10 @@ class _Parser:
             return IntLit(int(lx))
         if lx == "-":
             self.next()
-            return Neg(self.parse_factor())
+            operand = self.parse_factor()
+            if isinstance(operand, IntLit):
+                return IntLit(-operand.value)
+            return Neg(operand)
         if lx == "(":
             self.next()
             e = self.parse_expr()

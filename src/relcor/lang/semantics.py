@@ -1,6 +1,18 @@
 """Denotational semantics: the function a program computes on a finite space.
 
-Each construct is mapped compositionally to a finite relation:
+`denote(p, space)` is the relation [p] on `space`.  It has two routes:
+
+* Tabulated execution, the usual one: the compiled exact-mode program runs
+  on every state of the space (`interp.tabulate`), and each run that ends
+  gives one pair.  Fuel is `conclusive_fuel`, which no terminating run
+  exhausts, and the interpreter stops a divergent run as soon as a loop-head
+  state repeats, so the outcome of every run is final.
+* Structural recursion, `denote_structural`.  It defines [p] and is the
+  tests' reference; `denote` falls back to it for a program whose block
+  local may be read before it is assigned, because [p] then quantifies over
+  the local's initial value, which a single run cannot do.
+
+The recursion maps each construct compositionally to a finite relation:
 
 * abort -> the empty relation; skip -> the identity.
 * assignment -> {(s, s[target := E(s)]) | E defined at s, value in domain}
@@ -13,7 +25,9 @@ Each construct is mapped compositionally to a finite relation:
 
 Partiality shrinks the domain: a state where an expression or guard
 cannot be evaluated (or where an assigned value leaves the declared
-interval) contributes no pair.
+interval) contributes no pair.  Both routes raise the same errors: a space
+or a block's extended space over `cap` states (`CapacityError`) and a block
+local without an interval (`RelcorError`).
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from ..errors import RelcorError
 from ..relations import Relation, empty, identity
 from ..space import DEFAULT_CAP, ArrayDomain, State, StateSpace
 from . import ast_nodes as A
-from .interp import UndefinedEval, compile_cond, compile_expr
+from .interp import UndefinedEval, compile_cond, compile_expr, tabulate
 
 
 def default_fuel(space: StateSpace) -> int:
@@ -52,7 +66,87 @@ def _split_by_guard(cond, space: StateSpace, states):
     return true_set, false_set
 
 
+def conclusive_fuel(p, space: StateSpace) -> int:
+    """Fuel that no terminating exact-mode run of `p` on `space` exhausts:
+    the sum over `While` nodes of |space x block locals in scope|, plus one.
+
+    A terminating deterministic run never revisits a (loop, state) pair, so
+    each loop completes at most that many iterations in one run.
+    """
+
+    def bound(s, size: int) -> int:
+        if isinstance(s, A.While):
+            return size + bound(s.body, size)
+        if isinstance(s, A.Block):
+            return bound(s.body, size * _interval(s).size)
+        if isinstance(s, A.Seq):
+            return bound(s.first, size) + bound(s.second, size)
+        if isinstance(s, A.If):
+            return bound(s.then, size)
+        if isinstance(s, A.IfElse):
+            return bound(s.then, size) + bound(s.orelse, size)
+        return 0
+
+    return bound(p, space.num_states) + 1
+
+
+def _interval(block: A.Block):
+    if block.interval is None:
+        raise RelcorError(
+            f"block local {block.name!r} needs a : lo..hi annotation in exact mode"
+        )
+    return block.interval
+
+
+def _tabulable(p, space: StateSpace, cap: int) -> bool:
+    """Whether one run per state defines [p]: every block local is assigned
+    on every path before it is read.  Raises the errors the structural
+    recursion raises for blocks, in the same order."""
+
+    def reads_unset(node, unset) -> bool:
+        return any(isinstance(n, A.Var) and n.name in unset for n in A.preorder(node))
+
+    def assigned(s, sp: StateSpace, unset: frozenset):
+        """The locals still unassigned after `s`, or None when `s` may read one."""
+        if isinstance(s, (A.Skip, A.Abort)):
+            return unset
+        if isinstance(s, A.Assign):  # a target is no Var, but an array index may read one
+            return None if reads_unset(s, unset) else unset - {s.target.name}
+        if isinstance(s, A.Seq):
+            mid = assigned(s.first, sp, unset)
+            return None if mid is None else assigned(s.second, sp, mid)
+        if isinstance(s, (A.If, A.While)):
+            body = s.then if isinstance(s, A.If) else s.body
+            if reads_unset(s.cond, unset) or assigned(body, sp, unset) is None:
+                return None
+            return unset  # the body may not run
+        if isinstance(s, A.IfElse):
+            if reads_unset(s.cond, unset):
+                return None
+            then = assigned(s.then, sp, unset)
+            orelse = assigned(s.orelse, sp, unset)
+            return None if then is None or orelse is None else then | orelse
+        if isinstance(s, A.Block):
+            ext = sp.extend(s.name, _interval(s))
+            ext.check_enumerable(cap)
+            inner = assigned(s.body, ext, unset | {s.name})
+            return None if inner is None else inner - {s.name}
+        raise TypeError(f"not a statement node: {s!r}")
+
+    return assigned(p, space, frozenset()) is not None
+
+
 def denote(p, space: StateSpace, cap: int = DEFAULT_CAP) -> Relation:
+    """The relation [p] on `space`, by running `p` on every state, or by
+    `denote_structural` when a block local may be read before it is
+    assigned (see the module docstring)."""
+    space.check_enumerable(cap)
+    if not _tabulable(p, space, cap):
+        return denote_structural(p, space, cap)
+    return Relation(space, tabulate(p, space, space.states(cap), conclusive_fuel(p, space)))
+
+
+def denote_structural(p, space: StateSpace, cap: int = DEFAULT_CAP) -> Relation:
     """The relation [p] on `space`, computed by structural recursion."""
     space.check_enumerable(cap)
     states = list(space.states(cap))
@@ -90,11 +184,7 @@ def _denote(p, space: StateSpace, states: list, cap: int) -> Relation:
         closed = step.closure()
         return Relation(space, {pr for pr in closed.pairs if pr[1] in t_false})
     if isinstance(p, A.Block):
-        if p.interval is None:
-            raise RelcorError(
-                f"block local {p.name!r} needs a : lo..hi annotation in exact mode"
-            )
-        ext = space.extend(p.name, p.interval)
+        ext = space.extend(p.name, _interval(p))
         ext.check_enumerable(cap)
         ext_states = list(ext.states(cap))
         inner = _denote(p.body, ext, ext_states, cap)

@@ -12,9 +12,10 @@ enumerate a predicate spec.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, NonDeterministicError, SpaceMismatchError
+from .errors import CapacityError, NonDeterministicError, RelcorError, SpaceMismatchError
 from .space import DEFAULT_CAP, ArrayDomain, Interval, State, StateSet, StateSpace
 
 
@@ -270,14 +271,25 @@ def space_to_json(space: StateSpace) -> dict:
     return {"vars": out}
 
 
+@contextmanager
+def reading(what: str):
+    """Report a document that does not have the expected shape (a missing
+    key, a value of the wrong type) as a RelcorError, a user error."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RelcorError(f"malformed {what}: {exc.__class__.__name__}: {exc}") from exc
+
+
 def space_from_json(doc: dict) -> StateSpace:
-    vars_ = []
-    for v in doc["vars"]:
-        if "size" in v:
-            vars_.append((v["name"], ArrayDomain(v["size"], Interval(v["min"], v["max"]))))
-        else:
-            vars_.append((v["name"], Interval(v["min"], v["max"])))
-    return StateSpace(tuple(vars_))
+    with reading("space document"):
+        vars_ = []
+        for v in doc["vars"]:
+            if "size" in v:
+                vars_.append((v["name"], ArrayDomain(v["size"], Interval(v["min"], v["max"]))))
+            else:
+                vars_.append((v["name"], Interval(v["min"], v["max"])))
+        return StateSpace(tuple(vars_))
 
 
 def _value_to_json(v):
@@ -299,8 +311,9 @@ def relation_to_json(rel: Relation) -> dict:
 
 
 def relation_from_json(doc: dict) -> Relation:
-    space = space_from_json(doc["space"])
-    pairs = set()
-    for src, dst in doc["pairs"]:
-        pairs.add((space.state(src), space.state(dst)))
-    return Relation(space, pairs)
+    with reading("relation document"):
+        space = space_from_json(doc["space"])
+        pairs = set()
+        for src, dst in doc["pairs"]:
+            pairs.add((space.state(src), space.state(dst)))
+        return Relation(space, pairs)

@@ -252,10 +252,11 @@ def spec_to_json(spec: Spec) -> dict:
 
 
 def spec_from_json(doc: dict) -> Spec:
-    from .relations import relation_from_json, space_from_json
+    from .relations import reading, relation_from_json, space_from_json
 
-    if doc["type"] == "enumerated":
-        return EnumeratedSpec(relation_from_json(doc))
-    if doc["type"] == "predicate":
-        return PredicateSpec(space_from_json(doc["space"]), doc["dom"], doc["rel"])
-    raise ParseError(f"unknown spec type {doc.get('type')!r}")
+    with reading("spec document"):
+        if doc["type"] == "enumerated":
+            return EnumeratedSpec(relation_from_json(doc))
+        if doc["type"] == "predicate":
+            return PredicateSpec(space_from_json(doc["space"]), doc["dom"], doc["rel"])
+        raise ParseError(f"unknown spec type {doc.get('type')!r}")

@@ -141,7 +141,7 @@ def select_tests(
         inputs = tuple(load_test_data(path, space))
         descriptor = {"strategy": "file", "path": path}
     else:
-        raise ValueError(f"unknown selection strategy {strategy!r}")
+        raise RelcorError(f"unknown selection strategy {strategy!r}")
     if not inputs:
         raise EmptySuiteError(f"strategy {strategy!r} produced no inputs")
     return TestSuite(inputs, descriptor)
@@ -164,10 +164,13 @@ def load_test_data(path: str, space: StateSpace) -> list:
                 if name not in space.names:
                     raise RelcorError(f"{path}:{lineno}: unknown variable {name!r}")
                 dom = space.domain_of(name)
-                if isinstance(dom, ArrayDomain):
-                    bindings[name] = tuple(int(v) for v in value.strip("[]").split(";"))
-                else:
-                    bindings[name] = int(value)
+                try:
+                    if isinstance(dom, ArrayDomain):
+                        bindings[name] = tuple(int(v) for v in value.strip("[]").split(";"))
+                    else:
+                        bindings[name] = int(value)
+                except ValueError:
+                    raise RelcorError(f"{path}:{lineno}: {value!r} is not a value of {name}")
             states.append(space.state(bindings))
     return states
 

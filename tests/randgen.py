@@ -6,6 +6,7 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from relcor.lang import ast_nodes as A
@@ -119,26 +120,41 @@ def _cond(rng: random.Random, names: list, depth: int) -> A.Node:
     return A.Not(_cond(rng, names, depth - 1))
 
 
-def _stmt(rng: random.Random, names: list, depth: int) -> A.Node:
+def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: bool) -> A.Node:
+    def sub(names=names):
+        return _stmt(rng, names, depth - 1, fresh, unassigned_reads)
+
     roll = rng.random()
-    if depth <= 0 or roll < 0.45:
+    if depth <= 0 or roll < 0.35:
         return A.Assign(A.VarTarget(rng.choice(names)), _expr(rng, names, 2))
-    if roll < 0.55:
+    if roll < 0.43:
         return A.Skip()
-    if roll < 0.58:
+    if roll < 0.46:
         return A.Abort()
-    if roll < 0.72:
-        return A.Seq(_stmt(rng, names, depth - 1), _stmt(rng, names, depth - 1))
-    if roll < 0.82:
-        return A.If(_cond(rng, names, 1), _stmt(rng, names, depth - 1))
-    if roll < 0.92:
-        return A.IfElse(
-            _cond(rng, names, 1),
-            _stmt(rng, names, depth - 1),
-            _stmt(rng, names, depth - 1),
-        )
-    return A.While(_cond(rng, names, 1), _stmt(rng, names, depth - 1))
+    if roll < 0.6:
+        return A.Seq(sub(), sub())
+    if roll < 0.7:
+        return A.If(_cond(rng, names, 1), sub())
+    if roll < 0.8:
+        return A.IfElse(_cond(rng, names, 1), sub(), sub())
+    if roll < 0.88:
+        return A.While(_cond(rng, names, 1), sub())
+    # a block local, named apart from every other local of the program so
+    # that the program prints and parses back
+    name = f"t{next(fresh)}"
+    lo = rng.randint(-1, 1)
+    if unassigned_reads and rng.random() < 0.5:
+        first = A.Assign(A.VarTarget(rng.choice(names)), A.Var(name))  # reads it unassigned
+    else:
+        first = A.Assign(A.VarTarget(name), _expr(rng, names, 2))
+    body = A.Seq(first, sub(names + [name]))
+    return A.Block(name, Interval(lo, lo + rng.randint(1, 2)), body)
 
 
-def random_program(rng: random.Random, space: StateSpace) -> A.Node:
-    return _stmt(rng, list(space.names), rng.randint(1, 3))
+def random_program(rng: random.Random, space: StateSpace, unassigned_reads: bool = True) -> A.Node:
+    """A random statement over the variables of `space`, with block locals
+    (`int t : lo..hi;`).  With `unassigned_reads`, a block may read its local
+    before assigning it, so that [p] quantifies over the local's initial
+    value; otherwise every block assigns its local first, and one exact-mode
+    run per state defines [p]."""
+    return _stmt(rng, list(space.names), rng.randint(1, 3), itertools.count(), unassigned_reads)

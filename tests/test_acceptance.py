@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from randgen import (
     correct_program_for,
     program_space,
@@ -18,9 +19,10 @@ from randgen import (
     random_relation,
     small_space,
 )
-from relcor.lang.ast_nodes import While, preorder
-from relcor.lang.interp import FinalState, execute
-from relcor.lang.semantics import denote
+from relcor.errors import CapacityError
+from relcor.lang.ast_nodes import Block, preorder
+from relcor.lang.interp import FinalState, NonTermination, execute
+from relcor.lang.semantics import conclusive_fuel, denote, denote_structural
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
 from relcor.repair import RepairConfig, classify_mutants, repair, tree_to_json
@@ -51,7 +53,7 @@ def test_property_suites_hold_with_zero_counterexamples():
     _correctness_iff_competence_domain_is_full(n=1000)
     _relative_correctness_is_reflexive_and_transitive(n=1000)
     _correct_programs_are_more_correct_than_everything(n=500)
-    _denote_agrees_with_bounded_execution(n=200)
+    _denote_agrees_with_bounded_execution(n=500)
     _testing_mode_agrees_with_exact_mode(n=100)
     _spec_domains_agree_with_the_enumerated_spec(n=200)
 
@@ -75,10 +77,28 @@ def fermat_depth1_tree_bytes() -> bytes:
     return json.dumps(tree_to_json(tree, built["spec"].space), sort_keys=True, indent=1).encode()
 
 
-def test_fermat_depth1_tree_is_identical_in_cold_processes_with_other_hash_seeds():
+def narrow_arraysum_tree_bytes() -> bytes:
+    """The exact-mode arraysum repair with array elements narrowed from
+    0..2 to 0..1 (560 states), as JSON."""
+    from relcor.lang.parser import parse
+    from relcor.specs import spec_from_json
+    from relcor.studies import load_fixture_json, load_fixture_text
+
+    doc = load_fixture_json("arraysum_spec.json")
+    for var in doc["space"]["vars"]:
+        if var["name"] == "a":
+            var["max"] = 1
+    spec = spec_from_json(doc)
+    base = parse(load_fixture_text("arraysum.imp"), spec.space)
+    cfg = RepairConfig(operators=("literal+-1", "index+-1"), max_depth=2, mode="exact")
+    tree, _ = repair(base, spec, cfg)
+    return json.dumps(tree_to_json(tree, spec.space), sort_keys=True, indent=1).encode()
+
+
+def _cold_runs(builder: str) -> list:
+    """`builder()`'s bytes from two fresh processes with PYTHONHASHSEED 1 and 2."""
     here = Path(__file__).parent
-    script = ("import sys, test_acceptance; "
-              "sys.stdout.buffer.write(test_acceptance.fermat_depth1_tree_bytes())")
+    script = f"import sys, test_acceptance; sys.stdout.buffer.write(test_acceptance.{builder}())"
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
     runs = [
         subprocess.Popen([sys.executable, "-c", script],
@@ -95,7 +115,18 @@ def test_fermat_depth1_tree_is_identical_in_cold_processes_with_other_hash_seeds
     finally:
         for run in runs:
             run.kill()
+    return cold
+
+
+def test_fermat_depth1_tree_is_identical_in_cold_processes_with_other_hash_seeds():
+    cold = _cold_runs("fermat_depth1_tree_bytes")
     assert cold[0] == cold[1] == fermat_depth1_tree_bytes()
+
+
+def test_narrow_arraysum_exact_tree_is_identical_in_cold_processes_with_other_hash_seeds():
+    cold = _cold_runs("narrow_arraysum_tree_bytes")
+    assert cold[0] == cold[1] == narrow_arraysum_tree_bytes()
+    assert b'"solutions"' in cold[0]
 
 
 # -- property suite bodies ----------------------------------------------------------
@@ -154,27 +185,32 @@ def _correct_programs_are_more_correct_than_everything(n):
         assert more_correct(p, q, r)
 
 
-def _conclusive_fuel(program, space):
-    # a terminating exact-mode run never revisits a (loop, state) pair, so
-    # this many completed iterations decides termination
-    loops = sum(isinstance(node, While) for node in preorder(program))
-    return loops * space.num_states + 1
-
-
 def _denote_agrees_with_bounded_execution(n):
     rng = random.Random(505)
+    fallbacks = diverging = blocks = 0
     for _ in range(n):
         sp = program_space(rng, max_states=500)
         p = random_program(rng, sp)
-        rel = denote(p, sp)
-        fuel = _conclusive_fuel(p, sp)
-        dom = rel.domain()
-        for s in sp.states():
-            out = execute(p, s, fuel, mode="exact")
+        rel = denote_structural(p, sp)
+        assert denote(p, sp) == rel
+        images = {}
+        for s, t in rel.pairs:
+            images.setdefault(s, set()).add(t)
+        fallbacks += not rel.is_deterministic()
+        fuel = conclusive_fuel(p, sp)
+        outcomes = [execute(p, s, fuel, mode="exact") for s in sp.states()]
+        for s, out in zip(sp.states(), outcomes):
             if isinstance(out, FinalState):
-                assert rel.image(s) == frozenset({out.state})
-            else:
-                assert s not in dom
+                # a block local starts at the low end of its interval, one
+                # of the initial values [p] quantifies over
+                assert out.state in images[s]
+        diverging += any(isinstance(out, NonTermination) for out in outcomes)
+        if any(isinstance(node, Block) for node in preorder(p)):
+            blocks += 1
+            for route in (denote, denote_structural):
+                with pytest.raises(CapacityError):
+                    route(p, sp, cap=sp.num_states)
+    assert fallbacks > 0 and diverging > 0 and blocks > fallbacks
 
 
 def _testing_mode_agrees_with_exact_mode(n):
@@ -182,7 +218,7 @@ def _testing_mode_agrees_with_exact_mode(n):
     done = 0
     while done < n:
         sp = program_space(rng, max_states=60)
-        base = random_program(rng, sp)
+        base = random_program(rng, sp, unassigned_reads=False)
         mutants = generate(base, ("AORB", "literal+-1"))
         r = random_relation(rng, sp)
         if not mutants or not r.pairs:
@@ -190,7 +226,7 @@ def _testing_mode_agrees_with_exact_mode(n):
         spec = EnumeratedSpec(r)
         suite = select_tests(spec, strategy="exhaustive")
         m = rng.choice(mutants)
-        fuel = max(_conclusive_fuel(base, sp), _conclusive_fuel(m.program, sp))
+        fuel = max(conclusive_fuel(base, sp), conclusive_fuel(m.program, sp))
         base_fn = denote(base, sp)
         mut_fn = denote(m.program, sp)
         if is_correct(mut_fn, r):
@@ -235,7 +271,7 @@ def _spec_domains_agree_with_the_enumerated_spec(n):
         r = spec.enumerate()
         assert spec.domain() == r.domain()
         partial_domains += 0 < len(r.domain()) < sp.num_states
-        base = random_program(rng, sp)
+        base = random_program(rng, sp, unassigned_reads=False)
         base_fn = denote(base, sp)
         # a random relation stands in for a nondeterministic program
         for p in (base_fn, random_relation(rng, sp)):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import relcor.cli
 from relcor.cli import main
 
 
@@ -62,10 +63,38 @@ def test_relcheck_refines_relation_files(tiny, capsys):
 
 def test_malformed_spec_exits_2(tiny, capsys):
     bad = tiny["dir"] / "bad.json"
-    bad.write_text("{not json")
-    code, _ = run(capsys, "relcheck", "--spec", str(bad),
-                  "--correct", tiny["good"])
+    for text in ("{not json", '{"type": "predicate", "dom": "true"}', "[1, 2]",
+                 '{"type": "enumerated", "space": {"vars": [{"name": "x"}]}, "pairs": []}'):
+        bad.write_text(text)
+        code, _ = run(capsys, "relcheck", "--spec", str(bad),
+                      "--correct", tiny["good"])
+        assert code == 2
+
+
+def test_bad_test_selection_exits_2(tiny, capsys):
+    data = tiny["dir"] / "inputs.txt"
+    data.write_text("x=one\n")
+    for tests in ("random:many", "sideways", f"file:{data}"):
+        code, _ = run(capsys, "repair", "--spec", tiny["spec"],
+                      "--program", tiny["prog"], "--tests", tests)
+        assert code == 2
+
+
+def test_internal_type_error_is_not_a_user_error(tiny, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(relcor.cli, "denote", broken)
+    with pytest.raises(TypeError, match="internal fault"):
+        main(["semantics", "--spec", tiny["spec"], "--program", tiny["good"]])
+
+
+def test_overlong_program_exits_2_with_a_message(tiny, capsys):
+    long = tiny["dir"] / "long.imp"
+    long.write_text("x = x + 1;\n" * 1200)
+    code = main(["semantics", "--spec", tiny["spec"], "--program", str(long)])
     assert code == 2
+    assert "nest more than" in capsys.readouterr().err
 
 
 def test_program_parse_error_exits_2(tiny, capsys):

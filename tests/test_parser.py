@@ -2,8 +2,11 @@ import pytest
 
 from relcor.errors import ParseError
 from relcor.lang import ast_nodes as A
-from relcor.lang.parser import parse
+from relcor.lang.interp import FinalState, execute
+from relcor.lang.parser import MAX_NESTING, parse
 from relcor.lang.ast_nodes import to_source
+from relcor.lang.semantics import denote
+from relcor.mutate import generate
 from relcor.space import ArrayDomain, Interval, StateSpace
 
 SP = StateSpace(
@@ -50,6 +53,46 @@ def test_arithmetic_precedence():
 def test_unary_minus_and_parens():
     p = parse("x = -(1 + 2);", SP)
     assert p.expr == A.Neg(A.BinOp("+", A.IntLit(1), A.IntLit(2)))
+
+
+def test_minus_on_a_literal_is_a_negative_literal():
+    assert parse("x = -1;", SP).expr == A.IntLit(-1)
+    assert parse("x = -(2);", SP).expr == A.IntLit(-2)
+    assert parse("x = - -3;", SP).expr == A.IntLit(3)
+    assert parse("x = i - -1;", SP).expr == A.BinOp("-", A.Var("i"), A.IntLit(-1))
+    assert parse("x = -i;", SP).expr == A.Neg(A.Var("i"))
+    for expr in (A.IntLit(-1), A.BinOp("*", A.IntLit(-2), A.IntLit(-1)),
+                 A.BinOp("-", A.IntLit(0), A.IntLit(-4))):
+        tree = A.Assign(A.VarTarget("x"), expr)
+        assert parse(to_source(tree), SP) == tree
+
+
+def _straight_line(n: int) -> str:
+    return "\n".join("x = (x + a[i % 4]) % 7;" if k % 2 else "i = (i + 1) % 5;" for k in range(n))
+
+
+def test_statements_nest_at_most_max_nesting_levels():
+    with pytest.raises(ParseError, match="nest more than"):
+        parse(_straight_line(MAX_NESTING + 1), SP)
+    with pytest.raises(ParseError, match="nest more than"):
+        parse("if (x < 1) { " * MAX_NESTING + "skip;" + " }" * MAX_NESTING, SP)
+    with pytest.raises(ParseError, match="nest more than"):
+        parse("{ " * 2000 + "skip;" + " }" * 2000, SP)
+    with pytest.raises(ParseError, match="nest more than"):
+        parse("".join(f"int t{k} : 0..1 = 0; " for k in range(MAX_NESTING)), SP)
+
+
+def test_a_program_just_under_the_nesting_limit_runs_everywhere():
+    p = parse(_straight_line(MAX_NESTING), SP)
+    small = StateSpace((("a", ArrayDomain(4, Interval(0, 1))), ("x", Interval(0, 6)),
+                        ("i", Interval(0, 4))))
+    s = small.state({"a": (1, 0, 1, 1), "x": 0, "i": 0})
+    for mode in ("exact", "wide"):
+        out = execute(p, s, 10, mode)
+        assert isinstance(out, FinalState) and out.state["i"] == MAX_NESTING // 2 % 5
+    assert len(denote(p, small)) == small.num_states
+    assert len(generate(p, ("index+-1",))) == MAX_NESTING  # two per read of a
+    assert parse(to_source(p), SP) == p
 
 
 def test_condition_connectives():
