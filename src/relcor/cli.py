@@ -19,6 +19,7 @@ from .relations import (
     competence_domain,
     is_correct,
     more_correct,
+    reading,
     refines,
     relation_from_json,
     relation_to_json,
@@ -227,18 +228,19 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.inputs:
         doc = _load_json(path)
-        for entry in doc.get("level1", []):
-            rows.append(
-                (
-                    entry.get("ordinal"),
-                    entry.get("operator", ""),
-                    entry.get("classification", ""),
-                    entry.get("n0", ""),
-                    entry.get("n1", ""),
-                    entry.get("n2", ""),
-                    entry.get("n3", ""),
+        with reading("report document"):
+            for entry in doc.get("level1", []):
+                rows.append(
+                    (
+                        entry.get("ordinal"),
+                        entry.get("operator", ""),
+                        entry.get("classification", ""),
+                        entry.get("n0", ""),
+                        entry.get("n1", ""),
+                        entry.get("n2", ""),
+                        entry.get("n3", ""),
+                    )
                 )
-            )
     header = ("mutant", "operator", "classification", "n0", "n1", "n2", "n3")
     widths = [
         max(len(str(header[i])), *(len(str(r[i])) for r in rows)) if rows

@@ -33,7 +33,7 @@ from .interp import (
     execute,
 )
 from .parser import parse
-from .semantics import default_fuel, denote
+from .semantics import denote
 
 __all__ = [
     "Abort", "And", "ArrayRead", "ArrayTarget", "Assign", "BinOp", "Block",
@@ -42,5 +42,5 @@ __all__ = [
     "preorder", "replace_nodes", "to_source",
     "FinalState", "NonTermination", "Undefined",
     "compile_program", "execute",
-    "parse", "denote", "default_fuel",
+    "parse", "denote",
 ]

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the toy language.
+"""Recursive-descent parser for the toy language and its spec predicates.
 
 Concrete syntax (C-like):
 
@@ -15,6 +15,12 @@ Concrete syntax (C-like):
     cond   := conj ("||" conj)* ; conj := atom ("&&" atom)*
     atom   := "!" atom | "true" | "false" | expr cmpop expr | "(" cond ")"
 
+A spec predicate (`parse_predicate`) is a `cond` over the variables of a
+space.  In a relation predicate a primed name (`x'`, `a'[i]`) reads the
+output value of that variable; it is a `Var` or `ArrayRead` whose name ends
+in a prime.  The grammar is the whole language of predicates: there is no
+other syntax for them, and the usual scope checks apply.
+
 A block-local declaration scopes over the remaining statements of the
 enclosing block.  The optional `: lo..hi` annotation gives the local's
 finite domain, required for exact-mode semantics.
@@ -27,14 +33,20 @@ Statements may nest at most `MAX_NESTING` levels deep, where a statement's
 level counts the statements and braces enclosing it and the statements
 before it in its sequence (a sequence is a right-nested chain of `Seq`
 nodes), so a straight-line program has at most `MAX_NESTING` statements.
-Every walk over a program recurses on that chain, so a deeper program is
-rejected with a `ParseError` here instead of failing later with a
-`RecursionError`.
+Expressions and conditions continue their statement's count: a level
+counts each enclosing operand, index, unary `-` or `!` and parenthesis, and
+in a left-nested chain `a + b + c` each operator takes the chain before it
+one level further down.  Nothing may lie `MAX_DEPTH` or more levels deep,
+which leaves every statement at least `MAX_DEPTH - MAX_NESTING` levels for
+its expressions; a predicate starts at level 0.  Every walk over a tree, the parser's own included, recurses once
+per level, so a deeper input is rejected with a `ParseError` here instead
+of failing later with a `RecursionError`.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
 from ..errors import ParseError
 from ..space import Interval, StateSpace, ArrayDomain
@@ -64,12 +76,13 @@ from .ast_nodes import (
 KEYWORDS = {"skip", "abort", "if", "else", "while", "int", "true", "false"}
 
 MAX_NESTING = 200
+MAX_DEPTH = MAX_NESTING + 50
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+|//[^\n]*|/\*.*?\*/)"
     r"|(?P<num>\d+)"
     r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>\.\.|<=|>=|==|!=|&&|\|\||[-+*/%<>=!(){};:,\[\]])",
+    r"|(?P<op>\.\.|<=|>=|==|!=|&&|\|\||[-+*/%<>=!(){};:,\[\]'])",
     re.S,
 )
 
@@ -98,13 +111,15 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, declared: set | None, arrays: set):
+    def __init__(self, text: str, declared: set | None, arrays: set, primed: bool = False):
         self.toks = _tokenize(text)
         self.i = 0
         self.declared = declared  # None disables scope checking
         self.arrays = arrays
+        self.primed = primed  # whether primed names (outputs) may be read
         self.locals: list[str] = []
-        self.depth = 0  # nesting level of the statement parsed next
+        self.depth = 0  # nesting level of the node parsed next
+        self.height = 0  # levels below the expression or condition parsed last
 
     def peek(self):
         return self.toks[self.i]
@@ -142,11 +157,10 @@ class _Parser:
 
     # -- statements ---------------------------------------------------------
 
-    def parse_program(self):
-        body = self.parse_stmts(top=True)
+    def end(self, tree):
         if self.peek()[0] != "eof":
             self.error(f"unexpected {self.peek()[1]!r}")
-        return body
+        return tree
 
     def check_depth(self):
         if self.depth >= MAX_NESTING:
@@ -275,87 +289,120 @@ class _Parser:
         self.depth -= 1
         return body
 
-    # -- expressions ----------------------------------------------------------
+    # -- expressions and conditions ------------------------------------------
+    #
+    # Each method returns a node and leaves in `self.height` the number of
+    # levels its tree reaches below `self.depth`, the level it was parsed at.
+
+    @contextmanager
+    def below(self, left: int = -1):
+        """Parse one level down: an operand, an index or a parenthesis.  The
+        level is checked on the way in, before the parser recurses into it.
+        For the right operand of a binary node, `left` is the height of its
+        left operand, which the node also takes one level down."""
+        self.depth += 1
+        self.check_level(self.depth)
+        yield
+        self.depth -= 1
+        self.height = max(self.height, left) + 1
+        self.check_level(self.depth + self.height)
+
+    def check_level(self, level: int):
+        if level >= MAX_DEPTH:
+            self.error(f"expressions nest more than {MAX_DEPTH} levels deep")
 
     def parse_expr(self):
         e = self.parse_term()
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
-            e = BinOp(op, e, self.parse_term())
+            with self.below(self.height):
+                e = BinOp(op, e, self.parse_term())
         return e
 
     def parse_term(self):
         e = self.parse_factor()
         while self.peek()[1] in ("*", "/", "%"):
             op = self.next()[1]
-            e = BinOp(op, e, self.parse_factor())
+            with self.below(self.height):
+                e = BinOp(op, e, self.parse_factor())
         return e
 
     def parse_factor(self):
         kind, lx, line, col = self.peek()
         if kind == "num":
             self.next()
+            self.height = 0
             return IntLit(int(lx))
         if lx == "-":
             self.next()
-            operand = self.parse_factor()
+            with self.below():
+                operand = self.parse_factor()
             if isinstance(operand, IntLit):
                 return IntLit(-operand.value)
             return Neg(operand)
         if lx == "(":
             self.next()
-            e = self.parse_expr()
+            with self.below():
+                e = self.parse_expr()
             self.expect(")")
             return e
         if self.at_name():
             tok = self.next()
+            name, prime = tok[1], ""
+            if self.at("'"):
+                if not self.primed:
+                    self.error(f"{name}' names an output, which only a relation predicate reads")
+                self.next()
+                prime = "'"
             if self.at("["):
                 self.next()
-                idx = self.parse_expr()
+                with self.below():
+                    idx = self.parse_expr()
                 self.expect("]")
-                self.check_var(tok[1], tok, want_array=True)
-                return ArrayRead(tok[1], idx)
-            self.check_var(tok[1], tok)
-            return Var(tok[1])
+                self.check_var(name, tok, want_array=True)
+                return ArrayRead(name + prime, idx)
+            self.check_var(name, tok)
+            self.height = 0
+            return Var(name + prime)
         self.error(f"expected an expression, found {lx or 'end of input'!r}")
-
-    # -- conditions -------------------------------------------------------------
 
     def parse_cond(self):
         c = self.parse_conj()
         while self.at("||"):
             self.next()
-            c = Or(c, self.parse_conj())
+            with self.below(self.height):
+                c = Or(c, self.parse_conj())
         return c
 
     def parse_conj(self):
         c = self.parse_cond_atom()
         while self.at("&&"):
             self.next()
-            c = And(c, self.parse_cond_atom())
+            with self.below(self.height):
+                c = And(c, self.parse_cond_atom())
         return c
 
     def parse_cond_atom(self):
         kind, lx, line, col = self.peek()
         if lx == "!":
             self.next()
-            return Not(self.parse_cond_atom())
-        if lx == "true":
+            with self.below():
+                return Not(self.parse_cond_atom())
+        if lx in ("true", "false"):
             self.next()
-            return BoolLit(True)
-        if lx == "false":
-            self.next()
-            return BoolLit(False)
+            self.height = 0
+            return BoolLit(lx == "true")
         if lx == "(":
             # could open a grouped condition or a parenthesized arithmetic
             # operand; try the comparison reading first and backtrack
-            save = self.i
+            save = self.i, self.depth
             try:
                 return self.parse_cmp()
             except ParseError:
-                self.i = save
+                self.i, self.depth = save
             self.next()
-            c = self.parse_cond()
+            with self.below():
+                c = self.parse_cond()
             self.expect(")")
             return c
         return self.parse_cmp()
@@ -366,7 +413,12 @@ class _Parser:
         if lx not in ("<", "<=", ">", ">=", "==", "!="):
             self.error(f"expected a comparison operator, found {lx!r}")
         self.next()
-        return Cmp(lx, left, self.parse_expr())
+        with self.below(self.height):
+            return Cmp(lx, left, self.parse_expr())
+
+
+def _scope(space: StateSpace) -> tuple:
+    return set(space.names), {n for n, d in space.vars if isinstance(d, ArrayDomain)}
 
 
 def parse(text: str, space: StateSpace | None = None):
@@ -375,9 +427,16 @@ def parse(text: str, space: StateSpace | None = None):
     When `space` is given, variable references are checked against its
     declarations (plus block locals); otherwise scope checking is skipped.
     """
-    declared = None
-    arrays: set = set()
-    if space is not None:
-        declared = set(space.names)
-        arrays = {n for n, d in space.vars if isinstance(d, ArrayDomain)}
-    return _Parser(text, declared, arrays).parse_program()
+    declared, arrays = _scope(space) if space is not None else (None, set())
+    p = _Parser(text, declared, arrays)
+    return p.end(p.parse_stmts(top=True))
+
+
+def parse_predicate(text: str, space: StateSpace, primed: bool = False):
+    """Parse a spec predicate over the variables of `space` into a condition
+    node; with `primed`, the predicate may also read outputs (`x'`)."""
+    try:
+        p = _Parser(text, *_scope(space), primed)
+        return p.end(p.parse_cond())
+    except ParseError as e:
+        raise ParseError(f"in predicate {text!r}: {e}") from None

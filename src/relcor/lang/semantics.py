@@ -23,7 +23,9 @@ The recursion maps each construct compositionally to a finite relation:
 * block -> the body's relation on the extended space, with the local's
   initial and final values existentially projected away.
 
-Partiality shrinks the domain: a state where an expression or guard
+Guards and assigned values are compiled by the interpreter's emitter
+(`interp.compile_eval`); the recursion keeps its own interval and index
+checks.  Partiality shrinks the domain: a state where an expression or guard
 cannot be evaluated (or where an assigned value leaves the declared
 interval) contributes no pair.  Both routes raise the same errors: a space
 or a block's extended space over `cap` states (`CapacityError`) and a block
@@ -34,33 +36,19 @@ from __future__ import annotations
 
 from ..errors import RelcorError
 from ..relations import Relation, empty, identity
-from ..space import DEFAULT_CAP, ArrayDomain, State, StateSpace
+from ..space import DEFAULT_CAP, State, StateSpace
 from . import ast_nodes as A
-from .interp import UndefinedEval, compile_cond, compile_expr, tabulate
-
-
-def default_fuel(space: StateSpace) -> int:
-    """Ample fuel for exact-mode runs: 10 * (longest interval size)^2."""
-    longest = 1
-    for _, d in space.vars:
-        size = d.elem.size if isinstance(d, ArrayDomain) else d.size
-        longest = max(longest, size)
-    return 10 * longest * longest
-
-
-def _arrays(space: StateSpace) -> dict:
-    return {n: d.length for n, d in space.vars if isinstance(d, ArrayDomain)}
+from .interp import UndefinedEval, compile_eval, tabulate
 
 
 def _split_by_guard(cond, space: StateSpace, states):
     """Partition states into (guard true, guard false); undefined guards
     fall in neither part."""
-    f = compile_cond(cond, _arrays(space))
+    f = compile_eval(cond, space)
     true_set, false_set = set(), set()
     for s in states:
-        env = dict(zip(space.names, s.values))
         try:
-            (true_set if f(env) else false_set).add(s)
+            (true_set if f(s.values) else false_set).add(s)
         except UndefinedEval:
             pass
     return true_set, false_set
@@ -197,35 +185,28 @@ def _denote(p, space: StateSpace, states: list, cap: int) -> Relation:
 
 
 def _denote_assign(p: A.Assign, space: StateSpace, states: list) -> Relation:
-    arrays = _arrays(space)
-    val = compile_expr(p.expr, arrays)
+    val = compile_eval(p.expr, space)
     t = p.target
+    dom = space.domain_of(t.name)
+    vi = space.names.index(t.name)
     pairs = set()
     if isinstance(t, A.VarTarget):
-        dom = space.domain_of(t.name)
-        vi = space.names.index(t.name)
         for s in states:
-            env = dict(zip(space.names, s.values))
             try:
-                v = val(env)
+                v = val(s.values)
             except UndefinedEval:
                 continue
             if v in dom:
                 pairs.add((s, State(space, s.values[:vi] + (v,) + s.values[vi + 1 :])))
     else:
-        dom = space.domain_of(t.name)
-        elem = dom.elem
-        length = dom.length
-        vi = space.names.index(t.name)
-        idx = compile_expr(t.index, arrays)
+        idx = compile_eval(t.index, space)
         for s in states:
-            env = dict(zip(space.names, s.values))
             try:
-                i = idx(env)
-                v = val(env)
+                i = idx(s.values)
+                v = val(s.values)
             except UndefinedEval:
                 continue
-            if 0 <= i < length and v in elem:
+            if 0 <= i < dom.length and v in dom.elem:
                 a = s.values[vi]
                 new = a[:i] + (v,) + a[i + 1 :]
                 pairs.add((s, State(space, s.values[:vi] + (new,) + s.values[vi + 1 :])))

@@ -2,9 +2,11 @@
 
 A spec is either an enumerated relation or a predicate pair: a domain
 predicate over input variables and a relation predicate over input and
-output variables.  Output variables are written with a prime suffix
-(``x'``); C-style ``&&``, ``||``, ``!``, ``/`` and ``%`` are accepted and
-compiled to Python with truncating division semantics.
+output variables.  A predicate is a `cond` of the program language
+(`parser.parse_predicate`): comparisons of integer expressions joined by
+``&&``, ``||`` and ``!``, with C division.  In the relation predicate a
+primed name (``x'``, ``a'[i]``) reads the output.  Predicates compile
+through the interpreter's emitter (`interp.compile_eval`), as programs do.
 
 Both spec classes answer the questions exact mode asks through the same two
 methods that `relcor.relations.Relation` has, so `is_correct` and
@@ -24,95 +26,24 @@ methods that `relcor.relations.Relation` has, so `is_correct` and
   witness output.
 
 Neither method enumerates the spec's |S|^2 pairs; ``enumerate`` still
-builds the full relation for callers that need its pairs.  A predicate that
-raises (say, a division by zero) counts as false where it is undefined; the
-spec counts such evaluations in ``undefined`` and logs a warning the first
-time only.
+builds the full relation for callers that need its pairs.  A predicate
+that is undefined at a state (a division by zero, an index out of bounds)
+counts as false there; the spec counts such evaluations in ``undefined``
+and logs a warning the first time only.
 """
 
 from __future__ import annotations
 
-import ast as pyast
 import logging
-import re
 from dataclasses import dataclass
 
 from .errors import CapacityError, ParseError
 from .relations import Relation
 from .space import DEFAULT_CAP, State, StateSet, StateSpace
-from .lang.interp import FinalState, cdiv, cmod
+from .lang.interp import FinalState, UndefinedEval, compile_eval
+from .lang.parser import parse_predicate
 
 log = logging.getLogger(__name__)
-
-_PRIME = re.compile(r"([A-Za-z_]\w*)\s*'")
-_NOT = re.compile(r"!(?!=)")
-
-_OUT_SUFFIX = "__out"
-
-
-class _CTransform(pyast.NodeTransformer):
-    """Rewrite / and % to C-style truncating helpers."""
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, (pyast.Div, pyast.FloorDiv)):
-            return pyast.copy_location(
-                pyast.Call(pyast.Name("cdiv", pyast.Load()), [node.left, node.right], []),
-                node,
-            )
-        if isinstance(node.op, pyast.Mod):
-            return pyast.copy_location(
-                pyast.Call(pyast.Name("cmod", pyast.Load()), [node.left, node.right], []),
-                node,
-            )
-        return node
-
-
-def compile_predicate(src: str, space: StateSpace, primed: bool):
-    """Compile a predicate string to a callable on value environments.
-
-    Returns f(env) -> bool where env maps input names (and, when `primed`,
-    `name__out` entries) to values.
-    """
-    text = _PRIME.sub(rf"\1{_OUT_SUFFIX}", src)
-    text = text.replace("&&", " and ").replace("||", " or ")
-    text = _NOT.sub(" not ", text)
-    text = re.sub(r"\btrue\b", "True", text)
-    text = re.sub(r"\bfalse\b", "False", text).strip()  # eval mode rejects a leading space
-    try:
-        tree = pyast.parse(text, mode="eval")
-    except SyntaxError as e:
-        raise ParseError(f"bad predicate {src!r}: {e.msg}") from None
-    allowed = set(space.names)
-    if primed:
-        allowed |= {n + _OUT_SUFFIX for n in space.names}
-    allowed |= {"cdiv", "cmod", "True", "False"}
-    for node in pyast.walk(tree):
-        if isinstance(node, pyast.Name) and node.id not in allowed:
-            name = node.id.removesuffix(_OUT_SUFFIX) + (
-                "'" if node.id.endswith(_OUT_SUFFIX) else ""
-            )
-            raise ParseError(f"undeclared variable {name!r} in predicate {src!r}")
-        if isinstance(node, pyast.Call) and not (
-            isinstance(node.func, pyast.Name) and node.func.id in ("cdiv", "cmod")
-        ):
-            raise ParseError(f"function calls are not allowed in predicate {src!r}")
-    tree = pyast.fix_missing_locations(_CTransform().visit(tree))
-    code = compile(tree, "<predicate>", "eval")
-    globs = {"__builtins__": {}, "cdiv": cdiv, "cmod": cmod, "True": True, "False": False}
-
-    def run(env):
-        return bool(eval(code, globs, env))
-
-    return run
-
-
-def _in_env(s: State) -> dict:
-    return dict(zip(s.space.names, s.values))
-
-
-def _out_env(s: State) -> dict:
-    return {n + _OUT_SUFFIX: v for n, v in zip(s.space.names, s.values)}
 
 
 @dataclass(frozen=True)
@@ -148,49 +79,44 @@ class PredicateSpec:
         self.space = space
         self.dom_src = dom_src
         self.rel_src = rel_src
-        self._dom = compile_predicate(dom_src, space, primed=False)
-        self._rel = compile_predicate(rel_src, space, primed=True)
+        #: the domain predicate, parsed
+        self.dom_cond = parse_predicate(dom_src, space)
+        self._dom = compile_eval(self.dom_cond, space)
+        self._rel = compile_eval(parse_predicate(rel_src, space, primed=True), space, primed=True)
         self._domain = None
-        #: evaluations of either predicate that raised and so counted as false
+        #: evaluations of either predicate that were undefined and so counted as false
         self.undefined = 0
 
-    def _count_undefined(self, where, e: Exception) -> bool:
+    def _count_undefined(self, where, e: UndefinedEval) -> bool:
         self.undefined += 1
         if self.undefined == 1:
             log.warning(
                 "predicate undefined at %r: %s (later undefined evaluations are "
-                "counted in PredicateSpec.undefined, not logged)", where, e,
+                "counted in PredicateSpec.undefined, not logged)", where, e.site,
             )
         return False
 
     def in_dom(self, s: State) -> bool:
         try:
-            return self._dom(_in_env(s))
-        except Exception as e:  # partial predicate: undefined counts as outside
+            return self._dom(s.values)
+        except UndefinedEval as e:  # partial predicate: undefined counts as outside
             return self._count_undefined(s, e)
 
-    def _related(self, env: dict, where) -> bool:
+    def _related(self, s: State, t: State) -> bool:
         try:
-            return self._rel(env)
-        except Exception as e:
-            return self._count_undefined(where, e)
+            return self._rel(s.values, t.values)
+        except UndefinedEval as e:
+            return self._count_undefined((s, t), e)
 
     def membership(self, s: State, s_out: State) -> bool:
-        if not self.in_dom(s):
-            return False
-        return self._related({**_in_env(s), **_out_env(s_out)}, (s, s_out))
+        return self.in_dom(s) and self._related(s, s_out)
 
     def domain(self) -> StateSet:
         if self._domain is None:
             states = list(self.space.states())
-            out_envs = [(t, _out_env(t)) for t in states]
-            witnessed = set()
-            for s in states:
-                if self.in_dom(s):
-                    ie = _in_env(s)
-                    if any(self._related({**ie, **oe}, (s, t)) for t, oe in out_envs):
-                        witnessed.add(s)
-            self._domain = StateSet(self.space, frozenset(witnessed))
+            self._domain = StateSet(self.space, frozenset(
+                s for s in states if self.in_dom(s) and any(self._related(s, t) for t in states)
+            ))
         return self._domain
 
     def competence_domain(self, p: Relation) -> StateSet:
@@ -203,14 +129,8 @@ class PredicateSpec:
                 f"enumerating the spec could produce {n*n} pairs, cap is {cap}"
             )
         states = list(self.space.states(cap))
-        in_envs = [(s, _in_env(s)) for s in states if self.in_dom(s)]
-        out_envs = [(t, _out_env(t)) for t in states]
-        pairs = set()
-        for s, ie in in_envs:
-            for t, oe in out_envs:
-                if self._related({**ie, **oe}, (s, t)):
-                    pairs.add((s, t))
-        return Relation(self.space, pairs)
+        inputs = [s for s in states if self.in_dom(s)]
+        return Relation(self.space, {(s, t) for s in inputs for t in states if self._related(s, t)})
 
 
 Spec = EnumeratedSpec | PredicateSpec
@@ -227,10 +147,6 @@ def abs_oracle(spec: Spec, s: State, outcome) -> OracleVerdict:
     if isinstance(outcome, FinalState):
         return OracleVerdict(passed=spec.membership(s, outcome.state))
     return OracleVerdict(passed=False)
-
-
-def enumerate_spec(spec: Spec, cap: int = DEFAULT_CAP) -> Relation:
-    return spec.enumerate(cap)
 
 
 # -- JSON format -------------------------------------------------------------------

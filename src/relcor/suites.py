@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import EmptySuiteError, RelcorError
+from .lang.ast_nodes import ArrayRead, Var, preorder
 from .lang.interp import FinalState, NonTermination, execute
 from .lang.semantics import denote
 from .relations import competence_domain
 from .space import DEFAULT_CAP, ArrayDomain, State, StateSpace
-from .specs import Spec, abs_oracle
+from .specs import PredicateSpec, Spec, abs_oracle
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def _default_value(dom):
 
 
 def _predicate_names(spec: Spec) -> set:
-    if hasattr(spec, "dom_src"):
-        return set(re.findall(r"[A-Za-z_]\w*", spec.dom_src))
+    if isinstance(spec, PredicateSpec):
+        return {n.name for n in preorder(spec.dom_cond) if isinstance(n, (Var, ArrayRead))}
     return set(spec.space.names)
 
 

@@ -97,6 +97,14 @@ def test_overlong_program_exits_2_with_a_message(tiny, capsys):
     assert "nest more than" in capsys.readouterr().err
 
 
+def test_program_too_deep_for_python_exits_2_with_a_message(tiny, capsys):
+    deep = tiny["dir"] / "deep.imp"
+    deep.write_text("while (x < 1) { " * 25 + "skip;" + " }" * 25)
+    code = main(["repair", "--spec", tiny["spec"], "--program", str(deep)])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_program_parse_error_exits_2(tiny, capsys):
     bad = tiny["dir"] / "bad.imp"
     bad.write_text("x = ;")
@@ -173,6 +181,14 @@ def test_report_with_no_inputs(capsys):
     code, out = run(capsys, "report")
     assert code == 0
     assert out.strip().startswith("mutant")
+
+
+def test_report_on_a_document_of_the_wrong_shape_exits_2(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    for text in ("[1]", '{"level1": 3}', '{"level1": [1]}'):
+        path.write_text(text)
+        assert main(["report", str(path)]) == 2
+        assert "malformed report document" in capsys.readouterr().err
 
 
 def test_report_missing_file_exits_2(capsys, tmp_path):

@@ -3,9 +3,9 @@ import pytest
 from relcor.errors import ParseError
 from relcor.lang import ast_nodes as A
 from relcor.lang.interp import FinalState, execute
-from relcor.lang.parser import MAX_NESTING, parse
+from relcor.lang.parser import MAX_DEPTH, MAX_NESTING, parse, parse_predicate
 from relcor.lang.ast_nodes import to_source
-from relcor.lang.semantics import denote
+from relcor.lang.semantics import denote, denote_structural
 from relcor.mutate import generate
 from relcor.space import ArrayDomain, Interval, StateSpace
 
@@ -93,6 +93,56 @@ def test_a_program_just_under_the_nesting_limit_runs_everywhere():
     assert len(denote(p, small)) == small.num_states
     assert len(generate(p, ("index+-1",))) == MAX_NESTING  # two per read of a
     assert parse(to_source(p), SP) == p
+
+
+def _chain(terms: int, op: str = " + ", term: str = "x") -> str:
+    return op.join([term] * terms)
+
+
+def test_expressions_nest_at_most_max_depth_levels():
+    room = MAX_DEPTH  # levels below a first statement or a predicate
+    too_deep = [
+        f"x = {_chain(1000, term='0')};",
+        "x = " + "(" * 400 + "x" + ")" * 400 + ";",
+        "x = " + "-" * room + "x;",
+        "if (" + "!" * room + "(x < 1)) { skip; }",
+        "if (" + _chain(room, " && ", "x < 1") + ") { skip; }",
+        f"x = a[{_chain(room, term='i')}];",
+        # each part fits alone: a deep first operand goes down with its chain
+        "x = " + "(" * (room // 2) + "x" + ")" * (room // 2) + " + 0" * (room // 2 + 1) + ";",
+    ]
+    for text in too_deep:
+        with pytest.raises(ParseError, match="nest more than"):
+            parse(text, SP)
+    parse("x = " + "(" * (room // 2) + "x" + ")" * (room // 2) + " + 0" * (room // 2 - 1) + ";", SP)
+    parse(f"x = {_chain(room)};", SP)
+    parse_predicate(f"x == {_chain(room - 1)}", SP)
+    parse_predicate(_chain(room - 3, " && ", "((x < 1))"), SP)  # each atom backtracks
+    with pytest.raises(ParseError, match="nest more than"):
+        parse_predicate(f"x == {_chain(room)}", SP)
+
+
+def test_a_program_at_the_depth_limit_runs_everywhere():
+    room = MAX_DEPTH - (MAX_NESTING - 1)  # levels below the last statement
+    head = "i = (i + 1) % 5;\n" * (MAX_NESTING - 1)
+    with pytest.raises(ParseError, match="nest more than"):
+        parse(head + f"x = {_chain(room + 1, term='i')};", SP)
+    with pytest.raises(ParseError, match="nest more than"):
+        parse(head + "x = " + "-" * (room - 2) + "((i));", SP)
+    small = StateSpace((("x", Interval(0, 6)), ("i", Interval(0, 4))))
+    s = small.state({"x": 0, "i": 0})
+    for last in ("x = i" + " + 0" * (room - 1) + ";", "x = " + "-" * (room - 3) + "((i));"):
+        p = parse(head + last, SP)
+        assert parse(to_source(p), SP) == p
+        nodes = A.preorder(p)
+        deepest = max(k for k, n in enumerate(nodes) if n == A.Var("i"))
+        mutant = A.replace_nodes(p, {deepest: A.Var("x")})
+        reparsed = parse(to_source(mutant), SP)
+        assert mutant != p and reparsed == mutant and hash(reparsed) == hash(mutant)
+        for mode in ("exact", "wide"):
+            out = execute(p, s, 10, mode)
+            assert isinstance(out, FinalState) and out.state["x"] == (MAX_NESTING - 1) % 5
+        assert denote(p, small) == denote_structural(p, small)
 
 
 def test_condition_connectives():

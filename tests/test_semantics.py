@@ -3,7 +3,9 @@
 import random
 import time
 
+import pytest
 from randgen import program_space, random_program
+from relcor.errors import RelcorError
 from relcor.lang import interp
 from relcor.lang.ast_nodes import While
 from relcor.lang.interp import (
@@ -16,9 +18,10 @@ from relcor.lang.interp import (
     execute,
 )
 from relcor.lang.parser import parse
-from relcor.lang.semantics import conclusive_fuel, default_fuel, denote, denote_structural
+from relcor.lang.semantics import conclusive_fuel, denote, denote_structural
 from relcor.relations import identity
 from relcor.space import ArrayDomain, Interval, StateSpace
+from relcor.specs import PredicateSpec
 
 SP = StateSpace((("x", Interval(0, 3)),))
 
@@ -135,7 +138,7 @@ def test_execute_agrees_with_denote_here():
     p = parse("while (x < 3) { x = x + 2; }", SP)
     rel = denote(p, SP)
     for s in SP.states():
-        out = execute(p, s, fuel=default_fuel(SP))
+        out = execute(p, s, fuel=conclusive_fuel(p, SP))
         if isinstance(out, FinalState):
             assert (s, out.state) in rel.pairs
         else:
@@ -176,8 +179,17 @@ def test_division_truncates_toward_zero():
     assert cdiv(-7, 2) * 2 + cmod(-7, 2) == -7
 
 
-def test_default_fuel_scales_with_the_largest_interval():
-    assert default_fuel(SP) == 10 * 4 * 4
+def test_python_compiler_limits_are_user_errors():
+    state = SP.state({"x": 0})
+    for program in ("while (x < 1) { " * 25 + "skip;" + " }" * 25,
+                    "if (x < 1) { " * 99 + "skip;" + " }" * 99,
+                    "x = " + " + ".join(["x"] * 220) + ";"):
+        p = parse(program, SP)
+        for mode in ("exact", "wide"):
+            with pytest.raises(RelcorError, match="nested too deeply"):
+                execute(p, state, 10, mode)
+    with pytest.raises(RelcorError, match="nested too deeply"):
+        PredicateSpec(SP, "x == " + " + ".join(["x"] * 220), "true")
 
 
 class _FuelOnlyEmitter(interp._Emitter):

@@ -1,9 +1,13 @@
+import ast as pyast
 import logging
+import random
+import re
 
 import pytest
 
+from randgen import program_space, random_predicate
 from relcor.errors import ParseError
-from relcor.lang.interp import FinalState, NonTermination
+from relcor.lang.interp import FinalState, NonTermination, cdiv, cmod
 from relcor.lang.parser import parse
 from relcor.lang.semantics import denote
 from relcor.relations import Relation, is_correct
@@ -12,8 +16,6 @@ from relcor.specs import (
     EnumeratedSpec,
     PredicateSpec,
     abs_oracle,
-    compile_predicate,
-    enumerate_spec,
     spec_from_json,
     spec_to_json,
 )
@@ -56,12 +58,12 @@ def test_predicate_division_truncates_toward_zero():
 
 def test_unknown_names_are_rejected():
     with pytest.raises(ParseError):
-        compile_predicate("q == 1", SP, primed=False)
+        PredicateSpec(SP, "q == 1", "true")
 
 
 def test_function_calls_are_rejected():
     with pytest.raises(ParseError):
-        compile_predicate("abs(n) == 1", SP, primed=False)
+        PredicateSpec(SP, "abs(n) == 1", "true")
 
 
 def test_undefined_domain_predicate_means_not_in_dom():
@@ -95,7 +97,7 @@ def test_state_without_a_witness_output_is_outside_the_domain():
 def test_enumerate_matches_brute_force():
     small = StateSpace((("a", ArrayDomain(4, Interval(0, 1))), ("x", Interval(0, 3))))
     spec = PredicateSpec(small, "true", "x' == a[1] + a[2] + a[3]")
-    rel = enumerate_spec(spec)
+    rel = spec.enumerate()
     expected = {
         (s, t)
         for s in small.states()
@@ -137,3 +139,127 @@ def test_spec_json_roundtrip():
     enum = EnumeratedSpec(Relation(SP, frozenset({(s0, s1)})))
     back2 = spec_from_json(spec_to_json(enum))
     assert back2.rel == enum.rel
+
+
+@pytest.mark.parametrize("src", [
+    "x ** 2 == 1", "not x == 1", "x < 1 < 2", "(x).real == 1", "x == (1 if x > 0 else 2)",
+])
+def test_python_only_syntax_is_rejected(src):
+    space = StateSpace((("x", Interval(0, 3)),))
+    with pytest.raises(ParseError, match="in predicate"):
+        PredicateSpec(space, src, "true")
+    with pytest.raises(ParseError, match="in predicate"):
+        PredicateSpec(space, "true", src)
+
+
+def test_only_the_relation_predicate_reads_outputs():
+    with pytest.raises(ParseError, match="only a relation predicate"):
+        PredicateSpec(SP, "n' == 1", "true")
+    with pytest.raises(ParseError, match="undeclared variable 'q'"):
+        PredicateSpec(SP, "true", "q' == 1")
+
+
+def test_a_primed_array_read_reads_the_output_array():
+    space = StateSpace((("a", ArrayDomain(2, Interval(0, 2))),))
+    spec = PredicateSpec(space, "true", "a'[1] == a[0]")
+    for s in space.states():
+        for t in space.states():
+            assert spec.membership(s, t) == (t["a"][1] == s["a"][0])
+    with pytest.raises(ParseError, match="is an array"):
+        PredicateSpec(space, "true", "a' == a")
+
+
+def test_a_negative_index_is_undefined_not_the_last_element():
+    space = StateSpace((("a", ArrayDomain(3, Interval(0, 2))),))
+    spec = PredicateSpec(space, "a[0 - 1] == a[2]", "true")
+    assert not any(spec.in_dom(s) for s in space.states())
+    assert spec.undefined == space.num_states
+
+
+# -- the predicate compiler that specs used before they joined the language ----------
+
+_PRIME = re.compile(r"([A-Za-z_]\w*)\s*'")
+_NOT = re.compile(r"!(?!=)")
+
+
+class _CTransform(pyast.NodeTransformer):
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        helper = {pyast.Div: "cdiv", pyast.Mod: "cmod"}.get(type(node.op))
+        if helper is None:
+            return node
+        return pyast.copy_location(
+            pyast.Call(pyast.Name(helper, pyast.Load()), [node.left, node.right], []), node)
+
+
+def _reference_predicate(src: str):
+    """f(env) -> bool: the text rewritten to Python and evaluated by `eval`."""
+    text = _PRIME.sub(r"\1__out", src).replace("&&", " and ").replace("||", " or ")
+    text = _NOT.sub(" not ", text)
+    text = re.sub(r"\bfalse\b", "False", re.sub(r"\btrue\b", "True", text)).strip()
+    tree = pyast.fix_missing_locations(_CTransform().visit(pyast.parse(text, mode="eval")))
+    code = compile(tree, "<predicate>", "eval")
+    globs = {"__builtins__": {}, "cdiv": cdiv, "cmod": cmod}
+    return lambda env: bool(eval(code, globs, env))
+
+
+class _ReferenceSpec:
+    """In_dom, membership, domain and enumerate of a predicate spec, evaluated
+    by the old compiler and counting every raising evaluation as undefined."""
+
+    def __init__(self, space, dom_src, rel_src):
+        self.space = space
+        self.dom = _reference_predicate(dom_src)
+        self.rel = _reference_predicate(rel_src)
+        self.undefined = 0
+
+    def _holds(self, f, env) -> bool:
+        try:
+            return f(env)
+        except Exception:
+            self.undefined += 1
+            return False
+
+    def in_dom(self, s) -> bool:
+        return self._holds(self.dom, s.bindings())
+
+    def related(self, s, t) -> bool:
+        out = {f"{n}__out": v for n, v in t.bindings().items()}
+        return self._holds(self.rel, {**s.bindings(), **out})
+
+    def membership(self, s, t) -> bool:
+        return self.in_dom(s) and self.related(s, t)
+
+    def domain(self) -> set:
+        states = list(self.space.states())
+        return {s for s in states if self.in_dom(s) and any(self.related(s, t) for t in states)}
+
+    def enumerate(self) -> set:
+        states = list(self.space.states())
+        inputs = [s for s in states if self.in_dom(s)]
+        return {(s, t) for s in inputs for t in states if self.related(s, t)}
+
+
+def test_predicates_agree_with_the_old_compiler():
+    rng = random.Random(4242)
+    undefined = partial = 0
+    for _ in range(120):
+        sp = program_space(rng, max_states=30)
+        names = list(sp.names)
+        srcs = (random_predicate(rng, names, primed=False),
+                random_predicate(rng, names, primed=True))
+        states = list(sp.states())
+        new, ref = PredicateSpec(sp, *srcs), _ReferenceSpec(sp, *srcs)
+        assert [new.in_dom(s) for s in states] == [ref.in_dom(s) for s in states]
+        assert ([new.membership(s, t) for s in states for t in states]
+                == [ref.membership(s, t) for s in states for t in states])
+        assert new.undefined == ref.undefined
+        new, ref = PredicateSpec(sp, *srcs), _ReferenceSpec(sp, *srcs)
+        assert new.domain().members == ref.domain()
+        assert new.undefined == ref.undefined
+        new, ref = PredicateSpec(sp, *srcs), _ReferenceSpec(sp, *srcs)
+        assert new.enumerate().pairs == ref.enumerate()
+        assert new.undefined == ref.undefined
+        undefined += new.undefined > 0
+        partial += 0 < len(new.domain()) < sp.num_states
+    assert undefined > 10 and partial > 10

@@ -2,7 +2,7 @@ import pytest
 
 from relcor.errors import EmptySuiteError
 from relcor.lang.parser import parse
-from relcor.space import Interval, StateSpace
+from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import PredicateSpec
 from relcor.suites import (
     classify,
@@ -32,6 +32,15 @@ def test_random_selection_is_seeded_and_in_domain():
     assert all(s["x"] <= 7 for s in a.inputs)
     c = select_tests(SPEC, strategy="random", seed=4, count=20)
     assert c.inputs != a.inputs
+
+
+def test_random_selection_samples_the_variables_the_domain_predicate_reads():
+    sp = StateSpace((("a", ArrayDomain(2, Interval(1, 3))), ("x", Interval(0, 9)),
+                     ("y", Interval(2, 9))))
+    spec = PredicateSpec(sp, "a[1] > 1 && x < 5", "true")
+    inputs = select_tests(spec, strategy="random", seed=1, count=30).inputs
+    assert {s["y"] for s in inputs} == {2}  # not read: the default, the low end of 2..9
+    assert len({s["x"] for s in inputs}) > 1 and len({s["a"] for s in inputs}) > 1
 
 
 def test_competence_domain_selection():
