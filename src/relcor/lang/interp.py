@@ -17,17 +17,34 @@ initialized to the low end of their interval (zero in wide mode); programs
 are expected to assign locals before reading them, which is also what
 keeps their denotations deterministic.
 
-Exact mode also detects repeats.  Each entry into a loop keeps the set of
-states, over every variable in scope, seen at the loop head after each
-completed iteration, and the run yields ``NonTermination`` as soon as one
-recurs.  That changes no outcome for any fuel: a run is deterministic, so a
-repeated head state means it cycles forever and would only have exhausted
-its fuel later.  What it changes is cost, because exact-mode values stay in
-finite intervals: a divergent run stops after at most |states in scope| + 1
-iterations of its loop however much fuel it has, so `tabulate` over a
-whole space (which `semantics.denote` uses) stays linear in the space even
-where the program diverges everywhere.  Wide mode has no such bound (its
-values grow), so it keeps fuel alone.
+Both modes can end a run that will never end before its fuel runs out, and
+neither changes an outcome for any fuel by doing so: the run would only
+have exhausted its fuel later.
+
+* Exact mode detects repeats.  Each entry into a loop keeps the set of
+  states, over every variable in scope, seen at the loop head after each
+  completed iteration, and the run yields ``NonTermination`` as soon as one
+  recurs: a run is deterministic, so a repeated head state means it cycles
+  forever.  Exact-mode values stay in finite intervals, so a divergent run
+  stops after at most |states in scope| + 1 iterations of its loop however
+  much fuel it has, and `tabulate` over a whole space (which
+  `semantics.denote` uses) stays linear in the space even where the
+  program diverges everywhere.
+* Wide-mode values keep growing, so a state rarely repeats.  Instead, a
+  loop whose guard and body (``Seq``, ``skip`` and scalar assignments
+  only) read no array and divide only by non-zero integer literals gets a
+  recurrent-set check (Gupta et al., "Proving non-termination", POPL 2008).
+  At a check point the run takes one concrete body step from the current
+  head state and builds a box from it: a variable that rose gets
+  [v, +inf), one that fell (-inf, v], one that stayed [v, v].  If interval
+  arithmetic shows that the guard holds on the whole box and that the body
+  maps the box into itself, the loop can never exit, and the run yields
+  ``NonTermination`` at once.  Such a body cannot be undefined on the box
+  (no array access, no divisor that can be zero), so ``Undefined`` was not
+  possible either.  Check points are global to a run: when its consumed
+  fuel reaches 8 and each time it has doubled since, in whichever such loop
+  is running, so a run makes about log2(fuel) checks.  A program without
+  such a loop compiles exactly as it would without the check.
 
 The same emitter compiles single expressions and conditions
 (`compile_eval`), for the guards and assigned values of the structural
@@ -62,6 +79,7 @@ from .ast_nodes import (
     Var,
     VarTarget,
     While,
+    preorder,
 )
 
 
@@ -122,6 +140,137 @@ def _aread(arr: tuple, i: int, length: int, name: str):
     return arr[i]
 
 
+# -- recurrent boxes (wide mode) ---------------------------------------------------
+#
+# An interval is a pair (lo, hi); lo is an int or -inf, hi an int or +inf,
+# so no operation below ever adds +inf to -inf.  The infinities are floats,
+# and an int never meets one in arithmetic (a huge int cannot be converted),
+# only in comparisons, which Python makes exactly.
+
+_INF = float("inf")
+_CHECK_FROM = 8  # consumed fuel at a run's first check point
+
+
+def _add(x, y):
+    return x if isinstance(x, float) else y if isinstance(y, float) else x + y
+
+
+def _mul(x, y):
+    if x == 0 or y == 0:
+        return 0  # 0 * inf = 0: the factor is exactly zero
+    if isinstance(x, float) or isinstance(y, float):
+        return _INF if (x > 0) == (y > 0) else -_INF
+    return x * y
+
+
+def _div(x, c: int):
+    return (x if c > 0 else -x) if isinstance(x, float) else cdiv(x, c)
+
+
+def _ival(e, env: dict):
+    """The interval of expression `e` where each variable ranges over its
+    interval in `env`; exact when every interval is a single value."""
+    if isinstance(e, IntLit):
+        return (e.value, e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        lo, hi = _ival(e.operand, env)
+        return (-hi, -lo)
+    lo, hi = _ival(e.left, env)
+    if e.op in "/%":  # by a non-zero literal
+        c = e.right.value
+        if e.op == "/":  # truncation is monotone in the dividend
+            return (_div(lo, c), _div(hi, c)) if c > 0 else (_div(hi, c), _div(lo, c))
+        if lo == hi:
+            return (cmod(lo, c), cmod(lo, c))
+        m = abs(c) - 1  # the remainder takes the dividend's sign, |r| <= min(|x|, m)
+        return (0 if lo >= 0 else max(lo, -m), 0 if hi <= 0 else min(hi, m))
+    rlo, rhi = _ival(e.right, env)
+    if e.op == "+":
+        return (_add(lo, rlo), _add(hi, rhi))
+    if e.op == "-":
+        return (_add(lo, -rhi), _add(hi, -rlo))
+    ends = (_mul(lo, rlo), _mul(lo, rhi), _mul(hi, rlo), _mul(hi, rhi))
+    return (min(ends), max(ends))
+
+
+def _box_holds(c, env: dict):
+    """True if condition `c` holds on every state of the box `env`, False
+    if on none, None if it depends."""
+    if isinstance(c, BoolLit):
+        return c.value
+    if isinstance(c, Cmp):
+        return _box_cmp(c.op, _ival(c.left, env), _ival(c.right, env))
+    if isinstance(c, Not):
+        v = _box_holds(c.operand, env)
+        return None if v is None else not v
+    left, right = _box_holds(c.left, env), _box_holds(c.right, env)
+    if isinstance(c, And):
+        return False if False in (left, right) else left and right
+    return True if True in (left, right) else None if None in (left, right) else False
+
+
+def _box_cmp(op: str, a, b):
+    """True if `a op b` holds for every pair of values in the intervals,
+    False if for none, None if it depends."""
+    if op in (">", ">="):
+        op, a, b = ("<" if op == ">" else "<="), b, a
+    if op == "<":
+        return True if a[1] < b[0] else False if a[0] >= b[1] else None
+    if op == "<=":
+        return True if a[1] <= b[0] else False if a[0] > b[1] else None
+    same = a[0] == a[1] == b[0] == b[1]
+    apart = a[1] < b[0] or b[1] < a[0]
+    eq = True if same else False if apart else None
+    return eq if op == "==" or eq is None else not eq
+
+
+_BOXABLE = (Seq, Skip, Assign, VarTarget, IntLit, Var, Neg, BinOp, BoolLit, Cmp, Not, And, Or)
+
+
+def _boxable(loop: While) -> bool:
+    """Whether the loop's guard and body are total on every box: straight-line
+    scalar assignments, no array, divisors non-zero literals only."""
+    return all(
+        isinstance(n, _BOXABLE)
+        and not (isinstance(n, BinOp) and n.op in "/%"
+                 and not (isinstance(n.right, IntLit) and n.right.value != 0))
+        for part in (loop.cond, loop.body) for n in preorder(part)
+    )
+
+
+class _Recurrence:
+    """The divergence check of one `_boxable` loop (see the module docstring)."""
+
+    def __init__(self, loop: While):
+        self.guard = loop.cond
+        self.steps = tuple((n.target.name, n.expr) for n in preorder(loop.body)
+                           if isinstance(n, Assign))
+        self.names = tuple(sorted({n.name for part in (loop.cond, loop.body)
+                                   for n in preorder(part) if isinstance(n, (Var, VarTarget))}))
+
+    def _step(self, env: dict) -> dict:
+        env = dict(env)
+        for name, e in self.steps:
+            env[name] = _ival(e, env)
+        return env
+
+    def diverges(self, values: tuple) -> bool:
+        """Whether the loop, at the head with its variables at `values`, can
+        never exit."""
+        here = dict(zip(self.names, values))
+        after = self._step({n: (v, v) for n, v in here.items()})
+        box = {}
+        for n, v in here.items():
+            w = after[n][0]
+            box[n] = (v, _INF) if w > v else (-_INF, v) if w < v else (v, v)
+        if _box_holds(self.guard, box) is not True:
+            return False
+        image = self._step(box)
+        return all(box[n][0] <= image[n][0] and image[n][1] <= box[n][1] for n in box)
+
+
 # -- code generation ---------------------------------------------------------------
 
 _V = "v_"  # prefix keeping program variables clear of generated helpers
@@ -140,6 +289,8 @@ class _Emitter:
         self.domains = dict(space.vars)
         self.lines: list[str] = []
         self.tmp = 0
+        #: the divergence check of each `_boxable` wide-mode loop, by its name in the code
+        self.recurrences: dict[str, _Recurrence] = {}
 
     def fresh(self) -> str:
         self.tmp += 1
@@ -241,6 +392,13 @@ class _Emitter:
             self.stmt(s.body, depth + 1)
             self.emit(depth + 1, "fuel -= 1")
             self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
+            if not self.exact and _boxable(s):
+                rec = f"_rec{len(self.recurrences)}"
+                self.recurrences[rec] = check = _Recurrence(s)
+                values = _tuple(_V + n for n in check.names)
+                self.emit(depth + 1, "if fuel <= _chk:")
+                self.emit(depth + 2, "_chk = 2 * fuel - _fuel0")  # when consumed fuel doubles
+                self.emit(depth + 2, f"if {rec}.diverges({values}): raise _OutOfFuel()")
             if self.exact:
                 head = self.fresh()
                 in_scope = "".join(f"{_V}{n}, " for n in self.domains)
@@ -281,6 +439,11 @@ _RUNTIME = {
 }
 
 
+def _tuple(names) -> str:
+    names = list(names)
+    return f"({', '.join(names)},)" if names else "()"
+
+
 def _unpack(em: _Emitter, values: str, names: list) -> None:
     if names:
         em.emit(1, f"({', '.join(names)},) = {values}")
@@ -297,7 +460,7 @@ def _define(em: _Emitter, name: str):
         if isinstance(e, SyntaxError) and "too many" not in str(e.msg):
             raise
         raise RelcorError(f"nested too deeply for Python to compile: {e}") from None
-    namespace = dict(_RUNTIME)
+    namespace = {**_RUNTIME, **em.recurrences}
     exec(code, namespace)
     return namespace[name]
 
@@ -311,8 +474,11 @@ def compile_program(p, space: StateSpace, mode: str = "exact"):
     names = [_V + n for n in space.names]
     em.emit(0, "def _run(_values, fuel):")
     _unpack(em, "_values", names)
+    prologue = len(em.lines)
     em.stmt(p, 1)
-    em.emit(1, f"return ({', '.join(names)},)" if names else "return ()")
+    if em.recurrences:  # the fuel at the run's next check point
+        em.lines[prologue:prologue] = ["    _fuel0 = fuel", f"    _chk = fuel - {_CHECK_FROM}"]
+    em.emit(1, f"return {_tuple(names)}")
     return _define(em, "_run")
 
 

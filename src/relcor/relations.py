@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, NonDeterministicError, RelcorError, SpaceMismatchError
-from .space import DEFAULT_CAP, ArrayDomain, Interval, State, StateSet, StateSpace
+from .space import DEFAULT_CAP, ArrayDomain, Interval, StateSet, StateSpace
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class Relation:
     def difference(self, other: "Relation") -> "Relation":
         self._check(other)
         return Relation(self.space, self.pairs - other.pairs)
-
-    def complement(self, cap: int = DEFAULT_CAP) -> "Relation":
-        return universal(self.space, cap).difference(self)
 
     def __or__(self, other):
         return self.union(other)
@@ -97,9 +94,6 @@ class Relation:
 
     def range(self) -> StateSet:
         return StateSet(self.space, frozenset(t for (_, t) in self.pairs))
-
-    def image(self, s: State) -> frozenset:
-        return frozenset(t for (u, t) in self.pairs if u == s)
 
     def competence_domain(self, p: "Relation") -> StateSet:
         """dom(self & p), in O(|p|) lookups."""

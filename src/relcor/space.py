@@ -167,13 +167,6 @@ class State:
     def bindings(self) -> dict:
         return dict(zip(self.space.names, self.values))
 
-    def with_value(self, name: str, value) -> "State":
-        i = self.space.names.index(name)
-        return State(self.space, self.values[:i] + (value,) + self.values[i + 1 :])
-
-    def project(self, names: tuple) -> tuple:
-        return tuple(self[n] for n in names)
-
     def __repr__(self):
         inner = ", ".join(f"{n}={v}" for n, v in zip(self.space.names, self.values))
         return f"State({inner})"

@@ -21,15 +21,19 @@ methods that `relcor.relations.Relation` has, so `is_correct` and
   relation predicate; the first call finds one witness output per state,
   stopping at the first, and the result is kept for the life of the spec.
   That costs at most |S| evaluations per state and usually far fewer.
-  ``in_dom``, which the testing-mode oracle uses, reads the domain
-  predicate alone, so it differs from ``domain()`` at states that have no
-  witness output.
 
 Neither method enumerates the spec's |S|^2 pairs; ``enumerate`` still
 builds the full relation for callers that need its pairs.  A predicate
 that is undefined at a state (a division by zero, an index out of bounds)
 counts as false there; the spec counts such evaluations in ``undefined``
 and logs a warning the first time only.
+
+``in_dom(s)``, which the testing-mode oracle and test selection use, is
+s in dom(R).  On a space that `StateSpace.check_enumerable` accepts it
+searches for a witness output the same way, once per state (the answers
+are kept), so exact and testing verdicts agree.  On a larger space (the
+Fermat study's has 10^27 states) it reads the domain predicate alone, and
+the spec's author must make sure that the predicate implies a witness.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ class PredicateSpec:
         self._dom = compile_eval(self.dom_cond, space)
         self._rel = compile_eval(parse_predicate(rel_src, space, primed=True), space, primed=True)
         self._domain = None
+        #: in_dom's answers by state; None where the space is too large to search
+        self._witnessed = {} if space.num_states <= DEFAULT_CAP else None
         #: evaluations of either predicate that were undefined and so counted as false
         self.undefined = 0
 
@@ -96,11 +102,21 @@ class PredicateSpec:
             )
         return False
 
-    def in_dom(self, s: State) -> bool:
+    def _dom_holds(self, s: State) -> bool:
         try:
             return self._dom(s.values)
         except UndefinedEval as e:  # partial predicate: undefined counts as outside
             return self._count_undefined(s, e)
+
+    def _has_witness(self, s: State, states) -> bool:
+        return self._dom_holds(s) and any(self._related(s, t) for t in states)
+
+    def in_dom(self, s: State) -> bool:
+        if self._witnessed is None:
+            return self._dom_holds(s)
+        if s not in self._witnessed:
+            self._witnessed[s] = self._has_witness(s, self.space.states())
+        return self._witnessed[s]
 
     def _related(self, s: State, t: State) -> bool:
         try:
@@ -109,13 +125,14 @@ class PredicateSpec:
             return self._count_undefined((s, t), e)
 
     def membership(self, s: State, s_out: State) -> bool:
-        return self.in_dom(s) and self._related(s, s_out)
+        # s_out itself witnesses s, so the domain predicate is all in_dom adds
+        return self._dom_holds(s) and self._related(s, s_out)
 
     def domain(self) -> StateSet:
         if self._domain is None:
             states = list(self.space.states())
             self._domain = StateSet(self.space, frozenset(
-                s for s in states if self.in_dom(s) and any(self._related(s, t) for t in states)
+                s for s in states if self._has_witness(s, states)
             ))
         return self._domain
 
@@ -129,7 +146,7 @@ class PredicateSpec:
                 f"enumerating the spec could produce {n*n} pairs, cap is {cap}"
             )
         states = list(self.space.states(cap))
-        inputs = [s for s in states if self.in_dom(s)]
+        inputs = [s for s in states if self._dom_holds(s)]
         return Relation(self.space, {(s, t) for s in inputs for t in states if self._related(s, t)})
 
 

@@ -99,34 +99,45 @@ def program_space(rng: random.Random, max_states: int = 500) -> StateSpace:
             return StateSpace(tuple(vars_))
 
 
-def _expr(rng: random.Random, names: list, depth: int) -> A.Node:
+def _expr(rng: random.Random, names: list, depth: int, straight: bool = False) -> A.Node:
+    """With `straight`, every `*`, `/` and `%` has a non-zero literal right
+    operand: a product of two variables cannot square a value on every
+    iteration of a loop, and no divisor can be zero."""
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
             return A.IntLit(rng.randint(-2, 3))
         return A.Var(rng.choice(names))
     op = rng.choice(A.ARITH_OPS)
-    return A.BinOp(op, _expr(rng, names, depth - 1), _expr(rng, names, depth - 1))
+    left = _expr(rng, names, depth - 1, straight)
+    if straight and op in "*/%":
+        return A.BinOp(op, left, A.IntLit(rng.choice((-3, -2, -1, 1, 2, 3))))
+    return A.BinOp(op, left, _expr(rng, names, depth - 1, straight))
 
 
-def _cond(rng: random.Random, names: list, depth: int) -> A.Node:
+def _cond(rng: random.Random, names: list, depth: int, straight: bool = False) -> A.Node:
     if depth <= 0 or rng.random() < 0.6:
         op = rng.choice(("<", "<=", ">", ">=", "==", "!="))
-        return A.Cmp(op, _expr(rng, names, 1), _expr(rng, names, 1))
+        return A.Cmp(op, _expr(rng, names, 1, straight), _expr(rng, names, 1, straight))
     kind = rng.random()
+
+    def sub():
+        return _cond(rng, names, depth - 1, straight)
+
     if kind < 0.4:
-        return A.And(_cond(rng, names, depth - 1), _cond(rng, names, depth - 1))
+        return A.And(sub(), sub())
     if kind < 0.8:
-        return A.Or(_cond(rng, names, depth - 1), _cond(rng, names, depth - 1))
-    return A.Not(_cond(rng, names, depth - 1))
+        return A.Or(sub(), sub())
+    return A.Not(sub())
 
 
-def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: bool) -> A.Node:
-    def sub(names=names):
-        return _stmt(rng, names, depth - 1, fresh, unassigned_reads)
+def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: bool,
+          wide: bool = False, in_loop: bool = False) -> A.Node:
+    def sub(names=names, in_loop=in_loop):
+        return _stmt(rng, names, depth - 1, fresh, unassigned_reads, wide, in_loop)
 
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
-        return A.Assign(A.VarTarget(rng.choice(names)), _expr(rng, names, 2))
+        return A.Assign(A.VarTarget(rng.choice(names)), _expr(rng, names, 2, wide and in_loop))
     if roll < 0.43:
         return A.Skip()
     if roll < 0.46:
@@ -138,7 +149,7 @@ def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: 
     if roll < 0.8:
         return A.IfElse(_cond(rng, names, 1), sub(), sub())
     if roll < 0.88:
-        return A.While(_cond(rng, names, 1), sub())
+        return A.While(_cond(rng, names, 1), sub(in_loop=True))
     # a block local, named apart from every other local of the program so
     # that the program prints and parses back
     name = f"t{next(fresh)}"
@@ -146,15 +157,32 @@ def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: 
     if unassigned_reads and rng.random() < 0.5:
         first = A.Assign(A.VarTarget(rng.choice(names)), A.Var(name))  # reads it unassigned
     else:
-        first = A.Assign(A.VarTarget(name), _expr(rng, names, 2))
+        first = A.Assign(A.VarTarget(name), _expr(rng, names, 2, wide and in_loop))
     body = A.Seq(first, sub(names + [name]))
     return A.Block(name, Interval(lo, lo + rng.randint(1, 2)), body)
 
 
-def random_program(rng: random.Random, space: StateSpace, unassigned_reads: bool = True) -> A.Node:
+def random_program(rng: random.Random, space: StateSpace, unassigned_reads: bool = True,
+                   wide: bool = False) -> A.Node:
     """A random statement over the variables of `space`, with block locals
     (`int t : lo..hi;`).  With `unassigned_reads`, a block may read its local
     before assigning it, so that [p] quantifies over the local's initial
     value; otherwise every block assigns its local first, and one exact-mode
-    run per state defines [p]."""
-    return _stmt(rng, list(space.names), rng.randint(1, 3), itertools.count(), unassigned_reads)
+    run per state defines [p].  With `wide`, an assignment inside a loop
+    multiplies and divides by non-zero literals only (see `_expr`), so that
+    its values grow at most exponentially with the number of iterations and
+    a wide-mode run of 10^4 iterations stays cheap."""
+    return _stmt(rng, list(space.names), rng.randint(1, 3), itertools.count(), unassigned_reads,
+                 wide)
+
+
+def random_straight_loop(rng: random.Random, space: StateSpace) -> A.Node:
+    """A `while` loop of the kind the wide-mode divergence check accepts: its
+    body is one to three scalar assignments, and its guard and body multiply
+    and divide by non-zero literals only."""
+    names = list(space.names)
+    body = A.Assign(A.VarTarget(rng.choice(names)), _expr(rng, names, 2, straight=True))
+    for _ in range(rng.randint(0, 2)):
+        body = A.Seq(body, A.Assign(A.VarTarget(rng.choice(names)),
+                                    _expr(rng, names, 2, straight=True)))
+    return A.While(_cond(rng, names, 1, straight=True), body)

@@ -19,6 +19,7 @@ from randgen import (
     random_relation,
     small_space,
 )
+from relcor import suites
 from relcor.errors import CapacityError
 from relcor.lang.ast_nodes import Block, preorder
 from relcor.lang.interp import FinalState, NonTermination, execute
@@ -224,22 +225,47 @@ def _testing_mode_agrees_with_exact_mode(n):
         if not mutants or not r.pairs:
             continue
         spec = EnumeratedSpec(r)
-        suite = select_tests(spec, strategy="exhaustive")
-        m = rng.choice(mutants)
-        fuel = max(conclusive_fuel(base, sp), conclusive_fuel(m.program, sp))
-        base_fn = denote(base, sp)
-        mut_fn = denote(m.program, sp)
-        if is_correct(mut_fn, r):
-            exact_label = "absolutely_correct"
-        elif more_correct(mut_fn, base_fn, r, strict=True):
-            exact_label = "strictly_more_correct"
-        elif more_correct(mut_fn, base_fn, r):
-            exact_label = "as_correct"
-        else:
-            exact_label = "not_more_correct"
-        report = run_suite(m.program, base, spec, suite, fuel, mode="exact")
-        assert classify(report) == exact_label
+        _agree(rng, base, mutants, spec, select_tests(spec, strategy="exhaustive"))
         done += 1
+    # predicate specs, on suites of every state: in_dom must say s in dom(R),
+    # also where the domain predicate holds and no output satisfies the relation
+    rng = random.Random(607)
+    witnessless = labels = 0
+    seen = set()
+    while labels < n:
+        sp = program_space(rng, max_states=40)
+        base = random_program(rng, sp, unassigned_reads=False)
+        mutants = generate(base, ("AORB", "literal+-1"))
+        if not mutants:
+            continue
+        names = list(sp.names)
+        spec = PredicateSpec(sp, random_predicate(rng, names, primed=False),
+                             random_predicate(rng, names, primed=True))
+        witnessless += any(spec._dom_holds(s) for s in sp.states() if not spec.in_dom(s))
+        seen.add(_agree(rng, base, mutants, spec, suites.TestSuite(tuple(sp.states()))))
+        labels += 1
+    assert witnessless > 10 and len(seen) == 4
+
+
+def _agree(rng, base, mutants, spec, suite) -> str:
+    """Assert that the suite classifies a random mutant as exact mode does;
+    returns the label."""
+    sp = spec.space
+    m = rng.choice(mutants)
+    fuel = max(conclusive_fuel(base, sp), conclusive_fuel(m.program, sp))
+    base_fn = denote(base, sp)
+    mut_fn = denote(m.program, sp)
+    if is_correct(mut_fn, spec):
+        exact_label = "absolutely_correct"
+    elif more_correct(mut_fn, base_fn, spec, strict=True):
+        exact_label = "strictly_more_correct"
+    elif more_correct(mut_fn, base_fn, spec):
+        exact_label = "as_correct"
+    else:
+        exact_label = "not_more_correct"
+    report = run_suite(m.program, base, spec, suite, fuel, mode="exact")
+    assert classify(report) == exact_label
+    return exact_label
 
 
 def _enumerated_label(mut_fn, base_fn, r):

@@ -4,10 +4,10 @@ import random
 import time
 
 import pytest
-from randgen import program_space, random_program
+from randgen import program_space, random_program, random_straight_loop
 from relcor.errors import RelcorError
 from relcor.lang import interp
-from relcor.lang.ast_nodes import While
+from relcor.lang.ast_nodes import While, preorder
 from relcor.lang.interp import (
     FinalState,
     NonTermination,
@@ -229,6 +229,179 @@ def test_repeat_detection_changes_no_outcome(monkeypatch):
     assert new == old
     kinds = {type(out) for outs in new for out in outs}
     assert kinds == {FinalState, NonTermination, Undefined}
+
+
+class _WideFuelOnlyEmitter(interp._Emitter):
+    """Wide-mode loops without the divergence check: fuel alone bounds them."""
+
+    def stmt(self, s, depth):
+        if self.exact or not isinstance(s, While):
+            return super().stmt(s, depth)
+        self.emit(depth, f"while {self.cond(s.cond)}:")
+        self.stmt(s.body, depth + 1)
+        self.emit(depth + 1, "fuel -= 1")
+        self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
+
+
+WIDE = StateSpace((("x", Interval(-4, 4)), ("y", Interval(-2, 2))))
+
+# loops the divergence check accepts, on WIDE: rising, falling and unchanged
+# variables, `/` and `%` by literals of both signs on dividends of both signs,
+# a block local in scope, and loops that end late, some of them only after
+# the first check point, where a box check that is wrong by one comparison,
+# one sign or one connective would claim them
+BOXABLE_LOOPS = (
+    "y = 20; while (x < 100) { x = x - y; y = y - 1; }",
+    "while (x < 8) { x = x + 1 - x / 8; }",
+    "while (x != 8) { x = x + 1; }",
+    "x = x + 10; while (x % 3 >= 0) { x = x - 1; }",
+    "while (x / -2 > -5) { x = x + 1; }",
+    "while (x < 20 || x < 10) { x = x + 1; }",
+    "while (x < 20 && x > -5) { x = x + 1; }",
+    "while (!(x >= 20)) { x = x + 1; }",
+    "while (-x > -20) { x = x + 1; }",
+    "while (x <= 7) { x = x + 1 - x / 8; }",
+    "while (x / 10 == 0) { x = x + 1; }",
+    "x = 8; while (x != 0) { x = x - 1; }",
+    "while (x * 2 > -20) { x = x - 1; }",
+    "while (x > 0) { x = x + 1; }",
+    "while (x < 3) { x = x - y; }",
+    "while (x <= 4) { x = x * 2 - 1; y = y + x; }",
+    "while (x % 3 < 3) { x = x + 1; }",
+    "while (x % -3 > -3) { x = x - 2; }",
+    "while (x / -2 <= 0) { x = x + 3; }",
+    "while (x / 2 != 0) { x = x / 2; }",
+    "while (x != 7) { x = x / -2 - 3; y = y % 2; }",
+    "while (x >= y) { x = x + x % -2 + 2; y = y - 1; }",
+    "while (!(x < -100) && y * 0 == 0) { x = x - 1; }",
+    "while (x * x >= 0) { x = x * -1; }",
+    "while (true) { skip; }",
+    "{ int t; t = x; while (t < 100000) { t = t - 1; } x = t; }",
+    "{ int t; t = 0; while (t < 50) { t = t + 1; x = x + t; } }",
+    "while (x < 200) { x = x + 1; }",
+    "while (y < 100) { y = y + x; x = x + 1; }",
+)
+
+
+def test_divergence_proofs_change_no_outcome(monkeypatch):
+    rng = random.Random(909)
+    cases = [(random_program(rng, sp, wide=True), sp)
+             for sp in (program_space(rng, max_states=60) for _ in range(300))]
+    cases += [(random_straight_loop(rng, sp), sp)
+              for sp in (program_space(rng, max_states=60) for _ in range(200))]
+    runs = [(p, s) for p, sp in cases for s in rng.sample(list(sp.states()), min(4, sp.num_states))]
+    runs += [(parse(src, WIDE), s) for src in BOXABLE_LOOPS for s in WIDE.states()]
+    fuels = (0, 1, 7, 8, 9, 100, 10**4)
+    proved = []
+    diverges = interp._Recurrence.diverges
+    monkeypatch.setattr(interp._Recurrence, "diverges",
+                        lambda rec, values: proved.append(diverges(rec, values)) or proved[-1])
+
+    def outcomes():
+        compile_program.cache_clear()
+        return [execute(p, s, fuel, "wide") for p, s in runs for fuel in fuels]
+
+    new = outcomes()
+    monkeypatch.setattr(interp, "_Emitter", _WideFuelOnlyEmitter)
+    try:
+        old = outcomes()
+    finally:
+        compile_program.cache_clear()
+    assert new == old
+    assert {type(out) for out in new} == {FinalState, NonTermination, Undefined}
+    assert proved.count(True) > 1000 and proved.count(False) > 1000
+
+
+def test_only_programs_with_a_boxable_loop_compile_differently(monkeypatch):
+    sources = []
+    define, emitter = interp._define, interp._Emitter
+    monkeypatch.setattr(interp, "_define",
+                        lambda em, name: sources.append("\n".join(em.lines)) or define(em, name))
+
+    def source(p, sp, mode, emitter_class):
+        monkeypatch.setattr(interp, "_Emitter", emitter_class)
+        compile_program.cache_clear()
+        compile_program(p, sp, mode)
+        return sources[-1]
+
+    rng = random.Random(910)
+    changed = 0
+    try:
+        for i in range(200):
+            sp = program_space(rng, max_states=60)
+            p = random_program(rng, sp, wide=True) if i % 2 else random_straight_loop(rng, sp)
+            boxable = any(isinstance(n, While) and interp._boxable(n) for n in preorder(p))
+            for mode in ("exact", "wide"):
+                new = source(p, sp, mode, emitter)
+                old = source(p, sp, mode, _WideFuelOnlyEmitter)
+                assert (new != old) == (mode == "wide" and boxable)
+                assert ("_fuel0" in new) == (new != old)
+                changed += new != old
+    finally:
+        compile_program.cache_clear()
+    assert 50 < changed < 150
+
+
+def test_check_points_are_global_to_a_run(monkeypatch):
+    # the inner loop is entered afresh on every outer iteration and runs 10
+    # iterations each time, yet the run checks only as its consumed fuel
+    # reaches 8, 16, ..., 8192
+    p = parse("while (x >= 0) { y = 0; while (y < 10) { y = y + 1; } x = x + 1; }", WIDE)
+    calls = []
+    diverges = interp._Recurrence.diverges
+    monkeypatch.setattr(interp._Recurrence, "diverges",
+                        lambda rec, values: calls.append(values) or diverges(rec, values))
+    assert execute(p, WIDE.state({"x": 0, "y": 0}), 10**4, "wide") == NonTermination()
+    assert 0 < len(calls) <= 11
+
+
+def test_the_box_check_proves_loops_that_keep_their_direction(monkeypatch):
+    proved = []
+    diverges = interp._Recurrence.diverges
+    monkeypatch.setattr(interp._Recurrence, "diverges",
+                        lambda rec, values: proved.append(diverges(rec, values)) or proved[-1])
+    # 0 * inf = 0, a negative factor, `%` and `/` of a falling dividend, a
+    # negated falling value, and assignments taken in their order
+    for src in ("while (x * 0 < 1) { x = x + 1; }", "while (x * -1 < 5) { x = x + 1; }",
+                "while (x % 3 > -3) { x = x - 1; }", "while (x / -2 >= 0) { x = x - 1; }",
+                "while (-x >= 0 && y == 0) { x = x - 1; }", "while (x < 5) { x = x + 1; x = 0; }"):
+        proved.clear()
+        p = parse(src, WIDE)
+        assert execute(p, WIDE.state({"x": 0, "y": 0}), 10**4, "wide") == NonTermination()
+        assert proved == [True], src
+
+
+def test_a_squaring_loop_is_proved_before_its_digits_blow_up():
+    p = parse("while (x > 0) { x = x * x; }", WIDE)
+    start = time.perf_counter()
+    assert execute(p, WIDE.state({"x": 2, "y": 0}), 10**9, "wide") == NonTermination()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_loops_that_end_late_are_not_claimed():
+    p = parse("while (x < 1000000) { x = x + 1; }", WIDE)
+    out = execute(p, WIDE.state({"x": 0, "y": 0}), 10**6, "wide")
+    assert isinstance(out, FinalState) and out.state.values == (1000000, 0)
+    from relcor.studies import fermat
+
+    built = fermat.build()
+    assert len(built["suite"].inputs) == 75
+    for s in built["suite"].inputs:
+        assert isinstance(execute(built["correct"], s, fermat.FUEL, "wide"), FinalState)
+
+
+def test_loops_outside_the_boxable_fragment_are_left_to_fuel():
+    for src in ("x = 0; i = 0; while (i >= 0) { x = x + a[i % 4]; i = i + 1; }",
+                "while (i >= 0) { if (x < 3) { i = i + 1; } }",
+                "while (i >= 0) { x = i / (x + 1); i = i + 1; }",
+                "while (i >= 0) { i = i + 1; while (x < 0) { x = x / i; } }"):
+        p = parse(src, ARR)
+        assert "_rec0" not in compile_program(p, ARR, "wide").__globals__
+        s = ARR.state({"a": (0, 0, 0, 0), "x": 0, "i": 0})
+        assert execute(p, s, 1000, "wide") == NonTermination()
+    p = parse("while (i >= 0) { i = i + 1; }", ARR)
+    assert "_rec0" in compile_program(p, ARR, "wide").__globals__
+    assert "_rec0" not in compile_program(p, ARR, "exact").__globals__
 
 
 def test_denote_beats_the_recursion_on_a_loop_that_never_ends():

@@ -62,11 +62,9 @@ def test_capacity_guard():
         sp.check_enumerable(cap=1000)
 
 
-def test_with_value_and_bindings():
+def test_bindings_map_names_to_values():
     sp = two_var_space()
     s = sp.state({"x": 0, "y": 1})
-    t = s.with_value("x", 2)
-    assert t["x"] == 2 and t["y"] == 1
     assert s.bindings() == {"x": 0, "y": 1}
 
 

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from randgen import program_space, random_predicate
+from relcor import suites
 from relcor.errors import ParseError
 from relcor.lang.interp import FinalState, NonTermination, cdiv, cmod
 from relcor.lang.parser import parse
@@ -30,7 +31,8 @@ def st(n, x, y):
 def test_domain_predicate_with_c_connectives():
     spec = PredicateSpec(SP, "(n % 2 == 1) || (n % 4 == 0)", "n == x'*x' - y'*y'")
     in_dom = sorted(n for n in range(13) if spec.in_dom(st(n, 0, 0)))
-    assert in_dom == [0, 1, 3, 4, 5, 7, 8, 9, 11, 12]
+    # 11 == 6*6 - 5*5 satisfies the domain predicate, but x' and y' stop at 4
+    assert in_dom == [0, 1, 3, 4, 5, 7, 8, 9, 12]
 
 
 def test_predicate_may_begin_with_negation():
@@ -87,11 +89,30 @@ def test_undefined_predicate_is_counted_and_logged_once(caplog):
 def test_state_without_a_witness_output_is_outside_the_domain():
     space = StateSpace((("x", Interval(0, 3)),))
     spec = PredicateSpec(space, "true", "x' == x + 10")
-    program = denote(parse("x = x;", space), space)
+    p = parse("x = x;", space)
+    program = denote(p, space)
     assert len(spec.domain()) == 0
     assert spec.domain() == spec.enumerate().domain()
     assert len(spec.competence_domain(program)) == 0
     assert is_correct(program, spec)
+    # testing mode agrees: every input is outside dom(R), so passes vacuously
+    assert not any(spec.in_dom(s) for s in space.states())
+    report = suites.run_suite(p, p, spec, suites.TestSuite(tuple(space.states())), 10)
+    assert report.cumulabs and suites.classify(report) == "absolutely_correct"
+
+
+def test_in_dom_searches_for_a_witness_once_per_state_on_enumerable_spaces_only():
+    space = StateSpace((("x", Interval(0, 3)),))
+    spec = PredicateSpec(space, "true", "x' == 2 * x")
+    calls = []
+    related = spec._related
+    spec._related = lambda s, t: calls.append(s) or related(s, t)
+    assert [spec.in_dom(s) for s in space.states()] == [True, True, False, False]
+    assert [spec.in_dom(s) for s in space.states()] == [True, True, False, False]
+    # x = 0 stops at its first witness; x = 2 and x = 3 try every output
+    assert [s["x"] for s in calls] == [0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
+    large = PredicateSpec(SP.extend("z", Interval(0, 10**6)), "true", "x' == x + 10")
+    assert large.in_dom(large.space.state({"n": 0, "x": 0, "y": 0, "z": 0}))
 
 
 def test_enumerate_matches_brute_force():
@@ -205,7 +226,9 @@ def _reference_predicate(src: str):
 
 class _ReferenceSpec:
     """In_dom, membership, domain and enumerate of a predicate spec, evaluated
-    by the old compiler and counting every raising evaluation as undefined."""
+    by the old compiler and counting every raising evaluation as undefined.
+    In_dom searches for a witness output, as it does on every space that
+    can be enumerated."""
 
     def __init__(self, space, dom_src, rel_src):
         self.space = space
@@ -220,23 +243,25 @@ class _ReferenceSpec:
             self.undefined += 1
             return False
 
-    def in_dom(self, s) -> bool:
+    def dom_holds(self, s) -> bool:
         return self._holds(self.dom, s.bindings())
 
     def related(self, s, t) -> bool:
         out = {f"{n}__out": v for n, v in t.bindings().items()}
         return self._holds(self.rel, {**s.bindings(), **out})
 
+    def in_dom(self, s) -> bool:  # s in dom(R), on a space small enough to search
+        return self.dom_holds(s) and any(self.related(s, t) for t in self.space.states())
+
     def membership(self, s, t) -> bool:
-        return self.in_dom(s) and self.related(s, t)
+        return self.dom_holds(s) and self.related(s, t)
 
     def domain(self) -> set:
-        states = list(self.space.states())
-        return {s for s in states if self.in_dom(s) and any(self.related(s, t) for t in states)}
+        return {s for s in self.space.states() if self.in_dom(s)}
 
     def enumerate(self) -> set:
         states = list(self.space.states())
-        inputs = [s for s in states if self.in_dom(s)]
+        inputs = [s for s in states if self.dom_holds(s)]
         return {(s, t) for s in inputs for t in states if self.related(s, t)}
 
 
