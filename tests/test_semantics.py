@@ -283,7 +283,17 @@ BOXABLE_LOOPS = (
 )
 
 
-def test_divergence_proofs_change_no_outcome(monkeypatch):
+@pytest.fixture
+def checks(monkeypatch):
+    """The result of every divergence check made while the test runs."""
+    results = []
+    diverges = interp._Recurrence.diverges
+    monkeypatch.setattr(interp._Recurrence, "diverges",
+                        lambda rec, values: results.append(diverges(rec, values)) or results[-1])
+    return results
+
+
+def test_divergence_proofs_change_no_outcome(monkeypatch, checks):
     rng = random.Random(909)
     cases = [(random_program(rng, sp, wide=True), sp)
              for sp in (program_space(rng, max_states=60) for _ in range(300))]
@@ -292,10 +302,6 @@ def test_divergence_proofs_change_no_outcome(monkeypatch):
     runs = [(p, s) for p, sp in cases for s in rng.sample(list(sp.states()), min(4, sp.num_states))]
     runs += [(parse(src, WIDE), s) for src in BOXABLE_LOOPS for s in WIDE.states()]
     fuels = (0, 1, 7, 8, 9, 100, 10**4)
-    proved = []
-    diverges = interp._Recurrence.diverges
-    monkeypatch.setattr(interp._Recurrence, "diverges",
-                        lambda rec, values: proved.append(diverges(rec, values)) or proved[-1])
 
     def outcomes():
         compile_program.cache_clear()
@@ -309,7 +315,7 @@ def test_divergence_proofs_change_no_outcome(monkeypatch):
         compile_program.cache_clear()
     assert new == old
     assert {type(out) for out in new} == {FinalState, NonTermination, Undefined}
-    assert proved.count(True) > 1000 and proved.count(False) > 1000
+    assert checks.count(True) > 1000 and checks.count(False) > 1000
 
 
 def test_only_programs_with_a_boxable_loop_compile_differently(monkeypatch):
@@ -342,33 +348,25 @@ def test_only_programs_with_a_boxable_loop_compile_differently(monkeypatch):
     assert 50 < changed < 150
 
 
-def test_check_points_are_global_to_a_run(monkeypatch):
+def test_check_points_are_global_to_a_run(checks):
     # the inner loop is entered afresh on every outer iteration and runs 10
     # iterations each time, yet the run checks only as its consumed fuel
     # reaches 8, 16, ..., 8192
     p = parse("while (x >= 0) { y = 0; while (y < 10) { y = y + 1; } x = x + 1; }", WIDE)
-    calls = []
-    diverges = interp._Recurrence.diverges
-    monkeypatch.setattr(interp._Recurrence, "diverges",
-                        lambda rec, values: calls.append(values) or diverges(rec, values))
     assert execute(p, WIDE.state({"x": 0, "y": 0}), 10**4, "wide") == NonTermination()
-    assert 0 < len(calls) <= 11
+    assert 0 < len(checks) <= 11
 
 
-def test_the_box_check_proves_loops_that_keep_their_direction(monkeypatch):
-    proved = []
-    diverges = interp._Recurrence.diverges
-    monkeypatch.setattr(interp._Recurrence, "diverges",
-                        lambda rec, values: proved.append(diverges(rec, values)) or proved[-1])
+def test_the_box_check_proves_loops_that_keep_their_direction(checks):
     # 0 * inf = 0, a negative factor, `%` and `/` of a falling dividend, a
     # negated falling value, and assignments taken in their order
     for src in ("while (x * 0 < 1) { x = x + 1; }", "while (x * -1 < 5) { x = x + 1; }",
                 "while (x % 3 > -3) { x = x - 1; }", "while (x / -2 >= 0) { x = x - 1; }",
                 "while (-x >= 0 && y == 0) { x = x - 1; }", "while (x < 5) { x = x + 1; x = 0; }"):
-        proved.clear()
+        checks.clear()
         p = parse(src, WIDE)
         assert execute(p, WIDE.state({"x": 0, "y": 0}), 10**4, "wide") == NonTermination()
-        assert proved == [True], src
+        assert checks == [True], src
 
 
 def test_a_squaring_loop_is_proved_before_its_digits_blow_up():
