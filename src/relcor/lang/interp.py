@@ -1,7 +1,8 @@
 """Fuel-bounded interpreter for the toy language.
 
-Programs are compiled to Python source (one function per program) and
-exec'd; the compiled form is cached per (program, space, mode).  Two
+Programs are compiled to Python source (one function per program, or one
+per batch of mutants; see below) and exec'd; the compiled form is cached
+per (program, space, mode).  Two
 evaluation modes exist:
 
 * ``exact`` — values are confined to the declared intervals; an assignment
@@ -46,6 +47,24 @@ have exhausted its fuel later.
   is running, so a run makes about log2(fuel) checks.  A program without
   such a loop compiles exactly as it would without the check.
 
+A batch of single-site mutants of one base compiles once, as a mutant
+schema (Untch, Offutt and Harrold, "Mutation analysis using mutant
+schemata", ISSTA 1993; `compile_schema`).  The schema is the base, emitted
+once, taking a mutant index `_m` besides the values and the fuel.  Each
+statement whose own expressions (an assignment's, or an `if`'s guard) hold
+the change of some mutants gets a dispatch: `if not lo <= _m <= hi:` runs
+the base statement, and one branch per mutant runs that statement as it
+appears in the mutant's own tree.  The mutants are found by identity, as
+`replace_nodes` shares every subtree off the changed spine: the emitter
+follows each one down `Seq`, block and `if` bodies to the innermost
+statement holding its change.  A mutant is then `partial(schema, k)`, and
+`compile_program` returns that runner instead of compiling it.  Nothing in
+a `while`, guard or body, gets a dispatch, so no loop pays for a selector
+on every iteration; mutants changed there compile on their own.  The
+dispatch nests the code one level deeper, and a schema that Python refuses
+as nested too deeply is dropped, so that each mutant compiles on its own,
+as it would without schemata.
+
 The same emitter compiles single expressions and conditions
 (`compile_eval`), for the guards and assigned values of the structural
 semantics and for spec predicates, whose primed names read output values.
@@ -53,8 +72,9 @@ semantics and for spec predicates, whose primed names read output values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
 
 from ..errors import RelcorError
 from ..space import ArrayDomain, State, StateSpace
@@ -291,6 +311,8 @@ class _Emitter:
         self.tmp = 0
         #: the divergence check of each `_boxable` wide-mode loop, by its name in the code
         self.recurrences: dict[str, _Recurrence] = {}
+        #: the mutant programs a schema dispatches on, in index order (see `schema`)
+        self.covered: list = []
 
     def fresh(self) -> str:
         self.tmp += 1
@@ -406,26 +428,90 @@ class _Emitter:
                 self.emit(depth + 1, f"if {head} in {seen}: raise _Repeated()")
                 self.emit(depth + 1, f"{seen}.add({head})")
         elif isinstance(s, Block):
-            if self.exact:
-                if s.interval is None:
-                    raise RelcorError(
-                        f"block local {s.name!r} needs a : lo..hi annotation in exact mode"
-                    )
-                init = s.interval.lo
-                saved = self.domains.get(s.name)
-                self.domains[s.name] = s.interval
-            else:
-                init = 0
-                saved = None
-            self.emit(depth, f"{_V}{s.name} = {init}")
-            self.stmt(s.body, depth)
-            if self.exact:
-                if saved is None:
-                    self.domains.pop(s.name, None)
-                else:
-                    self.domains[s.name] = saved
+            with self._local(s, depth):
+                self.stmt(s.body, depth)
         else:
             raise TypeError(f"not a statement node: {s!r}")
+
+    @contextmanager
+    def _local(self, s: Block, depth: int):
+        """Declare block `s`'s local while its body is emitted."""
+        if self.exact:
+            if s.interval is None:
+                raise RelcorError(
+                    f"block local {s.name!r} needs a : lo..hi annotation in exact mode"
+                )
+            init = s.interval.lo
+            saved = self.domains.get(s.name)
+            self.domains[s.name] = s.interval
+        else:
+            init = 0
+            saved = None
+        self.emit(depth, f"{_V}{s.name} = {init}")
+        yield
+        if self.exact:
+            if saved is None:
+                self.domains.pop(s.name, None)
+            else:
+                self.domains[s.name] = saved
+
+    # mutant schemata ---------------------------------------------------------
+
+    def schema(self, s, depth: int, mutants) -> None:
+        """Emit base statement `s` with a dispatch on the mutant index `_m`.
+        `mutants` pairs each mutant program that differs from the base only
+        within `s` with its own node in the place of `s`.  A mutant is
+        dispatched at the innermost statement whose own expressions hold
+        its difference, and only outside loops.  `self.covered` lists the
+        dispatched mutants in index order, from 1 (the base is 0)."""
+        own, below = [], {}
+        for p, m in mutants:
+            where = _difference(s, m)
+            if where == "":
+                own.append(m)
+                self.covered.append(p)
+            elif where is not None:
+                below.setdefault(where, []).append((p, getattr(m, where)))
+        lo, hi = len(self.covered) - len(own) + 1, len(self.covered)
+        if own:
+            self.emit(depth, f"if not {lo} <= _m <= {hi}:")
+            depth += 1
+        if not below:
+            self.stmt(s, depth)
+        elif isinstance(s, Seq):
+            self.schema(s.first, depth, below.get("first", ()))
+            self.schema(s.second, depth, below.get("second", ()))
+        elif isinstance(s, Block):
+            with self._local(s, depth):
+                self.schema(s.body, depth, below["body"])
+        else:
+            self.emit(depth, f"if {self.cond(s.cond)}:")
+            self.schema(s.then, depth + 1, below.get("then", ()))
+            if isinstance(s, IfElse):
+                self.emit(depth, "else:")
+                self.schema(s.orelse, depth + 1, below.get("orelse", ()))
+        for k, m in enumerate(own, lo):
+            self.emit(depth - 1, f"elif _m == {k}:" if k < hi else "else:")
+            self.stmt(m, depth)
+
+
+#: the fields of the statements that hold statements, and all their fields
+_BODIES = {Seq: ("first", "second"), If: ("then",), IfElse: ("then", "orelse"), Block: ("body",)}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _BODIES}
+
+
+def _difference(s, m):
+    """Where node `m` of a mutant differs from statement `s` of its base:
+    the name of the one field of `s` that holds a statement and differs
+    while nothing else does, None if `s` is a loop, or "" for the whole
+    statement.  Fields compare by identity: a mutant built by
+    `replace_nodes` shares every subtree off its changed spine with its base."""
+    if isinstance(s, While):
+        return None
+    if type(m) is not type(s) or type(s) not in _BODIES:
+        return ""
+    changed = [f for f in _FIELDS[type(s)] if getattr(m, f) is not getattr(s, f)]
+    return changed[0] if len(changed) == 1 and changed[0] in _BODIES[type(s)] else ""
 
 
 _RUNTIME = {
@@ -453,9 +539,11 @@ def _define(em: _Emitter, name: str):
     """Compile the emitted source and return its function `name`.  Python's
     own limits on nesting (statically nested blocks, indentation levels,
     parentheses, the compiler's recursion) are the input's fault, so they
-    are user errors."""
+    are user errors.  The emitted lines are dropped before compiling."""
+    source = "\n".join(em.lines)
+    em.lines = []
     try:
-        code = compile("\n".join(em.lines), "<compiled-program>", "exec")
+        code = compile(source, "<compiled-program>", "exec")
     except (SyntaxError, RecursionError) as e:
         if isinstance(e, SyntaxError) and "too many" not in str(e.msg):
             raise
@@ -465,21 +553,67 @@ def _define(em: _Emitter, name: str):
     return namespace[name]
 
 
-@lru_cache(maxsize=4096)
-def compile_program(p, space: StateSpace, mode: str = "exact"):
-    """Compile a program for `space`; returns f(values_tuple, fuel) -> values_tuple."""
-    if mode not in ("exact", "wide"):
-        raise ValueError(f"unknown mode {mode!r}")
-    em = _Emitter(space, mode == "exact")
-    names = [_V + n for n in space.names]
-    em.emit(0, "def _run(_values, fuel):")
+def _emit_run(em: _Emitter, params: str, body) -> None:
+    """Emit `def _run(<params>_values, fuel)`, which runs the statements that
+    `body()` emits at depth 1 and returns the values they leave."""
+    names = [_V + n for n in em.space.names]
+    em.emit(0, f"def _run({params}_values, fuel):")
     _unpack(em, "_values", names)
     prologue = len(em.lines)
-    em.stmt(p, 1)
+    body()
     if em.recurrences:  # the fuel at the run's next check point
         em.lines[prologue:prologue] = ["    _fuel0 = fuel", f"    _chk = fuel - {_CHECK_FROM}"]
     em.emit(1, f"return {_tuple(names)}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "wide"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+#: the runners of the latest schema, by (program, space, mode); see compile_schema
+_schema_runners: dict = {}
+
+
+@lru_cache(maxsize=4096)
+def compile_program(p, space: StateSpace, mode: str = "exact"):
+    """Compile a program for `space`; returns f(values_tuple, fuel) -> values_tuple.
+    A program of the latest schema is not compiled again: its runner is
+    returned."""
+    _check_mode(mode)
+    run = _schema_runners.get((p, space, mode))
+    if run is not None:
+        return run
+    em = _Emitter(space, mode == "exact")
+    _emit_run(em, "", lambda: em.stmt(p, 1))
     return _define(em, "_run")
+
+
+def compile_schema(base, mutants, space: StateSpace, mode: str = "exact") -> dict:
+    """Compile `base` and its single-site `mutants` once, as a mutant schema.
+
+    Each mutant must be built from `base` by `replace_nodes`.  Those whose
+    change lies outside every loop become `partial(schema, k)`, and so does
+    `base` (k = 0).  Until the next call, `compile_program` returns these
+    runners instead of compiling their programs.  Returns them by program;
+    none when no mutant is covered or when the schema cannot be compiled
+    (nested too deeply for Python, say), so that every mutant then compiles
+    on its own.
+    """
+    global _schema_runners
+    _check_mode(mode)
+    _schema_runners = {}
+    em = _Emitter(space, mode == "exact")
+    try:
+        _emit_run(em, "_m, ", lambda: em.schema(base, 1, [(m, m) for m in mutants]))
+        if not em.covered:
+            return {}
+        schema = _define(em, "_run")
+    except RelcorError:
+        return {}
+    runners = {p: partial(schema, k) for k, p in enumerate([base] + em.covered)}
+    _schema_runners = {(p, space, mode): run for p, run in runners.items()}
+    return runners
 
 
 @lru_cache(maxsize=4096)

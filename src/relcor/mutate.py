@@ -27,6 +27,7 @@ from .lang.ast_nodes import (
     to_source,
 )
 from .lang.interp import FinalState, execute
+from .lang.semantics import conclusive_fuel
 from .suites import cached_execute
 
 BINARY_ARITH = "binary-arith-op"
@@ -169,9 +170,15 @@ def semantic_fingerprint(p: Node, probe, fuel: int, mode: str = "wide") -> str:
     permits.  Wide (testing) mode reads the outcomes through
     `suites.cached_execute`, where `run_suite` has usually just put them;
     exact mode runs `execute` directly so as not to fill that cache with a
-    whole state space.
+    whole state space.  Exact mode ignores `fuel` and runs with
+    `conclusive_fuel`, so that its digest is that of [p] on the probe: two
+    programs that differ only on runs longer than `fuel` stay apart.
     """
     run = cached_execute if mode == "wide" else execute
+    if mode == "exact":
+        probe = tuple(probe)
+        if probe:
+            fuel = conclusive_fuel(p, probe[0].space)
     h = hashlib.sha256()
     for s in probe:
         outcome = run(p, s, fuel, mode)

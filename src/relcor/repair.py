@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import RelcorError
 from .lang.ast_nodes import Node, to_source
+from .lang.interp import compile_schema
 from .lang.parser import parse
 from .lang.semantics import denote
 from .mutate import generate, semantic_fingerprint
@@ -78,18 +79,21 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     Returns [(mutant, classification, report-or-None), ...].  Testing mode
     scores a suite run; exact mode compares competence domains of the full
     denotations (ground truth on finite spaces), taken from the spec by
-    membership: the base's once per batch and each mutant's once.
+    membership: the base's once per batch and each mutant's once.  Both
+    compile the batch once, as a mutant schema (`interp.compile_schema`).
     """
     results = []
+    if mode not in ("testing", "exact"):
+        raise ValueError(f"unknown classification mode {mode!r}")
+    if mode == "testing" and suite is None:
+        raise RelcorError("testing mode requires a suite")
+    compile_schema(base, [m.program for m in mutants], spec.space,
+                   "wide" if mode == "testing" else "exact")
     if mode == "testing":
-        if suite is None:
-            raise RelcorError("testing mode requires a suite")
         for m in mutants:
             report = run_suite(m.program, base, spec, suite, fuel)
             results.append((m, classify(report), report))
         return results
-    if mode != "exact":
-        raise ValueError(f"unknown classification mode {mode!r}")
     space = spec.space
     p = denote(base, space, cap)
     require_deterministic(p, "classify_mutants's base")

@@ -11,7 +11,7 @@ import random
 
 from relcor.lang import ast_nodes as A
 from relcor.relations import Relation
-from relcor.space import Interval, StateSpace
+from relcor.space import ArrayDomain, Interval, StateSpace
 
 
 def small_space(rng: random.Random, max_states: int = 5) -> StateSpace:
@@ -85,7 +85,9 @@ def random_predicate(rng: random.Random, names: list, primed: bool) -> str:
 # -- random programs ---------------------------------------------------------------
 
 
-def program_space(rng: random.Random, max_states: int = 500) -> StateSpace:
+def program_space(rng: random.Random, max_states: int = 500, array: bool = False) -> StateSpace:
+    """One to three scalar variables, and with `array` an array `a` of two
+    elements, over at most `max_states` states."""
     while True:
         nvars = rng.randint(1, 3)
         vars_ = []
@@ -95,33 +97,43 @@ def program_space(rng: random.Random, max_states: int = 500) -> StateSpace:
             lo = rng.randint(-3, 1)
             vars_.append((f"v{i}", Interval(lo, lo + size - 1)))
             total *= size
+        if array:
+            lo = rng.randint(-1, 0)
+            vars_.append(("a", ArrayDomain(2, Interval(lo, lo + 1))))
+            total *= 4
         if total <= max_states:
             return StateSpace(tuple(vars_))
 
 
-def _expr(rng: random.Random, names: list, depth: int, straight: bool = False) -> A.Node:
+def _expr(rng: random.Random, names: list, depth: int, straight: bool = False,
+          arrays: tuple = ()) -> A.Node:
     """With `straight`, every `*`, `/` and `%` has a non-zero literal right
     operand: a product of two variables cannot square a value on every
-    iteration of a loop, and no divisor can be zero."""
+    iteration of a loop, and no divisor can be zero.  A leaf may read one of
+    the `arrays`, at an index that may be out of bounds."""
     if depth <= 0 or rng.random() < 0.4:
+        if arrays and rng.random() < 0.25:
+            return A.ArrayRead(rng.choice(arrays), _expr(rng, names, 0))
         if rng.random() < 0.5:
             return A.IntLit(rng.randint(-2, 3))
         return A.Var(rng.choice(names))
     op = rng.choice(A.ARITH_OPS)
-    left = _expr(rng, names, depth - 1, straight)
+    left = _expr(rng, names, depth - 1, straight, arrays)
     if straight and op in "*/%":
         return A.BinOp(op, left, A.IntLit(rng.choice((-3, -2, -1, 1, 2, 3))))
-    return A.BinOp(op, left, _expr(rng, names, depth - 1, straight))
+    return A.BinOp(op, left, _expr(rng, names, depth - 1, straight, arrays))
 
 
-def _cond(rng: random.Random, names: list, depth: int, straight: bool = False) -> A.Node:
+def _cond(rng: random.Random, names: list, depth: int, straight: bool = False,
+          arrays: tuple = ()) -> A.Node:
     if depth <= 0 or rng.random() < 0.6:
         op = rng.choice(("<", "<=", ">", ">=", "==", "!="))
-        return A.Cmp(op, _expr(rng, names, 1, straight), _expr(rng, names, 1, straight))
+        return A.Cmp(op, _expr(rng, names, 1, straight, arrays),
+                     _expr(rng, names, 1, straight, arrays))
     kind = rng.random()
 
     def sub():
-        return _cond(rng, names, depth - 1, straight)
+        return _cond(rng, names, depth - 1, straight, arrays)
 
     if kind < 0.4:
         return A.And(sub(), sub())
@@ -131,13 +143,17 @@ def _cond(rng: random.Random, names: list, depth: int, straight: bool = False) -
 
 
 def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: bool,
-          wide: bool = False, in_loop: bool = False) -> A.Node:
+          wide: bool = False, in_loop: bool = False, arrays: tuple = ()) -> A.Node:
     def sub(names=names, in_loop=in_loop):
-        return _stmt(rng, names, depth - 1, fresh, unassigned_reads, wide, in_loop)
+        return _stmt(rng, names, depth - 1, fresh, unassigned_reads, wide, in_loop, arrays)
 
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
-        return A.Assign(A.VarTarget(rng.choice(names)), _expr(rng, names, 2, wide and in_loop))
+        if arrays and rng.random() < 0.3:
+            target = A.ArrayTarget(rng.choice(arrays), _expr(rng, names, 1))
+        else:
+            target = A.VarTarget(rng.choice(names))
+        return A.Assign(target, _expr(rng, names, 2, wide and in_loop, arrays))
     if roll < 0.43:
         return A.Skip()
     if roll < 0.46:
@@ -145,11 +161,11 @@ def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: 
     if roll < 0.6:
         return A.Seq(sub(), sub())
     if roll < 0.7:
-        return A.If(_cond(rng, names, 1), sub())
+        return A.If(_cond(rng, names, 1, arrays=arrays), sub())
     if roll < 0.8:
-        return A.IfElse(_cond(rng, names, 1), sub(), sub())
+        return A.IfElse(_cond(rng, names, 1, arrays=arrays), sub(), sub())
     if roll < 0.88:
-        return A.While(_cond(rng, names, 1), sub(in_loop=True))
+        return A.While(_cond(rng, names, 1, arrays=arrays), sub(in_loop=True))
     # a block local, named apart from every other local of the program so
     # that the program prints and parses back
     name = f"t{next(fresh)}"
@@ -157,7 +173,7 @@ def _stmt(rng: random.Random, names: list, depth: int, fresh, unassigned_reads: 
     if unassigned_reads and rng.random() < 0.5:
         first = A.Assign(A.VarTarget(rng.choice(names)), A.Var(name))  # reads it unassigned
     else:
-        first = A.Assign(A.VarTarget(name), _expr(rng, names, 2, wide and in_loop))
+        first = A.Assign(A.VarTarget(name), _expr(rng, names, 2, wide and in_loop, arrays))
     body = A.Seq(first, sub(names + [name]))
     return A.Block(name, Interval(lo, lo + rng.randint(1, 2)), body)
 
@@ -171,9 +187,12 @@ def random_program(rng: random.Random, space: StateSpace, unassigned_reads: bool
     run per state defines [p].  With `wide`, an assignment inside a loop
     multiplies and divides by non-zero literals only (see `_expr`), so that
     its values grow at most exponentially with the number of iterations and
-    a wide-mode run of 10^4 iterations stays cheap."""
-    return _stmt(rng, list(space.names), rng.randint(1, 3), itertools.count(), unassigned_reads,
-                 wide)
+    a wide-mode run of 10^4 iterations stays cheap.  The arrays of `space`
+    are read and assigned too."""
+    names = [n for n, d in space.vars if not isinstance(d, ArrayDomain)]
+    arrays = tuple(n for n, d in space.vars if isinstance(d, ArrayDomain))
+    return _stmt(rng, names, rng.randint(1, 3), itertools.count(), unassigned_reads, wide,
+                 arrays=arrays)
 
 
 def random_straight_loop(rng: random.Random, space: StateSpace) -> A.Node:

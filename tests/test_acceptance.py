@@ -96,6 +96,40 @@ def narrow_arraysum_tree_bytes() -> bytes:
     return json.dumps(tree_to_json(tree, spec.space), sort_keys=True, indent=1).encode()
 
 
+LOOP_FREE = """
+int t : 0..7;
+t = (x + y) % 8;
+if (x < 4) {
+  x = (x + y - y) % 8;
+} else {
+  x = (x + y * 3) % 8;
+}
+y = (y + t - t) % 8;
+"""
+
+
+def loop_free_batch_bytes() -> bytes:
+    """A testing-mode batch of a loop-free program, which runs through a
+    mutant schema: its labels and its repair tree, as JSON."""
+    from relcor.lang import interp
+    from relcor.lang.parser import parse
+    from relcor.space import Interval, StateSpace
+
+    space = StateSpace((("x", Interval(0, 7)), ("y", Interval(0, 7))))
+    spec = PredicateSpec(space, "true", "x' == (x + y + y) % 8 && y' == y")
+    base = parse(LOOP_FREE, space)
+    suite = select_tests(spec, strategy="exhaustive")
+    operators = ("AORB", "literal+-1")
+    mutants = generate(base, operators)
+    labels = [(m.ordinal, label)
+              for m, label, _ in classify_mutants(base, mutants, spec, suite, "testing")]
+    assert len(interp._schema_runners) == len(mutants) + 1
+    cfg = RepairConfig(operators=operators, suite=suite, max_depth=2, mode="testing")
+    tree, _ = repair(base, spec, cfg)
+    doc = {"labels": labels, "tree": tree_to_json(tree, space)}
+    return json.dumps(doc, sort_keys=True, indent=1).encode()
+
+
 def _cold_runs(builder: str) -> list:
     """`builder()`'s bytes from two fresh processes with PYTHONHASHSEED 1 and 2."""
     here = Path(__file__).parent
@@ -128,6 +162,14 @@ def test_narrow_arraysum_exact_tree_is_identical_in_cold_processes_with_other_ha
     cold = _cold_runs("narrow_arraysum_tree_bytes")
     assert cold[0] == cold[1] == narrow_arraysum_tree_bytes()
     assert b'"solutions"' in cold[0]
+
+
+def test_loop_free_schema_batch_is_identical_in_cold_processes_with_other_hash_seeds():
+    cold = _cold_runs("loop_free_batch_bytes")
+    assert cold[0] == cold[1] == loop_free_batch_bytes()
+    doc = json.loads(cold[0])
+    assert {"strictly_more_correct", "not_more_correct"} <= {label for _, label in doc["labels"]}
+    assert doc["tree"]["solutions"] and max(n["depth"] for n in doc["tree"]["nodes"]) == 2
 
 
 # -- property suite bodies ----------------------------------------------------------

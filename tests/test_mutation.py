@@ -7,12 +7,23 @@ import relcor.mutate
 from randgen import program_space, random_program
 from relcor.errors import PatchError
 from relcor.lang import ast_nodes as A
+from relcor.lang import interp
 from relcor.lang.ast_nodes import preorder, replace_nodes, to_source
+from relcor.lang.interp import (
+    NONTERMINATION,
+    FinalState,
+    NonTermination,
+    Undefined,
+    compile_program,
+    execute,
+)
 from relcor.lang.parser import parse
+from relcor.lang.semantics import conclusive_fuel
 from relcor.mutate import (
     ARRAY_INDEX,
     BINARY_ARITH,
     INTEGER_LITERAL,
+    OPERATOR_FAMILIES,
     MutationSite,
     Patch,
     apply_patch,
@@ -21,7 +32,11 @@ from relcor.mutate import (
     semantic_fingerprint,
     sites,
 )
+from relcor.repair import classify_mutants
 from relcor.space import ArrayDomain, Interval, StateSpace
+from relcor.specs import PredicateSpec
+from relcor.suites import TestSuite as Suite
+from relcor.suites import cached_execute
 
 SP = StateSpace(
     (
@@ -116,6 +131,18 @@ def test_fingerprint_separates_behaviors():
     fp = lambda p: semantic_fingerprint(p, probe, fuel=50)
     assert fp(p1) != fp(p2)
     assert fp(p1) == fp(p3)
+
+
+def test_exact_fingerprints_see_runs_longer_than_the_fuel():
+    sp = StateSpace((("x", Interval(0, 20000)),))
+    down = parse("while (x > 0) { x = x - 1; }", sp)
+    probe = (sp.state({"x": 20000}),)
+    assert execute(down, probe[0], 10**4, "exact") == NONTERMINATION
+    assert execute(down, probe[0], conclusive_fuel(down, sp), "exact") == FinalState(
+        sp.state({"x": 0}))
+    fp = lambda source: semantic_fingerprint(parse(source, sp), probe, 10**4, "exact")
+    assert fp("while (x > 0) { x = x - 1; }") == fp("x = 0;")
+    assert fp("while (x > 0) { x = x - 1; }") != fp("while (x > 0) { x = x - 1; } x = 5;")
 
 
 def test_manifest_lists_every_mutant():
@@ -248,3 +275,119 @@ def test_generate_is_unchanged_from_the_quadratic_reference(monkeypatch):
     new = [listing(p) for p in programs]
     monkeypatch.setattr(relcor.mutate, "replace_nodes", _reference_replace_nodes)
     assert new == [listing(p) for p in programs]
+
+
+# -- mutant schemata ---------------------------------------------------------------
+
+FUELS = (0, 1, 8, 10**4)
+
+
+def _in_loops(p) -> set:
+    """The preorder indices of the nodes of `p` inside a `while`, guard or body."""
+    inside = set()
+    for i, n in enumerate(preorder(p)):
+        if isinstance(n, A.While):
+            inside.update(range(i + 1, i + len(preorder(n))))
+    return inside
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The name of the function of every compile made while the test runs:
+    "_run" for programs and schemata, "_eval" for expressions."""
+    names = []
+    define = interp._define
+    monkeypatch.setattr(interp, "_define", lambda em, name: names.append(name) or define(em, name))
+    monkeypatch.setattr(interp, "_schema_runners", {})
+    compile_program.cache_clear()
+    cached_execute.cache_clear()
+    yield names
+    compile_program.cache_clear()
+
+
+def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone(monkeypatch):
+    monkeypatch.setattr(interp, "_schema_runners", {})  # restored afterwards
+    rng = random.Random(1313)
+    covered = in_loops = 0
+    kinds, seen = set(), set()
+    for i in range(80):
+        sp = program_space(rng, max_states=12, array=i % 2 == 1)
+        for mode in ("exact", "wide"):
+            base = random_program(rng, sp, wide=mode == "wide")
+            mutants = generate(base, OPERATOR_FAMILIES)
+            inside = _in_loops(base)
+            outside = {m.program for m in mutants if m.site.path not in inside}
+            runners = interp.compile_schema(base, [m.program for m in mutants], sp, mode)
+            assert set(runners) == (outside | {base} if outside else set())
+
+            def outcomes():
+                compile_program.cache_clear()
+                return [execute(p, s, fuel, mode)
+                        for p in runners for s in sp.states() for fuel in FUELS]
+
+            schema = outcomes()
+            assert all(compile_program(p, sp, mode) is run for p, run in runners.items())
+            monkeypatch.setattr(interp, "_schema_runners", {})
+            assert schema == outcomes()  # each compiled alone, by compile_program.__wrapped__
+            covered += len(outside)
+            in_loops += len(mutants) - len(outside)
+            kinds.update(type(out) for out in schema)
+            if runners:
+                seen.update(n.op if isinstance(n, A.BinOp) else type(n) for n in preorder(base))
+    compile_program.cache_clear()
+    assert covered > 1000 and in_loops > 200
+    assert kinds == {FinalState, NonTermination, Undefined}
+    assert {A.While, A.Block, A.If, A.IfElse, A.ArrayTarget, "/", "%"} <= seen
+
+
+def test_a_batch_compiles_once_plus_once_per_mutant_in_a_loop(compiled):
+    rng = random.Random(1414)
+    schemata = 0
+    for i in range(40):
+        sp = program_space(rng, max_states=12, array=i % 2 == 1)
+        base = random_program(rng, sp, wide=True)
+        mutants = generate(base, OPERATOR_FAMILIES)
+        if not mutants:
+            continue
+        spec = PredicateSpec(sp, "true", "v0' >= v0")
+        suite = Suite(tuple(sp.states()))
+        compile_program.cache_clear()
+        compiled.clear()
+        classify_mutants(base, mutants, spec, suite, "testing", 100)
+        inside = _in_loops(base)
+        assert compiled.count("_run") == 1 + len({m.program for m in mutants
+                                                  if m.site.path in inside})
+        schemata += len(mutants) > len(inside & {m.site.path for m in mutants})
+    assert schemata > 20
+
+
+def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
+    from relcor.studies import fermat
+
+    built = fermat.build()
+    base = built["base"]
+    mutants = generate(base, ("AORB",))
+    inside = _in_loops(base)
+    assert len(mutants) == 48 and all(m.site.path in inside for m in mutants)
+    classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
+    assert compiled.count("_run") == 1 + 48
+
+
+def test_a_schema_too_deep_for_python_falls_back_to_compiling_each_mutant(compiled):
+    sp = StateSpace((("x", Interval(0, 3)),))
+    spec = PredicateSpec(sp, "true", "x' >= x")
+    suite = Suite(tuple(sp.states()))
+    labels = []
+    for depth, schema in ((97, True), (98, False)):  # the dispatch adds one indentation level
+        base = parse("if (x < 1) { " * depth + "x = x + 1;" + " }" * depth, sp)
+        mutants = generate(base, ("AORB",))
+        for mode in ("testing", "exact"):
+            compile_program.cache_clear()
+            compiled.clear()
+            classified = classify_mutants(base, mutants, spec, suite, mode, 10)
+            labels.append([label for _, label, _ in classified])
+            # the schema (compiled, or attempted and refused), then the base
+            # and the four mutants unless the schema holds them
+            assert compiled.count("_run") == (1 if schema else 6)
+    assert labels[0] == labels[1] == labels[2] == labels[3]
+    assert len(set(labels[0])) > 1
