@@ -24,7 +24,7 @@ from .relations import (
     relation_from_json,
     relation_to_json,
 )
-from .repair import RepairConfig, export_tree, repair, tree_to_json
+from .repair import RepairConfig, repair, tree_to_dot, tree_to_json
 from .specs import spec_from_json
 from .studies import arraysum, fermat, lattice
 from .suites import select_tests
@@ -179,7 +179,7 @@ def cmd_repair(args) -> int:
         _emit(tree_to_json(tree, spec.space), args.json_out)
     if args.dot_out:
         with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(export_tree(tree, "dot"))
+            fh.write(tree_to_dot(tree))
     _emit(summary, None)
     return 0
 

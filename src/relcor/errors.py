@@ -10,7 +10,7 @@ class SpaceMismatchError(RelcorError):
 
 
 class CapacityError(RelcorError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed the size cap, `space.DEFAULT_CAP`."""
 
 
 class NonDeterministicError(RelcorError):

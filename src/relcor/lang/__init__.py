@@ -15,7 +15,6 @@ from .ast_nodes import (
     Node,
     Not,
     Or,
-    Program,
     Seq,
     Skip,
     Var,
@@ -38,7 +37,7 @@ from .semantics import denote
 __all__ = [
     "Abort", "And", "ArrayRead", "ArrayTarget", "Assign", "BinOp", "Block",
     "BoolLit", "Cmp", "If", "IfElse", "IntLit", "Neg", "Node", "Not", "Or",
-    "Program", "Seq", "Skip", "Var", "VarTarget", "While",
+    "Seq", "Skip", "Var", "VarTarget", "While",
     "preorder", "replace_nodes", "to_source",
     "FinalState", "NonTermination", "Undefined",
     "compile_program", "execute",

@@ -177,9 +177,6 @@ class Block(Node):
     body: Node
 
 
-Program = Node  # a program is any statement tree
-
-
 # -- generic traversal and rebuilding -------------------------------------------
 
 

@@ -82,7 +82,6 @@ from .ast_nodes import (
     Abort,
     And,
     ArrayRead,
-    ArrayTarget,
     Assign,
     BinOp,
     Block,

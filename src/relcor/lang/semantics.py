@@ -27,16 +27,17 @@ Guards and assigned values are compiled by the interpreter's emitter
 (`interp.compile_eval`); the recursion keeps its own interval and index
 checks.  Partiality shrinks the domain: a state where an expression or guard
 cannot be evaluated (or where an assigned value leaves the declared
-interval) contributes no pair.  Both routes raise the same errors: a space
-or a block's extended space over `cap` states (`CapacityError`) and a block
-local without an interval (`RelcorError`).
+interval) contributes no pair.  Both routes raise the same errors, before
+they build any state: a space or a block's extended space over
+`DEFAULT_CAP` states (`CapacityError`) and a block local without an
+interval (`RelcorError`).
 """
 
 from __future__ import annotations
 
 from ..errors import RelcorError
 from ..relations import Relation, empty, identity
-from ..space import DEFAULT_CAP, State, StateSpace
+from ..space import State, StateSpace
 from . import ast_nodes as A
 from .interp import UndefinedEval, compile_eval, tabulate
 
@@ -86,96 +87,95 @@ def _interval(block: A.Block):
     return block.interval
 
 
-def _tabulable(p, space: StateSpace, cap: int) -> bool:
+def _tabulable(p, space: StateSpace) -> bool:
     """Whether one run per state defines [p]: every block local is assigned
-    on every path before it is read.  Raises the errors the structural
-    recursion raises for blocks, in the same order."""
+    on every path before it is read.  The walk visits every block and checks
+    its extended space, so it raises the errors the structural recursion
+    raises for blocks, in the same order, before any state is built."""
+    unset_read = False
 
-    def reads_unset(node, unset) -> bool:
-        return any(isinstance(n, A.Var) and n.name in unset for n in A.preorder(node))
+    def check_reads(node, unset) -> None:
+        nonlocal unset_read
+        unset_read = unset_read or any(
+            isinstance(n, A.Var) and n.name in unset for n in A.preorder(node)
+        )
 
-    def assigned(s, sp: StateSpace, unset: frozenset):
-        """The locals still unassigned after `s`, or None when `s` may read one."""
+    def assigned(s, sp: StateSpace, unset: frozenset) -> frozenset:
+        """The locals still unassigned after `s`."""
         if isinstance(s, (A.Skip, A.Abort)):
             return unset
         if isinstance(s, A.Assign):  # a target is no Var, but an array index may read one
-            return None if reads_unset(s, unset) else unset - {s.target.name}
+            check_reads(s, unset)
+            return unset - {s.target.name}
         if isinstance(s, A.Seq):
-            mid = assigned(s.first, sp, unset)
-            return None if mid is None else assigned(s.second, sp, mid)
+            return assigned(s.second, sp, assigned(s.first, sp, unset))
         if isinstance(s, (A.If, A.While)):
-            body = s.then if isinstance(s, A.If) else s.body
-            if reads_unset(s.cond, unset) or assigned(body, sp, unset) is None:
-                return None
+            check_reads(s.cond, unset)
+            assigned(s.then if isinstance(s, A.If) else s.body, sp, unset)
             return unset  # the body may not run
         if isinstance(s, A.IfElse):
-            if reads_unset(s.cond, unset):
-                return None
-            then = assigned(s.then, sp, unset)
-            orelse = assigned(s.orelse, sp, unset)
-            return None if then is None or orelse is None else then | orelse
+            check_reads(s.cond, unset)
+            return assigned(s.then, sp, unset) | assigned(s.orelse, sp, unset)
         if isinstance(s, A.Block):
             ext = sp.extend(s.name, _interval(s))
-            ext.check_enumerable(cap)
-            inner = assigned(s.body, ext, unset | {s.name})
-            return None if inner is None else inner - {s.name}
+            ext.check_enumerable()
+            return assigned(s.body, ext, unset | {s.name}) - {s.name}
         raise TypeError(f"not a statement node: {s!r}")
 
-    return assigned(p, space, frozenset()) is not None
+    assigned(p, space, frozenset())
+    return not unset_read
 
 
-def denote(p, space: StateSpace, cap: int = DEFAULT_CAP) -> Relation:
+def denote(p, space: StateSpace) -> Relation:
     """The relation [p] on `space`, by running `p` on every state, or by
     `denote_structural` when a block local may be read before it is
     assigned (see the module docstring)."""
-    space.check_enumerable(cap)
-    if not _tabulable(p, space, cap):
-        return denote_structural(p, space, cap)
-    return Relation(space, tabulate(p, space, space.states(cap), conclusive_fuel(p, space)))
+    space.check_enumerable()
+    if not _tabulable(p, space):
+        return denote_structural(p, space)
+    return Relation(space, tabulate(p, space, space.states(), conclusive_fuel(p, space)))
 
 
-def denote_structural(p, space: StateSpace, cap: int = DEFAULT_CAP) -> Relation:
+def denote_structural(p, space: StateSpace) -> Relation:
     """The relation [p] on `space`, computed by structural recursion."""
-    space.check_enumerable(cap)
-    states = list(space.states(cap))
-    return _denote(p, space, states, cap)
+    space.check_enumerable()
+    _tabulable(p, space)  # the capacity and interval checks of every block
+    return _denote(p, space, list(space.states()))
 
 
-def _denote(p, space: StateSpace, states: list, cap: int) -> Relation:
+def _denote(p, space: StateSpace, states: list) -> Relation:
     if isinstance(p, A.Abort):
         return empty(space)
     if isinstance(p, A.Skip):
-        return identity(space, cap)
+        return identity(space)
     if isinstance(p, A.Assign):
         return _denote_assign(p, space, states)
     if isinstance(p, A.Seq):
-        return _denote(p.first, space, states, cap).compose(
-            _denote(p.second, space, states, cap)
+        return _denote(p.first, space, states).compose(
+            _denote(p.second, space, states)
         )
     if isinstance(p, A.If):
         t_true, t_false = _split_by_guard(p.cond, space, states)
-        body = _denote(p.then, space, states, cap)
+        body = _denote(p.then, space, states)
         pairs = {pr for pr in body.pairs if pr[0] in t_true}
         pairs |= {(s, s) for s in t_false}
         return Relation(space, pairs)
     if isinstance(p, A.IfElse):
         t_true, t_false = _split_by_guard(p.cond, space, states)
-        then = _denote(p.then, space, states, cap)
-        orelse = _denote(p.orelse, space, states, cap)
+        then = _denote(p.then, space, states)
+        orelse = _denote(p.orelse, space, states)
         pairs = {pr for pr in then.pairs if pr[0] in t_true}
         pairs |= {pr for pr in orelse.pairs if pr[0] in t_false}
         return Relation(space, pairs)
     if isinstance(p, A.While):
         t_true, t_false = _split_by_guard(p.cond, space, states)
-        body = _denote(p.body, space, states, cap)
+        body = _denote(p.body, space, states)
         step = Relation(space, {pr for pr in body.pairs if pr[0] in t_true})
         closed = step.closure()
         return Relation(space, {pr for pr in closed.pairs if pr[1] in t_false})
     if isinstance(p, A.Block):
         ext = space.extend(p.name, _interval(p))
-        ext.check_enumerable(cap)
-        ext_states = list(ext.states(cap))
-        inner = _denote(p.body, ext, ext_states, cap)
+        inner = _denote(p.body, ext, list(ext.states()))
         pairs = {
             (State(space, s.values[:-1]), State(space, t.values[:-1]))
             for (s, t) in inner.pairs

@@ -15,8 +15,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, NonDeterministicError, RelcorError, SpaceMismatchError
-from .space import DEFAULT_CAP, ArrayDomain, Interval, StateSet, StateSpace
+from .errors import NonDeterministicError, RelcorError, SpaceMismatchError
+from .space import ArrayDomain, Interval, StateSet, StateSpace
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,6 @@ class Relation:
                 out.add((s, t))
         return Relation(self.space, out)
 
-    def converse(self) -> "Relation":
-        return Relation(self.space, {(t, s) for (s, t) in self.pairs})
-
     def closure(self) -> "Relation":
         """Reflexive transitive closure, iterated to fixpoint."""
         states = {s for p in self.pairs for s in p}
@@ -92,9 +89,6 @@ class Relation:
     def domain(self) -> StateSet:
         return StateSet(self.space, frozenset(s for (s, _) in self.pairs))
 
-    def range(self) -> StateSet:
-        return StateSet(self.space, frozenset(t for (_, t) in self.pairs))
-
     def competence_domain(self, p: "Relation") -> StateSet:
         """dom(self & p), in O(|p|) lookups."""
         self._check(p)
@@ -103,41 +97,12 @@ class Relation:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_reflexive(self) -> bool:
-        return identity(self.space) <= self
-
-    def is_symmetric(self) -> bool:
-        return self.pairs == self.converse().pairs
-
-    def is_antisymmetric(self) -> bool:
-        return all(s == t for (s, t) in self.pairs & self.converse().pairs)
-
-    def is_asymmetric(self) -> bool:
-        return not (self.pairs & self.converse().pairs)
-
-    def is_transitive(self) -> bool:
-        return self.compose(self) <= self
-
-    def is_total(self) -> bool:
-        return self.domain().members == frozenset(self.space.states())
-
     def is_deterministic(self) -> bool:
         seen = {}
         for (s, t) in self.pairs:
             if seen.setdefault(s, t) != t:
                 return False
         return True
-
-    def predicates(self) -> dict:
-        return {
-            "reflexive": self.is_reflexive(),
-            "symmetric": self.is_symmetric(),
-            "antisymmetric": self.is_antisymmetric(),
-            "asymmetric": self.is_asymmetric(),
-            "transitive": self.is_transitive(),
-            "total": self.is_total(),
-            "deterministic": self.is_deterministic(),
-        }
 
 
 # -- constructors -------------------------------------------------------------
@@ -147,16 +112,8 @@ def empty(space: StateSpace) -> Relation:
     return Relation(space, frozenset())
 
 
-def identity(space: StateSpace, cap: int = DEFAULT_CAP) -> Relation:
-    return Relation(space, {(s, s) for s in space.states(cap)})
-
-
-def universal(space: StateSpace, cap: int = DEFAULT_CAP) -> Relation:
-    n = space.num_states
-    if n * n > cap:
-        raise CapacityError(f"universal relation would have {n*n} pairs, cap is {cap}")
-    states = list(space.states(cap))
-    return Relation(space, {(s, t) for s in states for t in states})
+def identity(space: StateSpace) -> Relation:
+    return Relation(space, {(s, s) for s in space.states()})
 
 
 # -- refinement and correctness ------------------------------------------------

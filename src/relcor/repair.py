@@ -10,26 +10,17 @@ fingerprints) are merged rather than revisited.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import RelcorError
 from .lang.ast_nodes import Node, to_source
 from .lang.interp import compile_schema
-from .lang.parser import parse
 from .lang.semantics import denote
-from .mutate import generate, semantic_fingerprint
-from .relations import (
-    competence_domain,
-    is_correct,
-    relation_from_json,
-    require_deterministic,
-    space_from_json,
-    space_to_json,
-)
-from .space import DEFAULT_CAP, StateSpace
+from .mutate import apply_patch, generate, semantic_fingerprint
+from .relations import competence_domain, is_correct, require_deterministic, space_to_json
+from .space import StateSpace
 from .specs import Spec
-from .suites import TestSuite, classify, run_suite
+from .suites import TestSuite, classify, label_of, run_suite
 
 
 @dataclass(frozen=True)
@@ -40,7 +31,6 @@ class RepairConfig:
     max_depth: int = 5
     max_frontier: int = 64
     mode: str = "testing"  # testing | exact
-    cap: int = DEFAULT_CAP
 
 
 @dataclass
@@ -72,8 +62,7 @@ class FaultMetrics:
 
 
 def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
-                     mode: str = "testing", fuel: int = 10**4,
-                     cap: int = DEFAULT_CAP) -> list:
+                     mode: str = "testing", fuel: int = 10**4) -> list:
     """Per-mutant classification against `base`.
 
     Returns [(mutant, classification, report-or-None), ...].  Testing mode
@@ -95,29 +84,22 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
             results.append((m, classify(report), report))
         return results
     space = spec.space
-    p = denote(base, space, cap)
+    p = denote(base, space)
     require_deterministic(p, "classify_mutants's base")
     cd_p = competence_domain(spec, p, warn_nondeterministic=False).members
     dom = spec.domain().members
     for m in mutants:
-        pm = denote(m.program, space, cap)
+        pm = denote(m.program, space)
         require_deterministic(pm, "classify_mutants's mutant")
         cd_m = competence_domain(spec, pm, warn_nondeterministic=False).members
-        if cd_m == dom:
-            label = "absolutely_correct"
-        elif cd_m > cd_p:
-            label = "strictly_more_correct"
-        elif cd_m >= cd_p:
-            label = "as_correct"
-        else:
-            label = "not_more_correct"
-        results.append((m, label, None))
+        strictly = cd_m > cd_p  # so that the subset test `>=` runs only when needed
+        results.append((m, label_of(cd_m == dom, strictly or cd_m >= cd_p, strictly), None))
     return results
 
 
 def _is_solution(program: Node, spec: Spec, cfg: RepairConfig) -> bool:
     if cfg.mode == "exact":
-        return is_correct(denote(program, spec.space, cfg.cap), spec)
+        return is_correct(denote(program, spec.space), spec)
     report = run_suite(program, program, spec, cfg.suite, cfg.fuel)
     return report.cumulabs
 
@@ -125,7 +107,7 @@ def _is_solution(program: Node, spec: Spec, cfg: RepairConfig) -> bool:
 def _probe(spec: Spec, cfg: RepairConfig):
     if cfg.mode == "testing":
         return cfg.suite.inputs
-    return tuple(spec.space.states(cfg.cap))
+    return tuple(spec.space.states())
 
 
 def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
@@ -158,7 +140,7 @@ def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
         for node in frontier:
             mutants = generate(node.program, cfg.operators)
             classified = classify_mutants(
-                node.program, mutants, spec, cfg.suite, cfg.mode, cfg.fuel, cfg.cap
+                node.program, mutants, spec, cfg.suite, cfg.mode, cfg.fuel
             )
             grew = False
             for m, label, _ in classified:
@@ -199,14 +181,12 @@ def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
     return tree, FaultMetrics(fault_density_lb=density, fault_depth_ub=depth_ub)
 
 
-def verify_fault(base: Node, patch, spec: Spec, cap: int = DEFAULT_CAP) -> dict:
+def verify_fault(base: Node, patch, spec: Spec) -> dict:
     """Exact-mode fault-removal check for a (possibly multi-site) patch."""
-    from .mutate import apply_patch
-
     space = spec.space
     patched = apply_patch(base, patch)
-    cd_before = competence_domain(spec, denote(base, space, cap), warn_nondeterministic=False)
-    cd_after = competence_domain(spec, denote(patched, space, cap), warn_nondeterministic=False)
+    cd_before = competence_domain(spec, denote(base, space), warn_nondeterministic=False)
+    cd_after = competence_domain(spec, denote(patched, space), warn_nondeterministic=False)
     return {
         "is_fault_removal": cd_after.members > cd_before.members,
         "cd_before": cd_before,
@@ -215,7 +195,7 @@ def verify_fault(base: Node, patch, spec: Spec, cap: int = DEFAULT_CAP) -> dict:
     }
 
 
-# -- export / import ------------------------------------------------------------------
+# -- export ------------------------------------------------------------------
 
 _DOT_COLORS = {
     None: "lightblue",
@@ -263,37 +243,3 @@ def tree_to_json(tree: RepairTree, space: StateSpace) -> dict:
         "dead_ends": tree.dead_ends,
         "solutions": tree.solutions,
     }
-
-
-def tree_from_json(doc: dict) -> RepairTree:
-    space = space_from_json(doc["space"])
-    nodes = {}
-    for nd in doc["nodes"]:
-        nodes[nd["label"]] = RepairNode(
-            label=nd["label"],
-            program=parse(nd["source"], space),
-            parent=nd["parent"],
-            classification=nd["classification"],
-            fingerprint=nd["fingerprint"],
-            depth=nd["depth"],
-            dead_end=nd["dead_end"],
-            solution=nd["solution"],
-            aliases=list(nd["aliases"]),
-        )
-    return RepairTree(
-        root=doc["root"],
-        nodes=nodes,
-        edges=[tuple(e) for e in doc["edges"]],
-        dead_ends=list(doc["dead_ends"]),
-        solutions=list(doc["solutions"]),
-    )
-
-
-def export_tree(tree: RepairTree, fmt: str, space: StateSpace | None = None) -> str:
-    if fmt.upper() == "DOT":
-        return tree_to_dot(tree)
-    if fmt.upper() == "JSON":
-        if space is None:
-            raise RelcorError("JSON export needs the state space")
-        return json.dumps(tree_to_json(tree, space), sort_keys=True, indent=1)
-    raise ValueError(f"unknown export format {fmt!r}")

@@ -123,15 +123,15 @@ class StateSpace:
             n *= d.size
         return n
 
-    def check_enumerable(self, cap: int = DEFAULT_CAP) -> None:
-        if self.num_states > cap:
+    def check_enumerable(self) -> None:
+        if self.num_states > DEFAULT_CAP:
             raise CapacityError(
-                f"state space has {self.num_states} states, over the cap of {cap}"
+                f"state space has {self.num_states} states, over the cap of {DEFAULT_CAP}"
             )
 
-    def states(self, cap: int = DEFAULT_CAP) -> Iterator["State"]:
+    def states(self) -> Iterator["State"]:
         """All states in lexicographic order of the declared variables."""
-        self.check_enumerable(cap)
+        self.check_enumerable()
         for combo in itertools.product(*(d.values() for _, d in self.vars)):
             yield State(self, combo)
 

@@ -42,7 +42,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import CapacityError, ParseError
-from .relations import Relation
+from .relations import Relation, reading, relation_from_json, space_from_json
 from .space import DEFAULT_CAP, State, StateSet, StateSpace
 from .lang.interp import FinalState, UndefinedEval, compile_eval
 from .lang.parser import parse_predicate
@@ -74,7 +74,7 @@ class EnumeratedSpec:
     def competence_domain(self, p: Relation) -> StateSet:
         return self.rel.competence_domain(p)
 
-    def enumerate(self, cap: int = DEFAULT_CAP) -> Relation:
+    def enumerate(self) -> Relation:
         return self.rel
 
 
@@ -139,13 +139,13 @@ class PredicateSpec:
     def competence_domain(self, p: Relation) -> StateSet:
         return StateSet(self.space, frozenset(s for (s, t) in p.pairs if self.membership(s, t)))
 
-    def enumerate(self, cap: int = DEFAULT_CAP) -> Relation:
+    def enumerate(self) -> Relation:
         n = self.space.num_states
-        if n * n > cap:
+        if n * n > DEFAULT_CAP:
             raise CapacityError(
-                f"enumerating the spec could produce {n*n} pairs, cap is {cap}"
+                f"enumerating the spec could produce {n*n} pairs, cap is {DEFAULT_CAP}"
             )
-        states = list(self.space.states(cap))
+        states = list(self.space.states())
         inputs = [s for s in states if self._dom_holds(s)]
         return Relation(self.space, {(s, t) for s in inputs for t in states if self._related(s, t)})
 
@@ -169,24 +169,7 @@ def abs_oracle(spec: Spec, s: State, outcome) -> OracleVerdict:
 # -- JSON format -------------------------------------------------------------------
 
 
-def spec_to_json(spec: Spec) -> dict:
-    from .relations import relation_to_json, space_to_json
-
-    if isinstance(spec, EnumeratedSpec):
-        doc = relation_to_json(spec.rel)
-        doc["type"] = "enumerated"
-        return doc
-    return {
-        "type": "predicate",
-        "space": space_to_json(spec.space),
-        "dom": spec.dom_src,
-        "rel": spec.rel_src,
-    }
-
-
 def spec_from_json(doc: dict) -> Spec:
-    from .relations import reading, relation_from_json, space_from_json
-
     with reading("spec document"):
         if doc["type"] == "enumerated":
             return EnumeratedSpec(relation_from_json(doc))

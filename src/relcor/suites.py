@@ -17,7 +17,6 @@ whole suite is exactly n3 == 0.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,7 +26,7 @@ from .lang.ast_nodes import ArrayRead, Var, preorder
 from .lang.interp import execute
 from .lang.semantics import denote
 from .relations import competence_domain
-from .space import DEFAULT_CAP, ArrayDomain, State, StateSpace
+from .space import ArrayDomain, State, StateSpace
 from .specs import PredicateSpec, Spec, abs_oracle
 
 
@@ -51,18 +50,6 @@ class SuiteReport:
     n2: int
     n3: int
 
-    def to_json(self) -> dict:
-        return {
-            "selection": self.selection,
-            "cumulabs": self.cumulabs,
-            "cumulrel": self.cumulrel,
-            "cumulstrict": self.cumulstrict,
-            "n0": self.n0,
-            "n1": self.n1,
-            "n2": self.n2,
-            "n3": self.n3,
-        }
-
 
 # -- test data selection -----------------------------------------------------------
 
@@ -74,10 +61,13 @@ def _default_value(dom):
     return 0 if 0 in dom else dom.lo
 
 
-def _predicate_names(spec: Spec) -> set:
+def _sampled_names(spec: Spec) -> set:
+    """The variables random selection samples: those the domain predicate
+    reads, or every variable when it reads none or the spec is enumerated."""
+    names = set()
     if isinstance(spec, PredicateSpec):
-        return {n.name for n in preorder(spec.dom_cond) if isinstance(n, (Var, ArrayRead))}
-    return set(spec.space.names)
+        names = {n.name for n in preorder(spec.dom_cond) if isinstance(n, (Var, ArrayRead))}
+    return names or set(spec.space.names)
 
 
 def select_tests(
@@ -87,23 +77,22 @@ def select_tests(
     seed: int = 0,
     count: int = 50,
     path: str | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> TestSuite:
     """Build a deterministic test suite for `spec`.
 
     Strategies: exhaustive (all in-domain states), random (seeded rejection
-    sampling over in-domain states; variables the domain predicate does not
-    mention default to zero), competence_domain_of_base (inputs drawn from
-    the base program's competence domain, exact mode), file (one state per
-    line as name=value pairs).
+    sampling over in-domain states; when the domain predicate reads some
+    variables, the others default to zero), competence_domain_of_base
+    (inputs drawn from the base program's competence domain, exact mode),
+    file (one state per line as name=value pairs).
     """
     space = spec.space
     if strategy == "exhaustive":
-        inputs = tuple(s for s in space.states(cap) if spec.in_dom(s))
+        inputs = tuple(s for s in space.states() if spec.in_dom(s))
         descriptor = {"strategy": "exhaustive"}
     elif strategy == "random":
         rng = random.Random(seed)
-        sampled = _predicate_names(spec)
+        sampled = _sampled_names(spec)
         chosen = []
         attempts = 0
         while len(chosen) < count:
@@ -132,7 +121,7 @@ def select_tests(
     elif strategy == "competence_domain_of_base":
         if base is None:
             raise RelcorError("competence_domain_of_base requires a base program")
-        cd = competence_domain(spec, denote(base, space, cap), warn_nondeterministic=False)
+        cd = competence_domain(spec, denote(base, space), warn_nondeterministic=False)
         inputs = tuple(cd.sorted_states())
         descriptor = {"strategy": "competence_domain_of_base"}
     elif strategy == "file":
@@ -208,16 +197,20 @@ def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
     )
 
 
-def classify(report: SuiteReport) -> str:
-    """Suite-relative verdict for a candidate against its base."""
-    if report.cumulabs:
+def label_of(absolute: bool, at_least: bool, strictly: bool) -> str:
+    """The label of a candidate against its base, from the best that holds:
+    absolutely correct, strictly more correct (at least as correct and
+    strictly so somewhere), as correct (at least as correct), not more
+    correct."""
+    if absolute:
         return "absolutely_correct"
-    if report.cumulrel and report.cumulstrict:
+    if at_least and strictly:
         return "strictly_more_correct"
-    if report.cumulrel:
+    if at_least:
         return "as_correct"
     return "not_more_correct"
 
 
-def report_to_bytes(report: SuiteReport) -> bytes:
-    return json.dumps(report.to_json(), sort_keys=True, indent=1).encode()
+def classify(report: SuiteReport) -> str:
+    """Suite-relative verdict for a candidate against its base."""
+    return label_of(report.cumulabs, report.cumulrel, report.cumulstrict)

@@ -21,14 +21,20 @@ from randgen import (
 )
 from relcor import suites
 from relcor.errors import CapacityError
-from relcor.lang.ast_nodes import Block, preorder
+from relcor.lang.ast_nodes import (
+    Abort, Assign, Block, If, IfElse, Seq, Skip, While, preorder, replace_nodes,
+)
 from relcor.lang.interp import FinalState, NonTermination, execute
 from relcor.lang.semantics import conclusive_fuel, denote, denote_structural
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
 from relcor.repair import RepairConfig, classify_mutants, repair, tree_to_json
+from relcor.space import Interval
 from relcor.specs import EnumeratedSpec, PredicateSpec
 from relcor.suites import classify, run_suite, select_tests
+
+
+STATEMENTS = (Abort, Skip, Assign, Seq, If, IfElse, While, Block)
 
 
 def test_lattice_study_matches_expected_facts():
@@ -230,6 +236,7 @@ def _correct_programs_are_more_correct_than_everything(n):
 
 def _denote_agrees_with_bounded_execution(n):
     rng = random.Random(505)
+    spot = random.Random(515)  # apart from `rng`, so that the programs stay the same
     fallbacks = diverging = blocks = 0
     for _ in range(n):
         sp = program_space(rng, max_states=500)
@@ -248,11 +255,14 @@ def _denote_agrees_with_bounded_execution(n):
                 # of the initial values [p] quantifies over
                 assert out.state in images[s]
         diverging += any(isinstance(out, NonTermination) for out in outcomes)
-        if any(isinstance(node, Block) for node in preorder(p)):
-            blocks += 1
-            for route in (denote, denote_structural):
-                with pytest.raises(CapacityError):
-                    route(p, sp, cap=sp.num_states)
+        blocks += any(isinstance(node, Block) for node in preorder(p))
+        # a block over 0..10^7 anywhere puts its extended space over the cap
+        nodes = preorder(p)
+        i = spot.choice([i for i, node in enumerate(nodes) if isinstance(node, STATEMENTS)])
+        big = replace_nodes(p, {i: Block("big", Interval(0, 10**7), nodes[i])})
+        for route in (denote, denote_structural):
+            with pytest.raises(CapacityError):
+                route(big, sp)
     assert fallbacks > 0 and diverging > 0 and blocks > fallbacks
 
 

@@ -1,15 +1,17 @@
+import json
+
 from relcor.lang.parser import parse
 from relcor.mutate import INTEGER_LITERAL, Patch, sites
 from relcor.repair import (
     RepairConfig,
     classify_mutants,
-    export_tree,
     repair,
-    tree_from_json,
+    tree_to_dot,
     tree_to_json,
     verify_fault,
 )
 from relcor.mutate import generate
+from relcor.relations import space_from_json
 from relcor.space import Interval, StateSpace
 from relcor.specs import PredicateSpec
 from relcor.suites import select_tests
@@ -101,16 +103,17 @@ def test_verify_fault_on_a_literal_patch():
 
 def test_tree_json_roundtrip():
     tree, _ = repair(SEEDED, SPEC, make_exact_cfg())
-    doc = tree_to_json(tree, SP)
-    back = tree_from_json(doc)
-    assert set(back.nodes) == set(tree.nodes)
-    assert back.solutions == tree.solutions
-    assert back.nodes[tree.solutions[0]].program == tree.nodes[tree.solutions[0]].program
+    doc = json.loads(json.dumps(tree_to_json(tree, SP)))
+    assert space_from_json(doc["space"]) == SP
+    assert {n["label"] for n in doc["nodes"]} == set(tree.nodes)
+    assert doc["solutions"] == tree.solutions
+    for n in doc["nodes"]:
+        assert parse(n["source"], SP) == tree.nodes[n["label"]].program
 
 
 def test_dot_export_mentions_every_node():
     tree, _ = repair(SEEDED, SPEC, make_exact_cfg())
-    dot = export_tree(tree, "dot")
+    dot = tree_to_dot(tree)
     assert dot.startswith("digraph")
     for label in tree.nodes:
         assert f'"{label}"' in dot

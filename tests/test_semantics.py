@@ -5,7 +5,7 @@ import time
 
 import pytest
 from randgen import program_space, random_program, random_straight_loop
-from relcor.errors import RelcorError
+from relcor.errors import CapacityError, RelcorError
 from relcor.lang import interp
 from relcor.lang.ast_nodes import While, preorder
 from relcor.lang.interp import (
@@ -415,3 +415,14 @@ def test_denote_beats_the_recursion_on_a_loop_that_never_ends():
         return min(times)
 
     assert best_of_three(denote) < best_of_three(denote_structural)
+
+
+def test_capacity_errors_come_before_any_state_is_built():
+    # 16 * 2^19 states at the 19th block pass the cap; the 20th block's do not
+    sp = StateSpace((("x", Interval(0, 15)),))
+    p = parse("".join(f"int t{i} : 0..1 = 0; " for i in range(20)) + "x = x;", sp)
+    for route in (denote, denote_structural):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            route(p, sp)
+        assert time.perf_counter() - start < 1.0

@@ -57,9 +57,12 @@ def test_duplicate_variable_names_rejected():
 
 
 def test_capacity_guard():
-    sp = StateSpace((("x", Interval(0, 10**9)),))
+    StateSpace((("x", Interval(1, 10**7)),)).check_enumerable()  # at the cap
+    sp = StateSpace((("x", Interval(0, 10**7)),))
+    with pytest.raises(CapacityError, match="over the cap of 10000000"):
+        sp.check_enumerable()
     with pytest.raises(CapacityError):
-        sp.check_enumerable(cap=1000)
+        next(sp.states())
 
 
 def test_bindings_map_names_to_values():

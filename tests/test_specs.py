@@ -7,18 +7,17 @@ import pytest
 
 from randgen import program_space, random_predicate
 from relcor import suites
-from relcor.errors import ParseError
+from relcor.errors import CapacityError, ParseError
 from relcor.lang.interp import FinalState, NonTermination, cdiv, cmod
 from relcor.lang.parser import parse
 from relcor.lang.semantics import denote
-from relcor.relations import Relation, is_correct
+from relcor.relations import Relation, is_correct, relation_to_json, space_to_json
 from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import (
     EnumeratedSpec,
     PredicateSpec,
     abs_oracle,
     spec_from_json,
-    spec_to_json,
 )
 
 SP = StateSpace((("n", Interval(0, 12)), ("x", Interval(0, 4)), ("y", Interval(0, 4))))
@@ -149,16 +148,22 @@ def test_abs_oracle_in_domain():
     assert not abs_oracle(spec, s, NonTermination()).passed
 
 
+def test_enumerating_a_spec_is_capped_at_ten_million_pairs():
+    # 3162^2 pairs are under the cap, 3163^2 over it
+    spec = PredicateSpec(StateSpace((("x", Interval(0, 3162)),)), "true", "x' == x")
+    with pytest.raises(CapacityError, match="could produce 10004569 pairs"):
+        spec.enumerate()
+
+
 def test_spec_json_roundtrip():
-    spec = PredicateSpec(SP, "n % 2 == 1", "x' > x")
-    doc = spec_to_json(spec)
+    doc = {"type": "predicate", "space": space_to_json(SP), "dom": "n % 2 == 1", "rel": "x' > x"}
     back = spec_from_json(doc)
     assert back.space == SP
-    assert back.dom_src == spec.dom_src and back.rel_src == spec.rel_src
+    assert back.dom_src == doc["dom"] and back.rel_src == doc["rel"]
 
     s0, s1 = st(1, 0, 0), st(1, 1, 0)
     enum = EnumeratedSpec(Relation(SP, frozenset({(s0, s1)})))
-    back2 = spec_from_json(spec_to_json(enum))
+    back2 = spec_from_json(dict(relation_to_json(enum.rel), type="enumerated"))
     assert back2.rel == enum.rel
 
 

@@ -7,7 +7,6 @@ from relcor.specs import PredicateSpec
 from relcor.suites import (
     classify,
     load_test_data,
-    report_to_bytes,
     run_suite,
     select_tests,
 )
@@ -41,6 +40,20 @@ def test_random_selection_samples_the_variables_the_domain_predicate_reads():
     inputs = select_tests(spec, strategy="random", seed=1, count=30).inputs
     assert {s["y"] for s in inputs} == {2}  # not read: the default, the low end of 2..9
     assert len({s["x"] for s in inputs}) > 1 and len({s["a"] for s in inputs}) > 1
+
+
+def test_random_selection_samples_every_variable_when_the_domain_predicate_reads_none():
+    sp = StateSpace((("x", Interval(0, 7)), ("y", Interval(0, 7))))
+    spec = PredicateSpec(sp, "true", "x' == x && y' == y")
+    inputs = select_tests(spec, strategy="random", seed=0, count=24).inputs
+    assert len(set(inputs)) > 12
+    assert len({s["x"] for s in inputs}) > 1 and len({s["y"] for s in inputs}) > 1
+    # a Fermat-like spec reads n only: x and y keep their defaults
+    sp = StateSpace((("n", Interval(1, 99)), ("x", Interval(0, 50)), ("y", Interval(0, 50))))
+    spec = PredicateSpec(sp, "(n % 2 == 1) || (n % 4 == 0)", "x' * x' - y' * y' == n")
+    inputs = select_tests(spec, strategy="random", seed=0, count=24).inputs
+    assert len({s["n"] for s in inputs}) > 1
+    assert {(s["x"], s["y"]) for s in inputs} == {(0, 0)}
 
 
 def test_competence_domain_selection():
@@ -100,6 +113,6 @@ def test_classify_as_correct_when_nothing_changes():
 
 
 def test_report_bytes_are_deterministic():
-    a = report_to_bytes(run_suite(HALF, BASE, SPEC, exhaustive(), fuel=100))
-    b = report_to_bytes(run_suite(HALF, BASE, SPEC, exhaustive(), fuel=100))
+    a = run_suite(HALF, BASE, SPEC, exhaustive(), fuel=100)
+    b = run_suite(HALF, BASE, SPEC, exhaustive(), fuel=100)
     assert a == b
