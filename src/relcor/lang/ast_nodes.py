@@ -8,8 +8,10 @@ positions.
 
 Trees share structure.  A tree built by `replace_nodes` is a new spine from
 the root down to each substituted site, and every subtree off that spine is
-the very object of the original tree, so a single-site mutant of an n-node
-program costs O(n) time and O(depth) new nodes.
+the very object of the original tree.  `replace_nodes` steps over a subtree
+that holds no site by its size (`size`, computed once per node and kept in
+it), so once the original's sizes are known a single-site mutant costs
+O(depth) time and O(depth) new nodes.
 
 Every node keeps the structural hash its dataclass generates, but computes
 it on first use and stores it in the instance (`space.hash_once`).  Hashing
@@ -20,30 +22,31 @@ whole program a cheap key for the execution caches (`compile_program`,
 and hash equal, whether or not they share nodes.
 
 Nodes must never be mutated, not even with `object.__setattr__`: one node
-may sit in many trees at once, and its stored hash would go stale.
+may sit in many trees at once, and its stored hash and size would go stale.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..space import Interval, hash_once
 
 
 def _node(cls):
-    """A frozen dataclass whose hash is computed once (see module docstring)."""
-    return hash_once(dataclass(frozen=True)(cls))
+    """A frozen dataclass whose hash is computed once (see module docstring),
+    with its field names, in order, in `_field_names`."""
+    cls = hash_once(dataclass(frozen=True)(cls))
+    cls._field_names = tuple(f.name for f in dataclasses.fields(cls))
+    return cls
 
 
 class Node:
+    _field_names = ()
+
     def children(self) -> list:
-        out = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, Node):
-                out.append(v)
-        return out
+        return [v for f in self._field_names if isinstance(v := getattr(self, f), Node)]
 
 
 # -- expressions (integer-valued) ---------------------------------------------
@@ -188,44 +191,56 @@ def preorder(node: Node) -> list:
     return out
 
 
+def size(node: Node) -> int:
+    """The number of nodes in the subtree, computed on first use and kept in
+    the node.  Unlike a hash, a size is the same in every process, so it is
+    pickled with the node."""
+    try:
+        return node._size
+    except AttributeError:
+        n = 1 + sum(size(c) for c in node.children())
+        object.__setattr__(node, "_size", n)
+        return n
+
+
 def replace_nodes(node: Node, substitutions: dict):
     """Rebuild `node` replacing the nodes at the given preorder indices.
 
     `substitutions` maps preorder index -> replacement node.  Replaced
     subtrees are not descended into (their indices still count the original
     subtree's nodes, matching `preorder` on the original tree), so a
-    substitution inside a replaced subtree is ignored.
+    substitution inside a replaced subtree is ignored, and so is an index
+    outside the tree.
 
-    One pass: a preorder counter advances by one per node visited and by the
-    whole subtree's size at a substituted index.  Only the spine from the
-    root to each site is rebuilt; every subtree that contains no substitution
-    is returned as the same object, and nothing after the last site is
-    visited.  The cost is O(n) per call instead of a subtree walk per node.
+    Only the spine from the root to each site is rebuilt.  A child whose
+    index range [i, i + size) holds no site, found by bisection in the
+    sorted sites, is stepped over and returned as the same object.
     """
-    if not substitutions:
-        return node
-    last = max(substitutions)
-    counter = 0
+    sites = sorted(substitutions)
 
-    def rebuild(n: Node):
-        nonlocal counter
-        idx = counter
-        if idx > last:
-            return n
+    def holds_site(lo: int, hi: int) -> bool:
+        k = bisect_left(sites, lo)
+        return k < len(sites) and sites[k] < hi
+
+    def rebuild(n: Node, idx: int):
         if idx in substitutions:
-            counter += len(preorder(n))
             return substitutions[idx]
-        counter += 1
-        updates = {}
-        for f in dataclasses.fields(n):
-            v = getattr(n, f.name)
+        pos = idx + 1
+        values = []
+        changed = False
+        for name in n._field_names:
+            v = getattr(n, name)
             if isinstance(v, Node):
-                new = rebuild(v)
-                if new is not v:
-                    updates[f.name] = new
-        return dataclasses.replace(n, **updates) if updates else n
+                end = pos + size(v)
+                if holds_site(pos, end):
+                    new = rebuild(v, pos)
+                    changed |= new is not v
+                    v = new
+                pos = end
+            values.append(v)
+        return type(n)(*values) if changed else n
 
-    return rebuild(node)
+    return rebuild(node, 0) if holds_site(0, size(node)) else node
 
 
 # -- pretty printing -------------------------------------------------------------

@@ -143,14 +143,19 @@ _NO_END = (_OutOfFuel, _Repeated, _Aborted)  # abort never terminates in any sta
 
 
 def cdiv(a: int, b: int) -> int:
+    """C division: the quotient truncated toward zero."""
     if b == 0:
         raise UndefinedEval("division by zero")
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
+    q = a // b  # floored, so one below the truncated quotient when inexact and negative
+    return q + 1 if q < 0 and q * b != a else q
 
 
 def cmod(a: int, b: int) -> int:
-    return a - b * cdiv(a, b)
+    """C remainder: a - b * cdiv(a, b), with the sign of the dividend."""
+    if b == 0:
+        raise UndefinedEval("division by zero")
+    r = a % b  # floored, with the sign of the divisor
+    return r - b if r and (a < 0) != (b < 0) else r
 
 
 def _aread(arr: tuple, i: int, length: int, name: str):

@@ -168,9 +168,9 @@ def semantic_fingerprint(p: Node, probe, fuel: int, mode: str = "wide") -> str:
     Equal digests flag behavioral-identity candidates (e.g. mutants that
     regenerate each other); confirm with exact denotations when the space
     permits.  Wide (testing) mode reads the outcomes through
-    `suites.cached_execute`, where `run_suite` has usually just put them;
-    exact mode runs `execute` directly so as not to fill that cache with a
-    whole state space.  Exact mode ignores `fuel` and runs with
+    `suites.cached_execute`, where `suites.suite_labels` has put the runs it
+    made while labelling the program; exact mode runs `execute` directly so
+    as not to fill that cache with a whole state space.  Exact mode ignores `fuel` and runs with
     `conclusive_fuel`, so that its digest is that of [p] on the probe: two
     programs that differ only on runs longer than `fuel` stay apart.
     """

@@ -37,26 +37,8 @@ class Relation:
         self._check(other)
         return Relation(self.space, self.pairs | other.pairs)
 
-    def intersection(self, other: "Relation") -> "Relation":
-        self._check(other)
-        return Relation(self.space, self.pairs & other.pairs)
-
-    def difference(self, other: "Relation") -> "Relation":
-        self._check(other)
-        return Relation(self.space, self.pairs - other.pairs)
-
     def __or__(self, other):
         return self.union(other)
-
-    def __and__(self, other):
-        return self.intersection(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
-
-    def __le__(self, other: "Relation") -> bool:
-        self._check(other)
-        return self.pairs <= other.pairs
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -20,7 +20,7 @@ from .mutate import apply_patch, generate, semantic_fingerprint
 from .relations import competence_domain, is_correct, require_deterministic, space_to_json
 from .space import StateSpace
 from .specs import Spec
-from .suites import TestSuite, classify, label_of, run_suite
+from .suites import TestSuite, label_of, run_suite, suite_labels
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,24 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
                      mode: str = "testing", fuel: int = 10**4) -> list:
     """Per-mutant classification against `base`.
 
-    Returns [(mutant, classification, report-or-None), ...].  Testing mode
-    scores a suite run; exact mode compares competence domains of the full
-    denotations (ground truth on finite spaces), taken from the spec by
-    membership: the base's once per batch and each mutant's once.  Both
-    compile the batch once, as a mutant schema (`interp.compile_schema`).
+    Returns [(mutant, classification, None), ...].  Testing mode labels
+    the batch on the suite with `suites.suite_labels`, which stops each
+    mutant's runs once its label is settled; exact mode compares competence
+    domains of the full denotations (ground truth on finite spaces), taken
+    from the spec by membership: the base's once per batch and each
+    mutant's once.  Both compile the batch once, as a mutant schema
+    (`interp.compile_schema`).
     """
-    results = []
     if mode not in ("testing", "exact"):
         raise ValueError(f"unknown classification mode {mode!r}")
     if mode == "testing" and suite is None:
         raise RelcorError("testing mode requires a suite")
-    compile_schema(base, [m.program for m in mutants], spec.space,
-                   "wide" if mode == "testing" else "exact")
+    programs = [m.program for m in mutants]
+    compile_schema(base, programs, spec.space, "wide" if mode == "testing" else "exact")
     if mode == "testing":
-        for m in mutants:
-            report = run_suite(m.program, base, spec, suite, fuel)
-            results.append((m, classify(report), report))
-        return results
+        labels = suite_labels(base, programs, spec, suite, fuel)
+        return [(m, label, None) for m, label in zip(mutants, labels)]
+    results = []
     space = spec.space
     p = denote(base, space)
     require_deterministic(p, "classify_mutants's base")

@@ -185,12 +185,6 @@ class StateSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __le__(self, other: "StateSet") -> bool:
-        return self.members <= other.members
-
-    def __lt__(self, other: "StateSet") -> bool:
-        return self.members < other.members
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StateSet)

@@ -161,9 +161,12 @@ def abs_oracle(spec: Spec, s: State, outcome) -> OracleVerdict:
     """
     if not spec.in_dom(s):
         return OracleVerdict(passed=True, vacuous=True)
-    if isinstance(outcome, FinalState):
-        return OracleVerdict(passed=spec.membership(s, outcome.state))
-    return OracleVerdict(passed=False)
+    return OracleVerdict(passed=passes_in_dom(spec, s, outcome))
+
+
+def passes_in_dom(spec: Spec, s: State, outcome) -> bool:
+    """The oracle at an input s already known to be in dom(R)."""
+    return isinstance(outcome, FinalState) and spec.membership(s, outcome.state)
 
 
 # -- JSON format -------------------------------------------------------------------

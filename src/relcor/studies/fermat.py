@@ -10,7 +10,7 @@ from ..lang.parser import parse
 from ..mutate import generate
 from ..repair import RepairConfig, classify_mutants, repair, tree_to_dot, tree_to_json
 from ..specs import spec_from_json
-from ..suites import TestSuite, cached_execute
+from ..suites import TestSuite, cached_execute, run_suite
 from . import load_fixture_json, load_fixture_text
 
 FUEL = 10**4
@@ -44,7 +44,8 @@ def run() -> dict:
         built["suite"],
     )
     mutants = generate(base, ("AORB",))
-    level1 = classify_mutants(base, mutants, spec, suite, "testing", FUEL)
+    level1 = [(m, label, run_suite(m.program, base, spec, suite, FUEL))
+              for m, label, _ in classify_mutants(base, mutants, spec, suite, "testing", FUEL)]
     counts = {"absolutely_correct": 0, "strictly_more_correct": 0,
               "as_correct": 0, "not_more_correct": 0}
     for _, label, _ in level1:

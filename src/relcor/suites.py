@@ -13,6 +13,19 @@ into the cumulative verdicts:
 The coverage cells are n0 (both pass), n1 (base fails, candidate passes),
 n2 (both fail) and n3 (base passes, candidate fails); relcor over the
 whole suite is exactly n3 == 0.
+
+`run_suite` builds that full report for one candidate.  A mutant batch
+needs only a label per mutant, and `suite_labels` settles each with the
+fewest runs.  It runs the base once per batch, which splits the in-domain
+inputs into those where the base passes and those where it fails (inputs
+outside dom(R) pass vacuously for every program and are dropped).  Each
+candidate then runs the base-passing inputs and stops at the first failure,
+an n3 cell: `not_more_correct`.  It then runs the base-failing inputs and
+stops once it has both passed and failed there: `strictly_more_correct`,
+since an n1 cell is seen and an n2 cell rules out absolute correctness.  If
+every run passes the label is `absolutely_correct`, and if every
+base-failing run fails it is `as_correct`.  That is
+`label_of(cumulabs, cumulrel, cumulstrict)` of the full report.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from .lang.interp import execute
 from .lang.semantics import denote
 from .relations import competence_domain
 from .space import ArrayDomain, State, StateSpace
-from .specs import PredicateSpec, Spec, abs_oracle
+from .specs import PredicateSpec, Spec, abs_oracle, passes_in_dom
 
 
 @dataclass(frozen=True)
@@ -195,6 +208,30 @@ def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
         n2=n2,
         n3=n3,
     )
+
+
+def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
+                 mode: str = "wide") -> list:
+    """The label of each program against `base` on the suite, as
+    `classify(run_suite(...))` gives it, with the early exits described in
+    the module docstring; one label per program, in order."""
+    passing, failing = [], []
+    for s in suite.inputs:
+        if spec.in_dom(s):
+            ok = passes_in_dom(spec, s, cached_execute(base, s, fuel, mode))
+            (passing if ok else failing).append(s)
+    labels = []
+    for p in programs:
+        if not all(passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)) for s in passing):
+            labels.append("not_more_correct")
+            continue
+        seen = set()
+        for s in failing:
+            seen.add(passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)))
+            if len(seen) == 2:
+                break
+        labels.append(label_of(False not in seen, True, True in seen))
+    return labels
 
 
 def label_of(absolute: bool, at_least: bool, strictly: bool) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -238,16 +239,28 @@ def test_replace_nodes_matches_the_quadratic_reference():
 
 
 def test_replace_nodes_shares_every_untouched_subtree():
+    shared = 0
     for rng, _, base in _random_programs(32, 300):
         nodes = preorder(base)
         sizes = [len(preorder(n)) for n in nodes]
-        site = rng.randrange(len(nodes))
-        mutant = replace_nodes(base, {site: _wrap(nodes[site])})
+        assert [A.size(n) for n in nodes] == sizes
+        picked = rng.sample(range(len(nodes)), min(len(nodes), rng.randint(1, 3)))
+        subs = {j: _wrap(nodes[j]) for j in picked}
+        mutant = replace_nodes(base, subs)
+        assert mutant == _reference_replace_nodes(base, subs)
+        # a site inside a replaced subtree is ignored
+        sites = [j for j in picked if not any(k < j < k + sizes[k] for k in picked)]
         in_mutant = {id(n) for n in preorder(mutant)}
         for j, n in enumerate(nodes):
-            if j != site:
-                on_spine = j < site < j + sizes[j]
-                assert (id(n) in in_mutant) == (not on_spine)
+            on_spine = any(j < k < j + sizes[j] for k in sites)
+            copied = j in sites and isinstance(n, _TARGETS)  # `_wrap` copies targets
+            assert (id(n) in in_mutant) == (not on_spine and not copied)
+            shared += not on_spine
+        assert replace_nodes(base, {len(nodes): A.Skip(), -1: A.Skip()}) is base
+        n = A.size(mutant)  # kept in the node, and pickled with it
+        copy = pickle.loads(pickle.dumps(mutant))
+        assert copy == mutant and vars(copy)["_size"] == n == len(preorder(mutant))
+    assert shared > 1000
 
 
 def test_mutant_hash_and_equality_match_a_freshly_parsed_tree():

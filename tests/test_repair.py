@@ -91,6 +91,22 @@ def test_classify_mutants_modes_agree_on_exhaustive_suite():
         assert classify(report) == label
 
 
+def test_testing_mode_labels_without_full_reports(monkeypatch):
+    import relcor.repair
+    import relcor.suites
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("testing-mode classify_mutants built a full report")
+
+    mutants = generate(SEEDED, ("AORB",))
+    exact = classify_mutants(SEEDED, mutants, SPEC, None, mode="exact")
+    monkeypatch.setattr(relcor.repair, "run_suite", no_report)
+    monkeypatch.setattr(relcor.suites, "run_suite", no_report)
+    testing = classify_mutants(SEEDED, mutants, SPEC, select_tests(SPEC, strategy="exhaustive"),
+                               "testing", 100)
+    assert [(m, label, None) for m, label, _ in exact] == testing
+
+
 def test_verify_fault_on_a_literal_patch():
     base = parse("x = x + 1;", SP)
     site = sites(base, (INTEGER_LITERAL,))[0]

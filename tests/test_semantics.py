@@ -178,6 +178,25 @@ def test_division_truncates_toward_zero():
     assert cmod(7, -2) == 1
     assert cdiv(-7, 2) * 2 + cmod(-7, 2) == -7
 
+    def ref_div(a, b):  # by sign and magnitude
+        q = abs(a) // abs(b)
+        return q if (a < 0) == (b < 0) else -q
+
+    rng = random.Random(1919)
+    big = 2**70
+    pairs = [(a, b) for a in (2**63, -(2**63), 2**64 + 1, -(2**64) - 1)
+             for b in (7, -7, 2**63 - 1, -(2**63))]
+    pairs += [tuple(rng.choice((rng.randint(-9, 9), rng.randint(-big, big))) for _ in "ab")
+              for _ in range(20000)]
+    for a, b in pairs:
+        if b == 0:
+            for f in (cdiv, cmod):
+                with pytest.raises(interp.UndefinedEval):
+                    f(a, b)
+            continue
+        q = ref_div(a, b)
+        assert (cdiv(a, b), cmod(a, b)) == (q, a - b * q)
+
 
 def test_python_compiler_limits_are_user_errors():
     state = SP.state({"x": 0})

@@ -1,14 +1,20 @@
-import pytest
+import random
 
+import pytest
+from randgen import program_space, random_predicate, random_program, random_relation
 from relcor.errors import EmptySuiteError
 from relcor.lang.parser import parse
+from relcor.mutate import ARRAY_INDEX, BINARY_ARITH, INTEGER_LITERAL, generate
 from relcor.space import ArrayDomain, Interval, StateSpace
-from relcor.specs import PredicateSpec
+from relcor.specs import EnumeratedSpec, PredicateSpec
+from relcor.suites import TestSuite as Suite
 from relcor.suites import (
+    cached_execute,
     classify,
     load_test_data,
     run_suite,
     select_tests,
+    suite_labels,
 )
 
 SP = StateSpace((("x", Interval(0, 9)),))
@@ -116,3 +122,71 @@ def test_report_bytes_are_deterministic():
     a = run_suite(HALF, BASE, SPEC, exhaustive(), fuel=100)
     b = run_suite(HALF, BASE, SPEC, exhaustive(), fuel=100)
     assert a == b
+
+
+# -- the verdict kernel --------------------------------------------------------------
+
+
+def _runs(call) -> int:
+    """The runs that `call()` adds to the execution cache."""
+    before = cached_execute.cache_info().misses
+    call()
+    return cached_execute.cache_info().misses - before
+
+
+def test_suite_labels_stop_at_the_first_regression():
+    suite = exhaustive()  # x in 0..7; GOOD passes each, BASE none
+    bad = parse("x = x + 3;", SP)
+    cached_execute.cache_clear()
+    assert _runs(lambda: suite_labels(GOOD, [], SPEC, suite, 100)) == len(suite)
+    assert _runs(lambda: suite_labels(GOOD, [bad], SPEC, suite, 100)) == 1
+    assert suite_labels(GOOD, [bad, GOOD, HALF], SPEC, suite, 100) == [
+        "not_more_correct", "absolutely_correct", "not_more_correct"]
+    # against a base that passes nowhere, HALF passes on x in 0..3: stop
+    # once a pass and a fail are seen
+    cached_execute.cache_clear()
+    assert _runs(lambda: suite_labels(BASE, [HALF], SPEC, suite, 100)) == len(suite) + 5
+    assert suite_labels(BASE, [HALF, BASE], SPEC, suite, 100) == [
+        "strictly_more_correct", "as_correct"]
+
+
+def _random_spec(rng, sp):
+    if rng.random() < 0.5:
+        return EnumeratedSpec(random_relation(rng, sp))
+    names = [n for n, d in sp.vars if not isinstance(d, ArrayDomain)]
+    return PredicateSpec(sp, random_predicate(rng, names, primed=False),
+                         random_predicate(rng, names, primed=True))
+
+
+@pytest.mark.parametrize("mode", ["wide", "exact"])
+def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode):
+    rng = random.Random(1717 if mode == "wide" else 1718)
+    seen, kinds = set(), set()
+    saved = 0
+    for i in range(150):
+        sp = program_space(rng, max_states=30, array=i % 3 == 2)
+        base = random_program(rng, sp, unassigned_reads=False, wide=mode == "wide")
+        mutants = generate(base, ("AORB", "literal+-1", "index+-1"))
+        spec = _random_spec(rng, sp)
+        states = list(sp.states())
+        suite = Suite(tuple(rng.sample(states, rng.randint(1, len(states)))))
+        fuel = 40
+        programs = [m.program for m in mutants]
+        cached_execute.cache_clear()
+        labels = suite_labels(base, programs, spec, suite, fuel, mode)
+        assert labels == [classify(run_suite(p, base, spec, suite, fuel, mode))
+                          for p in programs]
+        for p in programs[:5]:
+            cached_execute.cache_clear()
+            suite_labels(base, [], spec, suite, fuel, mode)  # the base's runs
+            kernel = _runs(lambda: suite_labels(base, [p], spec, suite, fuel, mode))
+            cached_execute.cache_clear()
+            suite_labels(base, [], spec, suite, fuel, mode)
+            full = _runs(lambda: run_suite(p, base, spec, suite, fuel, mode))
+            assert kernel <= full
+            saved += full - kernel
+        seen.update((type(spec).__name__, label) for label in labels)
+        kinds.update(m.site.kind for m in mutants)
+    cached_execute.cache_clear()
+    assert saved > 0 and kinds == {BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX}
+    assert len(seen) == 8  # every label, for both spec classes
