@@ -66,11 +66,11 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     """Per-mutant classification against `base`.
 
     Returns [(mutant, classification, None), ...].  Testing mode labels
-    the batch on the suite with `suites.suite_labels`, which stops each
-    mutant's runs once its label is settled; exact mode compares competence
-    domains of the full denotations (ground truth on finite spaces), taken
-    from the spec by membership: the base's once per batch and each
-    mutant's once.  Both compile the batch once, as a mutant schema
+    the batch on the suite with `suites.suite_labels`, which runs the base
+    once and each mutant once per in-domain input; exact mode compares
+    competence domains of the full denotations (ground truth on finite
+    spaces), taken from the spec by membership: the base's once per batch
+    and each mutant's once.  Both compile the batch once, as a mutant schema
     (`interp.compile_schema`).
     """
     if mode not in ("testing", "exact"):

@@ -15,17 +15,19 @@ n2 (both fail) and n3 (base passes, candidate fails); relcor over the
 whole suite is exactly n3 == 0.
 
 `run_suite` builds that full report for one candidate.  A mutant batch
-needs only a label per mutant, and `suite_labels` settles each with the
-fewest runs.  It runs the base once per batch, which splits the in-domain
-inputs into those where the base passes and those where it fails (inputs
-outside dom(R) pass vacuously for every program and are dropped).  Each
-candidate then runs the base-passing inputs and stops at the first failure,
-an n3 cell: `not_more_correct`.  It then runs the base-failing inputs and
-stops once it has both passed and failed there: `strictly_more_correct`,
-since an n1 cell is seen and an n2 cell rules out absolute correctness.  If
-every run passes the label is `absolutely_correct`, and if every
-base-failing run fails it is `as_correct`.  That is
-`label_of(cumulabs, cumulrel, cumulstrict)` of the full report.
+needs only a label per mutant, and `suite_labels` gives it without the
+per-run bookkeeping of the report.  It runs the base once per batch, which
+splits the in-domain inputs into those where the base passes and those
+where it fails (inputs outside dom(R) pass vacuously for every program and
+are dropped).  Each candidate then runs every in-domain input once: a
+failure where the base passes is an n3 cell (`not_more_correct`), a pass
+where the base fails an n1 cell, and a failure there an n2 cell.  The
+label is `label_of(cumulabs, cumulrel, cumulstrict)` of the full report.
+The kernel does not stop a candidate once its label is settled: the runs
+that stopping saves depend on the data (none when the base passes no
+input), so a batch's cost would follow its data rather than its size,
+mutants times in-domain inputs.  Every run also stays in `cached_execute`
+for `repair`'s fingerprints.
 """
 
 from __future__ import annotations
@@ -213,8 +215,9 @@ def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
 def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
                  mode: str = "wide") -> list:
     """The label of each program against `base` on the suite, as
-    `classify(run_suite(...))` gives it, with the early exits described in
-    the module docstring; one label per program, in order."""
+    `classify(run_suite(...))` gives it, from one run of the base per batch
+    and one run of each program per in-domain input (see the module
+    docstring); one label per program, in order."""
     passing, failing = [], []
     for s in suite.inputs:
         if spec.in_dom(s):
@@ -222,15 +225,9 @@ def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
             (passing if ok else failing).append(s)
     labels = []
     for p in programs:
-        if not all(passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)) for s in passing):
-            labels.append("not_more_correct")
-            continue
-        seen = set()
-        for s in failing:
-            seen.add(passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)))
-            if len(seen) == 2:
-                break
-        labels.append(label_of(False not in seen, True, True in seen))
+        kept = {passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)) for s in passing}
+        fixed = {passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)) for s in failing}
+        labels.append(label_of(False not in (kept | fixed), False not in kept, True in fixed))
     return labels
 
 

@@ -134,18 +134,18 @@ def _runs(call) -> int:
     return cached_execute.cache_info().misses - before
 
 
-def test_suite_labels_stop_at_the_first_regression():
+def test_suite_labels_run_the_base_once_and_each_program_once_per_input():
     suite = exhaustive()  # x in 0..7; GOOD passes each, BASE none
+    wide = Suite(tuple(SP.state({"x": x}) for x in range(10)))  # 8, 9 outside dom(R)
     bad = parse("x = x + 3;", SP)
     cached_execute.cache_clear()
-    assert _runs(lambda: suite_labels(GOOD, [], SPEC, suite, 100)) == len(suite)
-    assert _runs(lambda: suite_labels(GOOD, [bad], SPEC, suite, 100)) == 1
+    assert _runs(lambda: suite_labels(GOOD, [], SPEC, wide, 100)) == len(suite)
+    assert _runs(lambda: suite_labels(GOOD, [bad], SPEC, wide, 100)) == len(suite)
     assert suite_labels(GOOD, [bad, GOOD, HALF], SPEC, suite, 100) == [
         "not_more_correct", "absolutely_correct", "not_more_correct"]
-    # against a base that passes nowhere, HALF passes on x in 0..3: stop
-    # once a pass and a fail are seen
+    # against a base that passes nowhere, HALF passes on x in 0..3 only
     cached_execute.cache_clear()
-    assert _runs(lambda: suite_labels(BASE, [HALF], SPEC, suite, 100)) == len(suite) + 5
+    assert _runs(lambda: suite_labels(BASE, [HALF], SPEC, suite, 100)) == 2 * len(suite)
     assert suite_labels(BASE, [HALF, BASE], SPEC, suite, 100) == [
         "strictly_more_correct", "as_correct"]
 
