@@ -18,7 +18,7 @@ it on first use and stores it in the instance (`space.hash_once`).  Hashing
 a tree therefore touches each node once in its life; a mutant's first hash
 touches only its new spine, and every later one is O(1).  That makes a
 whole program a cheap key for the execution caches (`compile_program`,
-`cached_execute`).  Equality is unchanged: equal trees still compare equal
+`suites.outcome_row`, `suites.cached_execute`).  Equality is unchanged: equal trees still compare equal
 and hash equal, whether or not they share nodes.
 
 Nodes must never be mutated, not even with `object.__setattr__`: one node

@@ -635,17 +635,22 @@ def compile_eval(node, space: StateSpace, primed: bool = False):
     return _define(em, "_eval")
 
 
-def execute(p, s: State, fuel: int, mode: str = "exact"):
-    """Run program `p` on state `s`; returns FinalState, NonTermination, or
-    Undefined."""
-    run = compile_program(p, s.space, mode)
+def run_outcome(run, values: tuple, fuel: int):
+    """The raw outcome of a compiled program `run` on `values`: the final
+    values tuple, NONTERMINATION, or Undefined."""
     try:
-        values = run(s.values, fuel)
+        return run(values, fuel)
     except _NO_END:
         return NONTERMINATION
     except UndefinedEval as u:
         return Undefined(u.site)
-    return FinalState(State(s.space, values))
+
+
+def execute(p, s: State, fuel: int, mode: str = "exact"):
+    """Run program `p` on state `s`; returns FinalState, NonTermination, or
+    Undefined."""
+    out = run_outcome(compile_program(p, s.space, mode), s.values, fuel)
+    return FinalState(State(s.space, out)) if type(out) is tuple else out
 
 
 def tabulate(p, space: StateSpace, states, fuel: int) -> set:

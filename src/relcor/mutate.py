@@ -162,32 +162,38 @@ def apply_patch(p: Node, patch: Patch) -> Node:
     return replace_nodes(p, subs)
 
 
+def outcome_digest(outcomes) -> str:
+    """SHA-256 over raw outcomes (as in `suites.outcome_row`): for each, the
+    repr of its final values, or the outcome's type name where the run does
+    not end in a state, then ``|``."""
+    h = hashlib.sha256()
+    for out in outcomes:
+        h.update((repr(out) if type(out) is tuple else type(out).__name__).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
 def semantic_fingerprint(p: Node, probe, fuel: int, mode: str = "wide") -> str:
-    """Digest of the program's behavior on the probe inputs.
+    """Digest of the program's behavior on the probe inputs (`outcome_digest`).
 
     Equal digests flag behavioral-identity candidates (e.g. mutants that
     regenerate each other); confirm with exact denotations when the space
-    permits.  Wide (testing) mode reads the outcomes through
-    `suites.cached_execute`, where `suites.suite_labels` has put the runs it
-    made while labelling the program; exact mode runs `execute` directly so
-    as not to fill that cache with a whole state space.  Exact mode ignores `fuel` and runs with
-    `conclusive_fuel`, so that its digest is that of [p] on the probe: two
-    programs that differ only on runs longer than `fuel` stay apart.
+    permits.  Wide (testing) mode runs through `suites.cached_execute`;
+    `repair` fingerprints testing-mode programs on the suite by digesting
+    their `suites.outcome_row` instead, which gives the same bytes.  Exact
+    mode runs `execute` directly so as not to fill that cache with a whole
+    state space.  Exact mode ignores `fuel` and runs with `conclusive_fuel`,
+    so that its digest is that of [p] on the probe: two programs that
+    differ only on runs longer than `fuel` stay apart.
     """
     run = cached_execute if mode == "wide" else execute
     if mode == "exact":
         probe = tuple(probe)
         if probe:
             fuel = conclusive_fuel(p, probe[0].space)
-    h = hashlib.sha256()
-    for s in probe:
-        outcome = run(p, s, fuel, mode)
-        if isinstance(outcome, FinalState):
-            h.update(repr(outcome.state.values).encode())
-        else:
-            h.update(type(outcome).__name__.encode())
-        h.update(b"|")
-    return h.hexdigest()
+    outcomes = (run(p, s, fuel, mode) for s in probe)
+    return outcome_digest(out.state.values if isinstance(out, FinalState) else out
+                          for out in outcomes)
 
 
 def mutant_manifest(p: Node, mutants: list) -> dict:

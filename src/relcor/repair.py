@@ -16,11 +16,11 @@ from .errors import RelcorError
 from .lang.ast_nodes import Node, to_source
 from .lang.interp import compile_schema
 from .lang.semantics import denote
-from .mutate import apply_patch, generate, semantic_fingerprint
+from .mutate import apply_patch, generate, outcome_digest, semantic_fingerprint
 from .relations import competence_domain, is_correct, require_deterministic, space_to_json
 from .space import StateSpace
 from .specs import Spec
-from .suites import TestSuite, label_of, run_suite, suite_labels
+from .suites import TestSuite, label_of, outcome_row, suite_labels
 
 
 @dataclass(frozen=True)
@@ -98,25 +98,30 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
 
 
 def _is_solution(program: Node, spec: Spec, cfg: RepairConfig) -> bool:
+    """Exact mode: `program` is correct.  Testing mode: its row passes the
+    oracle at every in-domain suite input."""
     if cfg.mode == "exact":
         return is_correct(denote(program, spec.space), spec)
-    report = run_suite(program, program, spec, cfg.suite, cfg.fuel)
-    return report.cumulabs
+    row = outcome_row(program, cfg.suite, cfg.fuel, "wide")
+    return all(spec.oracle_at(s)(out)
+               for s, out in zip(cfg.suite.inputs, row) if spec.in_dom(s))
 
 
-def _probe(spec: Spec, cfg: RepairConfig):
+def _fingerprinter(spec: Spec, cfg: RepairConfig):
+    """The program fingerprint of a repair: in testing mode the digest of
+    the program's row on the suite, which labelling the program has already
+    made; in exact mode `semantic_fingerprint` over the whole space."""
     if cfg.mode == "testing":
-        return cfg.suite.inputs
-    return tuple(spec.space.states())
+        return lambda prog: outcome_digest(outcome_row(prog, cfg.suite, cfg.fuel, "wide"))
+    probe = tuple(spec.space.states())
+    return lambda prog: semantic_fingerprint(prog, probe, cfg.fuel, "exact")
 
 
 def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
     """Breadth-first stepwise repair; returns (RepairTree, FaultMetrics)."""
     if cfg.max_depth < 1:
         raise RelcorError("max_depth must be >= 1")
-    probe = _probe(spec, cfg)
-    exec_mode = "wide" if cfg.mode == "testing" else "exact"
-    fp = lambda prog: semantic_fingerprint(prog, probe, cfg.fuel, exec_mode)
+    fp = _fingerprinter(spec, cfg)
 
     root = RepairNode(
         label="base",

@@ -34,6 +34,15 @@ searches for a witness output the same way, once per state (the answers
 are kept), so exact and testing verdicts agree.  On a larger space (the
 Fermat study's has 10^27 states) it reads the domain predicate alone, and
 the spec's author must make sure that the predicate implies a witness.
+
+``oracle_at(s)`` is the testing-mode oracle at an input s in dom(R), as a
+test of a raw outcome (a final values tuple, ``NONTERMINATION`` or an
+``Undefined``), which is what `suites.outcome_row` holds.  An enumerated
+spec tests membership in the image of s, a set of value tuples; the images
+are built from the relation's pairs on the first call, once per spec.  A
+predicate spec evaluates the relation predicate on the values, counting an
+undefined evaluation as `membership` does; the domain predicate is not
+evaluated again, since it holds at every s in dom(R).
 """
 
 from __future__ import annotations
@@ -61,9 +70,18 @@ class EnumeratedSpec:
         self.rel = rel
         self.space = rel.space
         self._dom = rel.domain().members
+        self._images = None
 
     def in_dom(self, s: State) -> bool:
         return s in self._dom
+
+    def oracle_at(self, s: State):
+        if self._images is None:
+            images = {}
+            for a, b in self.rel.pairs:
+                images.setdefault(a, set()).add(b.values)
+            self._images = images
+        return self._images[s].__contains__
 
     def membership(self, s: State, s_out: State) -> bool:
         return (s, s_out) in self.rel.pairs
@@ -128,6 +146,19 @@ class PredicateSpec:
         # s_out itself witnesses s, so the domain predicate is all in_dom adds
         return self._dom_holds(s) and self._related(s, s_out)
 
+    def oracle_at(self, s: State):
+        rel, values = self._rel, s.values
+
+        def passes(out) -> bool:
+            if type(out) is not tuple:
+                return False
+            try:
+                return rel(values, out)
+            except UndefinedEval as e:
+                return self._count_undefined((s, State(self.space, out)), e)
+
+        return passes
+
     def domain(self) -> StateSet:
         if self._domain is None:
             states = list(self.space.states())
@@ -161,12 +192,8 @@ def abs_oracle(spec: Spec, s: State, outcome) -> OracleVerdict:
     """
     if not spec.in_dom(s):
         return OracleVerdict(passed=True, vacuous=True)
-    return OracleVerdict(passed=passes_in_dom(spec, s, outcome))
-
-
-def passes_in_dom(spec: Spec, s: State, outcome) -> bool:
-    """The oracle at an input s already known to be in dom(R)."""
-    return isinstance(outcome, FinalState) and spec.membership(s, outcome.state)
+    return OracleVerdict(passed=isinstance(outcome, FinalState)
+                         and spec.membership(s, outcome.state))
 
 
 # -- JSON format -------------------------------------------------------------------

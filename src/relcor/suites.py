@@ -14,20 +14,31 @@ The coverage cells are n0 (both pass), n1 (base fails, candidate passes),
 n2 (both fail) and n3 (base passes, candidate fails); relcor over the
 whole suite is exactly n3 == 0.
 
-`run_suite` builds that full report for one candidate.  A mutant batch
+Every testing-mode verdict is folded from rows.  `outcome_row(program,
+suite, fuel, mode)` is the tuple of the program's raw outcomes on the
+suite's inputs, in order: the final values tuple where the run ends,
+`NONTERMINATION` where it does not, `Undefined(site)` where it is
+undefined.  It compiles the program once and runs it once per input, and
+it is lru-cached with one entry per program and suite, so a program's
+runs are made once however many verdicts and fingerprints read them.  The
+suite hashes its inputs once (`space.hash_once`), which keeps the key
+cheap.  A row covers every input, also those outside dom(R); test
+selection puts none there except from a file.
+
+`run_suite` builds the full n0-n3 report of one candidate from its row and
+the base's; inputs outside dom(R) pass vacuously for both.  A mutant batch
 needs only a label per mutant, and `suite_labels` gives it without the
-per-run bookkeeping of the report.  It runs the base once per batch, which
-splits the in-domain inputs into those where the base passes and those
-where it fails (inputs outside dom(R) pass vacuously for every program and
-are dropped).  Each candidate then runs every in-domain input once: a
-failure where the base passes is an n3 cell (`not_more_correct`), a pass
-where the base fails an n1 cell, and a failure there an n2 cell.  The
-label is `label_of(cumulabs, cumulrel, cumulstrict)` of the full report.
-The kernel does not stop a candidate once its label is settled: the runs
-that stopping saves depend on the data (none when the base passes no
-input), so a batch's cost would follow its data rather than its size,
-mutants times in-domain inputs.  Every run also stays in `cached_execute`
-for `repair`'s fingerprints.
+per-input bookkeeping of the report.  It reads the base's row once per
+batch, which splits the in-domain inputs into those where the base passes
+and those where it fails, each with its oracle (`oracle_at`).  Each
+candidate's row is then folded over them: a failure where the base passes
+is an n3 cell (`not_more_correct`), a pass where the base fails an n1
+cell, and a failure there an n2 cell.  The label is
+`label_of(cumulabs, cumulrel, cumulstrict)` of the full report.  No
+candidate is stopped once its label is settled: the runs that stopping
+saves depend on the data (none when the base passes no input), so a
+batch's cost would follow its data rather than its size, mutants times
+inputs.
 """
 
 from __future__ import annotations
@@ -38,13 +49,14 @@ from functools import lru_cache
 
 from .errors import EmptySuiteError, RelcorError
 from .lang.ast_nodes import ArrayRead, Var, preorder
-from .lang.interp import execute
+from .lang.interp import compile_program, execute, run_outcome
 from .lang.semantics import denote
 from .relations import competence_domain
-from .space import ArrayDomain, State, StateSpace
-from .specs import PredicateSpec, Spec, abs_oracle, passes_in_dom
+from .space import ArrayDomain, State, StateSpace, hash_once
+from .specs import PredicateSpec, Spec
 
 
+@hash_once
 @dataclass(frozen=True)
 class TestSuite:
     inputs: tuple  # of State, in a deterministic order
@@ -185,13 +197,28 @@ def cached_execute(program, s: State, fuel: int, mode: str):
     return execute(program, s, fuel, mode)
 
 
+@lru_cache(maxsize=4096)
+def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
+    """The raw outcome of `program` on each suite input, in order (see the
+    module docstring): one compile, then one run per input."""
+    if not suite.inputs:
+        return ()
+    run = compile_program(program, suite.inputs[0].space, mode)
+    return tuple([run_outcome(run, s.values, fuel) for s in suite.inputs])
+
+
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
               mode: str = "wide") -> SuiteReport:
-    """Execute base and candidate on every suite input and score the run."""
+    """Score base and candidate on every suite input, from their rows."""
     n0 = n1 = n2 = n3 = 0
-    for s in suite.inputs:
-        base_pass = abs_oracle(spec, s, cached_execute(base, s, fuel, mode)).passed
-        abscor = abs_oracle(spec, s, cached_execute(candidate, s, fuel, mode)).passed
+    rows = zip(suite.inputs, outcome_row(base, suite, fuel, mode),
+               outcome_row(candidate, suite, fuel, mode))
+    for s, b, c in rows:
+        if spec.in_dom(s):
+            passes = spec.oracle_at(s)
+            base_pass, abscor = passes(b), passes(c)
+        else:
+            base_pass = abscor = True
         if base_pass and abscor:
             n0 += 1
         elif abscor:
@@ -215,18 +242,19 @@ def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
 def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
                  mode: str = "wide") -> list:
     """The label of each program against `base` on the suite, as
-    `classify(run_suite(...))` gives it, from one run of the base per batch
-    and one run of each program per in-domain input (see the module
-    docstring); one label per program, in order."""
+    `classify(run_suite(...))` gives it, folded from the rows of the base
+    and of each program (see the module docstring); one label per program,
+    in order."""
     passing, failing = [], []
-    for s in suite.inputs:
+    for i, (s, out) in enumerate(zip(suite.inputs, outcome_row(base, suite, fuel, mode))):
         if spec.in_dom(s):
-            ok = passes_in_dom(spec, s, cached_execute(base, s, fuel, mode))
-            (passing if ok else failing).append(s)
+            passes = spec.oracle_at(s)
+            (passing if passes(out) else failing).append((i, passes))
     labels = []
     for p in programs:
-        kept = {passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)) for s in passing}
-        fixed = {passes_in_dom(spec, s, cached_execute(p, s, fuel, mode)) for s in failing}
+        row = outcome_row(p, suite, fuel, mode)
+        kept = {passes(row[i]) for i, passes in passing}
+        fixed = {passes(row[i]) for i, passes in failing}
         labels.append(label_of(False not in (kept | fixed), False not in kept, True in fixed))
     return labels
 

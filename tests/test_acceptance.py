@@ -2,6 +2,7 @@
 property suites over the relation calculus and the interpreter, and report
 determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -134,6 +135,48 @@ def loop_free_batch_bytes() -> bytes:
     tree, _ = repair(base, spec, cfg)
     doc = {"labels": labels, "tree": tree_to_json(tree, space)}
     return json.dumps(doc, sort_keys=True, indent=1).encode()
+
+
+def _fingerprints_are_semantic_fingerprints(base, spec, suite, operators) -> None:
+    """A testing-mode repair, which must not call `cached_execute`, gives
+    every node the fingerprint that `semantic_fingerprint` gives on the
+    suite's inputs, and both are the SHA-256 of each outcome's final values
+    (their repr) or type name, each followed by ``|``."""
+    from relcor.mutate import semantic_fingerprint
+
+    calls = suites.cached_execute.cache_info()
+    cfg = RepairConfig(operators=operators, suite=suite, max_depth=2, mode="testing")
+    tree, _ = repair(base, spec, cfg)
+    assert suites.cached_execute.cache_info()[:2] == calls[:2]  # hits, misses
+    assert len(tree.nodes) > 2 and tree.solutions
+    for node in tree.nodes.values():
+        assert node.fingerprint == semantic_fingerprint(node.program, suite.inputs, cfg.fuel, "wide")
+        outcomes = [execute(node.program, s, cfg.fuel, "wide") for s in suite.inputs]
+        text = "".join((repr(out.state.values) if isinstance(out, FinalState)
+                        else type(out).__name__) + "|" for out in outcomes)
+        assert node.fingerprint == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_testing_mode_fingerprints_are_semantic_fingerprints_of_the_suite(tmp_path):
+    from relcor.lang.parser import parse
+    from relcor.space import StateSpace
+
+    space = StateSpace((("x", Interval(0, 7)), ("y", Interval(0, 7))))
+    spec = PredicateSpec(space, "true", "x' == (x + y + y) % 8 && y' == y")
+    _fingerprints_are_semantic_fingerprints(
+        parse(LOOP_FREE, space), spec, select_tests(spec, strategy="exhaustive"),
+        ("AORB", "literal+-1"))
+    # a file suite with inputs outside dom(R), whose outcomes the digests hold
+    # too: at x = 20 every program runs forever
+    space = StateSpace((("x", Interval(0, 20)),))
+    spec = PredicateSpec(space, "x <= 18", "x' == x + 2")
+    path = tmp_path / "inputs.txt"
+    path.write_text("".join(f"x={x}\n" for x in (0, 3, 7, 12, 18, 19, 20)))
+    suite = select_tests(spec, strategy="file", path=str(path))
+    assert not all(spec.in_dom(s) for s in suite.inputs)
+    base = "while (x == 20) { x = x; } if (x < 10) { x = x - 2; } else { x = x + 3; }"
+    _fingerprints_are_semantic_fingerprints(parse(base, space), spec, suite,
+                                            ("AORB", "literal+-1"))
 
 
 def _cold_runs(builder: str) -> list:

@@ -37,7 +37,7 @@ from relcor.repair import classify_mutants
 from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import PredicateSpec
 from relcor.suites import TestSuite as Suite
-from relcor.suites import cached_execute
+from relcor.suites import outcome_row
 
 SP = StateSpace(
     (
@@ -313,9 +313,10 @@ def compiled(monkeypatch):
     monkeypatch.setattr(interp, "_define", lambda em, name: names.append(name) or define(em, name))
     monkeypatch.setattr(interp, "_schema_runners", {})
     compile_program.cache_clear()
-    cached_execute.cache_clear()
+    outcome_row.cache_clear()
     yield names
     compile_program.cache_clear()
+    outcome_row.cache_clear()
 
 
 def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone(monkeypatch):
@@ -365,6 +366,7 @@ def test_a_batch_compiles_once_plus_once_per_mutant_in_a_loop(compiled):
         spec = PredicateSpec(sp, "true", "v0' >= v0")
         suite = Suite(tuple(sp.states()))
         compile_program.cache_clear()
+        outcome_row.cache_clear()
         compiled.clear()
         classify_mutants(base, mutants, spec, suite, "testing", 100)
         inside = _in_loops(base)
@@ -396,6 +398,7 @@ def test_a_schema_too_deep_for_python_falls_back_to_compiling_each_mutant(compil
         mutants = generate(base, ("AORB",))
         for mode in ("testing", "exact"):
             compile_program.cache_clear()
+            outcome_row.cache_clear()
             compiled.clear()
             classified = classify_mutants(base, mutants, spec, suite, mode, 10)
             labels.append([label for _, label, _ in classified])

@@ -98,10 +98,14 @@ def test_testing_mode_labels_without_full_reports(monkeypatch):
     def no_report(*args, **kwargs):
         raise AssertionError("testing-mode classify_mutants built a full report")
 
+    def no_cached_run(*args, **kwargs):
+        raise AssertionError("testing-mode classify_mutants ran through cached_execute")
+
     mutants = generate(SEEDED, ("AORB",))
     exact = classify_mutants(SEEDED, mutants, SPEC, None, mode="exact")
-    monkeypatch.setattr(relcor.repair, "run_suite", no_report)
+    assert not hasattr(relcor.repair, "run_suite")
     monkeypatch.setattr(relcor.suites, "run_suite", no_report)
+    monkeypatch.setattr(relcor.suites, "cached_execute", no_cached_run)
     testing = classify_mutants(SEEDED, mutants, SPEC, select_tests(SPEC, strategy="exhaustive"),
                                "testing", 100)
     assert [(m, label, None) for m, label, _ in exact] == testing

@@ -2,16 +2,28 @@ import random
 
 import pytest
 from randgen import program_space, random_predicate, random_program, random_relation
+from relcor import suites
 from relcor.errors import EmptySuiteError
+from relcor.lang import interp
+from relcor.lang.interp import (
+    FinalState,
+    NonTermination,
+    Undefined,
+    compile_program,
+    compile_schema,
+    execute,
+)
 from relcor.lang.parser import parse
 from relcor.mutate import ARRAY_INDEX, BINARY_ARITH, INTEGER_LITERAL, generate
+from relcor.repair import RepairConfig, repair
 from relcor.space import ArrayDomain, Interval, StateSpace
-from relcor.specs import EnumeratedSpec, PredicateSpec
+from relcor.specs import EnumeratedSpec, PredicateSpec, abs_oracle
+from relcor.suites import SuiteReport
 from relcor.suites import TestSuite as Suite
 from relcor.suites import (
-    cached_execute,
     classify,
     load_test_data,
+    outcome_row,
     run_suite,
     select_tests,
     suite_labels,
@@ -124,30 +136,50 @@ def test_report_bytes_are_deterministic():
     assert a == b
 
 
-# -- the verdict kernel --------------------------------------------------------------
+# -- rows and the verdict kernel ----------------------------------------------------
 
 
-def _runs(call) -> int:
-    """The runs that `call()` adds to the execution cache."""
-    before = cached_execute.cache_info().misses
-    call()
-    return cached_execute.cache_info().misses - before
+@pytest.fixture
+def runs(monkeypatch):
+    """The number of runs of compiled programs made so far through the row
+    cache, which starts empty."""
+    made = []
+    run_outcome = suites.run_outcome
+    monkeypatch.setattr(suites, "run_outcome",
+                        lambda *args: made.append(None) or run_outcome(*args))
+    outcome_row.cache_clear()
+    yield lambda: len(made)
+    outcome_row.cache_clear()
 
 
-def test_suite_labels_run_the_base_once_and_each_program_once_per_input():
+def test_suite_labels_run_the_base_once_and_each_program_once_per_input(runs):
     suite = exhaustive()  # x in 0..7; GOOD passes each, BASE none
     wide = Suite(tuple(SP.state({"x": x}) for x in range(10)))  # 8, 9 outside dom(R)
     bad = parse("x = x + 3;", SP)
-    cached_execute.cache_clear()
-    assert _runs(lambda: suite_labels(GOOD, [], SPEC, wide, 100)) == len(suite)
-    assert _runs(lambda: suite_labels(GOOD, [bad], SPEC, wide, 100)) == len(suite)
+    suite_labels(GOOD, [], SPEC, wide, 100)
+    assert runs() == len(wide)  # inputs outside dom(R) take a run too
+    suite_labels(GOOD, [bad], SPEC, wide, 100)
+    assert runs() == 2 * len(wide)
+    assert suite_labels(GOOD, [bad], SPEC, wide, 100) == ["not_more_correct"]
+    assert classify(run_suite(bad, GOOD, SPEC, wide, 100)) == "not_more_correct"
+    assert runs() == 2 * len(wide)  # neither the same batch again nor a report runs
     assert suite_labels(GOOD, [bad, GOOD, HALF], SPEC, suite, 100) == [
         "not_more_correct", "absolutely_correct", "not_more_correct"]
     # against a base that passes nowhere, HALF passes on x in 0..3 only
-    cached_execute.cache_clear()
-    assert _runs(lambda: suite_labels(BASE, [HALF], SPEC, suite, 100)) == 2 * len(suite)
+    before = runs()
     assert suite_labels(BASE, [HALF, BASE], SPEC, suite, 100) == [
         "strictly_more_correct", "as_correct"]
+    assert runs() - before == len(suite)  # BASE's row; HALF's is cached
+
+
+def test_repair_fingerprints_its_kept_children_without_a_run(runs):
+    wide = Suite(tuple(SP.state({"x": x}) for x in range(10)))
+    seeded = parse("x = x - 2;", SP)  # its mutant x = x + 2 is kept, and a solution
+    cfg = RepairConfig(operators=("AORB",), suite=wide, fuel=100, max_depth=1, mode="testing")
+    tree, _ = repair(seeded, SPEC, cfg)
+    assert tree.solutions and len(tree.nodes) > 1
+    programs = {seeded} | {m.program for m in generate(seeded, ("AORB",))}
+    assert runs() == len(wide) * len(programs)
 
 
 def _random_spec(rng, sp):
@@ -158,35 +190,104 @@ def _random_spec(rng, sp):
                          random_predicate(rng, names, primed=True))
 
 
-@pytest.mark.parametrize("mode", ["wide", "exact"])
-def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode):
-    rng = random.Random(1717 if mode == "wide" else 1718)
-    seen, kinds = set(), set()
-    saved = 0
-    for i in range(150):
+def _batches(rng, mode: str, n: int):
+    """`n` random batches (base, mutants, spec, suite, fuel): programs with
+    loops and arrays, mutants of every family, a random spec of either class
+    and a random suite, which may hold inputs outside dom(R).  Each batch's
+    mutants are compiled as a schema, as `classify_mutants` does."""
+    for i in range(n):
         sp = program_space(rng, max_states=30, array=i % 3 == 2)
         base = random_program(rng, sp, unassigned_reads=False, wide=mode == "wide")
         mutants = generate(base, ("AORB", "literal+-1", "index+-1"))
         spec = _random_spec(rng, sp)
         states = list(sp.states())
         suite = Suite(tuple(rng.sample(states, rng.randint(1, len(states)))))
-        fuel = 40
+        compile_schema(base, [m.program for m in mutants], sp, mode)
+        yield base, mutants, spec, suite, rng.choice((0, 3, 40))
+
+
+@pytest.mark.parametrize("mode", ["wide", "exact"])
+def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
+    rng = random.Random(1717 if mode == "wide" else 1718)
+    seen, kinds = set(), set()
+    for base, mutants, spec, suite, fuel in _batches(rng, mode, 150):
         programs = [m.program for m in mutants]
-        cached_execute.cache_clear()
+        outcome_row.cache_clear()
+        before = runs()
         labels = suite_labels(base, programs, spec, suite, fuel, mode)
+        assert runs() - before == len(suite) * len({base, *programs})
         assert labels == [classify(run_suite(p, base, spec, suite, fuel, mode))
                           for p in programs]
-        for p in programs[:5]:
-            cached_execute.cache_clear()
-            suite_labels(base, [], spec, suite, fuel, mode)  # the base's runs
-            kernel = _runs(lambda: suite_labels(base, [p], spec, suite, fuel, mode))
-            cached_execute.cache_clear()
-            suite_labels(base, [], spec, suite, fuel, mode)
-            full = _runs(lambda: run_suite(p, base, spec, suite, fuel, mode))
-            assert kernel <= full
-            saved += full - kernel
+        assert suite_labels(base, programs, spec, suite, fuel, mode) == labels
+        assert runs() - before == len(suite) * len({base, *programs})
         seen.update((type(spec).__name__, label) for label in labels)
         kinds.update(m.site.kind for m in mutants)
-    cached_execute.cache_clear()
-    assert saved > 0 and kinds == {BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX}
+    assert kinds == {BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX}
     assert len(seen) == 8  # every label, for both spec classes
+
+
+def _raw(outcome):
+    return outcome.state.values if isinstance(outcome, FinalState) else outcome
+
+
+def _reference_report(suite, base_passes: list, passes: list) -> SuiteReport:
+    cells = [0, 0, 0, 0]  # n0..n3
+    for b, c in zip(base_passes, passes):
+        cells[0 if b and c else 1 if c else 3 if b else 2] += 1
+    n0, n1, n2, n3 = cells
+    return SuiteReport(dict(suite.selection), n2 == n3 == 0, n3 == 0, n1 > 0, n0, n1, n2, n3)
+
+
+def _twin(spec):
+    """A spec equal to `spec` that shares none of its memoised answers or counts."""
+    if isinstance(spec, PredicateSpec):
+        return PredicateSpec(spec.space, spec.dom_src, spec.rel_src)
+    return spec
+
+
+@pytest.mark.parametrize("mode", ["wide", "exact"])
+def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode, monkeypatch):
+    """Rows against `execute` of each program compiled alone (no schema, no
+    row), and reports and labels against `abs_oracle` on those outcomes;
+    `PredicateSpec.undefined` counts the same on both sides."""
+    rng = random.Random(2121 if mode == "wide" else 2122)
+    covered = in_loops = undefined = 0
+    outcomes, sites, seen = set(), set(), set()
+    for base, mutants, spec, suite, fuel in _batches(rng, mode, 100):
+        programs = [m.program for m in mutants]
+        covered += len(interp._schema_runners)
+        in_loops += sum(m.program not in interp._schema_runners for m in mutants)
+        ref_spec = _twin(spec)
+        outcome_row.cache_clear()
+        labels = suite_labels(base, programs, spec, suite, fuel, mode)
+        rows = {p: outcome_row(p, suite, fuel, mode) for p in [base] + programs}
+
+        monkeypatch.setattr(interp, "_schema_runners", {})
+        compile_program.cache_clear()
+        ref_rows = {p: tuple(_raw(execute(p, s, fuel, mode)) for s in suite.inputs)
+                    for p in rows}
+        assert rows == ref_rows
+        ref_passes = lambda p: [abs_oracle(ref_spec, s, execute(p, s, fuel, mode)).passed
+                                for s in suite.inputs]
+        base_passes = ref_passes(base)
+        assert labels == [classify(_reference_report(suite, base_passes, ref_passes(p)))
+                          for p in programs]
+        if isinstance(spec, PredicateSpec):
+            assert spec.undefined == ref_spec.undefined
+        before = getattr(spec, "undefined", 0)
+        for p in programs:  # a report judges the base again, as the reference does
+            assert run_suite(p, base, spec, suite, fuel, mode) == _reference_report(
+                suite, ref_passes(base), ref_passes(p))
+        if isinstance(spec, PredicateSpec):
+            assert spec.undefined == ref_spec.undefined
+            undefined += spec.undefined - before  # of the relation predicate on outputs
+        outcomes.update(type(out) for row in rows.values() for out in row)
+        sites.update(out.site for row in rows.values() for out in row
+                     if isinstance(out, Undefined))
+        seen.update((type(spec).__name__, label) for label in labels)
+    compile_program.cache_clear()
+    outcome_row.cache_clear()
+    assert covered > 1000 and in_loops > 1000 and undefined > 0
+    assert outcomes == {tuple, NonTermination, Undefined}
+    assert "division by zero" in sites and any("out of bounds" in s for s in sites)
+    assert len(seen) == 8
