@@ -57,10 +57,13 @@ def _load_program(path: str, space):
 
 
 def _load_operand(path: str, spec):
-    """A .imp file is parsed and denoted; anything else is a relation JSON."""
-    if path.endswith(".imp"):
-        return denote(_load_program(path, spec.space), spec.space)
-    return relation_from_json(_load_json(path))
+    """A .imp file is parsed and denoted on the spec's space; anything else
+    is a relation JSON."""
+    if not path.endswith(".imp"):
+        return relation_from_json(_load_json(path))
+    if spec is None:
+        raise RelcorError(f"program operand {path} requires --spec, for its state space")
+    return denote(_load_program(path, spec.space), spec.space)
 
 
 def _emit(doc, path: str | None) -> None:
@@ -75,13 +78,8 @@ def _emit(doc, path: str | None) -> None:
 def cmd_relcheck(args) -> int:
     spec = _load_spec(args.spec) if args.spec else None
     if args.refines:
-        a = _load_operand(args.refines[0], spec) if spec else relation_from_json(
-            _load_json(args.refines[0])
-        )
-        b = _load_operand(args.refines[1], spec) if spec else relation_from_json(
-            _load_json(args.refines[1])
-        )
-        verdict = refines(a, b)
+        verdict = refines(_load_operand(args.refines[0], spec),
+                          _load_operand(args.refines[1], spec))
         query = {"refines": args.refines}
     elif args.correct:
         if spec is None:

@@ -28,8 +28,8 @@ have exhausted its fuel later.
   recurs: a run is deterministic, so a repeated head state means it cycles
   forever.  Exact-mode values stay in finite intervals, so a divergent run
   stops after at most |states in scope| + 1 iterations of its loop however
-  much fuel it has, and `tabulate` over a whole space (which
-  `semantics.denote` uses) stays linear in the space even where the
+  much fuel it has, and running a program on a whole space (as
+  `semantics.denote` does) stays linear in the space even where the
   program diverges everywhere.
 * Wide-mode values keep growing, so a state rarely repeats.  Instead, a
   loop whose guard and body (``Seq``, ``skip`` and scalar assignments
@@ -652,16 +652,3 @@ def execute(p, s: State, fuel: int, mode: str = "exact"):
     out = run_outcome(compile_program(p, s.space, mode), s.values, fuel)
     return FinalState(State(s.space, out)) if type(out) is tuple else out
 
-
-def tabulate(p, space: StateSpace, states, fuel: int) -> set:
-    """The pairs (s, t) of the `states` of `space` on which the exact-mode
-    run of `p` ends in t; states where it is undefined or does not
-    terminate within `fuel` contribute none."""
-    run = compile_program(p, space, "exact")
-    pairs = set()
-    for s in states:
-        try:
-            pairs.add((s, State(space, run(s.values, fuel))))
-        except (*_NO_END, UndefinedEval):
-            pass
-    return pairs

@@ -3,10 +3,10 @@
 `denote(p, space)` is the relation [p] on `space`.  It has two routes:
 
 * Tabulated execution, the usual one: the compiled exact-mode program runs
-  on every state of the space (`interp.tabulate`), and each run that ends
-  gives one pair.  Fuel is `conclusive_fuel`, which no terminating run
-  exhausts, and the interpreter stops a divergent run as soon as a loop-head
-  state repeats, so the outcome of every run is final.
+  on every state of the space, and each run that ends gives one pair.
+  Fuel is `conclusive_fuel`, which no terminating run exhausts, and the
+  interpreter stops a divergent run as soon as a loop-head state repeats,
+  so the outcome of every run is final.
 * Structural recursion, `denote_structural`.  It defines [p] and is the
   tests' reference; `denote` falls back to it for a program whose block
   local may be read before it is assigned, because [p] then quantifies over
@@ -31,15 +31,18 @@ interval) contributes no pair.  Both routes raise the same errors, before
 they build any state: a space or a block's extended space over
 `DEFAULT_CAP` states (`CapacityError`) and a block local without an
 interval (`RelcorError`).
+
+`exact_row` takes the same two routes to give [p] at some states as a row
+of raw outcomes, the form of `suites.outcome_row`.
 """
 
 from __future__ import annotations
 
 from ..errors import RelcorError
-from ..relations import Relation, empty, identity
+from ..relations import Relation, empty, identity, require_deterministic
 from ..space import State, StateSpace
 from . import ast_nodes as A
-from .interp import UndefinedEval, compile_eval, tabulate
+from .interp import NONTERMINATION, UndefinedEval, compile_eval, compile_program, run_outcome
 
 
 def _split_by_guard(cond, space: StateSpace, states):
@@ -126,6 +129,12 @@ def _tabulable(p, space: StateSpace) -> bool:
     return not unset_read
 
 
+def _runs(p, space: StateSpace, states, fuel: int):
+    """(s, the raw outcome of p's exact-mode run on s) for each of `states`."""
+    run = compile_program(p, space, "exact")
+    return ((s, run_outcome(run, s.values, fuel)) for s in states)
+
+
 def denote(p, space: StateSpace) -> Relation:
     """The relation [p] on `space`, by running `p` on every state, or by
     `denote_structural` when a block local may be read before it is
@@ -133,7 +142,22 @@ def denote(p, space: StateSpace) -> Relation:
     space.check_enumerable()
     if not _tabulable(p, space):
         return denote_structural(p, space)
-    return Relation(space, tabulate(p, space, space.states(), conclusive_fuel(p, space)))
+    runs = _runs(p, space, space.states(), conclusive_fuel(p, space))
+    return Relation(space, {(s, State(space, t)) for s, t in runs if type(t) is tuple})
+
+
+def exact_row(p, space: StateSpace, states, fuel: int) -> tuple:
+    """The outcome of `p` at each of `states` of `space`, in order: its
+    exact-mode run at `fuel` (`interp.run_outcome`) when one run per state
+    defines [p], and otherwise its image under [p], the final values or
+    NONTERMINATION outside dom([p]).  Raises NonDeterministicError when [p]
+    is not a function."""
+    if _tabulable(p, space):
+        return tuple([out for _, out in _runs(p, space, states, fuel)])
+    rel = denote_structural(p, space)
+    require_deterministic(rel, "an exact row")
+    image = {s: t.values for s, t in rel.pairs}
+    return tuple([image.get(s, NONTERMINATION) for s in states])
 
 
 def denote_structural(p, space: StateSpace) -> Relation:

@@ -26,8 +26,7 @@ from .lang.ast_nodes import (
     replace_nodes,
     to_source,
 )
-from .lang.interp import FinalState, execute
-from .lang.semantics import conclusive_fuel
+from .lang.interp import FinalState
 from .suites import cached_execute
 
 BINARY_ARITH = "binary-arith-op"
@@ -173,27 +172,17 @@ def outcome_digest(outcomes) -> str:
     return h.hexdigest()
 
 
-def semantic_fingerprint(p: Node, probe, fuel: int, mode: str = "wide") -> str:
-    """Digest of the program's behavior on the probe inputs (`outcome_digest`).
+def semantic_fingerprint(p: Node, probe, fuel: int) -> str:
+    """Digest of the program's wide-mode behavior on the probe inputs
+    (`outcome_digest`), run through `suites.cached_execute`.
 
     Equal digests flag behavioral-identity candidates (e.g. mutants that
-    regenerate each other); confirm with exact denotations when the space
-    permits.  Wide (testing) mode runs through `suites.cached_execute`;
-    `repair` fingerprints testing-mode programs on the suite by digesting
-    their `suites.outcome_row` instead, which gives the same bytes.  Exact
-    mode runs `execute` directly so as not to fill that cache with a whole
-    state space.  Exact mode ignores `fuel` and runs with `conclusive_fuel`,
-    so that its digest is that of [p] on the probe: two programs that
-    differ only on runs longer than `fuel` stay apart.
+    regenerate each other).  `repair` digests the rows its verdicts read
+    instead (`suites.outcome_row`), which gives the same bytes for testing
+    mode, and in exact mode the digest of [p] over the whole space.
     """
-    run = cached_execute if mode == "wide" else execute
-    if mode == "exact":
-        probe = tuple(probe)
-        if probe:
-            fuel = conclusive_fuel(p, probe[0].space)
-    outcomes = (run(p, s, fuel, mode) for s in probe)
     return outcome_digest(out.state.values if isinstance(out, FinalState) else out
-                          for out in outcomes)
+                          for out in (cached_execute(p, s, fuel, "wide") for s in probe))
 
 
 def mutant_manifest(p: Node, mutants: list) -> dict:

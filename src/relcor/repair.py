@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from .errors import RelcorError
 from .lang.ast_nodes import Node, to_source
 from .lang.interp import compile_schema
-from .lang.semantics import denote
-from .mutate import apply_patch, generate, outcome_digest, semantic_fingerprint
-from .relations import competence_domain, is_correct, require_deterministic, space_to_json
+from .lang.semantics import conclusive_fuel, denote
+from .mutate import apply_patch, generate, outcome_digest
+from .relations import competence_domain, space_to_json
 from .space import StateSpace
 from .specs import Spec
-from .suites import TestSuite, label_of, outcome_row, suite_labels
+from .suites import TestSuite, outcome_row, suite_labels
 
 
 @dataclass(frozen=True)
@@ -61,76 +61,61 @@ class FaultMetrics:
     fault_depth_ub: int | None  # None when no solution was found
 
 
+def _verdict_rows(base: Node, spec: Spec, suite: TestSuite | None, mode: str,
+                  fuel: int) -> tuple:
+    """The (suite, fuel, run mode) whose rows give every verdict on `base`
+    and its mutants: the suite in wide mode for testing, and every state of
+    the space at `conclusive_fuel(base)` in exact mode for exact.  A
+    mutation changes no loop or block, so that fuel is conclusive for every
+    descendant of `base` too."""
+    if mode == "testing":
+        if suite is None:
+            raise RelcorError("testing mode requires a suite")
+        return suite, fuel, "wide"
+    if mode == "exact":
+        space = spec.space
+        return TestSuite(tuple(space.states())), conclusive_fuel(base, space), "exact"
+    raise ValueError(f"unknown classification mode {mode!r}")
+
+
 def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
                      mode: str = "testing", fuel: int = 10**4) -> list:
     """Per-mutant classification against `base`.
 
-    Returns [(mutant, classification, None), ...].  Testing mode labels
-    the batch on the suite with `suites.suite_labels`, which runs the base
-    once and each mutant once per in-domain input; exact mode compares
-    competence domains of the full denotations (ground truth on finite
-    spaces), taken from the spec by membership: the base's once per batch
-    and each mutant's once.  Both compile the batch once, as a mutant schema
-    (`interp.compile_schema`).
+    Returns [(mutant, classification, None), ...].  Both modes label the
+    batch with `suites.suite_labels`, which reads the base's row once and
+    each mutant's row once.  Testing mode runs the suite at `fuel`.  Exact
+    mode runs every state of the space at `conclusive_fuel`, so that a row
+    is [p] (`semantics.exact_row`) and the labels compare competence
+    domains: the ground truth on finite spaces.  The batch compiles once,
+    as a mutant schema (`interp.compile_schema`).
     """
-    if mode not in ("testing", "exact"):
-        raise ValueError(f"unknown classification mode {mode!r}")
-    if mode == "testing" and suite is None:
-        raise RelcorError("testing mode requires a suite")
+    suite, fuel, run_mode = _verdict_rows(base, spec, suite, mode, fuel)
     programs = [m.program for m in mutants]
-    compile_schema(base, programs, spec.space, "wide" if mode == "testing" else "exact")
-    if mode == "testing":
-        labels = suite_labels(base, programs, spec, suite, fuel)
-        return [(m, label, None) for m, label in zip(mutants, labels)]
-    results = []
-    space = spec.space
-    p = denote(base, space)
-    require_deterministic(p, "classify_mutants's base")
-    cd_p = competence_domain(spec, p, warn_nondeterministic=False).members
-    dom = spec.domain().members
-    for m in mutants:
-        pm = denote(m.program, space)
-        require_deterministic(pm, "classify_mutants's mutant")
-        cd_m = competence_domain(spec, pm, warn_nondeterministic=False).members
-        strictly = cd_m > cd_p  # so that the subset test `>=` runs only when needed
-        results.append((m, label_of(cd_m == dom, strictly or cd_m >= cd_p, strictly), None))
-    return results
-
-
-def _is_solution(program: Node, spec: Spec, cfg: RepairConfig) -> bool:
-    """Exact mode: `program` is correct.  Testing mode: its row passes the
-    oracle at every in-domain suite input."""
-    if cfg.mode == "exact":
-        return is_correct(denote(program, spec.space), spec)
-    row = outcome_row(program, cfg.suite, cfg.fuel, "wide")
-    return all(spec.oracle_at(s)(out)
-               for s, out in zip(cfg.suite.inputs, row) if spec.in_dom(s))
-
-
-def _fingerprinter(spec: Spec, cfg: RepairConfig):
-    """The program fingerprint of a repair: in testing mode the digest of
-    the program's row on the suite, which labelling the program has already
-    made; in exact mode `semantic_fingerprint` over the whole space."""
-    if cfg.mode == "testing":
-        return lambda prog: outcome_digest(outcome_row(prog, cfg.suite, cfg.fuel, "wide"))
-    probe = tuple(spec.space.states())
-    return lambda prog: semantic_fingerprint(prog, probe, cfg.fuel, "exact")
+    compile_schema(base, programs, spec.space, run_mode)
+    labels = suite_labels(base, programs, spec, suite, fuel, run_mode)
+    return [(m, label, None) for m, label in zip(mutants, labels)]
 
 
 def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
     """Breadth-first stepwise repair; returns (RepairTree, FaultMetrics)."""
     if cfg.max_depth < 1:
         raise RelcorError("max_depth must be >= 1")
-    fp = _fingerprinter(spec, cfg)
+    suite, fuel, run_mode = _verdict_rows(base, spec, cfg.suite, cfg.mode, cfg.fuel)
 
+    def fp(program: Node) -> str:  # a kept child's row: cached in testing mode, run again in exact
+        return outcome_digest(outcome_row(program, suite, fuel, run_mode))
+
+    base_row = outcome_row(base, suite, fuel, run_mode)
     root = RepairNode(
         label="base",
         program=base,
         parent=None,
         classification=None,
-        fingerprint=fp(base),
+        fingerprint=outcome_digest(base_row),
         depth=0,
-        solution=_is_solution(base, spec, cfg),
+        solution=all(spec.oracle_at(s)(out)
+                     for s, out in zip(suite.inputs, base_row) if spec.in_dom(s)),
     )
     tree = RepairTree(root="base", nodes={"base": root}, edges=[])
     if root.solution:

@@ -8,9 +8,9 @@ output variables.  A predicate is a `cond` of the program language
 primed name (``x'``, ``a'[i]``) reads the output.  Predicates compile
 through the interpreter's emitter (`interp.compile_eval`), as programs do.
 
-Both spec classes answer the questions exact mode asks through the same two
-methods that `relcor.relations.Relation` has, so `is_correct` and
-`more_correct` take a spec directly:
+Both spec classes answer the questions of the relation-level checks
+through the same two methods that `relcor.relations.Relation` has, so
+`is_correct` and `more_correct` take a spec directly:
 
 * ``competence_domain(p)`` is dom(R & P) = {s | (s, t) in P and (s, t) in R}:
   one ``membership`` check per pair of the program relation, O(|P|), for
@@ -18,9 +18,8 @@ methods that `relcor.relations.Relation` has, so `is_correct` and
 * ``domain()`` is dom(R).  For an enumerated spec it is the relation's domain,
   computed when the spec is built.  For a predicate spec it is the set of
   states where the domain predicate holds and some output satisfies the
-  relation predicate; the first call finds one witness output per state,
-  stopping at the first, and the result is kept for the life of the spec.
-  That costs at most |S| evaluations per state and usually far fewer.
+  relation predicate, built on the first call from ``in_dom``'s answers
+  (below) and kept for the life of the spec.
 
 Neither method enumerates the spec's |S|^2 pairs; ``enumerate`` still
 builds the full relation for callers that need its pairs.  A predicate
@@ -28,14 +27,16 @@ that is undefined at a state (a division by zero, an index out of bounds)
 counts as false there; the spec counts such evaluations in ``undefined``
 and logs a warning the first time only.
 
-``in_dom(s)``, which the testing-mode oracle and test selection use, is
+``in_dom(s)``, which the verdicts of both modes and test selection use, is
 s in dom(R).  On a space that `StateSpace.check_enumerable` accepts it
-searches for a witness output the same way, once per state (the answers
-are kept), so exact and testing verdicts agree.  On a larger space (the
-Fermat study's has 10^27 states) it reads the domain predicate alone, and
-the spec's author must make sure that the predicate implies a witness.
+searches for a witness output, stopping at the first, once per state (the
+answers are kept, and ``domain()`` reads them too), so exact and testing
+verdicts agree.  That costs at most |S| evaluations per state and usually
+far fewer.  On a larger space (the Fermat study's has 10^27 states) it
+reads the domain predicate alone, and the spec's author must make sure
+that the predicate implies a witness.
 
-``oracle_at(s)`` is the testing-mode oracle at an input s in dom(R), as a
+``oracle_at(s)`` is the oracle of both modes at an input s in dom(R), as a
 test of a raw outcome (a final values tuple, ``NONTERMINATION`` or an
 ``Undefined``), which is what `suites.outcome_row` holds.  An enumerated
 spec tests membership in the image of s, a set of value tuples; the images
@@ -126,14 +127,12 @@ class PredicateSpec:
         except UndefinedEval as e:  # partial predicate: undefined counts as outside
             return self._count_undefined(s, e)
 
-    def _has_witness(self, s: State, states) -> bool:
-        return self._dom_holds(s) and any(self._related(s, t) for t in states)
-
     def in_dom(self, s: State) -> bool:
         if self._witnessed is None:
             return self._dom_holds(s)
         if s not in self._witnessed:
-            self._witnessed[s] = self._has_witness(s, self.space.states())
+            self._witnessed[s] = self._dom_holds(s) and any(
+                self._related(s, t) for t in self.space.states())
         return self._witnessed[s]
 
     def _related(self, s: State, t: State) -> bool:
@@ -161,10 +160,8 @@ class PredicateSpec:
 
     def domain(self) -> StateSet:
         if self._domain is None:
-            states = list(self.space.states())
             self._domain = StateSet(self.space, frozenset(
-                s for s in states if self._has_witness(s, states)
-            ))
+                s for s in self.space.states() if self.in_dom(s)))
         return self._domain
 
     def competence_domain(self, p: Relation) -> StateSet:

@@ -5,12 +5,11 @@ domain, fuel 10^4.
 
 from __future__ import annotations
 
-from ..lang.interp import FinalState
 from ..lang.parser import parse
 from ..mutate import generate
 from ..repair import RepairConfig, classify_mutants, repair, tree_to_dot, tree_to_json
 from ..specs import spec_from_json
-from ..suites import TestSuite, cached_execute, run_suite
+from ..suites import TestSuite, outcome_row, run_suite
 from . import load_fixture_json, load_fixture_text
 
 FUEL = 10**4
@@ -61,10 +60,8 @@ def run() -> dict:
     agrees = None
     if tree.solutions:
         solution = tree.nodes[min(tree.solutions, key=lambda l: tree.nodes[l].depth)]
-        agrees = all(
-            _final_values(solution.program, s) == _final_values(correct, s)
-            for s in suite.inputs
-        )
+        agrees = (outcome_row(solution.program, suite, FUEL, "wide")
+                  == outcome_row(correct, suite, FUEL, "wide"))
     return {
         "suite_size": len(suite),
         "mutant_count": len(mutants),
@@ -84,11 +81,6 @@ def run() -> dict:
         "tree": tree_to_json(tree, spec.space),
         "dot": tree_to_dot(tree),
     }
-
-
-def _final_values(program, s):
-    out = cached_execute(program, s, FUEL, "wide")
-    return out.state.values if isinstance(out, FinalState) else out
 
 
 def check(report: dict) -> list:

@@ -14,15 +14,24 @@ The coverage cells are n0 (both pass), n1 (base fails, candidate passes),
 n2 (both fail) and n3 (base passes, candidate fails); relcor over the
 whole suite is exactly n3 == 0.
 
-Every testing-mode verdict is folded from rows.  `outcome_row(program,
+Every verdict of both modes is folded from rows.  `outcome_row(program,
 suite, fuel, mode)` is the tuple of the program's raw outcomes on the
 suite's inputs, in order: the final values tuple where the run ends,
 `NONTERMINATION` where it does not, `Undefined(site)` where it is
-undefined.  It compiles the program once and runs it once per input, and
-it is lru-cached with one entry per program and suite, so a program's
-runs are made once however many verdicts and fingerprints read them.  The
-suite hashes its inputs once (`space.hash_once`), which keeps the key
-cheap.  A row covers every input, also those outside dom(R); test
+undefined.  A wide row compiles the program once and runs it once per
+input.  An exact row is `semantics.exact_row`: the same runs when one run
+per state defines [p], and otherwise [p]'s image of each input, so that a
+block local read before it is assigned ranges over all its values.  Exact
+mode (`repair.classify_mutants`) is testing over every state of the space
+at `conclusive_fuel`, which no terminating run exhausts, so its verdicts
+are those of the competence domains.
+
+Wide rows are lru-cached with one entry per program and suite, so a
+program's runs are made once however many verdicts and fingerprints read
+them; the suite hashes its inputs once (`space.hash_once`), which keeps the
+key cheap.  Exact rows are not cached, because each may span a whole space
+of up to `DEFAULT_CAP` states; `outcome_row` is the one place that tells
+them apart.  A row covers every input, also those outside dom(R); test
 selection puts none there except from a file.
 
 `run_suite` builds the full n0-n3 report of one candidate from its row and
@@ -50,7 +59,7 @@ from functools import lru_cache
 from .errors import EmptySuiteError, RelcorError
 from .lang.ast_nodes import ArrayRead, Var, preorder
 from .lang.interp import compile_program, execute, run_outcome
-from .lang.semantics import denote
+from .lang.semantics import denote, exact_row
 from .relations import competence_domain
 from .space import ArrayDomain, State, StateSpace, hash_once
 from .specs import PredicateSpec, Spec
@@ -198,13 +207,22 @@ def cached_execute(program, s: State, fuel: int, mode: str):
 
 
 @lru_cache(maxsize=4096)
-def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
-    """The raw outcome of `program` on each suite input, in order (see the
-    module docstring): one compile, then one run per input."""
-    if not suite.inputs:
-        return ()
+def _wide_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
     run = compile_program(program, suite.inputs[0].space, mode)
     return tuple([run_outcome(run, s.values, fuel) for s in suite.inputs])
+
+
+def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
+    """The raw outcome of `program` on each suite input, in order, cached in
+    wide mode only (see the module docstring)."""
+    if not suite.inputs:
+        return ()
+    if mode == "exact":
+        return exact_row(program, suite.inputs[0].space, suite.inputs, fuel)
+    return _wide_row(program, suite, fuel, mode)
+
+
+outcome_row.cache_clear = _wide_row.cache_clear
 
 
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,

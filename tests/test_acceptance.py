@@ -21,12 +21,12 @@ from randgen import (
     small_space,
 )
 from relcor import suites
-from relcor.errors import CapacityError
+from relcor.errors import CapacityError, NonDeterministicError
 from relcor.lang.ast_nodes import (
     Abort, Assign, Block, If, IfElse, Seq, Skip, While, preorder, replace_nodes,
 )
 from relcor.lang.interp import FinalState, NonTermination, execute
-from relcor.lang.semantics import conclusive_fuel, denote, denote_structural
+from relcor.lang.semantics import _tabulable, conclusive_fuel, denote, denote_structural
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
 from relcor.repair import RepairConfig, classify_mutants, repair, tree_to_json
@@ -150,7 +150,7 @@ def _fingerprints_are_semantic_fingerprints(base, spec, suite, operators) -> Non
     assert suites.cached_execute.cache_info()[:2] == calls[:2]  # hits, misses
     assert len(tree.nodes) > 2 and tree.solutions
     for node in tree.nodes.values():
-        assert node.fingerprint == semantic_fingerprint(node.program, suite.inputs, cfg.fuel, "wide")
+        assert node.fingerprint == semantic_fingerprint(node.program, suite.inputs, cfg.fuel)
         outcomes = [execute(node.program, s, cfg.fuel, "wide") for s in suite.inputs]
         text = "".join((repr(out.state.values) if isinstance(out, FinalState)
                         else type(out).__name__) + "|" for out in outcomes)
@@ -383,10 +383,13 @@ def _enumerated_label(mut_fn, base_fn, r):
 
 
 def _spec_domains_agree_with_the_enumerated_spec(n):
+    """Exact labels against the set algebra of the enumerated spec, also for
+    bases that may read a block local before assigning it; where [p] of the
+    base or of a mutant is then no function, exact mode raises."""
     rng = random.Random(707)
-    partial_domains = labels = 0
+    partial_domains = labels = structural = nondeterministic = 0
     seen = set()
-    while labels < n:
+    while labels < n or structural < n // 20 or nondeterministic < n // 40:
         sp = program_space(rng, max_states=40)
         if rng.random() < 0.5:
             spec = EnumeratedSpec(random_relation(rng, sp))
@@ -397,7 +400,7 @@ def _spec_domains_agree_with_the_enumerated_spec(n):
         r = spec.enumerate()
         assert spec.domain() == r.domain()
         partial_domains += 0 < len(r.domain()) < sp.num_states
-        base = random_program(rng, sp, unassigned_reads=False)
+        base = random_program(rng, sp, unassigned_reads=True)
         base_fn = denote(base, sp)
         # a random relation stands in for a nondeterministic program
         for p in (base_fn, random_relation(rng, sp)):
@@ -406,8 +409,16 @@ def _spec_domains_agree_with_the_enumerated_spec(n):
             assert competence_domain(r, p, warn_nondeterministic=False).members == meet
         mutants = generate(base, ("AORB", "literal+-1"))
         sample = rng.sample(mutants, min(3, len(mutants)))
-        for m, label, _ in classify_mutants(base, sample, spec, None, mode="exact"):
-            assert label == _enumerated_label(denote(m.program, sp), base_fn, r)
+        fns = [denote(m.program, sp) for m in sample]
+        if not all(fn.is_deterministic() for fn in [base_fn, *fns]):
+            with pytest.raises(NonDeterministicError):
+                classify_mutants(base, sample, spec, None, mode="exact")
+            nondeterministic += 1
+            continue
+        structural += bool(sample) and not _tabulable(base, sp)
+        classified = classify_mutants(base, sample, spec, None, mode="exact")
+        for (_, label, _), fn in zip(classified, fns):
+            assert label == _enumerated_label(fn, base_fn, r)
             seen.add(label)
             labels += 1
     assert partial_domains > 0

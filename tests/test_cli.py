@@ -61,6 +61,15 @@ def test_relcheck_refines_relation_files(tiny, capsys):
     assert code == 0 and json.loads(out)["result"] is True
 
 
+def test_relcheck_refines_programs_only_with_a_spec(tiny, capsys):
+    code, out = run(capsys, "relcheck", "--spec", tiny["spec"],
+                    "--refines", tiny["good"], tiny["good"], "--assert")
+    assert code == 0 and json.loads(out)["result"] is True
+    assert main(["relcheck", "--refines", tiny["good"], tiny["prog"]]) == 2
+    err = capsys.readouterr().err
+    assert "RelcorError" in err and "--spec" in err and "JSONDecodeError" not in err
+
+
 def test_malformed_spec_exits_2(tiny, capsys):
     bad = tiny["dir"] / "bad.json"
     for text in ("{not json", '{"type": "predicate", "dom": "true"}', "[1, 2]",

@@ -19,7 +19,6 @@ from relcor.lang.interp import (
     execute,
 )
 from relcor.lang.parser import parse
-from relcor.lang.semantics import conclusive_fuel
 from relcor.mutate import (
     ARRAY_INDEX,
     BINARY_ARITH,
@@ -33,7 +32,7 @@ from relcor.mutate import (
     semantic_fingerprint,
     sites,
 )
-from relcor.repair import classify_mutants
+from relcor.repair import RepairConfig, classify_mutants, repair
 from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import PredicateSpec
 from relcor.suites import TestSuite as Suite
@@ -135,15 +134,14 @@ def test_fingerprint_separates_behaviors():
 
 
 def test_exact_fingerprints_see_runs_longer_than_the_fuel():
-    sp = StateSpace((("x", Interval(0, 20000)),))
-    down = parse("while (x > 0) { x = x - 1; }", sp)
-    probe = (sp.state({"x": 20000}),)
-    assert execute(down, probe[0], 10**4, "exact") == NONTERMINATION
-    assert execute(down, probe[0], conclusive_fuel(down, sp), "exact") == FinalState(
-        sp.state({"x": 0}))
-    fp = lambda source: semantic_fingerprint(parse(source, sp), probe, 10**4, "exact")
-    assert fp("while (x > 0) { x = x - 1; }") == fp("x = 0;")
-    assert fp("while (x > 0) { x = x - 1; }") != fp("while (x > 0) { x = x - 1; } x = 5;")
+    sp = StateSpace((("x", Interval(0, 10)),))
+    spec = PredicateSpec(sp, "true", "x' == 0")
+    cfg = RepairConfig(operators=("AORB",), fuel=3, max_depth=1, mode="exact")
+    down = "while (x > 0) { x = x - 1; }"
+    assert execute(parse(down, sp), sp.state({"x": 10}), cfg.fuel, "exact") == NONTERMINATION
+    fp = lambda source: repair(parse(source, sp), spec, cfg)[0].nodes["base"].fingerprint
+    assert fp(down) == fp("x = 0;")
+    assert fp(down) != fp(down + " x = 5;")
 
 
 def test_manifest_lists_every_mutant():

@@ -137,3 +137,19 @@ def test_dot_export_mentions_every_node():
     assert dot.startswith("digraph")
     for label in tree.nodes:
         assert f'"{label}"' in dot
+
+
+def test_exact_repair_reads_an_unassigned_local_over_all_its_values():
+    # t is read before it is assigned, so [p] takes both of its values: t = 1
+    # gives x + 1, and t = 0 runs forever.  A run that starts t at 0 alone
+    # runs forever everywhere, for the base and for its correct mutant 3
+    # (x = x + 2) alike.
+    sp = StateSpace((("x", Interval(0, 5)),))
+    spec = PredicateSpec(sp, "x <= 3", "x' == x + 2")
+    base = parse("int t : 0..1; while (t == 0) { skip; } x = x + 1;", sp)
+    cfg = RepairConfig(operators=("literal+-1",), mode="exact")
+    tree, metrics = repair(base, spec, cfg)
+    assert tree.nodes["base.3"].program == parse(
+        "int t : 0..1; while (t == 0) { skip; } x = x + 2;", sp)
+    assert tree.solutions == ["base.3"] and metrics.fault_depth_ub == 1
+    assert tree.nodes["base.3"].fingerprint != tree.nodes["base"].fingerprint

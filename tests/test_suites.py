@@ -4,7 +4,7 @@ import pytest
 from randgen import program_space, random_predicate, random_program, random_relation
 from relcor import suites
 from relcor.errors import EmptySuiteError
-from relcor.lang import interp
+from relcor.lang import interp, semantics
 from relcor.lang.interp import (
     FinalState,
     NonTermination,
@@ -141,12 +141,13 @@ def test_report_bytes_are_deterministic():
 
 @pytest.fixture
 def runs(monkeypatch):
-    """The number of runs of compiled programs made so far through the row
-    cache, which starts empty."""
+    """The number of runs of compiled programs made so far for rows, wide
+    (whose cache starts empty) and exact."""
     made = []
     run_outcome = suites.run_outcome
-    monkeypatch.setattr(suites, "run_outcome",
-                        lambda *args: made.append(None) or run_outcome(*args))
+    for module in (suites, semantics):
+        monkeypatch.setattr(module, "run_outcome",
+                            lambda *args: made.append(None) or run_outcome(*args))
     outcome_row.cache_clear()
     yield lambda: len(made)
     outcome_row.cache_clear()
@@ -213,13 +214,19 @@ def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
     for base, mutants, spec, suite, fuel in _batches(rng, mode, 150):
         programs = [m.program for m in mutants]
         outcome_row.cache_clear()
+        # a wide row runs once per program; an exact row is not cached, so
+        # it runs on every read
+        batch = len(suite) * (len({base, *programs}) if mode == "wide" else 1 + len(programs))
         before = runs()
         labels = suite_labels(base, programs, spec, suite, fuel, mode)
-        assert runs() - before == len(suite) * len({base, *programs})
+        assert runs() - before == batch
         assert labels == [classify(run_suite(p, base, spec, suite, fuel, mode))
                           for p in programs]
         assert suite_labels(base, programs, spec, suite, fuel, mode) == labels
-        assert runs() - before == len(suite) * len({base, *programs})
+        if mode == "wide":
+            assert runs() - before == batch
+        else:  # each report reads the base's row and the program's
+            assert runs() - before == 2 * batch + 2 * len(suite) * len(programs)
         seen.update((type(spec).__name__, label) for label in labels)
         kinds.update(m.site.kind for m in mutants)
     assert kinds == {BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX}
