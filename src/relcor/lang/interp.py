@@ -1,9 +1,8 @@
 """Fuel-bounded interpreter for the toy language.
 
-Programs are compiled to Python source (one function per program, or one
-per batch of mutants; see below) and exec'd; the compiled form is cached
-per (program, space, mode).  Two
-evaluation modes exist:
+Programs are compiled to Python source (one function per program, or a
+few per batch of mutants; see below) and exec'd; the compiled form is
+cached per (program, space, mode).  Two evaluation modes exist:
 
 * ``exact`` — values are confined to the declared intervals; an assignment
   whose value leaves the target's domain makes the state undefined.  This
@@ -44,26 +43,46 @@ have exhausted its fuel later.
   (no array access, no divisor that can be zero), so ``Undefined`` was not
   possible either.  Check points are global to a run: when its consumed
   fuel reaches 8 and each time it has doubled since, in whichever such loop
-  is running, so a run makes about log2(fuel) checks.  A program without
-  such a loop compiles exactly as it would without the check.
+  is running, so a run makes about log2(fuel) checks (a schema counts them
+  per step and per suffix; see below).  A program without such a loop
+  compiles exactly as it would without the check.
 
 A batch of single-site mutants of one base compiles once, as a mutant
 schema (Untch, Offutt and Harrold, "Mutation analysis using mutant
-schemata", ISSTA 1993; `compile_schema`).  The schema is the base, emitted
-once, taking a mutant index `_m` besides the values and the fuel.  Each
-statement whose own expressions (an assignment's, or an `if`'s guard) hold
-the change of some mutants gets a dispatch: `if not lo <= _m <= hi:` runs
-the base statement, and one branch per mutant runs that statement as it
-appears in the mutant's own tree.  The mutants are found by identity, as
+schemata", ISSTA 1993; `compile_schema`), split at the base's cuts: the
+statements of its outermost `Seq` chain, in order.  Cuts do not descend
+into a `Block`, so a run's state at a cut is its values tuple, with no
+block local in it, and a block-wrapped program is a single cut.  Each cut,
+up to the last one that a covered mutant changes, compiles to a step,
+`_step<c>(_m, values, fuel) -> (values, fuel)`: the cut's statement with a
+dispatch on a mutant index `_m`.  Each statement within it whose own
+expressions (an assignment's, or an `if`'s guard) hold the change of some
+mutants gets `if not lo <= _m <= hi:`, which runs the base statement, and
+one branch per mutant, which runs that statement as it appears in the
+mutant's own tree.  The base is `_m = 0`.  One more function,
+the suffix `_run(c, values, fuel) -> values`, runs the base from cut c to
+the end, with no dispatch.  The mutants are found by identity, as
 `replace_nodes` shares every subtree off the changed spine: the emitter
-follows each one down `Seq`, block and `if` bodies to the innermost
-statement holding its change.  A mutant is then `partial(schema, k)`, and
-`compile_program` returns that runner instead of compiling it.  Nothing in
-a `while`, guard or body, gets a dispatch, so no loop pays for a selector
-on every iteration; mutants changed there compile on their own.  The
-dispatch nests the code one level deeper, and a schema that Python refuses
-as nested too deeply is dropped, so that each mutant compiles on its own,
-as it would without schemata.
+follows each one down the `Seq` chain to its cut, and on down block and
+`if` bodies to the innermost statement holding its change.  Nothing in a
+`while`, guard or body, gets a dispatch, so no loop pays for a selector on
+every iteration; mutants changed there compile on their own, and the
+others are covered.  Each step, and the suffix, schedules its loops' check
+points from its own entry, as a run does from its start; no check point
+changes an outcome, so neither does where one falls.
+
+A covered mutant changed at cut c matches its base everywhere else, so its
+run is the base's steps before c, its own step at c, then the base's
+suffix from c + 1.  That is the runner `compile_program` returns for it,
+and `partial(suffix, 0)` is the base's; both come from the one compiled
+schema.  The batch kernel (`suites`) shares more: it runs the base once per
+input, keeping its state at each cut, starts each mutant's step from
+there, and looks the rest up by state (split-stream execution; Just,
+Ernst and Fraser, "Efficient mutation analysis by propagating and
+partitioning infected execution states", ISSTA 2014).  The dispatch nests
+the code one level deeper, and so does the suffix's test of c; a schema
+that Python refuses as nested too deeply is dropped, so that each mutant
+compiles on its own, as it would without schemata.
 
 The same emitter compiles single expressions and conditions
 (`compile_eval`), for the guards and assigned values of the structural
@@ -557,17 +576,18 @@ def _define(em: _Emitter, name: str):
     return namespace[name]
 
 
-def _emit_run(em: _Emitter, params: str, body) -> None:
-    """Emit `def _run(<params>_values, fuel)`, which runs the statements that
-    `body()` emits at depth 1 and returns the values they leave."""
+def _emit_def(em: _Emitter, head: str, body, returns: str = "") -> None:
+    """Emit `def <head>_values, fuel)`, which runs the statements that
+    `body()` emits at depth 1 and returns the values they leave, followed by
+    `returns`."""
     names = [_V + n for n in em.space.names]
-    em.emit(0, f"def _run({params}_values, fuel):")
+    em.emit(0, f"def {head}_values, fuel):")
     _unpack(em, "_values", names)
-    prologue = len(em.lines)
+    prologue, checks = len(em.lines), len(em.recurrences)
     body()
-    if em.recurrences:  # the fuel at the run's next check point
+    if len(em.recurrences) > checks:  # the fuel at the function's next check point
         em.lines[prologue:prologue] = ["    _fuel0 = fuel", f"    _chk = fuel - {_CHECK_FROM}"]
-    em.emit(1, f"return {_tuple(names)}")
+    em.emit(1, f"return {_tuple(names)}{returns}")
 
 
 def _check_mode(mode: str) -> None:
@@ -575,8 +595,34 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-#: the runners of the latest schema, by (program, space, mode); see compile_schema
-_schema_runners: dict = {}
+class Schema:
+    """A mutant schema split at the cuts of its base (see the module
+    docstring).  Not a dataclass, whose generated methods would cost every
+    import of this module about half a millisecond."""
+
+    def __init__(self, base, space: StateSpace, mode: str, steps: tuple, suffix,
+                 sites: dict, runners: dict):
+        self.base, self.space, self.mode = base, space, mode
+        #: per cut up to the last covered mutant's, f(_m, values, fuel) ->
+        #: (values, fuel): the cut's statement as mutant _m has it, the
+        #: base's for _m = 0
+        self.steps = steps
+        #: f(c, values, fuel) -> values: the base from cut c to the end
+        self.suffix = suffix
+        #: each covered mutant -> (its cut, its index _m)
+        self.sites = sites
+        #: the base and each covered mutant -> its runner, as compile_program returns it
+        self.runners = runners
+
+
+#: the latest schema; see compile_schema
+_schema: Schema | None = None
+
+
+def latest_schema(base, space: StateSpace, mode: str) -> Schema | None:
+    """The latest schema if `base` on `space` in `mode` is its base, else None."""
+    s = _schema
+    return s if s is not None and (s.space, s.mode, s.base) == (space, mode, base) else None
 
 
 @lru_cache(maxsize=4096)
@@ -585,38 +631,86 @@ def compile_program(p, space: StateSpace, mode: str = "exact"):
     A program of the latest schema is not compiled again: its runner is
     returned."""
     _check_mode(mode)
-    run = _schema_runners.get((p, space, mode))
-    if run is not None:
-        return run
+    if _schema is not None and (_schema.space, _schema.mode) == (space, mode):
+        run = _schema.runners.get(p)
+        if run is not None:
+            return run
     em = _Emitter(space, mode == "exact")
-    _emit_run(em, "", lambda: em.stmt(p, 1))
+    _emit_def(em, "_run(", partial(em.stmt, p, 1))
     return _define(em, "_run")
 
 
+def _cuts(s, mutants, out: list) -> list:
+    """Append to `out` the cuts of statement `s`, the statements of its
+    outermost `Seq` chain in order, each paired with those of `mutants`
+    (pairs of a mutant program and its node in the place of `s`) that
+    differ from `s` within that cut alone, each with its node there."""
+    if not isinstance(s, Seq):
+        out.append((s, mutants))
+        return out
+    first, second = [], []
+    for p, m in mutants:  # by identity, as in `_difference`
+        if type(m) is Seq and m.second is s.second and m.first is not s.first:
+            first.append((p, m.first))
+        elif type(m) is Seq and m.first is s.first and m.second is not s.second:
+            second.append((p, m.second))
+    _cuts(s.first, first, out)
+    return _cuts(s.second, second, out)
+
+
+def _emit_suffix(em: _Emitter, cuts: list) -> None:
+    for c, (s, _) in enumerate(cuts):
+        em.emit(1, f"if _c <= {c}:")
+        em.stmt(s, 2)
+
+
+def _split_run(steps: tuple, suffix, cut: int, m: int, values: tuple, fuel: int) -> tuple:
+    """Run mutant `m` of a schema, changed at `cut`: the base's steps before
+    that cut, the mutant's own step at it, then the base's suffix."""
+    for step in steps[:cut]:
+        values, fuel = step(0, values, fuel)
+    values, fuel = steps[cut](m, values, fuel)
+    return suffix(cut + 1, values, fuel)
+
+
 def compile_schema(base, mutants, space: StateSpace, mode: str = "exact") -> dict:
-    """Compile `base` and its single-site `mutants` once, as a mutant schema.
+    """Compile `base` and its single-site `mutants` once, as a mutant schema
+    split at the cuts of `base` (see the module docstring).
 
     Each mutant must be built from `base` by `replace_nodes`.  Those whose
-    change lies outside every loop become `partial(schema, k)`, and so does
-    `base` (k = 0).  Until the next call, `compile_program` returns these
-    runners instead of compiling their programs.  Returns them by program;
+    change lies within one cut and outside every loop are covered.  Until
+    the next call, `latest_schema` returns the `Schema`, and
+    `compile_program` returns the runners of `base` and of the covered
+    mutants instead of compiling them.  Returns those runners by program;
     none when no mutant is covered or when the schema cannot be compiled
     (nested too deeply for Python, say), so that every mutant then compiles
     on its own.
     """
-    global _schema_runners
+    global _schema
     _check_mode(mode)
-    _schema_runners = {}
+    _schema = None
     em = _Emitter(space, mode == "exact")
+    cuts = _cuts(base, [(m, m) for m in mutants], [])
+    sites, ends = {}, []
     try:
-        _emit_run(em, "_m, ", lambda: em.schema(base, 1, [(m, m) for m in mutants]))
-        if not em.covered:
+        for c, (s, changed) in enumerate(cuts):
+            first = len(em.covered)
+            _emit_def(em, f"_step{c}(_m, ", partial(em.schema, s, 1, changed), ", fuel")
+            sites.update((p, (c, k)) for k, p in enumerate(em.covered[first:], first + 1))
+            ends.append(len(em.lines))
+        if not sites:
             return {}
-        schema = _define(em, "_run")
+        last = max(c for c, _ in sites.values())
+        del em.lines[ends[last]:]  # the suffix runs the cuts after the last mutant's
+        _emit_def(em, "_run(_c, ", partial(_emit_suffix, em, cuts))
+        em.emit(0, f"_steps = {_tuple(f'_step{c}' for c in range(last + 1))}")
+        suffix = _define(em, "_run")
     except RelcorError:
         return {}
-    runners = {p: partial(schema, k) for k, p in enumerate([base] + em.covered)}
-    _schema_runners = {(p, space, mode): run for p, run in runners.items()}
+    steps = suffix.__globals__["_steps"]  # defined beside the suffix
+    runners = {p: partial(_split_run, steps, suffix, c, k) for p, (c, k) in sites.items()}
+    runners[base] = partial(suffix, 0)
+    _schema = Schema(base, space, mode, steps, suffix, sites, runners)
     return runners
 
 

@@ -32,6 +32,10 @@ class RepairConfig:
     max_frontier: int = 64
     mode: str = "testing"  # testing | exact
 
+    def __post_init__(self):
+        if self.fuel < 0:  # a count of loop iterations
+            raise RelcorError(f"fuel must be >= 0, got {self.fuel}")
+
 
 @dataclass
 class RepairNode:
@@ -88,7 +92,8 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     mode runs every state of the space at `conclusive_fuel`, so that a row
     is [p] (`semantics.exact_row`) and the labels compare competence
     domains: the ground truth on finite spaces.  The batch compiles once,
-    as a mutant schema (`interp.compile_schema`).
+    as a mutant schema (`interp.compile_schema`), and in testing mode the
+    rows of the mutants it covers are filled by split-stream execution.
     """
     suite, fuel, run_mode = _verdict_rows(base, spec, suite, mode, fuel)
     programs = [m.program for m in mutants]

@@ -26,39 +26,55 @@ mode (`repair.classify_mutants`) is testing over every state of the space
 at `conclusive_fuel`, which no terminating run exhausts, so its verdicts
 are those of the competence domains.
 
-Wide rows are lru-cached with one entry per program and suite, so a
-program's runs are made once however many verdicts and fingerprints read
-them; the suite hashes its inputs once (`space.hash_once`), which keeps the
-key cheap.  Exact rows are not cached, because each may span a whole space
-of up to `DEFAULT_CAP` states; `outcome_row` is the one place that tells
-them apart.  A row covers every input, also those outside dom(R); test
-selection puts none there except from a file.
+Wide rows are cached, least recently used out, with one entry per program
+and suite, so a program's runs are made once however many verdicts and
+fingerprints read them; the suite hashes its inputs once
+(`space.hash_once`), which keeps the key cheap.  Exact rows are not cached,
+because each may span a whole space of up to `DEFAULT_CAP` states;
+`outcome_row` is the one place that tells them apart.  A row covers every
+input, also those outside dom(R); test selection puts none there except
+from a file.  Fuel is a count of loop iterations, so it is never negative
+(`repair.RepairConfig` rejects that); a run carries what is left of it from
+one statement to the next.
 
 `run_suite` builds the full n0-n3 report of one candidate from its row and
 the base's; inputs outside dom(R) pass vacuously for both.  A mutant batch
 needs only a label per mutant, and `suite_labels` gives it without the
-per-input bookkeeping of the report.  It reads the base's row once per
-batch, which splits the in-domain inputs into those where the base passes
-and those where it fails, each with its oracle (`oracle_at`).  Each
+per-input bookkeeping of the report.  When the batch's base has the latest
+mutant schema (`interp.compile_schema`), `suite_labels` first fills the
+wide rows of the base and of its covered mutants by split-stream execution
+(Just, Ernst and Fraser, ISSTA 2014).  It runs the base once per input,
+cut by cut, and keeps its chain of (values, fuel left) at each cut.  A
+covered mutant changed at cut c runs only its own step, from the base's
+state at c; where the base ended before c, so does the mutant, with the
+base's outcome.  The rest of the run, from cut c + 1, is looked up in a
+memo keyed by (cut, values, fuel left), which starts with the base's own
+chain, and the base's suffix runs at most once per key.  Each row so
+filled is cached, so a later `outcome_row` of the mutant, such as a kept
+child's fingerprint, makes no run.  Other programs get their rows as
+above.
+
+The base's row splits the in-domain inputs into those where the base
+passes and those where it fails, each with its oracle (`oracle_at`).  Each
 candidate's row is then folded over them: a failure where the base passes
 is an n3 cell (`not_more_correct`), a pass where the base fails an n1
 cell, and a failure there an n2 cell.  The label is
 `label_of(cumulabs, cumulrel, cumulstrict)` of the full report.  No
-candidate is stopped once its label is settled: the runs that stopping
-saves depend on the data (none when the base passes no input), so a
-batch's cost would follow its data rather than its size, mutants times
-inputs.
+candidate is stopped once its label is settled.  The memo's savings depend
+on the data, on how often the mutants' states meet again, but a batch never
+costs more than one step plus one suffix run per covered mutant and input,
+and one run per other program and input.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import EmptySuiteError, RelcorError
 from .lang.ast_nodes import ArrayRead, Var, preorder
-from .lang.interp import compile_program, execute, run_outcome
+from .lang.interp import compile_program, execute, latest_schema, run_outcome
 from .lang.semantics import denote, exact_row
 from .relations import competence_domain
 from .space import ArrayDomain, State, StateSpace, hash_once
@@ -206,10 +222,17 @@ def cached_execute(program, s: State, fuel: int, mode: str):
     return execute(program, s, fuel, mode)
 
 
-@lru_cache(maxsize=4096)
-def _wide_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
-    run = compile_program(program, suite.inputs[0].space, mode)
-    return tuple([run_outcome(run, s.values, fuel) for s in suite.inputs])
+#: wide rows by (program, suite, fuel, mode), least recently used first
+_rows: dict = {}
+_ROWS_MAX = 4096
+
+
+def _store_row(key, row: tuple) -> tuple:
+    """Cache `row` as the most recently used."""
+    _rows[key] = row
+    if len(_rows) > _ROWS_MAX:
+        del _rows[next(iter(_rows))]
+    return row
 
 
 def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
@@ -217,12 +240,65 @@ def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
     wide mode only (see the module docstring)."""
     if not suite.inputs:
         return ()
+    space = suite.inputs[0].space
     if mode == "exact":
-        return exact_row(program, suite.inputs[0].space, suite.inputs, fuel)
-    return _wide_row(program, suite, fuel, mode)
+        return exact_row(program, space, suite.inputs, fuel)
+    key = (program, suite, fuel, mode)
+    row = _rows.pop(key, None)
+    if row is None:
+        run = compile_program(program, space, mode)
+        row = tuple([run_outcome(run, s.values, fuel) for s in suite.inputs])
+    return _store_row(key, row)
 
 
-outcome_row.cache_clear = _wide_row.cache_clear
+outcome_row.cache_clear = _rows.clear
+
+
+def _base_chain(schema, chain: list, values: tuple, fuel: int) -> tuple:
+    """Run a schema's base, appending its (values, fuel) at each cut that
+    has a step and that the run reaches to `chain`; returns its final
+    values."""
+    for step in schema.steps:
+        chain.append((values, fuel))
+        values, fuel = step(0, values, fuel)
+    return schema.suffix(len(schema.steps), values, fuel)
+
+
+def _split_rows(schema, programs, suite: TestSuite, fuel: int) -> None:
+    """Cache the wide rows of the schema's base and of its covered mutants
+    among `programs` that are not cached yet, by split-stream execution (see
+    the module docstring)."""
+    base_key = (schema.base, suite, fuel, "wide")
+    todo = [p for p in dict.fromkeys(programs)
+            if p in schema.sites and (p, suite, fuel, "wide") not in _rows]
+    base_row = _rows.get(base_key)
+    if base_row is not None and all(schema.sites[p][0] == 0 for p in todo):
+        chains = [[(s.values, fuel)] for s in suite.inputs]  # every mutant starts at cut 0
+    else:
+        chains = [[] for _ in suite.inputs]
+        base_row = _store_row(base_key, tuple([
+            run_outcome(partial(_base_chain, schema, chain), s.values, fuel)
+            for chain, s in zip(chains, suite.inputs)]))
+    memo = {}  # (cut, values, fuel) -> the outcome of the base's suffix from there
+    for chain, out in zip(chains, base_row):
+        memo.update(((c, *state), out) for c, state in enumerate(chain[1:], 1))
+    for p in todo:
+        cut, m = schema.sites[p]
+        step, suffix = partial(schema.steps[cut], m), partial(schema.suffix, cut + 1)
+        row = []
+        for chain, base_out in zip(chains, base_row):
+            if cut >= len(chain):  # the base ended before the mutant's cut, and so does the mutant
+                row.append(base_out)
+                continue
+            out = run_outcome(step, *chain[cut])
+            if type(out) is tuple:
+                key = (cut + 1, *out)
+                rest = memo.get(key)
+                if rest is None:
+                    rest = memo[key] = run_outcome(suffix, *out)
+                out = rest
+            row.append(out)
+        _store_row((p, suite, fuel, "wide"), tuple(row))
 
 
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
@@ -263,6 +339,10 @@ def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
     `classify(run_suite(...))` gives it, folded from the rows of the base
     and of each program (see the module docstring); one label per program,
     in order."""
+    if mode == "wide" and suite.inputs:
+        schema = latest_schema(base, suite.inputs[0].space, mode)
+        if schema is not None:
+            _split_rows(schema, programs, suite, fuel)
     passing, failing = [], []
     for i, (s, out) in enumerate(zip(suite.inputs, outcome_row(base, suite, fuel, mode))):
         if spec.in_dom(s):

@@ -205,3 +205,17 @@ def random_straight_loop(rng: random.Random, space: StateSpace) -> A.Node:
         body = A.Seq(body, A.Assign(A.VarTarget(rng.choice(names)),
                                     _expr(rng, names, 2, straight=True)))
     return A.While(_cond(rng, names, 1, straight=True), body)
+
+
+def random_chain(rng: random.Random, space: StateSpace, wide: bool = False) -> A.Node:
+    """Two to five `random_program` statements, each block assigning its
+    local first, in sequence and grouped by `Seq` at random: a base whose
+    mutants a schema splits over several cuts."""
+    def group(parts):
+        if len(parts) == 1:
+            return parts[0]
+        k = rng.randint(1, len(parts) - 1)
+        return A.Seq(group(parts[:k]), group(parts[k:]))
+
+    return group([random_program(rng, space, unassigned_reads=False, wide=wide)
+                  for _ in range(rng.randint(2, 5))])

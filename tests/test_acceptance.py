@@ -130,7 +130,7 @@ def loop_free_batch_bytes() -> bytes:
     mutants = generate(base, operators)
     labels = [(m.ordinal, label)
               for m, label, _ in classify_mutants(base, mutants, spec, suite, "testing")]
-    assert len(interp._schema_runners) == len(mutants) + 1
+    assert len(interp._schema.runners) == len(mutants) + 1
     cfg = RepairConfig(operators=operators, suite=suite, max_depth=2, mode="testing")
     tree, _ = repair(base, spec, cfg)
     doc = {"labels": labels, "tree": tree_to_json(tree, space)}

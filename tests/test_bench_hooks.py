@@ -5,9 +5,14 @@ every one still exists."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
-TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -35,3 +40,16 @@ def test_every_target_of_the_benchmark_tracer_exists():
     from relcor.lang.interp import execute
 
     assert relcor.suites.execute is execute  # read by perfbench/test_perfbench.py
+
+
+def test_the_checks_of_a_mutate_large_unit_hold():
+    """One cold, untraced unit of the benchmark's `mutate_large` workload.
+    Its checks recompute the spec, the base's outputs and 24 sampled
+    verdicts with the benchmark's tree-walker (`perfbench/refimpl.py`)."""
+    unit = subprocess.run(
+        [sys.executable, "perfbench/unit.py", "mutate_large", "1", "0", str(time.monotonic())],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    checks = json.loads(unit.stdout.splitlines()[-1])["checks"]
+    assert set(checks) == {"mutant_count", "spec_is_reference_graph", "base_outputs",
+                           "sampled_verdicts"}
+    assert all(checks.values()), checks

@@ -89,6 +89,15 @@ def test_bad_test_selection_exits_2(tiny, capsys):
         assert code == 2
 
 
+def test_negative_fuel_exits_2(tiny, capsys):
+    args = ["repair", "--spec", tiny["spec"], "--program", tiny["prog"],
+            "--tests", "random:5", "--max-depth", "1"]
+    assert main([*args, "--fuel", "-1"]) == 2
+    assert "fuel must be >= 0" in capsys.readouterr().err
+    code, _ = run(capsys, *args, "--fuel", "0")
+    assert code == 0
+
+
 def test_internal_type_error_is_not_a_user_error(tiny, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("internal fault")

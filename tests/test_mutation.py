@@ -309,7 +309,7 @@ def compiled(monkeypatch):
     names = []
     define = interp._define
     monkeypatch.setattr(interp, "_define", lambda em, name: names.append(name) or define(em, name))
-    monkeypatch.setattr(interp, "_schema_runners", {})
+    monkeypatch.setattr(interp, "_schema", None)
     compile_program.cache_clear()
     outcome_row.cache_clear()
     yield names
@@ -318,7 +318,7 @@ def compiled(monkeypatch):
 
 
 def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone(monkeypatch):
-    monkeypatch.setattr(interp, "_schema_runners", {})  # restored afterwards
+    monkeypatch.setattr(interp, "_schema", None)  # restored afterwards
     rng = random.Random(1313)
     covered = in_loops = 0
     kinds, seen = set(), set()
@@ -339,7 +339,7 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone(monkeypatch):
 
             schema = outcomes()
             assert all(compile_program(p, sp, mode) is run for p, run in runners.items())
-            monkeypatch.setattr(interp, "_schema_runners", {})
+            monkeypatch.setattr(interp, "_schema", None)
             assert schema == outcomes()  # each compiled alone, by compile_program.__wrapped__
             covered += len(outside)
             in_loops += len(mutants) - len(outside)

@@ -1,7 +1,15 @@
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
-from randgen import program_space, random_predicate, random_program, random_relation
+from randgen import (
+    program_space,
+    random_chain,
+    random_predicate,
+    random_program,
+    random_relation,
+)
 from relcor import suites
 from relcor.errors import EmptySuiteError
 from relcor.lang import interp, semantics
@@ -12,6 +20,7 @@ from relcor.lang.interp import (
     compile_program,
     compile_schema,
     execute,
+    run_outcome,
 )
 from relcor.lang.parser import parse
 from relcor.mutate import ARRAY_INDEX, BINARY_ARITH, INTEGER_LITERAL, generate
@@ -141,15 +150,32 @@ def test_report_bytes_are_deterministic():
 
 @pytest.fixture
 def runs(monkeypatch):
-    """The number of runs of compiled programs made so far for rows, wide
-    (whose cache starts empty) and exact."""
+    """`runs()` is the number of runs of compiled code made so far for rows,
+    wide (whose cache starts empty) and exact.  A run is a program's, the
+    schema base's chain (`suites._base_chain`) or a covered mutant's step;
+    the suffix that ends a step's run is not counted apart.  `runs.made`
+    lists every call as (kind, its arguments): kind "run", "chain", "step"
+    (arguments: the mutant index, values, fuel) or "suffix" (the cut,
+    values, fuel)."""
     made = []
     run_outcome = suites.run_outcome
+
+    def record(run, values, fuel):
+        schema = interp._schema
+        func, args = getattr(run, "func", None), getattr(run, "args", ())
+        kind = ("chain" if func is suites._base_chain
+                else "step" if schema and func in schema.steps
+                # a suffix from cut 0 is the base's runner, as compile_program returns it
+                else "suffix" if schema and func is schema.suffix and args[0] > 0 else "run")
+        made.append((kind, (*args[-1:], values, fuel) if kind in ("step", "suffix") else ()))
+        return run_outcome(run, values, fuel)
+
     for module in (suites, semantics):
-        monkeypatch.setattr(module, "run_outcome",
-                            lambda *args: made.append(None) or run_outcome(*args))
+        monkeypatch.setattr(module, "run_outcome", record)
     outcome_row.cache_clear()
-    yield lambda: len(made)
+    count = lambda: sum(kind != "suffix" for kind, _ in made)
+    count.made = made
+    yield count
     outcome_row.cache_clear()
 
 
@@ -180,7 +206,11 @@ def test_repair_fingerprints_its_kept_children_without_a_run(runs):
     tree, _ = repair(seeded, SPEC, cfg)
     assert tree.solutions and len(tree.nodes) > 1
     programs = {seeded} | {m.program for m in generate(seeded, ("AORB",))}
+    # the root's row, then one step per mutant and input, which is the whole
+    # of a one-statement program; the kept child's fingerprint reads its row
     assert runs() == len(wide) * len(programs)
+    kinds = Counter(kind for kind, _ in runs.made)
+    assert kinds["run"] == len(wide) and kinds["step"] == len(wide) * (len(programs) - 1)
 
 
 def _random_spec(rng, sp):
@@ -214,23 +244,118 @@ def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
     for base, mutants, spec, suite, fuel in _batches(rng, mode, 150):
         programs = [m.program for m in mutants]
         outcome_row.cache_clear()
-        # a wide row runs once per program; an exact row is not cached, so
-        # it runs on every read
+        # a wide row runs once per program, at most; an exact row is not
+        # cached, so it runs on every read
         batch = len(suite) * (len({base, *programs}) if mode == "wide" else 1 + len(programs))
-        before = runs()
+        before, calls = runs(), len(runs.made)
         labels = suite_labels(base, programs, spec, suite, fuel, mode)
-        assert runs() - before == batch
+        if mode == "wide":
+            assert runs() - before <= batch
+            suffixes = [args for kind, args in runs.made[calls:] if kind == "suffix"]
+            assert len(suffixes) == len(set(suffixes))
+        else:
+            assert runs() - before == batch
+        made = len(runs.made)
         assert labels == [classify(run_suite(p, base, spec, suite, fuel, mode))
                           for p in programs]
         assert suite_labels(base, programs, spec, suite, fuel, mode) == labels
-        if mode == "wide":
-            assert runs() - before == batch
+        if mode == "wide":  # every row is cached: neither reports nor the batch run
+            assert len(runs.made) == made
         else:  # each report reads the base's row and the program's
             assert runs() - before == 2 * batch + 2 * len(suite) * len(programs)
         seen.update((type(spec).__name__, label) for label in labels)
         kinds.update(m.site.kind for m in mutants)
     assert kinds == {BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX}
     assert len(seen) == 8  # every label, for both spec classes
+
+
+def _split_batches(rng, n: int):
+    """`n` wide-mode batches (base, mutants, spec, suite, fuel) whose base is
+    a `random_chain`, so that its mutants sit at several cuts, with a suite
+    that repeats inputs, at fuel 0, 3 or 40.  Each batch's mutants are
+    compiled as a schema, as `classify_mutants` does."""
+    for i in range(n):
+        sp = program_space(rng, max_states=30, array=i % 3 == 2)
+        base = random_chain(rng, sp, wide=True)
+        mutants = generate(base, ("AORB", "literal+-1", "index+-1"))
+        states = list(sp.states())
+        suite = Suite(tuple(rng.choices(states, k=rng.randint(1, 2 * len(states)))))
+        compile_schema(base, [m.program for m in mutants], sp, "wide")
+        yield base, mutants, PredicateSpec(sp, "true", "true"), suite, rng.choice((0, 3, 40))
+
+
+def test_split_rows_equal_the_rows_of_each_program_compiled_alone(monkeypatch):
+    rng = random.Random(3131)
+    covered, outcomes, ended = 0, set(), set()
+    for base, mutants, spec, suite, fuel in _split_batches(rng, 60):
+        schema = interp._schema
+        programs = [m.program for m in mutants]
+        outcome_row.cache_clear()
+        suite_labels(base, programs, spec, suite, fuel)
+        rows = {p: outcome_row(p, suite, fuel, "wide") for p in [base] + programs}
+        if schema is not None:
+            covered += len(schema.sites)
+            for s in suite.inputs:  # where the base ends before a covered mutant's cut
+                chain = []
+                out = run_outcome(partial(suites._base_chain, schema, chain), s.values, fuel)
+                ended.update(type(out) for cut, _ in schema.sites.values() if cut >= len(chain))
+        monkeypatch.setattr(interp, "_schema", None)
+        for p, row in rows.items():
+            alone = compile_program.__wrapped__(p, suite.inputs[0].space, "wide")
+            assert row == tuple(run_outcome(alone, s.values, fuel) for s in suite.inputs)
+        monkeypatch.undo()
+        outcomes.update(type(out) for row in rows.values() for out in row)
+    outcome_row.cache_clear()
+    assert covered > 1000
+    assert outcomes == {tuple, NonTermination, Undefined}
+    assert ended == {NonTermination, Undefined}
+
+
+def test_split_rows_key_the_rest_of_a_run_by_its_fuel_left():
+    # cut 0 burns 3 fuel where x == 0 and leaves y as it was, so the base's
+    # and the mutant's runs reach cut 1 in one state with different fuel left
+    sp = StateSpace((("x", Interval(0, 1)), ("y", Interval(0, 3))))
+    base = parse("if (x == 0) { while (y < 3) { y = y + 1; } y = 0; }"
+                 " while (y < 2) { y = y + 1; }", sp)
+    flipped = parse("if (x == 1) { while (y < 3) { y = y + 1; } y = 0; }"
+                    " while (y < 2) { y = y + 1; }", sp)
+    mutants = [m.program for m in generate(base, ("literal+-1",))]
+    assert flipped in mutants
+    suite = Suite((sp.state({"x": 0, "y": 0}), sp.state({"x": 1, "y": 0})))
+    compile_schema(base, mutants, sp, "wide")
+    outcome_row.cache_clear()
+    suite_labels(base, mutants, PredicateSpec(sp, "true", "true"), suite, 4)
+    assert outcome_row(base, suite, 4, "wide") == (NonTermination(), (1, 2))
+    assert outcome_row(flipped, suite, 4, "wide") == ((0, 2), NonTermination())
+    outcome_row.cache_clear()
+
+
+def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
+    rng = random.Random(3232)
+    steps = suffixes = 0
+    for base, mutants, spec, suite, fuel in _split_batches(rng, 100):
+        programs = [m.program for m in mutants]
+        schema = interp._schema
+        runners = schema.runners if schema else {}
+        outcome_row.cache_clear()
+        start = len(runs.made)
+        suite_labels(base, programs, spec, suite, fuel)
+        made = runs.made[start:]
+        kinds = Counter(kind for kind, _ in made)
+        assert kinds["chain"] == (len(suite) if schema else 0)
+        assert kinds["run"] == len(suite) * len({base, *programs} - set(runners))
+        by_mutant = Counter(args[0] for kind, args in made if kind == "step")
+        assert all(n <= len(suite) for n in by_mutant.values())
+        keys = [args for kind, args in made if kind == "suffix"]
+        assert len(keys) == len(set(keys))
+        steps += kinds["step"]
+        suffixes += len(keys)
+        made = len(runs.made)  # every row of the batch is cached now
+        for p in programs:
+            outcome_row(p, suite, fuel, "wide")
+        assert len(runs.made) == made
+    outcome_row.cache_clear()
+    assert 0 < suffixes < steps / 2
 
 
 def _raw(outcome):
@@ -262,14 +387,15 @@ def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode, monke
     outcomes, sites, seen = set(), set(), set()
     for base, mutants, spec, suite, fuel in _batches(rng, mode, 100):
         programs = [m.program for m in mutants]
-        covered += len(interp._schema_runners)
-        in_loops += sum(m.program not in interp._schema_runners for m in mutants)
+        runners = interp._schema.runners if interp._schema else {}
+        covered += len(runners)
+        in_loops += sum(m.program not in runners for m in mutants)
         ref_spec = _twin(spec)
         outcome_row.cache_clear()
         labels = suite_labels(base, programs, spec, suite, fuel, mode)
         rows = {p: outcome_row(p, suite, fuel, mode) for p in [base] + programs}
 
-        monkeypatch.setattr(interp, "_schema_runners", {})
+        monkeypatch.setattr(interp, "_schema", None)
         compile_program.cache_clear()
         ref_rows = {p: tuple(_raw(execute(p, s, fuel, mode)) for s in suite.inputs)
                     for p in rows}
@@ -294,7 +420,7 @@ def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode, monke
         seen.update((type(spec).__name__, label) for label in labels)
     compile_program.cache_clear()
     outcome_row.cache_clear()
-    assert covered > 1000 and in_loops > 1000 and undefined > 0
+    assert covered > 1000 and in_loops > 200 and undefined > 0
     assert outcomes == {tuple, NonTermination, Undefined}
     assert "division by zero" in sites and any("out of bounds" in s for s in sites)
     assert len(seen) == 8
