@@ -1,8 +1,8 @@
 """Fuel-bounded interpreter for the toy language.
 
 Programs are compiled to Python source (one function per program, or a
-few per batch of mutants; see below) and exec'd; the compiled form is
-cached per (program, space, mode).  Two evaluation modes exist:
+few per batch of mutants; see below) and exec'd; a program's compiled form
+is cached per (program, space, mode).  Two evaluation modes exist:
 
 * ``exact`` — values are confined to the declared intervals; an assignment
   whose value leaves the target's domain makes the state undefined.  This
@@ -73,16 +73,15 @@ changes an outcome, so neither does where one falls.
 
 A covered mutant changed at cut c matches its base everywhere else, so its
 run is the base's steps before c, its own step at c, then the base's
-suffix from c + 1.  That is the runner `compile_program` returns for it,
-and `partial(suffix, 0)` is the base's; both come from the one compiled
-schema.  The batch kernel (`suites`) shares more: it runs the base once per
-input, keeping its state at each cut, starts each mutant's step from
-there, and looks the rest up by state (split-stream execution; Just,
-Ernst and Fraser, "Efficient mutation analysis by propagating and
-partitioning infected execution states", ISSTA 2014).  The dispatch nests
-the code one level deeper, and so does the suffix's test of c; a schema
-that Python refuses as nested too deeply is dropped, so that each mutant
-compiles on its own, as it would without schemata.
+suffix from c + 1.  `compile_schema` returns the compiled `Schema` to its
+caller, the batch kernel (`suites`), and keeps nothing.  The kernel runs
+the base once per input, keeping its state at each cut, starts each
+mutant's step from there, and looks the rest up by state (split-stream
+execution; Just, Ernst and Fraser, "Efficient mutation analysis by
+propagating and partitioning infected execution states", ISSTA 2014).
+The dispatch nests the code one level deeper, and so does the suffix's
+test of c; a schema that Python refuses as nested too deeply is dropped,
+so that each mutant compiles on its own, as it would without schemata.
 
 The same emitter compiles single expressions and conditions
 (`compile_eval`), for the guards and assigned values of the structural
@@ -600,9 +599,7 @@ class Schema:
     docstring).  Not a dataclass, whose generated methods would cost every
     import of this module about half a millisecond."""
 
-    def __init__(self, base, space: StateSpace, mode: str, steps: tuple, suffix,
-                 sites: dict, runners: dict):
-        self.base, self.space, self.mode = base, space, mode
+    def __init__(self, steps: tuple, suffix, sites: dict):
         #: per cut up to the last covered mutant's, f(_m, values, fuel) ->
         #: (values, fuel): the cut's statement as mutant _m has it, the
         #: base's for _m = 0
@@ -611,30 +608,12 @@ class Schema:
         self.suffix = suffix
         #: each covered mutant -> (its cut, its index _m)
         self.sites = sites
-        #: the base and each covered mutant -> its runner, as compile_program returns it
-        self.runners = runners
-
-
-#: the latest schema; see compile_schema
-_schema: Schema | None = None
-
-
-def latest_schema(base, space: StateSpace, mode: str) -> Schema | None:
-    """The latest schema if `base` on `space` in `mode` is its base, else None."""
-    s = _schema
-    return s if s is not None and (s.space, s.mode, s.base) == (space, mode, base) else None
 
 
 @lru_cache(maxsize=4096)
 def compile_program(p, space: StateSpace, mode: str = "exact"):
-    """Compile a program for `space`; returns f(values_tuple, fuel) -> values_tuple.
-    A program of the latest schema is not compiled again: its runner is
-    returned."""
+    """Compile a program for `space`; returns f(values_tuple, fuel) -> values_tuple."""
     _check_mode(mode)
-    if _schema is not None and (_schema.space, _schema.mode) == (space, mode):
-        run = _schema.runners.get(p)
-        if run is not None:
-            return run
     em = _Emitter(space, mode == "exact")
     _emit_def(em, "_run(", partial(em.stmt, p, 1))
     return _define(em, "_run")
@@ -664,32 +643,20 @@ def _emit_suffix(em: _Emitter, cuts: list) -> None:
         em.stmt(s, 2)
 
 
-def _split_run(steps: tuple, suffix, cut: int, m: int, values: tuple, fuel: int) -> tuple:
-    """Run mutant `m` of a schema, changed at `cut`: the base's steps before
-    that cut, the mutant's own step at it, then the base's suffix."""
-    for step in steps[:cut]:
-        values, fuel = step(0, values, fuel)
-    values, fuel = steps[cut](m, values, fuel)
-    return suffix(cut + 1, values, fuel)
-
-
-def compile_schema(base, mutants, space: StateSpace, mode: str = "exact") -> dict:
+def compile_schema(base, mutants, space: StateSpace, mode: str) -> Schema | None:
     """Compile `base` and its single-site `mutants` once, as a mutant schema
     split at the cuts of `base` (see the module docstring).
 
     Each mutant must be built from `base` by `replace_nodes`.  Those whose
-    change lies within one cut and outside every loop are covered.  Until
-    the next call, `latest_schema` returns the `Schema`, and
-    `compile_program` returns the runners of `base` and of the covered
-    mutants instead of compiling them.  Returns those runners by program;
-    none when no mutant is covered or when the schema cannot be compiled
-    (nested too deeply for Python, say), so that every mutant then compiles
-    on its own.
+    change lies within one cut and outside every loop are covered; one equal
+    to `base` is not.  Returns None when no mutant is covered or when the
+    schema cannot be compiled (nested too deeply for Python, say), so that
+    every mutant then compiles on its own.
     """
-    global _schema
     _check_mode(mode)
-    _schema = None
     em = _Emitter(space, mode == "exact")
+    mutants = dict.fromkeys(mutants)
+    mutants.pop(base, None)  # a program equal to the base is no mutant of it
     cuts = _cuts(base, [(m, m) for m in mutants], [])
     sites, ends = {}, []
     try:
@@ -699,19 +666,15 @@ def compile_schema(base, mutants, space: StateSpace, mode: str = "exact") -> dic
             sites.update((p, (c, k)) for k, p in enumerate(em.covered[first:], first + 1))
             ends.append(len(em.lines))
         if not sites:
-            return {}
+            return None
         last = max(c for c, _ in sites.values())
         del em.lines[ends[last]:]  # the suffix runs the cuts after the last mutant's
         _emit_def(em, "_run(_c, ", partial(_emit_suffix, em, cuts))
         em.emit(0, f"_steps = {_tuple(f'_step{c}' for c in range(last + 1))}")
         suffix = _define(em, "_run")
     except RelcorError:
-        return {}
-    steps = suffix.__globals__["_steps"]  # defined beside the suffix
-    runners = {p: partial(_split_run, steps, suffix, c, k) for p, (c, k) in sites.items()}
-    runners[base] = partial(suffix, 0)
-    _schema = Schema(base, space, mode, steps, suffix, sites, runners)
-    return runners
+        return None
+    return Schema(suffix.__globals__["_steps"], suffix, sites)  # defined beside the suffix
 
 
 @lru_cache(maxsize=4096)

@@ -90,7 +90,7 @@ def _interval(block: A.Block):
     return block.interval
 
 
-def _tabulable(p, space: StateSpace) -> bool:
+def tabulable(p, space: StateSpace) -> bool:
     """Whether one run per state defines [p]: every block local is assigned
     on every path before it is read.  The walk visits every block and checks
     its extended space, so it raises the errors the structural recursion
@@ -140,7 +140,7 @@ def denote(p, space: StateSpace) -> Relation:
     `denote_structural` when a block local may be read before it is
     assigned (see the module docstring)."""
     space.check_enumerable()
-    if not _tabulable(p, space):
+    if not tabulable(p, space):
         return denote_structural(p, space)
     runs = _runs(p, space, space.states(), conclusive_fuel(p, space))
     return Relation(space, {(s, State(space, t)) for s, t in runs if type(t) is tuple})
@@ -152,7 +152,7 @@ def exact_row(p, space: StateSpace, states, fuel: int) -> tuple:
     defines [p], and otherwise its image under [p], the final values or
     NONTERMINATION outside dom([p]).  Raises NonDeterministicError when [p]
     is not a function."""
-    if _tabulable(p, space):
+    if tabulable(p, space):
         return tuple([out for _, out in _runs(p, space, states, fuel)])
     rel = denote_structural(p, space)
     require_deterministic(rel, "an exact row")
@@ -163,7 +163,7 @@ def exact_row(p, space: StateSpace, states, fuel: int) -> tuple:
 def denote_structural(p, space: StateSpace) -> Relation:
     """The relation [p] on `space`, computed by structural recursion."""
     space.check_enumerable()
-    _tabulable(p, space)  # the capacity and interval checks of every block
+    tabulable(p, space)  # the capacity and interval checks of every block
     return _denote(p, space, list(space.states()))
 
 

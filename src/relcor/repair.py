@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .errors import RelcorError
 from .lang.ast_nodes import Node, to_source
-from .lang.interp import compile_schema
 from .lang.semantics import conclusive_fuel, denote
 from .mutate import apply_patch, generate, outcome_digest
 from .relations import competence_domain, space_to_json
@@ -90,15 +89,13 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     batch with `suites.suite_labels`, which reads the base's row once and
     each mutant's row once.  Testing mode runs the suite at `fuel`.  Exact
     mode runs every state of the space at `conclusive_fuel`, so that a row
-    is [p] (`semantics.exact_row`) and the labels compare competence
-    domains: the ground truth on finite spaces.  The batch compiles once,
-    as a mutant schema (`interp.compile_schema`), and in testing mode the
-    rows of the mutants it covers are filled by split-stream execution.
+    is [p] and the labels compare competence domains: the ground truth on
+    finite spaces.  `suite_labels` compiles the batch once, as a mutant
+    schema, and fills the rows of the mutants it covers by split-stream
+    execution in both modes.
     """
     suite, fuel, run_mode = _verdict_rows(base, spec, suite, mode, fuel)
-    programs = [m.program for m in mutants]
-    compile_schema(base, programs, spec.space, run_mode)
-    labels = suite_labels(base, programs, spec, suite, fuel, run_mode)
+    labels = suite_labels(base, [m.program for m in mutants], spec, suite, fuel, run_mode)
     return [(m, label, None) for m, label in zip(mutants, labels)]
 
 

@@ -30,40 +30,41 @@ Wide rows are cached, least recently used out, with one entry per program
 and suite, so a program's runs are made once however many verdicts and
 fingerprints read them; the suite hashes its inputs once
 (`space.hash_once`), which keeps the key cheap.  Exact rows are not cached,
-because each may span a whole space of up to `DEFAULT_CAP` states;
-`outcome_row` is the one place that tells them apart.  A row covers every
-input, also those outside dom(R); test selection puts none there except
-from a file.  Fuel is a count of loop iterations, so it is never negative
-(`repair.RepairConfig` rejects that); a run carries what is left of it from
-one statement to the next.
+because each may span a whole space of up to `DEFAULT_CAP` states.  A row
+covers every input, also those outside dom(R); test selection puts none
+there except from a file.  Fuel is a count of loop iterations, so it is
+never negative (`repair.RepairConfig` rejects that); a run carries what is
+left of it from one statement to the next.
 
 `run_suite` builds the full n0-n3 report of one candidate from its row and
 the base's; inputs outside dom(R) pass vacuously for both.  A mutant batch
-needs only a label per mutant, and `suite_labels` gives it without the
-per-input bookkeeping of the report.  When the batch's base has the latest
-mutant schema (`interp.compile_schema`), `suite_labels` first fills the
-wide rows of the base and of its covered mutants by split-stream execution
-(Just, Ernst and Fraser, ISSTA 2014).  It runs the base once per input,
-cut by cut, and keeps its chain of (values, fuel left) at each cut.  A
-covered mutant changed at cut c runs only its own step, from the base's
-state at c; where the base ended before c, so does the mutant, with the
-base's outcome.  The rest of the run, from cut c + 1, is looked up in a
-memo keyed by (cut, values, fuel left), which starts with the base's own
-chain, and the base's suffix runs at most once per key.  Each row so
-filled is cached, so a later `outcome_row` of the mutant, such as a kept
-child's fingerprint, makes no run.  Other programs get their rows as
-above.
+needs only a label per mutant, and `suite_labels` folds it the same way
+from rows that the batch shares.  It compiles the batch's mutant schema
+(`interp.compile_schema`) over the programs whose rows it has to make: in
+wide mode those not cached yet, in exact mode every program, provided that
+the base and the program are `semantics.tabulable`, so that one run per
+state gives the row.  It fills the rows of the base and of the covered
+mutants by split-stream execution (Just, Ernst and Fraser, ISSTA 2014).
+It runs the base once per input, cut by cut, and keeps its chain of
+(values, fuel left) at each cut.  A covered mutant changed at cut c runs
+only its own step, from the base's state at c; where the base ended before
+c, so does the mutant, with the base's outcome.  The rest of the run, from
+cut c + 1, is looked up in a memo keyed by (cut, values, fuel left), which
+starts with the base's own chain, and the base's suffix runs at most once
+per key.  A wide row so filled is cached, so a later `outcome_row` of the
+mutant, such as a kept child's fingerprint, makes no run; an exact row is
+folded and dropped, one program at a time.  Other programs get their rows
+from `outcome_row`.
 
-The base's row splits the in-domain inputs into those where the base
-passes and those where it fails, each with its oracle (`oracle_at`).  Each
-candidate's row is then folded over them: a failure where the base passes
-is an n3 cell (`not_more_correct`), a pass where the base fails an n1
-cell, and a failure there an n2 cell.  The label is
-`label_of(cumulabs, cumulrel, cumulstrict)` of the full report.  No
-candidate is stopped once its label is settled.  The memo's savings depend
-on the data, on how often the mutants' states meet again, but a batch never
-costs more than one step plus one suffix run per covered mutant and input,
-and one run per other program and input.
+The fold: the base's row splits the in-domain inputs into those where the
+base passes and those where it fails, each with its oracle (`oracle_at`).
+Each candidate's row is then counted over them: where the base passes, a
+pass is an n0 cell and a failure an n3 cell (`not_more_correct`); where it
+fails, a pass is an n1 cell and a failure an n2 cell.  `classify` labels
+the report.  No candidate is stopped once its label is settled.  The
+memo's savings depend on the data, on how often the mutants' states meet
+again, but a batch never costs more than one step plus one suffix run per
+covered mutant and input, and one run per other program and input.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from functools import lru_cache, partial
 
 from .errors import EmptySuiteError, RelcorError
 from .lang.ast_nodes import ArrayRead, Var, preorder
-from .lang.interp import compile_program, execute, latest_schema, run_outcome
-from .lang.semantics import denote, exact_row
+from .lang.interp import compile_program, compile_schema, execute, run_outcome
+from .lang.semantics import denote, exact_row, tabulable
 from .relations import competence_domain
 from .space import ArrayDomain, State, StateSpace, hash_once
 from .specs import PredicateSpec, Spec
@@ -264,25 +265,39 @@ def _base_chain(schema, chain: list, values: tuple, fuel: int) -> tuple:
     return schema.suffix(len(schema.steps), values, fuel)
 
 
-def _split_rows(schema, programs, suite: TestSuite, fuel: int) -> None:
-    """Cache the wide rows of the schema's base and of its covered mutants
-    among `programs` that are not cached yet, by split-stream execution (see
-    the module docstring)."""
-    base_key = (schema.base, suite, fuel, "wide")
-    todo = [p for p in dict.fromkeys(programs)
-            if p in schema.sites and (p, suite, fuel, "wide") not in _rows]
-    base_row = _rows.get(base_key)
-    if base_row is not None and all(schema.sites[p][0] == 0 for p in todo):
+def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
+    """Yield the row of `base`, then the row of each of `programs`, in order,
+    by split-stream execution where the batch's schema covers them (see the
+    module docstring).  Wide rows are cached as `outcome_row` caches them."""
+    exact = mode == "exact"
+    schema = None
+    if suite.inputs:
+        space = suite.inputs[0].space
+        # one run per state gives an exact row only where the program is tabulable
+        todo = [p for p in programs
+                if (tabulable(p, space) if exact else (p, suite, fuel, mode) not in _rows)]
+        if todo and (not exact or tabulable(base, space)):
+            schema = compile_schema(base, todo, space, mode)
+    if schema is None:
+        for p in (base, *programs):
+            yield outcome_row(p, suite, fuel, mode)
+        return
+    base_row = None if exact else _rows.pop((base, suite, fuel, mode), None)
+    if base_row is not None and all(cut == 0 for cut, _ in schema.sites.values()):
         chains = [[(s.values, fuel)] for s in suite.inputs]  # every mutant starts at cut 0
     else:
         chains = [[] for _ in suite.inputs]
-        base_row = _store_row(base_key, tuple([
-            run_outcome(partial(_base_chain, schema, chain), s.values, fuel)
-            for chain, s in zip(chains, suite.inputs)]))
+        base_row = tuple([run_outcome(partial(_base_chain, schema, chain), s.values, fuel)
+                          for chain, s in zip(chains, suite.inputs)])
+    yield base_row if exact else _store_row((base, suite, fuel, mode), base_row)
     memo = {}  # (cut, values, fuel) -> the outcome of the base's suffix from there
     for chain, out in zip(chains, base_row):
         memo.update(((c, *state), out) for c, state in enumerate(chain[1:], 1))
-    for p in todo:
+    for p in programs:
+        key = (p, suite, fuel, mode)
+        if p not in schema.sites or key in _rows:
+            yield outcome_row(p, suite, fuel, mode)
+            continue
         cut, m = schema.sites[p]
         step, suffix = partial(schema.steps[cut], m), partial(schema.suffix, cut + 1)
         row = []
@@ -292,45 +307,46 @@ def _split_rows(schema, programs, suite: TestSuite, fuel: int) -> None:
                 continue
             out = run_outcome(step, *chain[cut])
             if type(out) is tuple:
-                key = (cut + 1, *out)
-                rest = memo.get(key)
+                at = (cut + 1, *out)
+                rest = memo.get(at)
                 if rest is None:
-                    rest = memo[key] = run_outcome(suffix, *out)
+                    rest = memo[at] = run_outcome(suffix, *out)
                 out = rest
             row.append(out)
-        _store_row((p, suite, fuel, "wide"), tuple(row))
+        yield tuple(row) if exact else _store_row(key, tuple(row))
+
+
+def _reports(spec: Spec, suite: TestSuite, rows):
+    """Yield the report of each row of `rows` after the first, against the
+    first, the base's (see the module docstring)."""
+    rows = iter(rows)
+    passing, failing = [], []
+    for i, (s, out) in enumerate(zip(suite.inputs, next(rows))):
+        if spec.in_dom(s):
+            passes = spec.oracle_at(s)
+            (passing if passes(out) else failing).append((i, passes))
+    outside = len(suite) - len(passing) - len(failing)  # inputs outside dom(R) pass vacuously
+    for row in rows:
+        kept = sum(passes(row[i]) for i, passes in passing)
+        fixed = sum(passes(row[i]) for i, passes in failing)
+        n2, n3 = len(failing) - fixed, len(passing) - kept
+        yield SuiteReport(
+            selection=dict(suite.selection),
+            cumulabs=n2 == n3 == 0,
+            cumulrel=n3 == 0,
+            cumulstrict=fixed > 0,
+            n0=outside + kept,
+            n1=fixed,
+            n2=n2,
+            n3=n3,
+        )
 
 
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
               mode: str = "wide") -> SuiteReport:
     """Score base and candidate on every suite input, from their rows."""
-    n0 = n1 = n2 = n3 = 0
-    rows = zip(suite.inputs, outcome_row(base, suite, fuel, mode),
-               outcome_row(candidate, suite, fuel, mode))
-    for s, b, c in rows:
-        if spec.in_dom(s):
-            passes = spec.oracle_at(s)
-            base_pass, abscor = passes(b), passes(c)
-        else:
-            base_pass = abscor = True
-        if base_pass and abscor:
-            n0 += 1
-        elif abscor:
-            n1 += 1
-        elif base_pass:
-            n3 += 1
-        else:
-            n2 += 1
-    return SuiteReport(
-        selection=dict(suite.selection),
-        cumulabs=n2 == n3 == 0,
-        cumulrel=n3 == 0,
-        cumulstrict=n1 > 0,
-        n0=n0,
-        n1=n1,
-        n2=n2,
-        n3=n3,
-    )
+    rows = (outcome_row(p, suite, fuel, mode) for p in (base, candidate))
+    return next(_reports(spec, suite, rows))
 
 
 def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
@@ -339,38 +355,19 @@ def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
     `classify(run_suite(...))` gives it, folded from the rows of the base
     and of each program (see the module docstring); one label per program,
     in order."""
-    if mode == "wide" and suite.inputs:
-        schema = latest_schema(base, suite.inputs[0].space, mode)
-        if schema is not None:
-            _split_rows(schema, programs, suite, fuel)
-    passing, failing = [], []
-    for i, (s, out) in enumerate(zip(suite.inputs, outcome_row(base, suite, fuel, mode))):
-        if spec.in_dom(s):
-            passes = spec.oracle_at(s)
-            (passing if passes(out) else failing).append((i, passes))
-    labels = []
-    for p in programs:
-        row = outcome_row(p, suite, fuel, mode)
-        kept = {passes(row[i]) for i, passes in passing}
-        fixed = {passes(row[i]) for i, passes in failing}
-        labels.append(label_of(False not in (kept | fixed), False not in kept, True in fixed))
-    return labels
-
-
-def label_of(absolute: bool, at_least: bool, strictly: bool) -> str:
-    """The label of a candidate against its base, from the best that holds:
-    absolutely correct, strictly more correct (at least as correct and
-    strictly so somewhere), as correct (at least as correct), not more
-    correct."""
-    if absolute:
-        return "absolutely_correct"
-    if at_least and strictly:
-        return "strictly_more_correct"
-    if at_least:
-        return "as_correct"
-    return "not_more_correct"
+    return [classify(report)
+            for report in _reports(spec, suite, _batch_rows(base, programs, suite, fuel, mode))]
 
 
 def classify(report: SuiteReport) -> str:
-    """Suite-relative verdict for a candidate against its base."""
-    return label_of(report.cumulabs, report.cumulrel, report.cumulstrict)
+    """Suite-relative verdict for a candidate against its base, from the best
+    that holds: absolutely correct, strictly more correct (at least as
+    correct and strictly so somewhere), as correct (at least as correct),
+    not more correct."""
+    if report.cumulabs:
+        return "absolutely_correct"
+    if report.cumulrel and report.cumulstrict:
+        return "strictly_more_correct"
+    if report.cumulrel:
+        return "as_correct"
+    return "not_more_correct"

@@ -26,7 +26,7 @@ from relcor.lang.ast_nodes import (
     Abort, Assign, Block, If, IfElse, Seq, Skip, While, preorder, replace_nodes,
 )
 from relcor.lang.interp import FinalState, NonTermination, execute
-from relcor.lang.semantics import _tabulable, conclusive_fuel, denote, denote_structural
+from relcor.lang.semantics import conclusive_fuel, denote, denote_structural, tabulable
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
 from relcor.repair import RepairConfig, classify_mutants, repair, tree_to_json
@@ -118,7 +118,7 @@ y = (y + t - t) % 8;
 def loop_free_batch_bytes() -> bytes:
     """A testing-mode batch of a loop-free program, which runs through a
     mutant schema: its labels and its repair tree, as JSON."""
-    from relcor.lang import interp
+    from relcor.lang.interp import compile_schema
     from relcor.lang.parser import parse
     from relcor.space import Interval, StateSpace
 
@@ -130,7 +130,8 @@ def loop_free_batch_bytes() -> bytes:
     mutants = generate(base, operators)
     labels = [(m.ordinal, label)
               for m, label, _ in classify_mutants(base, mutants, spec, suite, "testing")]
-    assert len(interp._schema.runners) == len(mutants) + 1
+    schema = compile_schema(base, [m.program for m in mutants], space, "wide")
+    assert len(schema.sites) == len(mutants)
     cfg = RepairConfig(operators=operators, suite=suite, max_depth=2, mode="testing")
     tree, _ = repair(base, spec, cfg)
     doc = {"labels": labels, "tree": tree_to_json(tree, space)}
@@ -415,7 +416,7 @@ def _spec_domains_agree_with_the_enumerated_spec(n):
                 classify_mutants(base, sample, spec, None, mode="exact")
             nondeterministic += 1
             continue
-        structural += bool(sample) and not _tabulable(base, sp)
+        structural += bool(sample) and not tabulable(base, sp)
         classified = classify_mutants(base, sample, spec, None, mode="exact")
         for (_, label, _), fn in zip(classified, fns):
             assert label == _enumerated_label(fn, base_fn, r)

@@ -2,7 +2,9 @@
 
 Every name a module of `src/relcor` imports must be used in that module, or
 be re-exported through the `__all__` of a package `__init__`.  Every name in
-the `__all__` of `relcor` and `relcor.lang` must import.
+the `__all__` of `relcor` and `relcor.lang` must import.  No module rebinds
+a module-level name from a function (`global`): state that a call hands to
+a later one belongs to an object the caller holds.
 """
 
 import ast
@@ -56,6 +58,22 @@ def test_the_lint_sees_unused_and_used_imports():
 
 def test_no_unused_import():
     found = {str(path.relative_to(SRC)): unused_imports(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def global_statements(source: str) -> list:
+    """The line and names of each `global` statement in `source`."""
+    return [(n.lineno, n.names) for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Global)]
+
+
+def test_the_lint_sees_global_statements():
+    source = "x = 0\ndef f():\n    global x\n    x = 1\ndef g():\n    return x\n"
+    assert global_statements(source) == [(3, ["x"])]
+
+
+def test_no_global_statement():
+    found = {str(path.relative_to(SRC)): global_statements(path.read_text())
              for path in sorted(SRC.rglob("*.py"))}
     assert {path: names for path, names in found.items() if names} == {}
 

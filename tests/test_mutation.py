@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from relcor.lang.interp import (
     Undefined,
     compile_program,
     execute,
+    run_outcome,
 )
 from relcor.lang.parser import parse
 from relcor.mutate import (
@@ -309,7 +311,6 @@ def compiled(monkeypatch):
     names = []
     define = interp._define
     monkeypatch.setattr(interp, "_define", lambda em, name: names.append(name) or define(em, name))
-    monkeypatch.setattr(interp, "_schema", None)
     compile_program.cache_clear()
     outcome_row.cache_clear()
     yield names
@@ -317,8 +318,16 @@ def compiled(monkeypatch):
     outcome_row.cache_clear()
 
 
-def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone(monkeypatch):
-    monkeypatch.setattr(interp, "_schema", None)  # restored afterwards
+def _schema_run(schema, cut: int, m: int, values: tuple, fuel: int) -> tuple:
+    """One run of mutant `m` of `schema`, changed at `cut`: the base's steps
+    before that cut, the mutant's own step at it, then the base's suffix."""
+    for step in schema.steps[:cut]:
+        values, fuel = step(0, values, fuel)
+    values, fuel = schema.steps[cut](m, values, fuel)
+    return schema.suffix(cut + 1, values, fuel)
+
+
+def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
     rng = random.Random(1313)
     covered = in_loops = 0
     kinds, seen = set(), set()
@@ -329,27 +338,42 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone(monkeypatch):
             mutants = generate(base, OPERATOR_FAMILIES)
             inside = _in_loops(base)
             outside = {m.program for m in mutants if m.site.path not in inside}
-            runners = interp.compile_schema(base, [m.program for m in mutants], sp, mode)
-            assert set(runners) == (outside | {base} if outside else set())
-
-            def outcomes():
-                compile_program.cache_clear()
-                return [execute(p, s, fuel, mode)
-                        for p in runners for s in sp.states() for fuel in FUELS]
-
-            schema = outcomes()
-            assert all(compile_program(p, sp, mode) is run for p, run in runners.items())
-            monkeypatch.setattr(interp, "_schema", None)
-            assert schema == outcomes()  # each compiled alone, by compile_program.__wrapped__
+            schema = interp.compile_schema(base, [m.program for m in mutants], sp, mode)
+            assert (set(schema.sites) if schema else set()) == outside
             covered += len(outside)
             in_loops += len(mutants) - len(outside)
-            kinds.update(type(out) for out in schema)
-            if runners:
-                seen.update(n.op if isinstance(n, A.BinOp) else type(n) for n in preorder(base))
+            if schema is None:
+                continue
+            runners = {p: partial(_schema_run, schema, *site) for p, site in schema.sites.items()}
+            runners[base] = partial(schema.suffix, 0)
+            for p, run in runners.items():
+                alone = compile_program(p, sp, mode)
+                for s in sp.states():
+                    outcomes = [run_outcome(run, s.values, fuel) for fuel in FUELS]
+                    assert outcomes == [run_outcome(alone, s.values, fuel) for fuel in FUELS]
+                    kinds.update(type(out) for out in outcomes)
+            seen.update(n.op if isinstance(n, A.BinOp) else type(n) for n in preorder(base))
     compile_program.cache_clear()
     assert covered > 1000 and in_loops > 200
-    assert kinds == {FinalState, NonTermination, Undefined}
+    assert kinds == {tuple, NonTermination, Undefined}
     assert {A.While, A.Block, A.If, A.IfElse, A.ArrayTarget, "/", "%"} <= seen
+
+
+def test_a_schema_leaves_out_programs_equal_to_its_base():
+    rng = random.Random(1515)
+    statements = 0
+    covered_by = lambda schema: set(schema.sites) if schema else set()
+    for i in range(40):
+        sp = program_space(rng, max_states=12, array=i % 2 == 1)
+        base = random_program(rng, sp, wide=True)
+        programs = [m.program for m in generate(base, OPERATOR_FAMILIES)]
+        twin = parse(to_source(base), sp)
+        assert twin == base and twin is not base
+        covered = covered_by(interp.compile_schema(base, [base, twin, *programs], sp, "wide"))
+        assert base not in covered
+        assert covered == covered_by(interp.compile_schema(base, programs, sp, "wide"))
+        statements += not isinstance(base, (A.Seq, A.While))  # one cut that can hold a site
+    assert statements > 10
 
 
 def test_a_batch_compiles_once_plus_once_per_mutant_in_a_loop(compiled):

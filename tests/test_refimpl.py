@@ -8,15 +8,16 @@ benchmark's tracer."""
 
 import importlib.util
 import random
+from collections import Counter
 from pathlib import Path
 
-from randgen import program_space, random_chain, random_program
-from relcor.lang.interp import FinalState, NonTermination, compile_schema, execute
+from randgen import program_space, random_chain, random_program, random_straight_loop
+from relcor.lang.interp import FinalState, NonTermination, _Recurrence, compile_schema, execute
 from relcor.mutate import generate
 from relcor.space import ArrayDomain
 from relcor.specs import PredicateSpec
 from relcor.suites import TestSuite as Suite
-from relcor.suites import outcome_row, suite_labels
+from relcor.suites import _batch_rows, outcome_row
 
 REFIMPL = Path(__file__).parent.parent / "perfbench" / "refimpl.py"
 FUELS = (0, 3, 100)
@@ -74,9 +75,8 @@ def test_execute_agrees_with_the_tree_walker():
 
 
 def test_batch_rows_agree_with_the_tree_walker():
-    """Wide rows filled by the split-stream batch kernel, and exact rows of
-    the schema's runners, on straight-line bases with `if`s, blocks and
-    loops."""
+    """Rows that the batch kernel fills by split-stream execution, in both
+    modes, on straight-line bases with `if`s, blocks and loops."""
     rng = random.Random(4343)
     kinds, compared = set(), 0
     for i in range(40):
@@ -84,15 +84,14 @@ def test_batch_rows_agree_with_the_tree_walker():
         for mode in ("exact", "wide"):
             base = random_chain(rng, sp, wide=mode == "wide")
             programs = [m.program for m in generate(base, ("AORB", "literal+-1", "index+-1"))]
-            runners = compile_schema(base, programs, sp, mode)
+            schema = compile_schema(base, programs, sp, mode)
+            covered = list(schema.sites) if schema else []
             states = list(sp.states())
             suite = Suite(tuple(rng.sample(states, min(12, len(states)))))
             fuel = rng.choice(FUELS)
             outcome_row.cache_clear()
-            if mode == "wide":  # the kernel fills the rows of the covered mutants
-                suite_labels(base, list(runners), PredicateSpec(sp, "true", "true"), suite, fuel)
-            for p in runners:
-                row = outcome_row(p, suite, fuel, mode)
+            rows = zip([base, *covered], _batch_rows(base, covered, suite, fuel, mode))
+            for p, row in rows:
                 assert [_raw(out) for out in row] == [
                     _reference(p, s, fuel, mode) for s in suite.inputs], (p, fuel, mode)
                 kinds.update(_kind(_raw(out)) for out in row)
@@ -100,3 +99,25 @@ def test_batch_rows_agree_with_the_tree_walker():
     outcome_row.cache_clear()
     assert kinds == {"final", refimpl.NONTERMINATION, refimpl.UNDEFINED}
     assert compared > 10_000
+
+
+def test_wide_runs_at_high_fuel_agree_with_the_tree_walker(monkeypatch):
+    """Wide-mode runs at fuel 10^4, where the recurrent-box check ends many
+    divergent runs early: no proof may change an outcome."""
+    proofs = []
+    diverges = _Recurrence.diverges
+    monkeypatch.setattr(_Recurrence, "diverges",
+                        lambda rec, values: proofs.append(diverges(rec, values)) or proofs[-1])
+    rng = random.Random(4444)
+    kinds = Counter()
+    for i in range(40):
+        sp = program_space(rng, max_states=24)
+        p = (random_straight_loop(rng, sp) if i % 2
+             else random_program(rng, sp, unassigned_reads=False, wide=True))
+        for s in sp.states():
+            got = _raw(execute(p, s, 10**4, "wide"))
+            assert got == _reference(p, s, 10**4, "wide"), (p, s)
+            kinds[_kind(got)] += 1
+    assert set(kinds) == {"final", refimpl.NONTERMINATION, refimpl.UNDEFINED}
+    # each proof ends one run; the other divergent runs exhaust their fuel or abort
+    assert kinds[refimpl.NONTERMINATION] > proofs.count(True) > 50

@@ -12,7 +12,7 @@ from randgen import (
 )
 from relcor import suites
 from relcor.errors import EmptySuiteError
-from relcor.lang import interp, semantics
+from relcor.lang import semantics
 from relcor.lang.interp import (
     FinalState,
     NonTermination,
@@ -156,17 +156,17 @@ def runs(monkeypatch):
     the suffix that ends a step's run is not counted apart.  `runs.made`
     lists every call as (kind, its arguments): kind "run", "chain", "step"
     (arguments: the mutant index, values, fuel) or "suffix" (the cut,
-    values, fuel)."""
+    values, fuel).  A schema's steps and suffix are the functions
+    `_step<c>` and `_run`, bound to their first argument."""
     made = []
     run_outcome = suites.run_outcome
 
     def record(run, values, fuel):
-        schema = interp._schema
         func, args = getattr(run, "func", None), getattr(run, "args", ())
+        name = getattr(func, "__name__", "")
         kind = ("chain" if func is suites._base_chain
-                else "step" if schema and func in schema.steps
-                # a suffix from cut 0 is the base's runner, as compile_program returns it
-                else "suffix" if schema and func is schema.suffix and args[0] > 0 else "run")
+                else "step" if name.startswith("_step")
+                else "suffix" if name == "_run" else "run")
         made.append((kind, (*args[-1:], values, fuel) if kind in ("step", "suffix") else ()))
         return run_outcome(run, values, fuel)
 
@@ -224,8 +224,7 @@ def _random_spec(rng, sp):
 def _batches(rng, mode: str, n: int):
     """`n` random batches (base, mutants, spec, suite, fuel): programs with
     loops and arrays, mutants of every family, a random spec of either class
-    and a random suite, which may hold inputs outside dom(R).  Each batch's
-    mutants are compiled as a schema, as `classify_mutants` does."""
+    and a random suite, which may hold inputs outside dom(R)."""
     for i in range(n):
         sp = program_space(rng, max_states=30, array=i % 3 == 2)
         base = random_program(rng, sp, unassigned_reads=False, wide=mode == "wide")
@@ -233,7 +232,6 @@ def _batches(rng, mode: str, n: int):
         spec = _random_spec(rng, sp)
         states = list(sp.states())
         suite = Suite(tuple(rng.sample(states, rng.randint(1, len(states)))))
-        compile_schema(base, [m.program for m in mutants], sp, mode)
         yield base, mutants, spec, suite, rng.choice((0, 3, 40))
 
 
@@ -244,71 +242,70 @@ def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
     for base, mutants, spec, suite, fuel in _batches(rng, mode, 150):
         programs = [m.program for m in mutants]
         outcome_row.cache_clear()
-        # a wide row runs once per program, at most; an exact row is not
-        # cached, so it runs on every read
+        # at most one run per row and input; a wide row is cached, so each
+        # program's is made once, and an exact row is made on every read
         batch = len(suite) * (len({base, *programs}) if mode == "wide" else 1 + len(programs))
         before, calls = runs(), len(runs.made)
         labels = suite_labels(base, programs, spec, suite, fuel, mode)
-        if mode == "wide":
-            assert runs() - before <= batch
-            suffixes = [args for kind, args in runs.made[calls:] if kind == "suffix"]
-            assert len(suffixes) == len(set(suffixes))
-        else:
-            assert runs() - before == batch
+        labelled = runs() - before
+        assert 0 < labelled <= batch
+        suffixes = [args for kind, args in runs.made[calls:] if kind == "suffix"]
+        assert len(suffixes) == len(set(suffixes))
         made = len(runs.made)
         assert labels == [classify(run_suite(p, base, spec, suite, fuel, mode))
                           for p in programs]
         assert suite_labels(base, programs, spec, suite, fuel, mode) == labels
         if mode == "wide":  # every row is cached: neither reports nor the batch run
             assert len(runs.made) == made
-        else:  # each report reads the base's row and the program's
-            assert runs() - before == 2 * batch + 2 * len(suite) * len(programs)
+        else:  # each report reads the base's row and the program's; the batch runs again
+            assert runs() - before == 2 * labelled + 2 * len(suite) * len(programs)
         seen.update((type(spec).__name__, label) for label in labels)
         kinds.update(m.site.kind for m in mutants)
     assert kinds == {BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX}
     assert len(seen) == 8  # every label, for both spec classes
 
 
-def _split_batches(rng, n: int):
-    """`n` wide-mode batches (base, mutants, spec, suite, fuel) whose base is
-    a `random_chain`, so that its mutants sit at several cuts, with a suite
-    that repeats inputs, at fuel 0, 3 or 40.  Each batch's mutants are
-    compiled as a schema, as `classify_mutants` does."""
+def _split_batches(rng, n: int, mode: str = "wide"):
+    """`n` batches (base, mutants, spec, suite, fuel) whose base is a
+    `random_chain`, so that its mutants sit at several cuts, with a suite
+    that repeats inputs, at fuel 0, 3 or 40."""
     for i in range(n):
         sp = program_space(rng, max_states=30, array=i % 3 == 2)
-        base = random_chain(rng, sp, wide=True)
+        base = random_chain(rng, sp, wide=mode == "wide")
         mutants = generate(base, ("AORB", "literal+-1", "index+-1"))
         states = list(sp.states())
         suite = Suite(tuple(rng.choices(states, k=rng.randint(1, 2 * len(states)))))
-        compile_schema(base, [m.program for m in mutants], sp, "wide")
         yield base, mutants, PredicateSpec(sp, "true", "true"), suite, rng.choice((0, 3, 40))
 
 
-def test_split_rows_equal_the_rows_of_each_program_compiled_alone(monkeypatch):
-    rng = random.Random(3131)
-    covered, outcomes, ended = 0, set(), set()
-    for base, mutants, spec, suite, fuel in _split_batches(rng, 60):
-        schema = interp._schema
-        programs = [m.program for m in mutants]
+def test_split_rows_equal_the_rows_of_each_program_compiled_alone():
+    for mode, seed in (("wide", 3131), ("exact", 3132)):
+        rng = random.Random(seed)
+        covered, outcomes, ended = 0, set(), set()
+        for base, mutants, spec, suite, fuel in _split_batches(rng, 60, mode):
+            sp = spec.space
+            programs = [m.program for m in mutants]
+            schema = compile_schema(base, programs, sp, mode)
+            outcome_row.cache_clear()
+            rows = dict(zip([base] + programs,
+                            suites._batch_rows(base, programs, suite, fuel, mode)))
+            if mode == "wide":  # and cached
+                assert rows == {p: outcome_row(p, suite, fuel, mode) for p in rows}
+            if schema is not None:
+                covered += len(schema.sites)
+                for s in suite.inputs:  # where the base ends before a covered mutant's cut
+                    chain = []
+                    out = run_outcome(partial(suites._base_chain, schema, chain), s.values, fuel)
+                    ended.update(type(out) for cut, _ in schema.sites.values()
+                                 if cut >= len(chain))
+            for p, row in rows.items():
+                alone = compile_program(p, sp, mode)
+                assert row == tuple(run_outcome(alone, s.values, fuel) for s in suite.inputs)
+            outcomes.update(type(out) for row in rows.values() for out in row)
         outcome_row.cache_clear()
-        suite_labels(base, programs, spec, suite, fuel)
-        rows = {p: outcome_row(p, suite, fuel, "wide") for p in [base] + programs}
-        if schema is not None:
-            covered += len(schema.sites)
-            for s in suite.inputs:  # where the base ends before a covered mutant's cut
-                chain = []
-                out = run_outcome(partial(suites._base_chain, schema, chain), s.values, fuel)
-                ended.update(type(out) for cut, _ in schema.sites.values() if cut >= len(chain))
-        monkeypatch.setattr(interp, "_schema", None)
-        for p, row in rows.items():
-            alone = compile_program.__wrapped__(p, suite.inputs[0].space, "wide")
-            assert row == tuple(run_outcome(alone, s.values, fuel) for s in suite.inputs)
-        monkeypatch.undo()
-        outcomes.update(type(out) for row in rows.values() for out in row)
-    outcome_row.cache_clear()
-    assert covered > 1000
-    assert outcomes == {tuple, NonTermination, Undefined}
-    assert ended == {NonTermination, Undefined}
+        assert covered > 1000
+        assert outcomes == {tuple, NonTermination, Undefined}
+        assert ended == {NonTermination, Undefined}
 
 
 def test_split_rows_key_the_rest_of_a_run_by_its_fuel_left():
@@ -322,7 +319,6 @@ def test_split_rows_key_the_rest_of_a_run_by_its_fuel_left():
     mutants = [m.program for m in generate(base, ("literal+-1",))]
     assert flipped in mutants
     suite = Suite((sp.state({"x": 0, "y": 0}), sp.state({"x": 1, "y": 0})))
-    compile_schema(base, mutants, sp, "wide")
     outcome_row.cache_clear()
     suite_labels(base, mutants, PredicateSpec(sp, "true", "true"), suite, 4)
     assert outcome_row(base, suite, 4, "wide") == (NonTermination(), (1, 2))
@@ -335,15 +331,15 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
     steps = suffixes = 0
     for base, mutants, spec, suite, fuel in _split_batches(rng, 100):
         programs = [m.program for m in mutants]
-        schema = interp._schema
-        runners = schema.runners if schema else {}
+        schema = compile_schema(base, programs, spec.space, "wide")
+        covered = {base, *schema.sites} if schema else set()
         outcome_row.cache_clear()
         start = len(runs.made)
         suite_labels(base, programs, spec, suite, fuel)
         made = runs.made[start:]
         kinds = Counter(kind for kind, _ in made)
         assert kinds["chain"] == (len(suite) if schema else 0)
-        assert kinds["run"] == len(suite) * len({base, *programs} - set(runners))
+        assert kinds["run"] == len(suite) * len({base, *programs} - covered)
         by_mutant = Counter(args[0] for kind, args in made if kind == "step")
         assert all(n <= len(suite) for n in by_mutant.values())
         keys = [args for kind, args in made if kind == "suffix"]
@@ -378,7 +374,7 @@ def _twin(spec):
 
 
 @pytest.mark.parametrize("mode", ["wide", "exact"])
-def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode, monkeypatch):
+def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode):
     """Rows against `execute` of each program compiled alone (no schema, no
     row), and reports and labels against `abs_oracle` on those outcomes;
     `PredicateSpec.undefined` counts the same on both sides."""
@@ -387,15 +383,15 @@ def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode, monke
     outcomes, sites, seen = set(), set(), set()
     for base, mutants, spec, suite, fuel in _batches(rng, mode, 100):
         programs = [m.program for m in mutants]
-        runners = interp._schema.runners if interp._schema else {}
-        covered += len(runners)
-        in_loops += sum(m.program not in runners for m in mutants)
+        schema = compile_schema(base, programs, spec.space, mode)
+        schema_sites = schema.sites if schema else {}
+        covered += len(schema_sites)
+        in_loops += sum(m.program not in schema_sites for m in mutants)
         ref_spec = _twin(spec)
         outcome_row.cache_clear()
         labels = suite_labels(base, programs, spec, suite, fuel, mode)
         rows = {p: outcome_row(p, suite, fuel, mode) for p in [base] + programs}
 
-        monkeypatch.setattr(interp, "_schema", None)
         compile_program.cache_clear()
         ref_rows = {p: tuple(_raw(execute(p, s, fuel, mode)) for s in suite.inputs)
                     for p in rows}
