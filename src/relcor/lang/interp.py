@@ -1,8 +1,9 @@
 """Fuel-bounded interpreter for the toy language.
 
 Programs are compiled to Python source (one function per program, or a
-few per batch of mutants; see below) and exec'd; a program's compiled form
-is cached per (program, space, mode).  Two evaluation modes exist:
+few per batch of mutants and one per mutant changed within a loop; see
+below) and exec'd; a program's compiled form is cached per (program,
+space, mode).  Two evaluation modes exist:
 
 * ``exact`` — values are confined to the declared intervals; an assignment
   whose value leaves the target's domain makes the state undefined.  This
@@ -66,22 +67,27 @@ the end, with no dispatch.  The mutants are found by identity, as
 follows each one down the `Seq` chain to its cut, and on down block and
 `if` bodies to the innermost statement holding its change.  Nothing in a
 `while`, guard or body, gets a dispatch, so no loop pays for a selector on
-every iteration; mutants changed there compile on their own, and the
-others are covered.  Each step, and the suffix, schedules its loops' check
-points from its own entry, as a run does from its start; no check point
-changes an outcome, so neither does where one falls.
+every iteration.  A mutant changed there gets its own step for its cut
+instead: the mutant's cut statement compiled on its own, as
+`_step<c>(values, fuel) -> (values, fuel)`, in a module of its own, so
+that no module holds a copy of the loop per mutant.  So every mutant of
+the batch is covered, by a dispatch or by its own step.  Each step, and
+the suffix, schedules its loops' check points from its own entry, as a
+run does from its start; no check point changes an outcome, so neither
+does where one falls.
 
 A covered mutant changed at cut c matches its base everywhere else, so its
-run is the base's steps before c, its own step at c, then the base's
-suffix from c + 1.  `compile_schema` returns the compiled `Schema` to its
-caller, the batch kernel (`suites`), and keeps nothing.  The kernel runs
-the base once per input, keeping its state at each cut, starts each
-mutant's step from there, and looks the rest up by state (split-stream
-execution; Just, Ernst and Fraser, "Efficient mutation analysis by
-propagating and partitioning infected execution states", ISSTA 2014).
-The dispatch nests the code one level deeper, and so does the suffix's
-test of c; a schema that Python refuses as nested too deeply is dropped,
-so that each mutant compiles on its own, as it would without schemata.
+run is the base's steps before c, its step for c, then the base's suffix
+from c + 1.  `compile_schema` returns the compiled `Schema` to its caller,
+the batch kernel (`suites`), and keeps nothing.  The kernel runs the base
+once per input, keeping its state at each cut, runs each mutant's step
+once per distinct state that the base has at the mutant's cut, and looks
+the rest up by state (split-stream execution; Just, Ernst and Fraser,
+"Efficient mutation analysis by propagating and partitioning infected
+execution states", ISSTA 2014).  The dispatch nests the code one level
+deeper, and so does the suffix's test of c; a schema that Python refuses
+as nested too deeply is dropped, so that each mutant compiles on its own,
+as it would without schemata.
 
 The same emitter compiles single expressions and conditions
 (`compile_eval`), for the guards and assigned values of the structural
@@ -606,7 +612,9 @@ class Schema:
         self.steps = steps
         #: f(c, values, fuel) -> values: the base from cut c to the end
         self.suffix = suffix
-        #: each covered mutant -> (its cut, its index _m)
+        #: each covered mutant -> (its cut c, its step f(values, fuel) ->
+        #: (values, fuel), which runs cut c as the mutant has it): steps[c]
+        #: bound to the mutant's index, or the mutant's own step
         self.sites = sites
 
 
@@ -643,38 +651,52 @@ def _emit_suffix(em: _Emitter, cuts: list) -> None:
         em.stmt(s, 2)
 
 
+def _own_step(c: int, m, space: StateSpace, exact: bool):
+    """Compile statement `m`, a mutant's cut c, on its own as a step
+    `_step<c>(values, fuel) -> (values, fuel)`."""
+    em = _Emitter(space, exact)
+    _emit_def(em, f"_step{c}(", partial(em.stmt, m, 1), ", fuel")
+    return _define(em, f"_step{c}")
+
+
 def compile_schema(base, mutants, space: StateSpace, mode: str) -> Schema | None:
     """Compile `base` and its single-site `mutants` once, as a mutant schema
     split at the cuts of `base` (see the module docstring).
 
     Each mutant must be built from `base` by `replace_nodes`.  Those whose
-    change lies within one cut and outside every loop are covered; one equal
-    to `base` is not.  Returns None when no mutant is covered or when the
-    schema cannot be compiled (nested too deeply for Python, say), so that
-    every mutant then compiles on its own.
+    change lies within one cut are covered: dispatched in the cut's step
+    where the change lies outside every loop, and given their own step for
+    the cut where it lies within one.  One equal to `base` is not covered.
+    Returns None when no mutant is covered or when the schema cannot be
+    compiled (nested too deeply for Python, say), so that every mutant then
+    compiles on its own.
     """
     _check_mode(mode)
     em = _Emitter(space, mode == "exact")
     mutants = dict.fromkeys(mutants)
     mutants.pop(base, None)  # a program equal to the base is no mutant of it
     cuts = _cuts(base, [(m, m) for m in mutants], [])
-    sites, ends = {}, []
+    sites, looped, ends = {}, [], []
     try:
         for c, (s, changed) in enumerate(cuts):
             first = len(em.covered)
             _emit_def(em, f"_step{c}(_m, ", partial(em.schema, s, 1, changed), ", fuel")
             sites.update((p, (c, k)) for k, p in enumerate(em.covered[first:], first + 1))
+            looped += [(c, p, m) for p, m in changed if p not in sites]  # changed within a loop
             ends.append(len(em.lines))
-        if not sites:
+        if not sites and not looped:
             return None
-        last = max(c for c, _ in sites.values())
+        last = max(c for c, *_ in [*sites.values(), *looped])
         del em.lines[ends[last]:]  # the suffix runs the cuts after the last mutant's
         _emit_def(em, "_run(_c, ", partial(_emit_suffix, em, cuts))
         em.emit(0, f"_steps = {_tuple(f'_step{c}' for c in range(last + 1))}")
         suffix = _define(em, "_run")
+        steps = suffix.__globals__["_steps"]  # defined beside the suffix
+        sites = {p: (c, partial(steps[c], k)) for p, (c, k) in sites.items()}
+        sites.update((p, (c, _own_step(c, m, space, em.exact))) for c, p, m in looped)
     except RelcorError:
         return None
-    return Schema(suffix.__globals__["_steps"], suffix, sites)  # defined beside the suffix
+    return Schema(steps, suffix, sites)
 
 
 @lru_cache(maxsize=4096)

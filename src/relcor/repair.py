@@ -81,22 +81,28 @@ def _verdict_rows(base: Node, spec: Spec, suite: TestSuite | None, mode: str,
     raise ValueError(f"unknown classification mode {mode!r}")
 
 
+#: the labels of the mutants that repair keeps
+KEPT = ("strictly_more_correct", "absolutely_correct")
+
+
 def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
                      mode: str = "testing", fuel: int = 10**4) -> list:
     """Per-mutant classification against `base`.
 
-    Returns [(mutant, classification, None), ...].  Both modes label the
-    batch with `suites.suite_labels`, which reads the base's row once and
-    each mutant's row once.  Testing mode runs the suite at `fuel`.  Exact
-    mode runs every state of the space at `conclusive_fuel`, so that a row
-    is [p] and the labels compare competence domains: the ground truth on
-    finite spaces.  `suite_labels` compiles the batch once, as a mutant
+    Returns [(mutant, classification, row), ...], where row is the
+    mutant's row when it is kept (`KEPT`) and None otherwise.  Both modes
+    label the batch with `suites.suite_labels`, which reads the base's row
+    once and each mutant's row once.  Testing mode runs the suite at `fuel`.
+    Exact mode runs every state of the space at `conclusive_fuel`, so that a
+    row is [p] and the labels compare competence domains: the ground truth
+    on finite spaces.  `suite_labels` compiles the batch once, as a mutant
     schema, and fills the rows of the mutants it covers by split-stream
     execution in both modes.
     """
     suite, fuel, run_mode = _verdict_rows(base, spec, suite, mode, fuel)
-    labels = suite_labels(base, [m.program for m in mutants], spec, suite, fuel, run_mode)
-    return [(m, label, None) for m, label in zip(mutants, labels)]
+    labelled = suite_labels(base, [m.program for m in mutants], spec, suite, fuel, run_mode)
+    return [(m, label, row if label in KEPT else None)
+            for m, (label, row) in zip(mutants, labelled)]
 
 
 def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
@@ -104,10 +110,6 @@ def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
     if cfg.max_depth < 1:
         raise RelcorError("max_depth must be >= 1")
     suite, fuel, run_mode = _verdict_rows(base, spec, cfg.suite, cfg.mode, cfg.fuel)
-
-    def fp(program: Node) -> str:  # a kept child's row: cached in testing mode, run again in exact
-        return outcome_digest(outcome_row(program, suite, fuel, run_mode))
-
     base_row = outcome_row(base, suite, fuel, run_mode)
     root = RepairNode(
         label="base",
@@ -135,12 +137,12 @@ def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
                 node.program, mutants, spec, cfg.suite, cfg.mode, cfg.fuel
             )
             grew = False
-            for m, label, _ in classified:
-                if label not in ("strictly_more_correct", "absolutely_correct"):
+            for m, label, row in classified:
+                if label not in KEPT:
                     continue
                 grew = True
                 child_label = f"{node.label}.{m.ordinal}"
-                digest = fp(m.program)
+                digest = outcome_digest(row)
                 if digest in seen_fp:
                     tree.nodes[seen_fp[digest]].aliases.append(child_label)
                     continue

@@ -131,9 +131,13 @@ class StateSpace:
 
     def states(self) -> Iterator["State"]:
         """All states in lexicographic order of the declared variables."""
-        self.check_enumerable()
-        for combo in itertools.product(*(d.values() for _, d in self.vars)):
+        for combo in self.value_tuples():
             yield State(self, combo)
+
+    def value_tuples(self) -> Iterator[tuple]:
+        """The values of every state, in the order of `states`."""
+        self.check_enumerable()
+        return itertools.product(*(d.values() for _, d in self.vars))
 
     def state(self, bindings: dict) -> "State":
         """Build a state from a name->value map, validating domains."""

@@ -132,18 +132,20 @@ class PredicateSpec:
             return self._dom_holds(s)
         if s not in self._witnessed:
             self._witnessed[s] = self._dom_holds(s) and any(
-                self._related(s, t) for t in self.space.states())
+                self._related(s, t) for t in self.space.value_tuples())
         return self._witnessed[s]
 
-    def _related(self, s: State, t: State) -> bool:
+    def _related(self, s: State, t: tuple) -> bool:
+        """Whether output values `t` are related to `s`; a `State` of them is
+        built only to report an undefined evaluation."""
         try:
-            return self._rel(s.values, t.values)
+            return self._rel(s.values, t)
         except UndefinedEval as e:
-            return self._count_undefined((s, t), e)
+            return self._count_undefined((s, State(self.space, t)), e)
 
     def membership(self, s: State, s_out: State) -> bool:
         # s_out itself witnesses s, so the domain predicate is all in_dom adds
-        return self._dom_holds(s) and self._related(s, s_out)
+        return self._dom_holds(s) and self._related(s, s_out.values)
 
     def oracle_at(self, s: State):
         rel, values = self._rel, s.values
@@ -175,7 +177,8 @@ class PredicateSpec:
             )
         states = list(self.space.states())
         inputs = [s for s in states if self._dom_holds(s)]
-        return Relation(self.space, {(s, t) for s in inputs for t in states if self._related(s, t)})
+        return Relation(self.space, {(s, t) for s in inputs for t in states
+                                     if self._related(s, t.values)})
 
 
 Spec = EnumeratedSpec | PredicateSpec

@@ -46,15 +46,22 @@ the base and the program are `semantics.tabulable`, so that one run per
 state gives the row.  It fills the rows of the base and of the covered
 mutants by split-stream execution (Just, Ernst and Fraser, ISSTA 2014).
 It runs the base once per input, cut by cut, and keeps its chain of
-(values, fuel left) at each cut.  A covered mutant changed at cut c runs
-only its own step, from the base's state at c; where the base ended before
-c, so does the mutant, with the base's outcome.  The rest of the run, from
-cut c + 1, is looked up in a memo keyed by (cut, values, fuel left), which
-starts with the base's own chain, and the base's suffix runs at most once
-per key.  A wide row so filled is cached, so a later `outcome_row` of the
-mutant, such as a kept child's fingerprint, makes no run; an exact row is
-folded and dropped, one program at a time.  Other programs get their rows
-from `outcome_row`.
+(values, fuel left) at each cut.  The schema covers every single-site
+mutant, also one changed within a loop, which has its own step for its
+cut.  A covered mutant changed at cut c runs only that step, from the
+base's states at c; where the base ended before c, so does the mutant,
+with the base's outcome.  The inputs are partitioned once per cut by the
+base's (values, fuel left) there, and each step runs once per distinct
+state, its outcome copied to every input that shares the state (the 560
+states of the arraysum space with elements narrowed to 0..1 reach the
+loop of `x = 0; i = 0; while ...` in 16 states).  The rest of the run,
+from cut c + 1, is looked up in a memo keyed by (cut, values, fuel left),
+which starts with the base's own chain, and the base's suffix runs at
+most once per key.  A wide row so filled is cached, so a later `outcome_row` of the
+mutant makes no run; an exact row is folded and handed to the caller,
+which keeps it or drops it, one program at a time.  Other programs, those
+whose wide rows are cached, and all programs when Python refuses the
+schema, get their rows from `outcome_row`.
 
 The fold: the base's row splits the in-domain inputs into those where the
 base passes and those where it fails, each with its oracle (`oracle_at`).
@@ -62,9 +69,11 @@ Each candidate's row is then counted over them: where the base passes, a
 pass is an n0 cell and a failure an n3 cell (`not_more_correct`); where it
 fails, a pass is an n1 cell and a failure an n2 cell.  `classify` labels
 the report.  No candidate is stopped once its label is settled.  The
-memo's savings depend on the data, on how often the mutants' states meet
-again, but a batch never costs more than one step plus one suffix run per
-covered mutant and input, and one run per other program and input.
+savings depend on the data, on how often the base's states at a cut and
+the mutants' states after it meet again, but a batch never costs more
+than one base run per input, one step plus one suffix run per covered
+mutant and distinct state of the base at its cut, and one run per other
+program and input.
 """
 
 from __future__ import annotations
@@ -293,32 +302,38 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     memo = {}  # (cut, values, fuel) -> the outcome of the base's suffix from there
     for chain, out in zip(chains, base_row):
         memo.update(((c, *state), out) for c, state in enumerate(chain[1:], 1))
+    # cut -> the base's distinct states there, and each input's index among
+    # them: None where the base ended before the cut, and so does the mutant
+    parts = {}
     for p in programs:
         key = (p, suite, fuel, mode)
         if p not in schema.sites or key in _rows:
             yield outcome_row(p, suite, fuel, mode)
             continue
-        cut, m = schema.sites[p]
-        step, suffix = partial(schema.steps[cut], m), partial(schema.suffix, cut + 1)
-        row = []
-        for chain, base_out in zip(chains, base_row):
-            if cut >= len(chain):  # the base ended before the mutant's cut, and so does the mutant
-                row.append(base_out)
-                continue
-            out = run_outcome(step, *chain[cut])
+        cut, step = schema.sites[p]
+        if cut not in parts:
+            states = {}
+            parts[cut] = states, [states.setdefault(chain[cut], len(states))
+                                  if cut < len(chain) else None for chain in chains]
+        states, where = parts[cut]
+        suffix, outs = partial(schema.suffix, cut + 1), []
+        for state in states:
+            out = run_outcome(step, *state)
             if type(out) is tuple:
                 at = (cut + 1, *out)
                 rest = memo.get(at)
                 if rest is None:
                     rest = memo[at] = run_outcome(suffix, *out)
                 out = rest
-            row.append(out)
-        yield tuple(row) if exact else _store_row(key, tuple(row))
+            outs.append(out)
+        row = tuple([base_out if i is None else outs[i] for i, base_out in zip(where, base_row)])
+        yield row if exact else _store_row(key, row)
 
 
 def _reports(spec: Spec, suite: TestSuite, rows):
-    """Yield the report of each row of `rows` after the first, against the
-    first, the base's (see the module docstring)."""
+    """Each row of `rows` after the first with its report against the first,
+    the base's (see the module docstring), as (report, row) pairs.  The
+    base's row is read at once, the others as the pairs are taken."""
     rows = iter(rows)
     passing, failing = [], []
     for i, (s, out) in enumerate(zip(suite.inputs, next(rows))):
@@ -326,11 +341,12 @@ def _reports(spec: Spec, suite: TestSuite, rows):
             passes = spec.oracle_at(s)
             (passing if passes(out) else failing).append((i, passes))
     outside = len(suite) - len(passing) - len(failing)  # inputs outside dom(R) pass vacuously
-    for row in rows:
+
+    def report(row) -> SuiteReport:
         kept = sum(passes(row[i]) for i, passes in passing)
         fixed = sum(passes(row[i]) for i, passes in failing)
         n2, n3 = len(failing) - fixed, len(passing) - kept
-        yield SuiteReport(
+        return SuiteReport(
             selection=dict(suite.selection),
             cumulabs=n2 == n3 == 0,
             cumulrel=n3 == 0,
@@ -341,22 +357,25 @@ def _reports(spec: Spec, suite: TestSuite, rows):
             n3=n3,
         )
 
+    return ((report(row), row) for row in rows)
+
 
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
               mode: str = "wide") -> SuiteReport:
     """Score base and candidate on every suite input, from their rows."""
     rows = (outcome_row(p, suite, fuel, mode) for p in (base, candidate))
-    return next(_reports(spec, suite, rows))
+    return next(_reports(spec, suite, rows))[0]
 
 
-def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int,
-                 mode: str = "wide") -> list:
+def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int, mode: str = "wide"):
     """The label of each program against `base` on the suite, as
-    `classify(run_suite(...))` gives it, folded from the rows of the base
-    and of each program (see the module docstring); one label per program,
-    in order."""
-    return [classify(report)
-            for report in _reports(spec, suite, _batch_rows(base, programs, suite, fuel, mode))]
+    `classify(run_suite(...))` gives it, with the program's row: (label,
+    row) pairs, one per program, in order, made as they are taken, so that
+    the caller keeps only the rows it wants.  The base's row is made at
+    once.  The labels are folded from the rows of the base and of each
+    program (see the module docstring)."""
+    pairs = _reports(spec, suite, _batch_rows(base, programs, suite, fuel, mode))
+    return ((classify(report), row) for report, row in pairs)
 
 
 def classify(report: SuiteReport) -> str:

@@ -11,6 +11,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
@@ -42,14 +44,27 @@ def test_every_target_of_the_benchmark_tracer_exists():
     assert relcor.suites.execute is execute  # read by perfbench/test_perfbench.py
 
 
-def test_the_checks_of_a_mutate_large_unit_hold():
-    """One cold, untraced unit of the benchmark's `mutate_large` workload.
-    Its checks recompute the spec, the base's outputs and 24 sampled
-    verdicts with the benchmark's tree-walker (`perfbench/refimpl.py`)."""
+#: the checks of each workload's unit
+UNIT_CHECKS = {
+    # recompute the spec, the base's outputs and 24 sampled verdicts with the
+    # benchmark's tree-walker (`perfbench/refimpl.py`)
+    "mutate_large": {"mutant_count", "spec_is_reference_graph", "base_outputs",
+                     "sampled_verdicts"},
+    # the expected facts of the exact repair, the solution's sums and the
+    # base's competence domain by the tree-walker
+    "arraysum_exact": {"solutions", "fault_density", "fault_depth",
+                       "solution_sums_a1_to_a3_everywhere",
+                       "base_competence_domain_matches_relcor", "only_root_expanded"},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(UNIT_CHECKS))
+def test_the_checks_of_a_benchmark_unit_hold(workload):
+    """One cold, untraced unit of a workload of the benchmark, whose checks
+    do not trust the code they measure."""
     unit = subprocess.run(
-        [sys.executable, "perfbench/unit.py", "mutate_large", "1", "0", str(time.monotonic())],
+        [sys.executable, "perfbench/unit.py", workload, "1", "0", str(time.monotonic())],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
     checks = json.loads(unit.stdout.splitlines()[-1])["checks"]
-    assert set(checks) == {"mutant_count", "spec_is_reference_graph", "base_outputs",
-                           "sampled_verdicts"}
+    assert set(checks) == UNIT_CHECKS[workload]
     assert all(checks.values()), checks

@@ -318,16 +318,18 @@ def compiled(monkeypatch):
     outcome_row.cache_clear()
 
 
-def _schema_run(schema, cut: int, m: int, values: tuple, fuel: int) -> tuple:
-    """One run of mutant `m` of `schema`, changed at `cut`: the base's steps
-    before that cut, the mutant's own step at it, then the base's suffix."""
-    for step in schema.steps[:cut]:
-        values, fuel = step(0, values, fuel)
-    values, fuel = schema.steps[cut](m, values, fuel)
+def _schema_run(schema, cut: int, step, values: tuple, fuel: int) -> tuple:
+    """One run of a mutant of `schema` changed at `cut`: the base's steps
+    before that cut, the mutant's `step` at it, then the base's suffix."""
+    for base_step in schema.steps[:cut]:
+        values, fuel = base_step(0, values, fuel)
+    values, fuel = step(values, fuel)
     return schema.suffix(cut + 1, values, fuel)
 
 
 def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
+    """Every mutant is covered: one changed outside every loop by a dispatch
+    in its cut's step, one changed within a loop by its own step."""
     rng = random.Random(1313)
     covered = in_loops = 0
     kinds, seen = set(), set()
@@ -337,13 +339,14 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
             base = random_program(rng, sp, wide=mode == "wide")
             mutants = generate(base, OPERATOR_FAMILIES)
             inside = _in_loops(base)
-            outside = {m.program for m in mutants if m.site.path not in inside}
             schema = interp.compile_schema(base, [m.program for m in mutants], sp, mode)
-            assert (set(schema.sites) if schema else set()) == outside
-            covered += len(outside)
-            in_loops += len(mutants) - len(outside)
+            assert (set(schema.sites) if schema else set()) == {m.program for m in mutants}
             if schema is None:
                 continue
+            own = {p for p, (_, step) in schema.sites.items() if not isinstance(step, partial)}
+            assert own == {m.program for m in mutants if m.site.path in inside}
+            covered += len(schema.sites)
+            in_loops += len(own)
             runners = {p: partial(_schema_run, schema, *site) for p, site in schema.sites.items()}
             runners[base] = partial(schema.suffix, 0)
             for p, run in runners.items():
@@ -377,9 +380,11 @@ def test_a_schema_leaves_out_programs_equal_to_its_base():
 
 
 def test_a_batch_compiles_once_plus_once_per_mutant_in_a_loop(compiled):
+    """The schema once, with a step per cut, and an own step for each mutant
+    changed within a loop; no program compiles alone."""
     rng = random.Random(1414)
-    schemata = 0
-    for i in range(40):
+    looping = dispatching = 0
+    for i in range(100):
         sp = program_space(rng, max_states=12, array=i % 2 == 1)
         base = random_program(rng, sp, wide=True)
         mutants = generate(base, OPERATOR_FAMILIES)
@@ -392,13 +397,18 @@ def test_a_batch_compiles_once_plus_once_per_mutant_in_a_loop(compiled):
         compiled.clear()
         classify_mutants(base, mutants, spec, suite, "testing", 100)
         inside = _in_loops(base)
-        assert compiled.count("_run") == 1 + len({m.program for m in mutants
-                                                  if m.site.path in inside})
-        schemata += len(mutants) > len(inside & {m.site.path for m in mutants})
-    assert schemata > 20
+        looped = {m.program for m in mutants if m.site.path in inside}
+        assert compiled.count("_run") == 1 and compile_program.cache_info().misses == 0
+        assert sum(name.startswith("_step") for name in compiled) == len(looped)
+        looping += bool(looped)
+        dispatching += len(looped) < len({m.program for m in mutants})
+    assert looping > 10 and dispatching > 50
 
 
 def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
+    """Fermat's base is one cut, a block, and every mutant is changed within
+    its loop, so each mutant's own step is the mutant compiled alone; the
+    schema compiles beside them, and `compile_program` never."""
     from relcor.studies import fermat
 
     built = fermat.build()
@@ -407,7 +417,8 @@ def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
     inside = _in_loops(base)
     assert len(mutants) == 48 and all(m.site.path in inside for m in mutants)
     classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
-    assert compiled.count("_run") == 1 + 48
+    assert compiled.count("_run") == 1 and compiled.count("_step0") == 48
+    assert compile_program.cache_info().misses == 0
 
 
 def test_a_schema_too_deep_for_python_falls_back_to_compiling_each_mutant(compiled):

@@ -9,10 +9,20 @@ benchmark's tracer."""
 import importlib.util
 import random
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from randgen import program_space, random_chain, random_program, random_straight_loop
-from relcor.lang.interp import FinalState, NonTermination, _Recurrence, compile_schema, execute
+from relcor.lang.ast_nodes import Seq, While, preorder
+from relcor.lang.interp import (
+    FinalState,
+    NonTermination,
+    _Recurrence,
+    compile_program,
+    compile_schema,
+    execute,
+    run_outcome,
+)
 from relcor.mutate import generate
 from relcor.space import ArrayDomain
 from relcor.specs import PredicateSpec
@@ -74,40 +84,68 @@ def test_execute_agrees_with_the_tree_walker():
     assert compared > 30_000
 
 
-def test_batch_rows_agree_with_the_tree_walker():
+def _proofs(monkeypatch) -> list:
+    """The result of every recurrent-box check made from now on."""
+    proofs = []
+    diverges = _Recurrence.diverges
+    monkeypatch.setattr(_Recurrence, "diverges",
+                        lambda rec, values: proofs.append(diverges(rec, values)) or proofs[-1])
+    return proofs
+
+
+def _nests_loops(p) -> bool:
+    return any(isinstance(n, While) for w in preorder(p) if isinstance(w, While)
+               for n in preorder(w.body))
+
+
+def test_batch_rows_agree_with_the_tree_walker(monkeypatch):
     """Rows that the batch kernel fills by split-stream execution, in both
-    modes, on straight-line bases with `if`s, blocks and loops."""
+    modes, on straight-line bases with `if`s, blocks and loops, some nested,
+    and in wide mode a last loop of the kind the recurrent box check
+    accepts, over suites that repeat inputs.  Every row, of the base and of
+    every mutant, equals the tree-walker's outcomes and those of the program
+    compiled alone; this includes the rows of the mutants changed within a
+    loop, which their own steps fill."""
+    proofs = _proofs(monkeypatch)
     rng = random.Random(4343)
-    kinds, compared = set(), 0
-    for i in range(40):
+    kinds, own_kinds, compared, nested, proved = set(), set(), 0, 0, 0
+    for i in range(24):
         sp = program_space(rng, max_states=30, array=i % 2 == 1)
         for mode in ("exact", "wide"):
             base = random_chain(rng, sp, wide=mode == "wide")
+            while i % 4 == 3 and not _nests_loops(base):
+                base = random_chain(rng, sp, wide=mode == "wide")
+            if mode == "wide" and i % 2 == 0:  # a scalar space
+                base = Seq(base, random_straight_loop(rng, sp))
             programs = [m.program for m in generate(base, ("AORB", "literal+-1", "index+-1"))]
             schema = compile_schema(base, programs, sp, mode)
-            covered = list(schema.sites) if schema else []
+            sites = schema.sites if schema else {}
             states = list(sp.states())
-            suite = Suite(tuple(rng.sample(states, min(12, len(states)))))
+            suite = Suite(tuple(rng.choices(states, k=min(12, 2 * len(states)))))
             fuel = rng.choice(FUELS)
             outcome_row.cache_clear()
-            rows = zip([base, *covered], _batch_rows(base, covered, suite, fuel, mode))
+            before = proofs.count(True)
+            rows = list(zip([base, *programs], _batch_rows(base, programs, suite, fuel, mode)))
+            proved += proofs.count(True) - before
             for p, row in rows:
                 assert [_raw(out) for out in row] == [
                     _reference(p, s, fuel, mode) for s in suite.inputs], (p, fuel, mode)
+                alone = compile_program(p, sp, mode)
+                assert row == tuple(run_outcome(alone, s.values, fuel) for s in suite.inputs)
                 kinds.update(_kind(_raw(out)) for out in row)
+                if p in sites and not isinstance(sites[p][1], partial):  # an own step's row
+                    own_kinds.update(_kind(_raw(out)) for out in row)
                 compared += len(row)
+            nested += _nests_loops(base)
     outcome_row.cache_clear()
-    assert kinds == {"final", refimpl.NONTERMINATION, refimpl.UNDEFINED}
-    assert compared > 10_000
+    assert kinds == own_kinds == {"final", refimpl.NONTERMINATION, refimpl.UNDEFINED}
+    assert compared > 30_000 and nested > 10 and proved > 50
 
 
 def test_wide_runs_at_high_fuel_agree_with_the_tree_walker(monkeypatch):
     """Wide-mode runs at fuel 10^4, where the recurrent-box check ends many
     divergent runs early: no proof may change an outcome."""
-    proofs = []
-    diverges = _Recurrence.diverges
-    monkeypatch.setattr(_Recurrence, "diverges",
-                        lambda rec, values: proofs.append(diverges(rec, values)) or proofs[-1])
+    proofs = _proofs(monkeypatch)
     rng = random.Random(4444)
     kinds = Counter()
     for i in range(40):

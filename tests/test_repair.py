@@ -1,8 +1,10 @@
 import json
 
 from relcor.lang.parser import parse
+from relcor.lang.semantics import conclusive_fuel
 from relcor.mutate import INTEGER_LITERAL, Patch, sites
 from relcor.repair import (
+    KEPT,
     RepairConfig,
     classify_mutants,
     repair,
@@ -14,7 +16,8 @@ from relcor.mutate import generate
 from relcor.relations import space_from_json
 from relcor.space import Interval, StateSpace
 from relcor.specs import PredicateSpec
-from relcor.suites import select_tests
+from relcor.suites import TestSuite as Suite
+from relcor.suites import outcome_row, select_tests
 
 SP = StateSpace((("x", Interval(0, 20)),))
 SPEC = PredicateSpec(SP, "x <= 18", "x' == x + 2")
@@ -106,9 +109,18 @@ def test_testing_mode_labels_without_full_reports(monkeypatch):
     assert not hasattr(relcor.repair, "run_suite")
     monkeypatch.setattr(relcor.suites, "run_suite", no_report)
     monkeypatch.setattr(relcor.suites, "cached_execute", no_cached_run)
-    testing = classify_mutants(SEEDED, mutants, SPEC, select_tests(SPEC, strategy="exhaustive"),
-                               "testing", 100)
-    assert [(m, label, None) for m, label, _ in exact] == testing
+    suite = select_tests(SPEC, strategy="exhaustive")
+    testing = classify_mutants(SEEDED, mutants, SPEC, suite, "testing", 100)
+    assert [(m, label) for m, label, _ in exact] == [(m, label) for m, label, _ in testing]
+    # each mode hands back the row its verdicts read for every kept mutant, and no other row
+    every_state = Suite(tuple(SP.states()))
+    for classified, row_of in (
+        (exact, lambda p: outcome_row(p, every_state, conclusive_fuel(SEEDED, SP), "exact")),
+        (testing, lambda p: outcome_row(p, suite, 100, "wide")),
+    ):
+        kept = [(m, row) for m, label, row in classified if label in KEPT]
+        assert kept and all(row == row_of(m.program) for m, row in kept)
+        assert all(row is None for _, label, row in classified if label not in KEPT)
 
 
 def test_verify_fault_on_a_literal_patch():

@@ -271,6 +271,33 @@ class _ReferenceSpec:
         return {(s, t) for s in inputs for t in states if self.related(s, t)}
 
 
+def test_the_witness_search_warns_first_where_a_search_over_states_would(caplog):
+    """in_dom searches value tuples, but it counts each undefined evaluation
+    and logs the first at its pair of states, as a search over
+    `space.states()` meets them."""
+    rng = random.Random(4545)
+    warned = 0
+    for _ in range(120):
+        sp = program_space(rng, max_states=30)
+        spec = PredicateSpec(sp, "true", random_predicate(rng, list(sp.names), primed=True))
+        ref, first = _ReferenceSpec(sp, "true", spec.rel_src), None
+        for s in sp.states():
+            for t in sp.states():
+                before = ref.undefined
+                if ref.related(s, t):
+                    break
+                if ref.undefined > before and first is None:
+                    first = (s, t)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="relcor.specs"):
+            for s in sp.states():
+                spec.in_dom(s)
+        assert spec.undefined == ref.undefined
+        assert [r.args[0] for r in caplog.records] == ([first] if first else [])
+        warned += first is not None
+    assert warned > 10
+
+
 def test_predicates_agree_with_the_old_compiler():
     rng = random.Random(4242)
     undefined = partial = 0

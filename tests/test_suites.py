@@ -46,6 +46,11 @@ HALF = parse("if (x < 4) { x = x + 2; } else { x = 0; }", SP)
 GOOD = parse("x = x + 2;", SP)
 
 
+def labels_of(*args) -> list:
+    """The labels of `suite_labels(*args)`, every row of the batch made."""
+    return [label for label, _ in suite_labels(*args)]
+
+
 def test_exhaustive_selection_covers_the_domain():
     suite = select_tests(SPEC, strategy="exhaustive")
     assert [s["x"] for s in suite.inputs] == list(range(8))
@@ -155,19 +160,22 @@ def runs(monkeypatch):
     schema base's chain (`suites._base_chain`) or a covered mutant's step;
     the suffix that ends a step's run is not counted apart.  `runs.made`
     lists every call as (kind, its arguments): kind "run", "chain", "step"
-    (arguments: the mutant index, values, fuel) or "suffix" (the cut,
-    values, fuel).  A schema's steps and suffix are the functions
-    `_step<c>` and `_run`, bound to their first argument."""
+    (arguments: the step, as `Schema.sites` holds it, values, fuel) or
+    "suffix" (the cut, values, fuel).  A schema's steps are functions
+    `_step<c>`: the cut's step bound to a mutant index, or a mutant's own
+    step.  Its suffix is the function `_run` bound to a cut; a program
+    compiled alone is an unbound `_run`."""
     made = []
     run_outcome = suites.run_outcome
 
     def record(run, values, fuel):
-        func, args = getattr(run, "func", None), getattr(run, "args", ())
+        func, args = getattr(run, "func", run), getattr(run, "args", ())
         name = getattr(func, "__name__", "")
         kind = ("chain" if func is suites._base_chain
                 else "step" if name.startswith("_step")
-                else "suffix" if name == "_run" else "run")
-        made.append((kind, (*args[-1:], values, fuel) if kind in ("step", "suffix") else ()))
+                else "suffix" if name == "_run" and func is not run else "run")
+        made.append((kind, (run, values, fuel) if kind == "step"
+                     else (*args, values, fuel) if kind == "suffix" else ()))
         return run_outcome(run, values, fuel)
 
     for module in (suites, semantics):
@@ -183,18 +191,18 @@ def test_suite_labels_run_the_base_once_and_each_program_once_per_input(runs):
     suite = exhaustive()  # x in 0..7; GOOD passes each, BASE none
     wide = Suite(tuple(SP.state({"x": x}) for x in range(10)))  # 8, 9 outside dom(R)
     bad = parse("x = x + 3;", SP)
-    suite_labels(GOOD, [], SPEC, wide, 100)
+    labels_of(GOOD, [], SPEC, wide, 100)
     assert runs() == len(wide)  # inputs outside dom(R) take a run too
-    suite_labels(GOOD, [bad], SPEC, wide, 100)
+    labels_of(GOOD, [bad], SPEC, wide, 100)
     assert runs() == 2 * len(wide)
-    assert suite_labels(GOOD, [bad], SPEC, wide, 100) == ["not_more_correct"]
+    assert labels_of(GOOD, [bad], SPEC, wide, 100) == ["not_more_correct"]
     assert classify(run_suite(bad, GOOD, SPEC, wide, 100)) == "not_more_correct"
     assert runs() == 2 * len(wide)  # neither the same batch again nor a report runs
-    assert suite_labels(GOOD, [bad, GOOD, HALF], SPEC, suite, 100) == [
+    assert labels_of(GOOD, [bad, GOOD, HALF], SPEC, suite, 100) == [
         "not_more_correct", "absolutely_correct", "not_more_correct"]
     # against a base that passes nowhere, HALF passes on x in 0..3 only
     before = runs()
-    assert suite_labels(BASE, [HALF, BASE], SPEC, suite, 100) == [
+    assert labels_of(BASE, [HALF, BASE], SPEC, suite, 100) == [
         "strictly_more_correct", "as_correct"]
     assert runs() - before == len(suite)  # BASE's row; HALF's is cached
 
@@ -246,7 +254,7 @@ def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
         # program's is made once, and an exact row is made on every read
         batch = len(suite) * (len({base, *programs}) if mode == "wide" else 1 + len(programs))
         before, calls = runs(), len(runs.made)
-        labels = suite_labels(base, programs, spec, suite, fuel, mode)
+        labels = labels_of(base, programs, spec, suite, fuel, mode)
         labelled = runs() - before
         assert 0 < labelled <= batch
         suffixes = [args for kind, args in runs.made[calls:] if kind == "suffix"]
@@ -254,7 +262,7 @@ def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
         made = len(runs.made)
         assert labels == [classify(run_suite(p, base, spec, suite, fuel, mode))
                           for p in programs]
-        assert suite_labels(base, programs, spec, suite, fuel, mode) == labels
+        assert labels_of(base, programs, spec, suite, fuel, mode) == labels
         if mode == "wide":  # every row is cached: neither reports nor the batch run
             assert len(runs.made) == made
         else:  # each report reads the base's row and the program's; the batch runs again
@@ -320,38 +328,84 @@ def test_split_rows_key_the_rest_of_a_run_by_its_fuel_left():
     assert flipped in mutants
     suite = Suite((sp.state({"x": 0, "y": 0}), sp.state({"x": 1, "y": 0})))
     outcome_row.cache_clear()
-    suite_labels(base, mutants, PredicateSpec(sp, "true", "true"), suite, 4)
+    labels_of(base, mutants, PredicateSpec(sp, "true", "true"), suite, 4)
     assert outcome_row(base, suite, 4, "wide") == (NonTermination(), (1, 2))
     assert outcome_row(flipped, suite, 4, "wide") == ((0, 2), NonTermination())
     outcome_row.cache_clear()
 
 
+def _cut_of(step) -> int:
+    """The cut of a schema's step, from its name, `_step<c>`."""
+    return int(getattr(step, "func", step).__name__[len("_step"):])
+
+
 def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
+    """Each covered mutant's step runs once per distinct (values, fuel) that
+    the base has at the mutant's cut, where the base reaches it, and each
+    suffix key at most once."""
     rng = random.Random(3232)
-    steps = suffixes = 0
+    steps = suffixes = reached = own = 0
     for base, mutants, spec, suite, fuel in _split_batches(rng, 100):
         programs = [m.program for m in mutants]
         schema = compile_schema(base, programs, spec.space, "wide")
-        covered = {base, *schema.sites} if schema else set()
+        sites = schema.sites if schema else {}
+        covered = {base, *sites} if schema else set()
+        chains = [[] for _ in suite.inputs]
+        for chain, s in zip(chains, suite.inputs) if schema else ():
+            run_outcome(partial(suites._base_chain, schema, chain), s.values, fuel)
+        distinct = [len({chain[c] for chain in chains if c < len(chain)})
+                    for c in range(len(schema.steps) if schema else 0)]
         outcome_row.cache_clear()
         start = len(runs.made)
-        suite_labels(base, programs, spec, suite, fuel)
+        labels_of(base, programs, spec, suite, fuel)
         made = runs.made[start:]
         kinds = Counter(kind for kind, _ in made)
         assert kinds["chain"] == (len(suite) if schema else 0)
         assert kinds["run"] == len(suite) * len({base, *programs} - covered)
-        by_mutant = Counter(args[0] for kind, args in made if kind == "step")
-        assert all(n <= len(suite) for n in by_mutant.values())
+        by_step = Counter(args[0] for kind, args in made if kind == "step")
+        assert all(n == distinct[_cut_of(step)] for step, n in by_step.items())
+        assert len(by_step) == sum(distinct[c] > 0 for c, _ in sites.values())
         keys = [args for kind, args in made if kind == "suffix"]
         assert len(keys) == len(set(keys))
         steps += kinds["step"]
         suffixes += len(keys)
+        reached += sum(sum(c < len(chain) for chain in chains) for c, _ in sites.values())
+        own += sum(not isinstance(step, partial) for step in by_step)
         made = len(runs.made)  # every row of the batch is cached now
         for p in programs:
             outcome_row(p, suite, fuel, "wide")
         assert len(runs.made) == made
     outcome_row.cache_clear()
     assert 0 < suffixes < steps / 2
+    assert steps < reached * 0.6 and own > 400  # the partition shares steps, own steps too
+
+
+def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
+    """Exact mode on every state of the arraysum program's space with the
+    elements narrowed to 0..1 (560 states).  Each mutant's step runs once
+    per distinct state of the base at its cut: 560 before `x = 0`, 80 before
+    `i = 0` and 16 at the loop, where x and i are 0 and only the array
+    varies.  A repair of the program runs no program whole but the root."""
+    sp = StateSpace((("a", ArrayDomain(4, Interval(0, 1))), ("x", Interval(0, 6)),
+                     ("i", Interval(0, 4))))
+    base = parse("x = 0; i = 0; while (i < 3) { x = x + a[i]; i = i + 1; }", sp)
+    spec = PredicateSpec(sp, "true", "x' == a[1] + a[2] + a[3]")
+    operators = ("literal+-1", "index+-1")
+    programs = [m.program for m in generate(base, operators)]
+    every_state = Suite(tuple(sp.states()))
+    labels_of(base, programs, spec, every_state, semantics.conclusive_fuel(base, sp), "exact")
+    kinds = Counter(kind for kind, _ in runs.made)
+    assert kinds["chain"] == 560 and kinds["run"] == 0
+    by_step = Counter(args[0] for kind, args in runs.made if kind == "step")
+    assert Counter((_cut_of(step), n) for step, n in by_step.items()) == {
+        (0, 560): 2, (1, 80): 2, (2, 16): 6}
+    assert sum(not isinstance(step, partial) for step in by_step) == 6  # own steps
+    keys = [args for kind, args in runs.made if kind == "suffix"]
+    assert len(keys) == len(set(keys))
+    runs.made.clear()
+    tree, _ = repair(base, spec, RepairConfig(operators=operators, max_depth=2, mode="exact"))
+    assert tree.solutions == ["base.7"]
+    assert Counter(kind for kind, _ in runs.made)["run"] == 560  # the root's row
 
 
 def _raw(outcome):
@@ -377,7 +431,9 @@ def _twin(spec):
 def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode):
     """Rows against `execute` of each program compiled alone (no schema, no
     row), and reports and labels against `abs_oracle` on those outcomes;
-    `PredicateSpec.undefined` counts the same on both sides."""
+    `PredicateSpec.undefined` counts the same on both sides.  `in_loops`
+    counts the covered mutants changed within a loop, which run their own
+    step."""
     rng = random.Random(2121 if mode == "wide" else 2122)
     covered = in_loops = undefined = 0
     outcomes, sites, seen = set(), set(), set()
@@ -386,10 +442,10 @@ def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode):
         schema = compile_schema(base, programs, spec.space, mode)
         schema_sites = schema.sites if schema else {}
         covered += len(schema_sites)
-        in_loops += sum(m.program not in schema_sites for m in mutants)
+        in_loops += sum(not isinstance(step, partial) for _, step in schema_sites.values())
         ref_spec = _twin(spec)
         outcome_row.cache_clear()
-        labels = suite_labels(base, programs, spec, suite, fuel, mode)
+        labels = labels_of(base, programs, spec, suite, fuel, mode)
         rows = {p: outcome_row(p, suite, fuel, mode) for p in [base] + programs}
 
         compile_program.cache_clear()
