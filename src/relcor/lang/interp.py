@@ -45,8 +45,15 @@ have exhausted its fuel later.
   possible either.  Check points are global to a run: when its consumed
   fuel reaches 8 and each time it has doubled since, in whichever such loop
   is running, so a run makes about log2(fuel) checks (a schema counts them
-  per step and per suffix; see below).  A program without such a loop
-  compiles exactly as it would without the check.
+  per step and per suffix; see below).  The check is compiled to Python
+  once per distinct loop (`_recurrence`), whichever programs hold it, and
+  takes the loop's variables as arguments.  It takes the concrete step with
+  the program's own expressions and returns as soon as the guard is not
+  certain on the box; only a box that passes has its image computed.  A
+  checked loop tests its fuel once per iteration, against the next check
+  point, which is never below fuel -1, and tests for exhaustion only there.
+  A program without such a loop compiles exactly as it would without the
+  check.
 
 A batch of single-site mutants of one base compiles once, as a mutant
 schema (Untch, Offutt and Harrold, "Mutation analysis using mutant
@@ -62,8 +69,10 @@ mutants gets `if not lo <= _m <= hi:`, which runs the base statement, and
 one branch per mutant, which runs that statement as it appears in the
 mutant's own tree.  The base is `_m = 0`.  One more function,
 the suffix `_run(c, values, fuel) -> values`, runs the base from cut c to
-the end, with no dispatch.  The mutants are found by identity, as
-`replace_nodes` shares every subtree off the changed spine: the emitter
+the end, with no dispatch.  It is entered only after a step, so it starts
+at cut 1, and a run whose step is the base's last cut ends with that step
+(`Schema.cuts`).  The mutants are found by identity, as `replace_nodes`
+shares every subtree off the changed spine: the emitter
 follows each one down the `Seq` chain to its cut, and on down block and
 `if` bodies to the innermost statement holding its change.  Nothing in a
 `while`, guard or body, gets a dispatch, so no loop pays for a selector on
@@ -215,65 +224,6 @@ def _div(x, c: int):
     return (x if c > 0 else -x) if isinstance(x, float) else cdiv(x, c)
 
 
-def _ival(e, env: dict):
-    """The interval of expression `e` where each variable ranges over its
-    interval in `env`; exact when every interval is a single value."""
-    if isinstance(e, IntLit):
-        return (e.value, e.value)
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Neg):
-        lo, hi = _ival(e.operand, env)
-        return (-hi, -lo)
-    lo, hi = _ival(e.left, env)
-    if e.op in "/%":  # by a non-zero literal
-        c = e.right.value
-        if e.op == "/":  # truncation is monotone in the dividend
-            return (_div(lo, c), _div(hi, c)) if c > 0 else (_div(hi, c), _div(lo, c))
-        if lo == hi:
-            return (cmod(lo, c), cmod(lo, c))
-        m = abs(c) - 1  # the remainder takes the dividend's sign, |r| <= min(|x|, m)
-        return (0 if lo >= 0 else max(lo, -m), 0 if hi <= 0 else min(hi, m))
-    rlo, rhi = _ival(e.right, env)
-    if e.op == "+":
-        return (_add(lo, rlo), _add(hi, rhi))
-    if e.op == "-":
-        return (_add(lo, -rhi), _add(hi, -rlo))
-    ends = (_mul(lo, rlo), _mul(lo, rhi), _mul(hi, rlo), _mul(hi, rhi))
-    return (min(ends), max(ends))
-
-
-def _box_holds(c, env: dict):
-    """True if condition `c` holds on every state of the box `env`, False
-    if on none, None if it depends."""
-    if isinstance(c, BoolLit):
-        return c.value
-    if isinstance(c, Cmp):
-        return _box_cmp(c.op, _ival(c.left, env), _ival(c.right, env))
-    if isinstance(c, Not):
-        v = _box_holds(c.operand, env)
-        return None if v is None else not v
-    left, right = _box_holds(c.left, env), _box_holds(c.right, env)
-    if isinstance(c, And):
-        return False if False in (left, right) else left and right
-    return True if True in (left, right) else None if None in (left, right) else False
-
-
-def _box_cmp(op: str, a, b):
-    """True if `a op b` holds for every pair of values in the intervals,
-    False if for none, None if it depends."""
-    if op in (">", ">="):
-        op, a, b = ("<" if op == ">" else "<="), b, a
-    if op == "<":
-        return True if a[1] < b[0] else False if a[0] >= b[1] else None
-    if op == "<=":
-        return True if a[1] <= b[0] else False if a[0] > b[1] else None
-    same = a[0] == a[1] == b[0] == b[1]
-    apart = a[1] < b[0] or b[1] < a[0]
-    eq = True if same else False if apart else None
-    return eq if op == "==" or eq is None else not eq
-
-
 _BOXABLE = (Seq, Skip, Assign, VarTarget, IntLit, Var, Neg, BinOp, BoolLit, Cmp, Not, And, Or)
 
 
@@ -288,35 +238,11 @@ def _boxable(loop: While) -> bool:
     )
 
 
-class _Recurrence:
-    """The divergence check of one `_boxable` loop (see the module docstring)."""
-
-    def __init__(self, loop: While):
-        self.guard = loop.cond
-        self.steps = tuple((n.target.name, n.expr) for n in preorder(loop.body)
-                           if isinstance(n, Assign))
-        self.names = tuple(sorted({n.name for part in (loop.cond, loop.body)
-                                   for n in preorder(part) if isinstance(n, (Var, VarTarget))}))
-
-    def _step(self, env: dict) -> dict:
-        env = dict(env)
-        for name, e in self.steps:
-            env[name] = _ival(e, env)
-        return env
-
-    def diverges(self, values: tuple) -> bool:
-        """Whether the loop, at the head with its variables at `values`, can
-        never exit."""
-        here = dict(zip(self.names, values))
-        after = self._step({n: (v, v) for n, v in here.items()})
-        box = {}
-        for n, v in here.items():
-            w = after[n][0]
-            box[n] = (v, _INF) if w > v else (-_INF, v) if w < v else (v, v)
-        if _box_holds(self.guard, box) is not True:
-            return False
-        image = self._step(box)
-        return all(box[n][0] <= image[n][0] and image[n][1] <= box[n][1] for n in box)
+def _loop_names(loop: While) -> list:
+    """The variables of the loop's guard and body, sorted: the arguments of
+    its divergence check."""
+    return sorted({n.name for part in (loop.cond, loop.body)
+                   for n in preorder(part) if isinstance(n, (Var, VarTarget))})
 
 
 # -- code generation ---------------------------------------------------------------
@@ -338,7 +264,7 @@ class _Emitter:
         self.lines: list[str] = []
         self.tmp = 0
         #: the divergence check of each `_boxable` wide-mode loop, by its name in the code
-        self.recurrences: dict[str, _Recurrence] = {}
+        self.recurrences: dict = {}
         #: the mutant programs a schema dispatches on, in index order (see `schema`)
         self.covered: list = []
 
@@ -441,14 +367,16 @@ class _Emitter:
             self.emit(depth, f"while {self.cond(s.cond)}:")
             self.stmt(s.body, depth + 1)
             self.emit(depth + 1, "fuel -= 1")
-            self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
-            if not self.exact and _boxable(s):
+            if self.exact or not _boxable(s):
+                self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
+            else:  # one test per iteration: as _chk >= -1, fuel -1 is a check point
                 rec = f"_rec{len(self.recurrences)}"
-                self.recurrences[rec] = check = _Recurrence(s)
-                values = _tuple(_V + n for n in check.names)
+                self.recurrences[rec] = _recurrence(s)
+                values = ", ".join(_V + n for n in _loop_names(s))
                 self.emit(depth + 1, "if fuel <= _chk:")
-                self.emit(depth + 2, "_chk = 2 * fuel - _fuel0")  # when consumed fuel doubles
-                self.emit(depth + 2, f"if {rec}.diverges({values}): raise _OutOfFuel()")
+                self.emit(depth + 2, "if fuel < 0: raise _OutOfFuel()")
+                self.emit(depth + 2, "_chk = max(2 * fuel - _fuel0, -1)")  # consumed fuel doubled
+                self.emit(depth + 2, f"if {rec}({values}): raise _OutOfFuel()")
             if self.exact:
                 head = self.fresh()
                 in_scope = "".join(f"{_V}{n}, " for n in self.domains)
@@ -523,6 +451,113 @@ class _Emitter:
             self.stmt(m, depth)
 
 
+class _Boxes(_Emitter):
+    """Emits a loop's divergence check (`_recurrence`): its interval
+    arithmetic in three-address form, one local per bound, so that no
+    expression nests deeper than the program's own.  An interval is a pair
+    of Python operands (lo, hi), the same one twice for a single value."""
+
+    def __init__(self):
+        super().__init__(StateSpace(()), exact=False)
+
+    def let(self, value: str) -> str:
+        t = self.fresh()
+        self.emit(1, f"{t} = {value}")
+        return t
+
+    def ival(self, e, env: dict) -> tuple:
+        """The interval of expression `e` where each variable ranges over its
+        interval in `env`; exact when every interval is a single value."""
+        if isinstance(e, IntLit):
+            return (f"({e.value})",) * 2
+        if isinstance(e, Var):
+            return env[e.name]
+        if isinstance(e, Neg):
+            lo, hi = self.ival(e.operand, env)
+            if lo == hi:
+                return (self.let(f"-{lo}"),) * 2
+            return self.let(f"-{hi}"), self.let(f"-{lo}")
+        lo, hi = self.ival(e.left, env)
+        if e.op in "/%":  # by a non-zero literal
+            c = e.right.value
+            if lo == hi:
+                return (self.let(f"{'cdiv' if e.op == '/' else 'cmod'}({lo}, {c})"),) * 2
+            if e.op == "/":  # truncation is monotone in the dividend
+                lo, hi = (lo, hi) if c > 0 else (hi, lo)
+                return self.let(f"_div({lo}, {c})"), self.let(f"_div({hi}, {c})")
+            m = abs(c) - 1  # the remainder takes the dividend's sign, |r| <= min(|x|, m)
+            rlo, rhi = self.fresh(), self.fresh()
+            self.emit(1, f"if {lo} == {hi}: {rlo} = {rhi} = cmod({lo}, {c})")
+            self.emit(1, f"else: {rlo} = 0 if {lo} >= 0 else max({lo}, {-m});"
+                         f" {rhi} = 0 if {hi} <= 0 else min({hi}, {m})")
+            return rlo, rhi
+        rlo, rhi = self.ival(e.right, env)
+        if lo == hi and rlo == rhi:
+            return (self.let(f"{lo} {e.op} {rlo}"),) * 2
+        if e.op == "+":
+            return self.let(f"_add({lo}, {rlo})"), self.let(f"_add({hi}, {rhi})")
+        if e.op == "-":
+            return self.let(f"_add({lo}, -{rhi})"), self.let(f"_add({hi}, -{rlo})")
+        ends = ", ".join(self.let(f"_mul({x}, {y})")  # a single value's ends are one
+                         for x in dict.fromkeys((lo, hi)) for y in dict.fromkeys((rlo, rhi)))
+        return self.let(f"min({ends})"), self.let(f"max({ends})")
+
+    def certain(self, c, env: dict) -> tuple:
+        """Two Python conditions: that condition `c` holds on every state of
+        the box `env`, and that it holds on none."""
+        if isinstance(c, BoolLit):
+            return str(c.value), str(not c.value)
+        if isinstance(c, Not):
+            return self.certain(c.operand, env)[::-1]
+        if isinstance(c, (And, Or)):
+            (lt, lf), (rt, rf) = self.certain(c.left, env), self.certain(c.right, env)
+            if isinstance(c, And):
+                return f"({lt} and {rt})", f"({lf} or {rf})"
+            return f"({lt} or {rt})", f"({lf} and {rf})"
+        op, a, b = c.op, self.ival(c.left, env), self.ival(c.right, env)
+        if op in (">", ">="):
+            op, a, b = ("<" if op == ">" else "<="), b, a
+        if op == "<":
+            return f"({a[1]} < {b[0]})", f"({a[0]} >= {b[1]})"
+        if op == "<=":
+            return f"({a[1]} <= {b[0]})", f"({a[0]} > {b[1]})"
+        ends = list(dict.fromkeys((*a, *b)))
+        same = f"({' == '.join(ends)})" if len(ends) > 1 else "True"
+        apart = f"({a[1]} < {b[0]} or {b[1]} < {a[0]})"
+        return (same, apart) if op == "==" else (apart, same)
+
+
+@lru_cache(maxsize=4096)
+def _recurrence(loop: While):
+    """Compile the divergence check of a `_boxable` wide-mode loop (see the
+    module docstring) to f(*values) -> bool over `_loop_names(loop)`:
+    whether the loop, at its head with its variables at `values`, can never
+    exit.  After the concrete step and the box, the check returns False as
+    soon as the guard is not certain on the box; only then does it compute
+    the box's image."""
+    em = _Boxes()
+    names = _loop_names(loop)
+    steps = [(n.target.name, n.expr) for n in preorder(loop.body) if isinstance(n, Assign)]
+    assigned = dict.fromkeys(name for name, _ in steps)
+    em.emit(0, f"def _rec({', '.join(_V + n for n in names)}):")
+    em.lines += [f"    _h{n} = {_V}{n}" for n in assigned]  # the head's values
+    em.stmt(loop.body, 1)
+    box = {n: (_V + n,) * 2 for n in names}  # a variable the body leaves alone stays put
+    for n in assigned:
+        v, h, lo, hi = _V + n, "_h" + n, "_l" + n, "_u" + n
+        em.emit(1, f"if {v} > {h}: {lo} = {h}; {hi} = _INF")
+        em.emit(1, f"elif {v} < {h}: {lo} = -_INF; {hi} = {h}")
+        em.emit(1, f"else: {lo} = {hi} = {h}")
+        box[n] = (lo, hi)
+    em.emit(1, f"if not {em.certain(loop.cond, box)[0]}: return False")
+    image = dict(box)
+    for name, e in steps:
+        image[name] = em.ival(e, image)
+    inside = [f"{box[n][0]} <= {image[n][0]} and {image[n][1]} <= {box[n][1]}" for n in assigned]
+    em.emit(1, f"return {' and '.join(inside) or 'True'}")
+    return _define(em, "_rec")
+
+
 #: the fields of the statements that hold statements, and all their fields
 _BODIES = {Seq: ("first", "second"), If: ("then",), IfElse: ("then", "orelse"), Block: ("body",)}
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _BODIES}
@@ -550,6 +585,10 @@ _RUNTIME = {
     "_Aborted": _Aborted,
     "_OutOfFuel": _OutOfFuel,
     "_Repeated": _Repeated,
+    "_add": _add,
+    "_mul": _mul,
+    "_div": _div,
+    "_INF": _INF,
 }
 
 
@@ -591,7 +630,8 @@ def _emit_def(em: _Emitter, head: str, body, returns: str = "") -> None:
     prologue, checks = len(em.lines), len(em.recurrences)
     body()
     if len(em.recurrences) > checks:  # the fuel at the function's next check point
-        em.lines[prologue:prologue] = ["    _fuel0 = fuel", f"    _chk = fuel - {_CHECK_FROM}"]
+        em.lines[prologue:prologue] = ["    _fuel0 = fuel",
+                                       f"    _chk = max(fuel - {_CHECK_FROM}, -1)"]
     em.emit(1, f"return {_tuple(names)}{returns}")
 
 
@@ -605,17 +645,20 @@ class Schema:
     docstring).  Not a dataclass, whose generated methods would cost every
     import of this module about half a millisecond."""
 
-    def __init__(self, steps: tuple, suffix, sites: dict):
+    def __init__(self, steps: tuple, suffix, sites: dict, cuts: int):
         #: per cut up to the last covered mutant's, f(_m, values, fuel) ->
         #: (values, fuel): the cut's statement as mutant _m has it, the
         #: base's for _m = 0
         self.steps = steps
-        #: f(c, values, fuel) -> values: the base from cut c to the end
+        #: f(c, values, fuel) -> values: the base from cut c >= 1 to the end
         self.suffix = suffix
         #: each covered mutant -> (its cut c, its step f(values, fuel) ->
         #: (values, fuel), which runs cut c as the mutant has it): steps[c]
         #: bound to the mutant's index, or the mutant's own step
         self.sites = sites
+        #: the number of cuts of the base; a run whose step is the last
+        #: cut's ends with that step
+        self.cuts = cuts
 
 
 @lru_cache(maxsize=4096)
@@ -646,7 +689,7 @@ def _cuts(s, mutants, out: list) -> list:
 
 
 def _emit_suffix(em: _Emitter, cuts: list) -> None:
-    for c, (s, _) in enumerate(cuts):
+    for c, (s, _) in enumerate(cuts[1:], 1):  # the suffix is entered after a step
         em.emit(1, f"if _c <= {c}:")
         em.stmt(s, 2)
 
@@ -696,7 +739,7 @@ def compile_schema(base, mutants, space: StateSpace, mode: str) -> Schema | None
         sites.update((p, (c, _own_step(c, m, space, em.exact))) for c, p, m in looped)
     except RelcorError:
         return None
-    return Schema(steps, suffix, sites)
+    return Schema(steps, suffix, sites, len(cuts))
 
 
 @lru_cache(maxsize=4096)

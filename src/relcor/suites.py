@@ -57,7 +57,8 @@ states of the arraysum space with elements narrowed to 0..1 reach the
 loop of `x = 0; i = 0; while ...` in 16 states).  The rest of the run,
 from cut c + 1, is looked up in a memo keyed by (cut, values, fuel left),
 which starts with the base's own chain, and the base's suffix runs at
-most once per key.  A wide row so filled is cached, so a later `outcome_row` of the
+most once per key; where c is the base's last cut, the step's values are
+final.  A wide row so filled is cached, so a later `outcome_row` of the
 mutant makes no run; an exact row is folded and handed to the caller,
 which keeps it or drops it, one program at a time.  Other programs, those
 whose wide rows are cached, and all programs when Python refuses the
@@ -271,6 +272,8 @@ def _base_chain(schema, chain: list, values: tuple, fuel: int) -> tuple:
     for step in schema.steps:
         chain.append((values, fuel))
         values, fuel = step(0, values, fuel)
+    if len(schema.steps) == schema.cuts:
+        return values
     return schema.suffix(len(schema.steps), values, fuel)
 
 
@@ -317,14 +320,18 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
                                   if cut < len(chain) else None for chain in chains]
         states, where = parts[cut]
         suffix, outs = partial(schema.suffix, cut + 1), []
+        last = cut + 1 == schema.cuts  # the step ends the run
         for state in states:
             out = run_outcome(step, *state)
             if type(out) is tuple:
-                at = (cut + 1, *out)
-                rest = memo.get(at)
-                if rest is None:
-                    rest = memo[at] = run_outcome(suffix, *out)
-                out = rest
+                if last:
+                    out = out[0]
+                else:
+                    at = (cut + 1, *out)
+                    rest = memo.get(at)
+                    if rest is None:
+                        rest = memo[at] = run_outcome(suffix, *out)
+                    out = rest
             outs.append(out)
         row = tuple([base_out if i is None else outs[i] for i, base_out in zip(where, base_row)])
         yield row if exact else _store_row(key, row)

@@ -307,11 +307,13 @@ def _in_loops(p) -> set:
 @pytest.fixture
 def compiled(monkeypatch):
     """The name of the function of every compile made while the test runs:
-    "_run" for programs and schemata, "_eval" for expressions."""
+    "_run" for programs and schemata, "_eval" for expressions, "_rec" for
+    divergence checks."""
     names = []
     define = interp._define
     monkeypatch.setattr(interp, "_define", lambda em, name: names.append(name) or define(em, name))
     compile_program.cache_clear()
+    interp._recurrence.cache_clear()
     outcome_row.cache_clear()
     yield names
     compile_program.cache_clear()
@@ -348,7 +350,7 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
             covered += len(schema.sites)
             in_loops += len(own)
             runners = {p: partial(_schema_run, schema, *site) for p, site in schema.sites.items()}
-            runners[base] = partial(schema.suffix, 0)
+            runners[base] = partial(_schema_run, schema, 0, partial(schema.steps[0], 0))
             for p, run in runners.items():
                 alone = compile_program(p, sp, mode)
                 for s in sp.states():
@@ -408,7 +410,9 @@ def test_a_batch_compiles_once_plus_once_per_mutant_in_a_loop(compiled):
 def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
     """Fermat's base is one cut, a block, and every mutant is changed within
     its loop, so each mutant's own step is the mutant compiled alone; the
-    schema compiles beside them, and `compile_program` never."""
+    schema compiles beside them, and `compile_program` never.  The base is
+    compiled once, as the schema's step: its suffix, entered only after the
+    last cut, holds no statement."""
     from relcor.studies import fermat
 
     built = fermat.build()
@@ -419,6 +423,24 @@ def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
     classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
     assert compiled.count("_run") == 1 and compiled.count("_step0") == 48
     assert compile_program.cache_info().misses == 0
+    schema = interp.compile_schema(base, [m.program for m in mutants], built["spec"].space, "wide")
+    assert schema.cuts == len(schema.steps) == 1
+    assert schema.suffix.__code__.co_names == ()  # no global, so no statement runs
+
+
+def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
+    """One check per distinct boxable loop of the base and its mutants, not
+    one per module that holds the loop."""
+    from relcor.studies import fermat
+
+    built = fermat.build()
+    base = built["base"]
+    mutants = generate(base, ("AORB",))
+    loops = [n for p in (base, *(m.program for m in mutants)) for n in preorder(p)
+             if isinstance(n, A.While) and interp._boxable(n)]
+    assert len(loops) == 90 and len(set(loops)) == 26
+    classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
+    assert compiled.count("_rec") == 26
 
 
 def test_a_schema_too_deep_for_python_falls_back_to_compiling_each_mutant(compiled):

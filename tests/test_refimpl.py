@@ -17,7 +17,6 @@ from relcor.lang.ast_nodes import Seq, While, preorder
 from relcor.lang.interp import (
     FinalState,
     NonTermination,
-    _Recurrence,
     compile_program,
     compile_schema,
     execute,
@@ -84,21 +83,12 @@ def test_execute_agrees_with_the_tree_walker():
     assert compared > 30_000
 
 
-def _proofs(monkeypatch) -> list:
-    """The result of every recurrent-box check made from now on."""
-    proofs = []
-    diverges = _Recurrence.diverges
-    monkeypatch.setattr(_Recurrence, "diverges",
-                        lambda rec, values: proofs.append(diverges(rec, values)) or proofs[-1])
-    return proofs
-
-
 def _nests_loops(p) -> bool:
     return any(isinstance(n, While) for w in preorder(p) if isinstance(w, While)
                for n in preorder(w.body))
 
 
-def test_batch_rows_agree_with_the_tree_walker(monkeypatch):
+def test_batch_rows_agree_with_the_tree_walker(checks):
     """Rows that the batch kernel fills by split-stream execution, in both
     modes, on straight-line bases with `if`s, blocks and loops, some nested,
     and in wide mode a last loop of the kind the recurrent box check
@@ -106,7 +96,6 @@ def test_batch_rows_agree_with_the_tree_walker(monkeypatch):
     every mutant, equals the tree-walker's outcomes and those of the program
     compiled alone; this includes the rows of the mutants changed within a
     loop, which their own steps fill."""
-    proofs = _proofs(monkeypatch)
     rng = random.Random(4343)
     kinds, own_kinds, compared, nested, proved = set(), set(), 0, 0, 0
     for i in range(24):
@@ -124,9 +113,9 @@ def test_batch_rows_agree_with_the_tree_walker(monkeypatch):
             suite = Suite(tuple(rng.choices(states, k=min(12, 2 * len(states)))))
             fuel = rng.choice(FUELS)
             outcome_row.cache_clear()
-            before = proofs.count(True)
+            before = checks.count(True)
             rows = list(zip([base, *programs], _batch_rows(base, programs, suite, fuel, mode)))
-            proved += proofs.count(True) - before
+            proved += checks.count(True) - before
             for p, row in rows:
                 assert [_raw(out) for out in row] == [
                     _reference(p, s, fuel, mode) for s in suite.inputs], (p, fuel, mode)
@@ -142,10 +131,9 @@ def test_batch_rows_agree_with_the_tree_walker(monkeypatch):
     assert compared > 30_000 and nested > 10 and proved > 50
 
 
-def test_wide_runs_at_high_fuel_agree_with_the_tree_walker(monkeypatch):
+def test_wide_runs_at_high_fuel_agree_with_the_tree_walker(checks):
     """Wide-mode runs at fuel 10^4, where the recurrent-box check ends many
     divergent runs early: no proof may change an outcome."""
-    proofs = _proofs(monkeypatch)
     rng = random.Random(4444)
     kinds = Counter()
     for i in range(40):
@@ -158,4 +146,4 @@ def test_wide_runs_at_high_fuel_agree_with_the_tree_walker(monkeypatch):
             kinds[_kind(got)] += 1
     assert set(kinds) == {"final", refimpl.NONTERMINATION, refimpl.UNDEFINED}
     # each proof ends one run; the other divergent runs exhaust their fuel or abort
-    assert kinds[refimpl.NONTERMINATION] > proofs.count(True) > 50
+    assert kinds[refimpl.NONTERMINATION] > checks.count(True) > 50

@@ -6,6 +6,7 @@ import time
 import pytest
 from randgen import program_space, random_program, random_straight_loop
 from relcor.errors import CapacityError, RelcorError
+from relcor.lang import ast_nodes as A
 from relcor.lang import interp
 from relcor.lang.ast_nodes import While, preorder
 from relcor.lang.interp import (
@@ -19,11 +20,15 @@ from relcor.lang.interp import (
 )
 from relcor.lang.parser import parse
 from relcor.lang.semantics import conclusive_fuel, denote, denote_structural
+from relcor.mutate import generate
+from relcor.repair import classify_mutants
 from relcor.relations import identity
 from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import PredicateSpec
+from relcor.suites import outcome_row
 
 SP = StateSpace((("x", Interval(0, 3)),))
+INF = float("inf")
 
 ARR = StateSpace(
     (
@@ -211,6 +216,28 @@ def test_python_compiler_limits_are_user_errors():
         PredicateSpec(SP, "x == " + " + ".join(["x"] * 220), "true")
 
 
+def test_the_divergence_check_compiles_wherever_its_loop_does(checks):
+    # the longest chain of additions that Python compiles in a checked
+    # loop's body, and in its guard, where exact mode has no check: the
+    # check's interval arithmetic is flat
+    state = SP.state({"x": 0})
+    for template in ("while (x >= 0) {{ x = {}; }}", "while ({} >= 0) {{ x = x - 0; }}"):
+        def program(terms):
+            return parse(template.format(" + ".join(["x"] * terms)), SP)
+
+        terms = 1
+        while True:
+            try:
+                compile_program(program(terms + 1), SP, "exact")
+            except RelcorError:
+                break
+            terms += 1
+        assert terms >= 150
+        checks.clear()
+        assert execute(program(terms), state, 100, "wide") == NonTermination()
+        assert checks == [True]
+
+
 class _FuelOnlyEmitter(interp._Emitter):
     """Exact-mode loops without repeat detection: fuel alone bounds them."""
 
@@ -302,14 +329,95 @@ BOXABLE_LOOPS = (
 )
 
 
-@pytest.fixture
-def checks(monkeypatch):
-    """The result of every divergence check made while the test runs."""
-    results = []
-    diverges = interp._Recurrence.diverges
-    monkeypatch.setattr(interp._Recurrence, "diverges",
-                        lambda rec, values: results.append(diverges(rec, values)) or results[-1])
-    return results
+# -- the interpreted recurrent-box check, the compiled check's reference -----------
+#
+# An interval is a pair (lo, hi); lo is an int or -inf, hi an int or +inf.
+
+
+def _ref_ival(e, env: dict):
+    """The interval of expression `e` where each variable ranges over its
+    interval in `env`; exact when every interval is a single value."""
+    if isinstance(e, A.IntLit):
+        return (e.value, e.value)
+    if isinstance(e, A.Var):
+        return env[e.name]
+    if isinstance(e, A.Neg):
+        lo, hi = _ref_ival(e.operand, env)
+        return (-hi, -lo)
+    lo, hi = _ref_ival(e.left, env)
+    if e.op in "/%":  # by a non-zero literal
+        c = e.right.value
+        if e.op == "/":  # truncation is monotone in the dividend
+            return ((interp._div(lo, c), interp._div(hi, c)) if c > 0
+                    else (interp._div(hi, c), interp._div(lo, c)))
+        if lo == hi:
+            return (cmod(lo, c), cmod(lo, c))
+        m = abs(c) - 1  # the remainder takes the dividend's sign, |r| <= min(|x|, m)
+        return (0 if lo >= 0 else max(lo, -m), 0 if hi <= 0 else min(hi, m))
+    rlo, rhi = _ref_ival(e.right, env)
+    if e.op == "+":
+        return (interp._add(lo, rlo), interp._add(hi, rhi))
+    if e.op == "-":
+        return (interp._add(lo, -rhi), interp._add(hi, -rlo))
+    ends = [interp._mul(x, y) for x in (lo, hi) for y in (rlo, rhi)]
+    return (min(ends), max(ends))
+
+
+def _ref_cmp(op: str, a, b):
+    """True if `a op b` holds for every pair of values in the intervals,
+    False if for none, None if it depends."""
+    if op in (">", ">="):
+        op, a, b = ("<" if op == ">" else "<="), b, a
+    if op == "<":
+        return True if a[1] < b[0] else False if a[0] >= b[1] else None
+    if op == "<=":
+        return True if a[1] <= b[0] else False if a[0] > b[1] else None
+    same = a[0] == a[1] == b[0] == b[1]
+    apart = a[1] < b[0] or b[1] < a[0]
+    eq = True if same else False if apart else None
+    return eq if op == "==" or eq is None else not eq
+
+
+def _ref_holds(c, env: dict):
+    """True if condition `c` holds on every state of the box `env`, False
+    if on none, None if it depends."""
+    if isinstance(c, A.BoolLit):
+        return c.value
+    if isinstance(c, A.Cmp):
+        return _ref_cmp(c.op, _ref_ival(c.left, env), _ref_ival(c.right, env))
+    if isinstance(c, A.Not):
+        v = _ref_holds(c.operand, env)
+        return None if v is None else not v
+    left, right = _ref_holds(c.left, env), _ref_holds(c.right, env)
+    if isinstance(c, A.And):
+        return False if False in (left, right) else left and right
+    return True if True in (left, right) else None if None in (left, right) else False
+
+
+def _ref_diverges(loop, values: tuple) -> bool:
+    """Whether `loop`, at the head with its variables (sorted by name) at
+    `values`, can never exit: one concrete step, a box grown from it, the
+    guard on the whole box and the box's image inside the box."""
+    steps = [(n.target.name, n.expr) for n in preorder(loop.body) if isinstance(n, A.Assign)]
+    names = sorted({n.name for part in (loop.cond, loop.body) for n in preorder(part)
+                    if isinstance(n, (A.Var, A.VarTarget))})
+
+    def step(env):
+        env = dict(env)
+        for name, e in steps:
+            env[name] = _ref_ival(e, env)
+        return env
+
+    here = dict(zip(names, values))
+    after = step({n: (v, v) for n, v in here.items()})
+    box = {}
+    for n, v in here.items():
+        w = after[n][0]
+        box[n] = (v, INF) if w > v else (-INF, v) if w < v else (v, v)
+    if _ref_holds(loop.cond, box) is not True:
+        return False
+    image = step(box)
+    return all(box[n][0] <= image[n][0] and image[n][1] <= box[n][1] for n in box)
 
 
 def test_divergence_proofs_change_no_outcome(monkeypatch, checks):
@@ -386,6 +494,60 @@ def test_the_box_check_proves_loops_that_keep_their_direction(checks):
         p = parse(src, WIDE)
         assert execute(p, WIDE.state({"x": 0, "y": 0}), 10**4, "wide") == NonTermination()
         assert checks == [True], src
+
+
+def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypatch):
+    """At every check point of wide runs at fuel 10^4, the compiled check
+    answers as the interpreted reference does, on the loops above and on
+    random straight loops."""
+    answers = []  # (compiled, interpreted)
+    recurrence = interp._recurrence
+
+    def compared(loop):
+        check = recurrence(loop)
+
+        def both(*values):
+            answers.append((check(*values), _ref_diverges(loop, values)))
+            return answers[-1][0]
+        return both
+
+    monkeypatch.setattr(interp, "_recurrence", compared)
+    compile_program.cache_clear()
+    rng = random.Random(912)
+    # comparisons and connectives under a negation, whose "holds on none"
+    # decides, some at a bound that the first check point reaches exactly
+    negated = ("while (!(x > 20 || x < -100)) { x = x - 1; }",
+               "while (!(x > 20 && x < -100)) { x = x - 1; }",
+               "while (!(y != 0) && x < 100) { x = x - 1; }",
+               "while (!(x <= 12) || x < 13) { x = x + 1; }",
+               "while (!(x < 12) || x < 12) { x = x + 1; }")
+    runs = [(parse(src, WIDE), s) for src in (*BOXABLE_LOOPS, *negated) for s in WIDE.states()]
+    for _ in range(200):
+        sp = program_space(rng, max_states=60)
+        p = random_straight_loop(rng, sp)
+        runs += [(p, s) for s in rng.sample(list(sp.states()), min(4, sp.num_states))]
+    try:
+        for p, s in runs:
+            execute(p, s, 10**4, "wide")
+    finally:
+        compile_program.cache_clear()
+    assert [got for got, _ in answers] == [want for _, want in answers]
+    proved = sum(got for got, _ in answers)
+    assert proved > 300 and len(answers) - proved > 300
+
+
+def test_the_fermat_level1_batch_makes_9955_checks_and_991_proofs(checks):
+    from relcor.studies import fermat
+
+    built = fermat.build()
+    outcome_row.cache_clear()
+    try:
+        labels = classify_mutants(built["base"], generate(built["base"], ("AORB",)),
+                                  built["spec"], built["suite"], "testing", fermat.FUEL)
+    finally:
+        outcome_row.cache_clear()
+    assert len(labels) == 48
+    assert len(checks) == 9955 and checks.count(True) == 991
 
 
 def test_a_squaring_loop_is_proved_before_its_digits_blow_up():

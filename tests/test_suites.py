@@ -367,6 +367,7 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
         assert len(by_step) == sum(distinct[c] > 0 for c, _ in sites.values())
         keys = [args for kind, args in made if kind == "suffix"]
         assert len(keys) == len(set(keys))
+        assert all(cut < schema.cuts for cut, *_ in keys)  # a last cut's step ends its run
         steps += kinds["step"]
         suffixes += len(keys)
         reached += sum(sum(c < len(chain) for chain in chains) for c, _ in sites.values())
@@ -402,6 +403,7 @@ def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
     assert sum(not isinstance(step, partial) for step in by_step) == 6  # own steps
     keys = [args for kind, args in runs.made if kind == "suffix"]
     assert len(keys) == len(set(keys))
+    assert {cut for cut, *_ in keys} == {1, 2}  # the loop's steps end their runs
     runs.made.clear()
     tree, _ = repair(base, spec, RepairConfig(operators=operators, max_depth=2, mode="exact"))
     assert tree.solutions == ["base.7"]
