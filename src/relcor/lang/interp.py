@@ -60,21 +60,20 @@ schema (Untch, Offutt and Harrold, "Mutation analysis using mutant
 schemata", ISSTA 1993; `compile_schema`), split at the base's cuts: the
 statements of its outermost `Seq` chain, in order.  Cuts do not descend
 into a `Block`, so a run's state at a cut is its values tuple, with no
-block local in it, and a block-wrapped program is a single cut.  Each cut,
-up to the last one that a covered mutant changes, compiles to a step,
-`_step<c>(_m, values, fuel) -> (values, fuel)`: the cut's statement with a
-dispatch on a mutant index `_m`.  Each statement within it whose own
-expressions (an assignment's, or an `if`'s guard) hold the change of some
-mutants gets `if not lo <= _m <= hi:`, which runs the base statement, and
-one branch per mutant, which runs that statement as it appears in the
-mutant's own tree.  The base is `_m = 0`.  One more function,
-the suffix `_run(c, values, fuel) -> values`, runs the base from cut c to
-the end, with no dispatch.  It is entered only after a step, so it starts
-at cut 1, and a run whose step is the base's last cut ends with that step
-(`Schema.cuts`).  The mutants are found by identity, as `replace_nodes`
-shares every subtree off the changed spine: the emitter
-follows each one down the `Seq` chain to its cut, and on down block and
-`if` bodies to the innermost statement holding its change.  Nothing in a
+block local in it, and a block-wrapped program is a single cut.  Each cut
+compiles to a step, `_step<c>(_m, values, fuel) -> (values, fuel)`: the
+cut's statement with a dispatch on a mutant index `_m`.  Each statement
+within it whose own expressions (an assignment's, or an `if`'s guard) hold
+the change of some mutants gets `if not lo <= _m <= hi:`, which runs the
+base statement, and one branch per mutant, which runs that statement as it
+appears in the mutant's own tree.  The base is `_m = 0`.  One more
+function, the suffix `_run(c, values, fuel) -> values`, runs the base from
+cut c to the end, with no dispatch.  It is entered only after a mutant's
+step, so it starts at cut 1, and a run whose step is the base's last cut
+ends with that step.  The mutants are found by identity, as `replace_nodes`
+shares every subtree off the changed spine: the emitter follows each one
+down the `Seq` chain to its cut, and on down block and `if` bodies to the
+innermost statement holding its change.  Nothing in a
 `while`, guard or body, gets a dispatch, so no loop pays for a selector on
 every iteration.  A mutant changed there gets its own step for its cut
 instead: the mutant's cut statement compiled on its own, as
@@ -88,12 +87,12 @@ does where one falls.
 A covered mutant changed at cut c matches its base everywhere else, so its
 run is the base's steps before c, its step for c, then the base's suffix
 from c + 1.  `compile_schema` returns the compiled `Schema` to its caller,
-the batch kernel (`suites`), and keeps nothing.  The kernel runs the base
-once per input, keeping its state at each cut, runs each mutant's step
-once per distinct state that the base has at the mutant's cut, and looks
-the rest up by state (split-stream execution; Just, Ernst and Fraser,
-"Efficient mutation analysis by propagating and partitioning infected
-execution states", ISSTA 2014).  The dispatch nests the code one level
+the batch kernel (`suites`), and keeps nothing.  The kernel runs each step
+of the base, and each mutant's step, once per distinct state that the base
+has at the step's cut, and looks the rest of a mutant's run up by state
+(split-stream execution; Just, Ernst and Fraser, "Efficient mutation
+analysis by propagating and partitioning infected execution states", ISSTA
+2014).  The dispatch nests the code one level
 deeper, and so does the suffix's test of c; a schema that Python refuses
 as nested too deeply is dropped, so that each mutant compiles on its own,
 as it would without schemata.
@@ -645,10 +644,9 @@ class Schema:
     docstring).  Not a dataclass, whose generated methods would cost every
     import of this module about half a millisecond."""
 
-    def __init__(self, steps: tuple, suffix, sites: dict, cuts: int):
-        #: per cut up to the last covered mutant's, f(_m, values, fuel) ->
-        #: (values, fuel): the cut's statement as mutant _m has it, the
-        #: base's for _m = 0
+    def __init__(self, steps: tuple, suffix, sites: dict):
+        #: per cut, f(_m, values, fuel) -> (values, fuel): the cut's
+        #: statement as mutant _m has it, the base's for _m = 0
         self.steps = steps
         #: f(c, values, fuel) -> values: the base from cut c >= 1 to the end
         self.suffix = suffix
@@ -656,9 +654,6 @@ class Schema:
         #: (values, fuel), which runs cut c as the mutant has it): steps[c]
         #: bound to the mutant's index, or the mutant's own step
         self.sites = sites
-        #: the number of cuts of the base; a run whose step is the last
-        #: cut's ends with that step
-        self.cuts = cuts
 
 
 @lru_cache(maxsize=4096)
@@ -719,27 +714,24 @@ def compile_schema(base, mutants, space: StateSpace, mode: str) -> Schema | None
     mutants = dict.fromkeys(mutants)
     mutants.pop(base, None)  # a program equal to the base is no mutant of it
     cuts = _cuts(base, [(m, m) for m in mutants], [])
-    sites, looped, ends = {}, [], []
+    sites, looped = {}, []
     try:
         for c, (s, changed) in enumerate(cuts):
             first = len(em.covered)
             _emit_def(em, f"_step{c}(_m, ", partial(em.schema, s, 1, changed), ", fuel")
             sites.update((p, (c, k)) for k, p in enumerate(em.covered[first:], first + 1))
             looped += [(c, p, m) for p, m in changed if p not in sites]  # changed within a loop
-            ends.append(len(em.lines))
         if not sites and not looped:
             return None
-        last = max(c for c, *_ in [*sites.values(), *looped])
-        del em.lines[ends[last]:]  # the suffix runs the cuts after the last mutant's
         _emit_def(em, "_run(_c, ", partial(_emit_suffix, em, cuts))
-        em.emit(0, f"_steps = {_tuple(f'_step{c}' for c in range(last + 1))}")
+        em.emit(0, f"_steps = {_tuple(f'_step{c}' for c in range(len(cuts)))}")
         suffix = _define(em, "_run")
         steps = suffix.__globals__["_steps"]  # defined beside the suffix
         sites = {p: (c, partial(steps[c], k)) for p, (c, k) in sites.items()}
         sites.update((p, (c, _own_step(c, m, space, em.exact))) for c, p, m in looped)
     except RelcorError:
         return None
-    return Schema(steps, suffix, sites, len(cuts))
+    return Schema(steps, suffix, sites)
 
 
 @lru_cache(maxsize=4096)

@@ -28,10 +28,7 @@ def build() -> dict:
         for s in [space.state({"n": n, "x": 0, "y": 0})]
         if spec.in_dom(s)
     )
-    suite = TestSuite(
-        inputs, {"strategy": "range", "var": "n", "lo": lo, "hi": hi, "in_dom": True}
-    )
-    return {"spec": spec, "base": base, "correct": correct, "suite": suite}
+    return {"spec": spec, "base": base, "correct": correct, "suite": TestSuite(inputs)}
 
 
 def run() -> dict:

@@ -44,25 +44,29 @@ from rows that the batch shares.  It compiles the batch's mutant schema
 wide mode those not cached yet, in exact mode every program, provided that
 the base and the program are `semantics.tabulable`, so that one run per
 state gives the row.  It fills the rows of the base and of the covered
-mutants by split-stream execution (Just, Ernst and Fraser, ISSTA 2014).
-It runs the base once per input, cut by cut, and keeps its chain of
-(values, fuel left) at each cut.  The schema covers every single-site
-mutant, also one changed within a loop, which has its own step for its
-cut.  A covered mutant changed at cut c runs only that step, from the
-base's states at c; where the base ended before c, so does the mutant,
-with the base's outcome.  The inputs are partitioned once per cut by the
-base's (values, fuel left) there, and each step runs once per distinct
-state, its outcome copied to every input that shares the state (the 560
-states of the arraysum space with elements narrowed to 0..1 reach the
-loop of `x = 0; i = 0; while ...` in 16 states).  The rest of the run,
-from cut c + 1, is looked up in a memo keyed by (cut, values, fuel left),
-which starts with the base's own chain, and the base's suffix runs at
-most once per key; where c is the base's last cut, the step's values are
-final.  A wide row so filled is cached, so a later `outcome_row` of the
-mutant makes no run; an exact row is folded and handed to the caller,
-which keeps it or drops it, one program at a time.  Other programs, those
-whose wide rows are cached, and all programs when Python refuses the
-schema, get their rows from `outcome_row`.
+mutants by split-stream execution (Just, Ernst and Fraser, ISSTA 2014),
+over one partition of the inputs per cut: `levels[c]` maps each distinct
+(values, fuel left) of the base at cut c to the inputs that reach cut c in
+it.  Level 0 groups the suite's inputs.  The base's step for cut c runs
+once per entry of level c; an outcome that ends the run is the base's on
+every input of the entry, and the others group into level c + 1, whose
+entries after the last cut are the base's final values (the 560 states of
+the arraysum space with elements narrowed to 0..1 reach the loop of
+`x = 0; i = 0; while ...` in 16 states).  The schema covers every
+single-site mutant, also one changed within a loop, which has its own step
+for its cut.  A covered mutant changed at cut c runs only that step, once
+per entry of level c, its outcome copied to every input of the entry;
+where the base ended before c, so does the mutant, with the base's
+outcome.  The rest of its run, from cut c + 1, is looked up in a memo
+keyed by (cut, values, fuel left), which starts with the base's states and
+outcomes, and the base's suffix runs at most once per key; where c is the
+base's last cut, the step's values are final.  When the base's wide row is
+cached and every covered mutant sits at cut 0, only level 0 is built and
+the base does not run.  A wide row so filled is cached, so a later
+`outcome_row` of the mutant makes no run; an exact row is folded and
+handed to the caller, which keeps it or drops it, one program at a time.
+Other programs, those whose wide rows are cached, and all programs when
+Python refuses the schema, get their rows from `outcome_row`.
 
 The fold: the base's row splits the in-domain inputs into those where the
 base passes and those where it fails, each with its oracle (`oracle_at`).
@@ -72,15 +76,15 @@ fails, a pass is an n1 cell and a failure an n2 cell.  `classify` labels
 the report.  No candidate is stopped once its label is settled.  The
 savings depend on the data, on how often the base's states at a cut and
 the mutants' states after it meet again, but a batch never costs more
-than one base run per input, one step plus one suffix run per covered
-mutant and distinct state of the base at its cut, and one run per other
-program and input.
+than one step of the base per cut and distinct state of the base there,
+one step plus one suffix run per covered mutant and distinct state of the
+base at its cut, and one run per other program and input.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .errors import EmptySuiteError, RelcorError
@@ -96,7 +100,6 @@ from .specs import PredicateSpec, Spec
 @dataclass(frozen=True)
 class TestSuite:
     inputs: tuple  # of State, in a deterministic order
-    selection: dict = field(default_factory=dict, compare=False)
 
     def __len__(self):
         return len(self.inputs)
@@ -104,7 +107,6 @@ class TestSuite:
 
 @dataclass
 class SuiteReport:
-    selection: dict
     cumulabs: bool
     cumulrel: bool
     cumulstrict: bool
@@ -152,7 +154,6 @@ def select_tests(
     space = spec.space
     if strategy == "exhaustive":
         inputs = tuple(s for s in space.states() if spec.in_dom(s))
-        descriptor = {"strategy": "exhaustive"}
     elif strategy == "random":
         rng = random.Random(seed)
         sampled = _sampled_names(spec)
@@ -180,21 +181,18 @@ def select_tests(
             if spec.in_dom(s):
                 chosen.append(s)
         inputs = tuple(chosen)
-        descriptor = {"strategy": "random", "seed": seed, "count": count}
     elif strategy == "competence_domain_of_base":
         if base is None:
             raise RelcorError("competence_domain_of_base requires a base program")
         cd = competence_domain(spec, denote(base, space), warn_nondeterministic=False)
         inputs = tuple(cd.sorted_states())
-        descriptor = {"strategy": "competence_domain_of_base"}
     elif strategy == "file":
         inputs = tuple(load_test_data(path, space))
-        descriptor = {"strategy": "file", "path": path}
     else:
         raise RelcorError(f"unknown selection strategy {strategy!r}")
     if not inputs:
         raise EmptySuiteError(f"strategy {strategy!r} produced no inputs")
-    return TestSuite(inputs, descriptor)
+    return TestSuite(inputs)
 
 
 def load_test_data(path: str, space: StateSpace) -> list:
@@ -265,18 +263,6 @@ def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
 outcome_row.cache_clear = _rows.clear
 
 
-def _base_chain(schema, chain: list, values: tuple, fuel: int) -> tuple:
-    """Run a schema's base, appending its (values, fuel) at each cut that
-    has a step and that the run reaches to `chain`; returns its final
-    values."""
-    for step in schema.steps:
-        chain.append((values, fuel))
-        values, fuel = step(0, values, fuel)
-    if len(schema.steps) == schema.cuts:
-        return values
-    return schema.suffix(len(schema.steps), values, fuel)
-
-
 def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     """Yield the row of `base`, then the row of each of `programs`, in order,
     by split-stream execution where the batch's schema covers them (see the
@@ -294,37 +280,45 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
         for p in (base, *programs):
             yield outcome_row(p, suite, fuel, mode)
         return
+    # levels[c]: each distinct (values, fuel left) of the base at cut c -> the
+    # inputs that reach cut c in it
+    level = {}
+    for i, s in enumerate(suite.inputs):
+        level.setdefault((s.values, fuel), []).append(i)
+    levels = [level]
     base_row = None if exact else _rows.pop((base, suite, fuel, mode), None)
-    if base_row is not None and all(cut == 0 for cut, _ in schema.sites.values()):
-        chains = [[(s.values, fuel)] for s in suite.inputs]  # every mutant starts at cut 0
-    else:
-        chains = [[] for _ in suite.inputs]
-        base_row = tuple([run_outcome(partial(_base_chain, schema, chain), s.values, fuel)
-                          for chain, s in zip(chains, suite.inputs)])
+    if base_row is None or any(cut for cut, _ in schema.sites.values()):
+        base_row = [None] * len(suite)
+        for step in schema.steps:
+            run, level = partial(step, 0), {}
+            for state, ins in levels[-1].items():
+                out = run_outcome(run, *state)
+                if type(out) is tuple:
+                    level.setdefault(out, []).extend(ins)
+                else:
+                    for i in ins:
+                        base_row[i] = out
+            levels.append(level)
+        for (values, _), ins in level.items():
+            for i in ins:
+                base_row[i] = values
+        base_row = tuple(base_row)
     yield base_row if exact else _store_row((base, suite, fuel, mode), base_row)
-    memo = {}  # (cut, values, fuel) -> the outcome of the base's suffix from there
-    for chain, out in zip(chains, base_row):
-        memo.update(((c, *state), out) for c, state in enumerate(chain[1:], 1))
-    # cut -> the base's distinct states there, and each input's index among
-    # them: None where the base ended before the cut, and so does the mutant
-    parts = {}
+    # (cut, values, fuel) -> the outcome of the base's suffix from there
+    memo = {(c, *state): base_row[ins[0]]
+            for c, level in enumerate(levels[1:-1], 1) for state, ins in level.items()}
+    last = len(schema.steps) - 1  # a step at the last cut ends the run
     for p in programs:
         key = (p, suite, fuel, mode)
         if p not in schema.sites or key in _rows:
             yield outcome_row(p, suite, fuel, mode)
             continue
         cut, step = schema.sites[p]
-        if cut not in parts:
-            states = {}
-            parts[cut] = states, [states.setdefault(chain[cut], len(states))
-                                  if cut < len(chain) else None for chain in chains]
-        states, where = parts[cut]
-        suffix, outs = partial(schema.suffix, cut + 1), []
-        last = cut + 1 == schema.cuts  # the step ends the run
-        for state in states:
+        suffix, row = partial(schema.suffix, cut + 1), list(base_row)
+        for state, ins in levels[cut].items():  # the base ended before cut elsewhere
             out = run_outcome(step, *state)
             if type(out) is tuple:
-                if last:
+                if cut == last:
                     out = out[0]
                 else:
                     at = (cut + 1, *out)
@@ -332,8 +326,9 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
                     if rest is None:
                         rest = memo[at] = run_outcome(suffix, *out)
                     out = rest
-            outs.append(out)
-        row = tuple([base_out if i is None else outs[i] for i, base_out in zip(where, base_row)])
+            for i in ins:
+                row[i] = out
+        row = tuple(row)
         yield row if exact else _store_row(key, row)
 
 
@@ -354,7 +349,6 @@ def _reports(spec: Spec, suite: TestSuite, rows):
         fixed = sum(passes(row[i]) for i, passes in failing)
         n2, n3 = len(failing) - fixed, len(passing) - kept
         return SuiteReport(
-            selection=dict(suite.selection),
             cumulabs=n2 == n3 == 0,
             cumulrel=n3 == 0,
             cumulstrict=fixed > 0,

@@ -219,3 +219,12 @@ def random_chain(rng: random.Random, space: StateSpace, wide: bool = False) -> A
 
     return group([random_program(rng, space, unassigned_reads=False, wide=wide)
                   for _ in range(rng.randint(2, 5))])
+
+
+def in_loops(p: A.Node) -> set:
+    """The preorder indices of the nodes of `p` inside a `while`, guard or body."""
+    inside = set()
+    for i, n in enumerate(A.preorder(p)):
+        if isinstance(n, A.While):
+            inside.update(range(i + 1, i + len(A.preorder(n))))
+    return inside

@@ -6,14 +6,13 @@ from functools import partial
 import pytest
 
 import relcor.mutate
-from randgen import program_space, random_program
+from randgen import in_loops, program_space, random_program
 from relcor.errors import PatchError
 from relcor.lang import ast_nodes as A
 from relcor.lang import interp
 from relcor.lang.ast_nodes import preorder, replace_nodes, to_source
 from relcor.lang.interp import (
     NONTERMINATION,
-    FinalState,
     NonTermination,
     Undefined,
     compile_program,
@@ -294,16 +293,6 @@ def test_generate_is_unchanged_from_the_quadratic_reference(monkeypatch):
 
 FUELS = (0, 1, 8, 10**4)
 
-
-def _in_loops(p) -> set:
-    """The preorder indices of the nodes of `p` inside a `while`, guard or body."""
-    inside = set()
-    for i, n in enumerate(preorder(p)):
-        if isinstance(n, A.While):
-            inside.update(range(i + 1, i + len(preorder(n))))
-    return inside
-
-
 @pytest.fixture
 def compiled(monkeypatch):
     """The name of the function of every compile made while the test runs:
@@ -333,14 +322,14 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
     """Every mutant is covered: one changed outside every loop by a dispatch
     in its cut's step, one changed within a loop by its own step."""
     rng = random.Random(1313)
-    covered = in_loops = 0
+    covered = looped = 0
     kinds, seen = set(), set()
     for i in range(80):
         sp = program_space(rng, max_states=12, array=i % 2 == 1)
         for mode in ("exact", "wide"):
             base = random_program(rng, sp, wide=mode == "wide")
             mutants = generate(base, OPERATOR_FAMILIES)
-            inside = _in_loops(base)
+            inside = in_loops(base)
             schema = interp.compile_schema(base, [m.program for m in mutants], sp, mode)
             assert (set(schema.sites) if schema else set()) == {m.program for m in mutants}
             if schema is None:
@@ -348,7 +337,7 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
             own = {p for p, (_, step) in schema.sites.items() if not isinstance(step, partial)}
             assert own == {m.program for m in mutants if m.site.path in inside}
             covered += len(schema.sites)
-            in_loops += len(own)
+            looped += len(own)
             runners = {p: partial(_schema_run, schema, *site) for p, site in schema.sites.items()}
             runners[base] = partial(_schema_run, schema, 0, partial(schema.steps[0], 0))
             for p, run in runners.items():
@@ -359,7 +348,7 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
                     kinds.update(type(out) for out in outcomes)
             seen.update(n.op if isinstance(n, A.BinOp) else type(n) for n in preorder(base))
     compile_program.cache_clear()
-    assert covered > 1000 and in_loops > 200
+    assert covered > 1000 and looped > 200
     assert kinds == {tuple, NonTermination, Undefined}
     assert {A.While, A.Block, A.If, A.IfElse, A.ArrayTarget, "/", "%"} <= seen
 
@@ -398,7 +387,7 @@ def test_a_batch_compiles_once_plus_once_per_mutant_in_a_loop(compiled):
         outcome_row.cache_clear()
         compiled.clear()
         classify_mutants(base, mutants, spec, suite, "testing", 100)
-        inside = _in_loops(base)
+        inside = in_loops(base)
         looped = {m.program for m in mutants if m.site.path in inside}
         assert compiled.count("_run") == 1 and compile_program.cache_info().misses == 0
         assert sum(name.startswith("_step") for name in compiled) == len(looped)
@@ -418,13 +407,13 @@ def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
     built = fermat.build()
     base = built["base"]
     mutants = generate(base, ("AORB",))
-    inside = _in_loops(base)
+    inside = in_loops(base)
     assert len(mutants) == 48 and all(m.site.path in inside for m in mutants)
     classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
     assert compiled.count("_run") == 1 and compiled.count("_step0") == 48
     assert compile_program.cache_info().misses == 0
     schema = interp.compile_schema(base, [m.program for m in mutants], built["spec"].space, "wide")
-    assert schema.cuts == len(schema.steps) == 1
+    assert len(schema.steps) == 1
     assert schema.suffix.__code__.co_names == ()  # no global, so no statement runs
 
 

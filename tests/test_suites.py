@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 from randgen import (
+    in_loops,
     program_space,
     random_chain,
     random_predicate,
@@ -23,7 +24,8 @@ from relcor.lang.interp import (
     run_outcome,
 )
 from relcor.lang.parser import parse
-from relcor.mutate import ARRAY_INDEX, BINARY_ARITH, INTEGER_LITERAL, generate
+from relcor.lang.ast_nodes import ArrayTarget, BinOp, Block, If, IfElse, While, preorder
+from relcor.mutate import ARRAY_INDEX, BINARY_ARITH, INTEGER_LITERAL, OPERATOR_FAMILIES, generate
 from relcor.repair import RepairConfig, repair
 from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import EnumeratedSpec, PredicateSpec, abs_oracle
@@ -156,13 +158,13 @@ def test_report_bytes_are_deterministic():
 @pytest.fixture
 def runs(monkeypatch):
     """`runs()` is the number of runs of compiled code made so far for rows,
-    wide (whose cache starts empty) and exact.  A run is a program's, the
-    schema base's chain (`suites._base_chain`) or a covered mutant's step;
-    the suffix that ends a step's run is not counted apart.  `runs.made`
-    lists every call as (kind, its arguments): kind "run", "chain", "step"
-    (arguments: the step, as `Schema.sites` holds it, values, fuel) or
-    "suffix" (the cut, values, fuel).  A schema's steps are functions
-    `_step<c>`: the cut's step bound to a mutant index, or a mutant's own
+    wide (whose cache starts empty) and exact.  A run is a program's, a step
+    of the schema's base or a covered mutant's step; the suffix that ends a
+    step's run is not counted apart.  `runs.made` lists every call as (kind,
+    its arguments): kind "run", "base" (arguments: the cut, values, fuel),
+    "step" (the step, as `Schema.sites` holds it, values, fuel) or "suffix"
+    (the cut, values, fuel).  A schema's steps are functions `_step<c>`: the
+    cut's step bound to a mutant index, 0 for the base, or a mutant's own
     step.  Its suffix is the function `_run` bound to a cut; a program
     compiled alone is an unbound `_run`."""
     made = []
@@ -171,10 +173,11 @@ def runs(monkeypatch):
     def record(run, values, fuel):
         func, args = getattr(run, "func", run), getattr(run, "args", ())
         name = getattr(func, "__name__", "")
-        kind = ("chain" if func is suites._base_chain
+        kind = ("base" if name.startswith("_step") and args == (0,)
                 else "step" if name.startswith("_step")
                 else "suffix" if name == "_run" and func is not run else "run")
-        made.append((kind, (run, values, fuel) if kind == "step"
+        made.append((kind, (_cut_of(run), values, fuel) if kind == "base"
+                     else (run, values, fuel) if kind == "step"
                      else (*args, values, fuel) if kind == "suffix" else ()))
         return run_outcome(run, values, fuel)
 
@@ -256,7 +259,11 @@ def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
         before, calls = runs(), len(runs.made)
         labels = labels_of(base, programs, spec, suite, fuel, mode)
         labelled = runs() - before
-        assert 0 < labelled <= batch
+        # where the schema runs the base, each of its steps runs at most once
+        # per distinct state at its cut, in place of one run per input
+        stepped = [args for kind, args in runs.made[calls:] if kind == "base"]
+        assert len(stepped) == len(set(stepped))
+        assert 0 < labelled and labelled - len(stepped) <= batch - (len(suite) if stepped else 0)
         suffixes = [args for kind, args in runs.made[calls:] if kind == "suffix"]
         assert len(suffixes) == len(set(suffixes))
         made = len(runs.made)
@@ -286,34 +293,78 @@ def _split_batches(rng, n: int, mode: str = "wide"):
         yield base, mutants, PredicateSpec(sp, "true", "true"), suite, rng.choice((0, 3, 40))
 
 
+def _cut_states(schema, values: tuple, fuel: int) -> tuple:
+    """The run of the base of `schema` from `values`, step by step: its
+    (values, fuel left) at each cut that it reaches, and its outcome."""
+    chain = []
+    for step in schema.steps:
+        chain.append((values, fuel))
+        out = run_outcome(partial(step, 0), values, fuel)
+        if type(out) is not tuple:
+            return chain, out
+        values, fuel = out
+    return chain, values
+
+
+def _program_batches(rng, n: int):
+    """`n` pairs of batches (mode, base, mutants, suite, fuels), one per mode
+    over one space: a random program, its mutants of every family, every
+    state, at fuels 0, 1, 8 and 10^4.  An exact base reads each block local
+    after assigning it, since only such a program has its exact rows made by
+    runs (`semantics.tabulable`); a wide base may read it before."""
+    for i in range(n):
+        sp = program_space(rng, max_states=12, array=i % 2 == 1)
+        for mode in ("exact", "wide"):
+            base = random_program(rng, sp, unassigned_reads=mode == "wide", wide=mode == "wide")
+            yield mode, base, generate(base, OPERATOR_FAMILIES), Suite(tuple(sp.states())), \
+                (0, 1, 8, 10**4)
+
+
 def test_split_rows_equal_the_rows_of_each_program_compiled_alone():
+    """The rows of a batch, made by split-stream execution, equal those of
+    each program compiled alone, in both modes: on random programs with
+    their mutants of every family, on every state, at fuels from 0 to 10^4,
+    and on random chains, whose mutants sit at several cuts, with suites
+    that repeat inputs and bases that end before a mutant's cut.  Every
+    mutant is covered: one changed outside every loop by a dispatch in its
+    cut's step, one changed within a loop by its own step."""
+    batches = [*_program_batches(random.Random(1313), 80)]
     for mode, seed in (("wide", 3131), ("exact", 3132)):
-        rng = random.Random(seed)
-        covered, outcomes, ended = 0, set(), set()
-        for base, mutants, spec, suite, fuel in _split_batches(rng, 60, mode):
-            sp = spec.space
-            programs = [m.program for m in mutants]
-            schema = compile_schema(base, programs, sp, mode)
+        batches += [(mode, base, mutants, suite, (fuel,)) for base, mutants, _, suite, fuel
+                    in _split_batches(random.Random(seed), 60, mode)]
+    covered = in_loop = 0
+    outcomes, ended, seen = set(), set(), set()
+    for mode, base, mutants, suite, fuels in batches:
+        sp = suite.inputs[0].space
+        programs = [m.program for m in mutants]
+        schema = compile_schema(base, programs, sp, mode)
+        sites = schema.sites if schema else {}
+        assert set(sites) == set(programs)
+        inside = in_loops(base)
+        own = {p for p, (_, step) in sites.items() if not isinstance(step, partial)}
+        assert own == {m.program for m in mutants if m.site.path in inside}
+        covered += len(sites)
+        in_loop += len(own)
+        for fuel in fuels:
             outcome_row.cache_clear()
             rows = dict(zip([base] + programs,
                             suites._batch_rows(base, programs, suite, fuel, mode)))
             if mode == "wide":  # and cached
                 assert rows == {p: outcome_row(p, suite, fuel, mode) for p in rows}
-            if schema is not None:
-                covered += len(schema.sites)
-                for s in suite.inputs:  # where the base ends before a covered mutant's cut
-                    chain = []
-                    out = run_outcome(partial(suites._base_chain, schema, chain), s.values, fuel)
-                    ended.update(type(out) for cut, _ in schema.sites.values()
-                                 if cut >= len(chain))
+            for s in suite.inputs if schema else ():  # where the base ends before a mutant's cut
+                chain, out = _cut_states(schema, s.values, fuel)
+                ended.update(type(out) for cut, _ in sites.values() if cut >= len(chain))
             for p, row in rows.items():
                 alone = compile_program(p, sp, mode)
                 assert row == tuple(run_outcome(alone, s.values, fuel) for s in suite.inputs)
             outcomes.update(type(out) for row in rows.values() for out in row)
-        outcome_row.cache_clear()
-        assert covered > 1000
-        assert outcomes == {tuple, NonTermination, Undefined}
-        assert ended == {NonTermination, Undefined}
+        seen.update(n.op if isinstance(n, BinOp) else type(n) for n in preorder(base))
+    outcome_row.cache_clear()
+    compile_program.cache_clear()
+    assert covered > 1000 and in_loop > 200
+    assert outcomes == {tuple, NonTermination, Undefined}
+    assert ended == {NonTermination, Undefined}
+    assert {While, Block, If, IfElse, ArrayTarget, "/", "%"} <= seen
 
 
 def test_split_rows_key_the_rest_of_a_run_by_its_fuel_left():
@@ -340,9 +391,9 @@ def _cut_of(step) -> int:
 
 
 def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
-    """Each covered mutant's step runs once per distinct (values, fuel) that
-    the base has at the mutant's cut, where the base reaches it, and each
-    suffix key at most once."""
+    """Each step of the base, and each covered mutant's step, runs once per
+    distinct (values, fuel) that the base has at the step's cut, where the
+    base reaches it, and each suffix key at most once."""
     rng = random.Random(3232)
     steps = suffixes = reached = own = 0
     for base, mutants, spec, suite, fuel in _split_batches(rng, 100):
@@ -350,9 +401,7 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
         schema = compile_schema(base, programs, spec.space, "wide")
         sites = schema.sites if schema else {}
         covered = {base, *sites} if schema else set()
-        chains = [[] for _ in suite.inputs]
-        for chain, s in zip(chains, suite.inputs) if schema else ():
-            run_outcome(partial(suites._base_chain, schema, chain), s.values, fuel)
+        chains = [_cut_states(schema, s.values, fuel)[0] for s in suite.inputs] if schema else []
         distinct = [len({chain[c] for chain in chains if c < len(chain)})
                     for c in range(len(schema.steps) if schema else 0)]
         outcome_row.cache_clear()
@@ -360,14 +409,16 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
         labels_of(base, programs, spec, suite, fuel)
         made = runs.made[start:]
         kinds = Counter(kind for kind, _ in made)
-        assert kinds["chain"] == (len(suite) if schema else 0)
+        stepped = [args for kind, args in made if kind == "base"]
+        assert len(stepped) == len(set(stepped))
+        assert Counter(cut for cut, *_ in stepped) == {c: n for c, n in enumerate(distinct) if n}
         assert kinds["run"] == len(suite) * len({base, *programs} - covered)
         by_step = Counter(args[0] for kind, args in made if kind == "step")
         assert all(n == distinct[_cut_of(step)] for step, n in by_step.items())
         assert len(by_step) == sum(distinct[c] > 0 for c, _ in sites.values())
         keys = [args for kind, args in made if kind == "suffix"]
         assert len(keys) == len(set(keys))
-        assert all(cut < schema.cuts for cut, *_ in keys)  # a last cut's step ends its run
+        assert all(cut < len(schema.steps) for cut, *_ in keys)  # a last cut's step ends its run
         steps += kinds["step"]
         suffixes += len(keys)
         reached += sum(sum(c < len(chain) for chain in chains) for c, _ in sites.values())
@@ -383,10 +434,11 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
 
 def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
     """Exact mode on every state of the arraysum program's space with the
-    elements narrowed to 0..1 (560 states).  Each mutant's step runs once
-    per distinct state of the base at its cut: 560 before `x = 0`, 80 before
-    `i = 0` and 16 at the loop, where x and i are 0 and only the array
-    varies.  A repair of the program runs no program whole but the root."""
+    elements narrowed to 0..1 (560 states).  Each step of the base, and each
+    mutant's step, runs once per distinct state of the base at its cut: 560
+    before `x = 0`, 80 before `i = 0` and 16 at the loop, where x and i are
+    0 and only the array varies.  A repair of the program runs no program
+    whole but the root."""
     sp = StateSpace((("a", ArrayDomain(4, Interval(0, 1))), ("x", Interval(0, 6)),
                      ("i", Interval(0, 4))))
     base = parse("x = 0; i = 0; while (i < 3) { x = x + a[i]; i = i + 1; }", sp)
@@ -395,8 +447,8 @@ def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
     programs = [m.program for m in generate(base, operators)]
     every_state = Suite(tuple(sp.states()))
     labels_of(base, programs, spec, every_state, semantics.conclusive_fuel(base, sp), "exact")
-    kinds = Counter(kind for kind, _ in runs.made)
-    assert kinds["chain"] == 560 and kinds["run"] == 0
+    assert Counter(kind for kind, _ in runs.made)["run"] == 0
+    assert Counter(args[0] for kind, args in runs.made if kind == "base") == {0: 560, 1: 80, 2: 16}
     by_step = Counter(args[0] for kind, args in runs.made if kind == "step")
     assert Counter((_cut_of(step), n) for step, n in by_step.items()) == {
         (0, 560): 2, (1, 80): 2, (2, 16): 6}
@@ -419,7 +471,7 @@ def _reference_report(suite, base_passes: list, passes: list) -> SuiteReport:
     for b, c in zip(base_passes, passes):
         cells[0 if b and c else 1 if c else 3 if b else 2] += 1
     n0, n1, n2, n3 = cells
-    return SuiteReport(dict(suite.selection), n2 == n3 == 0, n3 == 0, n1 > 0, n0, n1, n2, n3)
+    return SuiteReport(n2 == n3 == 0, n3 == 0, n1 > 0, n0, n1, n2, n3)
 
 
 def _twin(spec):
