@@ -177,9 +177,10 @@ def semantic_fingerprint(p: Node, probe, fuel: int) -> str:
     (`outcome_digest`), run through `suites.cached_execute`.
 
     Equal digests flag behavioral-identity candidates (e.g. mutants that
-    regenerate each other).  `repair` digests the rows its verdicts read
-    instead (`suites.outcome_row`), which gives the same bytes for testing
-    mode, and in exact mode the digest of [p] over the whole space.
+    regenerate each other).  `repair` digests instead the rows that its
+    batches make for their verdicts (`suites.suite_labels`), equal to those
+    of `suites.outcome_row`: the same bytes for testing mode, and in exact
+    mode the digest of [p] over the whole space.
     """
     return outcome_digest(out.state.values if isinstance(out, FinalState) else out
                           for out in (cached_execute(p, s, fuel, "wide") for s in probe))

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from .errors import RelcorError
 from .lang.ast_nodes import Node, to_source
 from .lang.semantics import conclusive_fuel, denote
-from .mutate import apply_patch, generate, outcome_digest
+from .mutate import OPERATOR_FAMILIES, apply_patch, generate, outcome_digest
 from .relations import competence_domain, space_to_json
 from .space import StateSpace
 from .specs import Spec
-from .suites import TestSuite, outcome_row, suite_labels
+from .suites import TestSuite, suite_labels
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class RepairConfig:
     def __post_init__(self):
         if self.fuel < 0:  # a count of loop iterations
             raise RelcorError(f"fuel must be >= 0, got {self.fuel}")
+        if unknown := [f for f in self.operators if f not in OPERATOR_FAMILIES]:
+            raise RelcorError(f"unknown operator family {unknown[0]!r}")
 
 
 @dataclass
@@ -92,52 +94,49 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     Returns [(mutant, classification, row), ...], where row is the
     mutant's row when it is kept (`KEPT`) and None otherwise.  Both modes
     label the batch with `suites.suite_labels`, which reads the base's row
-    once and each mutant's row once.  Testing mode runs the suite at `fuel`.
-    Exact mode runs every state of the space at `conclusive_fuel`, so that a
-    row is [p] and the labels compare competence domains: the ground truth
-    on finite spaces.  `suite_labels` compiles the batch once, as a mutant
-    schema, and fills the rows of the mutants it covers by split-stream
-    execution in both modes.
+    once and each mutant's row once, and drop the base's own label.  Testing
+    mode runs the suite at `fuel`.  Exact mode runs every state of the space
+    at `conclusive_fuel`, so that a row is [p] and the labels compare
+    competence domains: the ground truth on finite spaces.  `suite_labels`
+    compiles the batch once, as a mutant schema, and fills the rows of the
+    mutants it covers by split-stream execution in both modes.
     """
     suite, fuel, run_mode = _verdict_rows(base, spec, suite, mode, fuel)
     labelled = suite_labels(base, [m.program for m in mutants], spec, suite, fuel, run_mode)
+    next(labelled)  # the base's own
     return [(m, label, row if label in KEPT else None)
             for m, (label, row) in zip(mutants, labelled)]
 
 
 def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
-    """Breadth-first stepwise repair; returns (RepairTree, FaultMetrics)."""
+    """Breadth-first stepwise repair; returns (RepairTree, FaultMetrics).
+    The root's fingerprint and solution check come from the base's own pair
+    in its first batch (`suites.suite_labels`)."""
     if cfg.max_depth < 1:
         raise RelcorError("max_depth must be >= 1")
     suite, fuel, run_mode = _verdict_rows(base, spec, cfg.suite, cfg.mode, cfg.fuel)
-    base_row = outcome_row(base, suite, fuel, run_mode)
-    root = RepairNode(
-        label="base",
-        program=base,
-        parent=None,
-        classification=None,
-        fingerprint=outcome_digest(base_row),
-        depth=0,
-        solution=all(spec.oracle_at(s)(out)
-                     for s, out in zip(suite.inputs, base_row) if spec.in_dom(s)),
-    )
+    root = RepairNode(label="base", program=base, parent=None, classification=None,
+                      fingerprint="", depth=0)
     tree = RepairTree(root="base", nodes={"base": root}, edges=[])
-    if root.solution:
-        tree.solutions.append("base")
-        return tree, FaultMetrics(fault_density_lb=0, fault_depth_ub=0)
-
-    seen_fp = {root.fingerprint: root.label}
+    seen_fp = {}
     frontier = [root]
     solved = False
     while frontier and not solved and frontier[0].depth < cfg.max_depth:
         next_frontier = []
         for node in frontier:
             mutants = generate(node.program, cfg.operators)
-            classified = classify_mutants(
-                node.program, mutants, spec, cfg.suite, cfg.mode, cfg.fuel
-            )
+            labelled = suite_labels(node.program, [m.program for m in mutants],
+                                    spec, suite, fuel, run_mode)
+            label, row = next(labelled)
+            if node is root:
+                root.fingerprint = outcome_digest(row)
+                seen_fp[root.fingerprint] = "base"
+                if label == "absolutely_correct":
+                    root.solution = True
+                    tree.solutions.append("base")
+                    return tree, FaultMetrics(fault_density_lb=0, fault_depth_ub=0)
             grew = False
-            for m, label, row in classified:
+            for m, (label, row) in zip(mutants, labelled):
                 if label not in KEPT:
                     continue
                 grew = True

@@ -189,15 +189,5 @@ class StateSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StateSet)
-            and self.space == other.space
-            and self.members == other.members
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.members))
-
     def sorted_states(self) -> list:
         return sorted(self.members, key=lambda s: s.values)

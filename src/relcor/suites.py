@@ -73,12 +73,13 @@ base passes and those where it fails, each with its oracle (`oracle_at`).
 Each candidate's row is then counted over them: where the base passes, a
 pass is an n0 cell and a failure an n3 cell (`not_more_correct`); where it
 fails, a pass is an n1 cell and a failure an n2 cell.  `classify` labels
-the report.  No candidate is stopped once its label is settled.  The
-savings depend on the data, on how often the base's states at a cut and
-the mutants' states after it meet again, but a batch never costs more
-than one step of the base per cut and distinct state of the base there,
-one step plus one suffix run per covered mutant and distinct state of the
-base at its cut, and one run per other program and input.
+the report; the base's own report is those two counts.  No candidate is
+stopped once its label is settled.  The savings depend on the data, on
+how often the base's states at a cut and the mutants' states after it
+meet again, but a batch never costs more than one step of the base per
+cut and distinct state of the base there, one step plus one suffix run
+per covered mutant and distinct state of the base at its cut, and one run
+per other program and input.
 """
 
 from __future__ import annotations
@@ -333,20 +334,20 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
 
 
 def _reports(spec: Spec, suite: TestSuite, rows):
-    """Each row of `rows` after the first with its report against the first,
-    the base's (see the module docstring), as (report, row) pairs.  The
-    base's row is read at once, the others as the pairs are taken."""
+    """Each row of `rows` with its report against the first, the base's (see
+    the module docstring), as (report, row) pairs, the base's own first,
+    from the counts its row splits the inputs into, with no oracle read
+    again.  The others are made as the pairs are taken."""
     rows = iter(rows)
+    base_row = next(rows)
     passing, failing = [], []
-    for i, (s, out) in enumerate(zip(suite.inputs, next(rows))):
+    for i, (s, out) in enumerate(zip(suite.inputs, base_row)):
         if spec.in_dom(s):
             passes = spec.oracle_at(s)
             (passing if passes(out) else failing).append((i, passes))
     outside = len(suite) - len(passing) - len(failing)  # inputs outside dom(R) pass vacuously
 
-    def report(row) -> SuiteReport:
-        kept = sum(passes(row[i]) for i, passes in passing)
-        fixed = sum(passes(row[i]) for i, passes in failing)
+    def report(kept: int, fixed: int) -> SuiteReport:
         n2, n3 = len(failing) - fixed, len(passing) - kept
         return SuiteReport(
             cumulabs=n2 == n3 == 0,
@@ -358,23 +359,26 @@ def _reports(spec: Spec, suite: TestSuite, rows):
             n3=n3,
         )
 
-    return ((report(row), row) for row in rows)
+    yield report(len(passing), 0), base_row
+    for row in rows:
+        yield report(sum(passes(row[i]) for i, passes in passing),
+                     sum(passes(row[i]) for i, passes in failing)), row
 
 
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
               mode: str = "wide") -> SuiteReport:
     """Score base and candidate on every suite input, from their rows."""
     rows = (outcome_row(p, suite, fuel, mode) for p in (base, candidate))
-    return next(_reports(spec, suite, rows))[0]
+    return list(_reports(spec, suite, rows))[1][0]
 
 
 def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int, mode: str = "wide"):
-    """The label of each program against `base` on the suite, as
-    `classify(run_suite(...))` gives it, with the program's row: (label,
-    row) pairs, one per program, in order, made as they are taken, so that
-    the caller keeps only the rows it wants.  The base's row is made at
-    once.  The labels are folded from the rows of the base and of each
-    program (see the module docstring)."""
+    """The label of `base` against itself ("absolutely_correct" or
+    "as_correct"), then of each program against `base`, on the suite, as
+    `classify(run_suite(...))` gives it, with the row it is folded from:
+    (label, row) pairs, made as they are taken, so that the caller keeps
+    only the rows it wants.  The labels are folded from the rows of the
+    base and of each program (see the module docstring)."""
     pairs = _reports(spec, suite, _batch_rows(base, programs, suite, fuel, mode))
     return ((classify(report), row) for report, row in pairs)
 

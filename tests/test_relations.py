@@ -94,6 +94,8 @@ def test_competence_domain_and_correctness():
     p = rel((0, 1), (1, 0), (2, 0))
     cd = competence_domain(r, p, warn_nondeterministic=False)
     assert {s["v"] for s in cd.members} == {0, 2}
+    same = competence_domain(r, rel((0, 1), (1, 1), (2, 0)), warn_nondeterministic=False)
+    assert cd == same and len({cd, same}) == 1 and cd != r.domain()
     assert not is_correct(p, r)
     assert is_correct(rel((0, 1), (1, 2), (2, 0)), r)
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from relcor.errors import RelcorError
 from relcor.lang.parser import parse
 from relcor.lang.semantics import conclusive_fuel
 from relcor.mutate import INTEGER_LITERAL, Patch, sites
@@ -33,6 +36,13 @@ def make_testing_cfg(**kw):
     suite = select_tests(SPEC, strategy="exhaustive")
     return RepairConfig(operators=("AORB",), suite=suite, fuel=100,
                         mode="testing", **kw)
+
+
+def test_config_rejects_an_unknown_operator_family_and_negative_fuel():
+    with pytest.raises(RelcorError, match="unknown operator family 'ROR'"):
+        RepairConfig(operators=("AORB", "ROR"))
+    with pytest.raises(RelcorError, match="fuel must be >= 0"):
+        RepairConfig(fuel=-1)
 
 
 def test_single_seeded_fault_repaired_at_depth_one():

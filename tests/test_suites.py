@@ -25,7 +25,14 @@ from relcor.lang.interp import (
 )
 from relcor.lang.parser import parse
 from relcor.lang.ast_nodes import ArrayTarget, BinOp, Block, If, IfElse, While, preorder
-from relcor.mutate import ARRAY_INDEX, BINARY_ARITH, INTEGER_LITERAL, OPERATOR_FAMILIES, generate
+from relcor.mutate import (
+    ARRAY_INDEX,
+    BINARY_ARITH,
+    INTEGER_LITERAL,
+    OPERATOR_FAMILIES,
+    generate,
+    outcome_digest,
+)
 from relcor.repair import RepairConfig, repair
 from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import EnumeratedSpec, PredicateSpec, abs_oracle
@@ -49,8 +56,9 @@ GOOD = parse("x = x + 2;", SP)
 
 
 def labels_of(*args) -> list:
-    """The labels of `suite_labels(*args)`, every row of the batch made."""
-    return [label for label, _ in suite_labels(*args)]
+    """The labels of the programs of `suite_labels(*args)`, without the
+    base's own, every row of the batch made."""
+    return [label for label, _ in suite_labels(*args)][1:]
 
 
 def test_exhaustive_selection_covers_the_domain():
@@ -194,7 +202,7 @@ def test_suite_labels_run_the_base_once_and_each_program_once_per_input(runs):
     suite = exhaustive()  # x in 0..7; GOOD passes each, BASE none
     wide = Suite(tuple(SP.state({"x": x}) for x in range(10)))  # 8, 9 outside dom(R)
     bad = parse("x = x + 3;", SP)
-    labels_of(GOOD, [], SPEC, wide, 100)
+    assert next(suite_labels(GOOD, [], SPEC, wide, 100))[0] == "absolutely_correct"
     assert runs() == len(wide)  # inputs outside dom(R) take a run too
     labels_of(GOOD, [bad], SPEC, wide, 100)
     assert runs() == 2 * len(wide)
@@ -208,6 +216,8 @@ def test_suite_labels_run_the_base_once_and_each_program_once_per_input(runs):
     assert labels_of(BASE, [HALF, BASE], SPEC, suite, 100) == [
         "strictly_more_correct", "as_correct"]
     assert runs() - before == len(suite)  # BASE's row; HALF's is cached
+    assert next(suite_labels(BASE, [], SPEC, suite, 100))[0] == "as_correct"  # its own
+    assert runs() - before == len(suite)
 
 
 def test_repair_fingerprints_its_kept_children_without_a_run(runs):
@@ -217,11 +227,49 @@ def test_repair_fingerprints_its_kept_children_without_a_run(runs):
     tree, _ = repair(seeded, SPEC, cfg)
     assert tree.solutions and len(tree.nodes) > 1
     programs = {seeded} | {m.program for m in generate(seeded, ("AORB",))}
-    # the root's row, then one step per mutant and input, which is the whole
-    # of a one-statement program; the kept child's fingerprint reads its row
+    # the root's row, made by the base's step of its first batch, then one
+    # step per mutant and input, which is the whole of a one-statement
+    # program; no program runs alone, and the kept child's fingerprint reads
+    # its row
     assert runs() == len(wide) * len(programs)
     kinds = Counter(kind for kind, _ in runs.made)
-    assert kinds["run"] == len(wide) and kinds["step"] == len(wide) * (len(programs) - 1)
+    assert kinds["run"] == 0 and kinds["base"] == len(wide)
+    assert kinds["step"] == len(wide) * (len(programs) - 1)
+
+
+@pytest.mark.parametrize("mode", ["testing", "exact"])
+def test_a_repair_takes_its_roots_row_and_verdict_from_its_first_batch(mode):
+    """The root of a depth-1 repair has the fingerprint of its row made
+    alone, and is a solution exactly when it passes every in-domain input
+    on that row: on random programs with random specs and suites, and on a
+    correct root, in both modes."""
+    rng = random.Random(1818 if mode == "testing" else 1819)
+    roots = [(GOOD, SPEC, Suite(tuple(SP.states())), 100)]
+    for i in range(120):
+        sp = program_space(rng, max_states=30, array=i % 3 == 2)
+        base = random_program(rng, sp, unassigned_reads=i % 4 == 0, wide=mode == "testing")
+        states = list(sp.states())
+        suite = Suite(tuple(rng.sample(states, rng.randint(1, len(states)))))
+        roots.append((base, _random_spec(rng, sp), suite, rng.choice((0, 3, 40))))
+    solutions = set()
+    for base, spec, suite, fuel in roots:
+        sp = spec.space
+        cfg = RepairConfig(operators=OPERATOR_FAMILIES, suite=suite, fuel=fuel,
+                           max_depth=1, mode=mode)
+        outcome_row.cache_clear()
+        tree = repair(base, spec, cfg)[0]
+        root = tree.nodes["base"]
+        assert not root.solution or (tree.solutions == ["base"] and len(tree.nodes) == 1)
+        outcome_row.cache_clear()  # so the reference row is made by the root alone
+        if mode == "exact":
+            suite, fuel = Suite(tuple(sp.states())), semantics.conclusive_fuel(base, sp)
+        row = outcome_row(base, suite, fuel, "wide" if mode == "testing" else "exact")
+        assert root.fingerprint == outcome_digest(row)
+        assert root.solution == all(spec.oracle_at(s)(out)
+                                    for s, out in zip(suite.inputs, row) if spec.in_dom(s))
+        solutions.add(root.solution)
+    outcome_row.cache_clear()
+    assert solutions == {True, False}
 
 
 def _random_spec(rng, sp):
@@ -438,7 +486,7 @@ def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
     mutant's step, runs once per distinct state of the base at its cut: 560
     before `x = 0`, 80 before `i = 0` and 16 at the loop, where x and i are
     0 and only the array varies.  A repair of the program runs no program
-    whole but the root."""
+    whole: the root's row is the one its first batch makes."""
     sp = StateSpace((("a", ArrayDomain(4, Interval(0, 1))), ("x", Interval(0, 6)),
                      ("i", Interval(0, 4))))
     base = parse("x = 0; i = 0; while (i < 3) { x = x + a[i]; i = i + 1; }", sp)
@@ -459,7 +507,8 @@ def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
     runs.made.clear()
     tree, _ = repair(base, spec, RepairConfig(operators=operators, max_depth=2, mode="exact"))
     assert tree.solutions == ["base.7"]
-    assert Counter(kind for kind, _ in runs.made)["run"] == 560  # the root's row
+    assert Counter(kind for kind, _ in runs.made)["run"] == 0  # the root's row is its batch's
+    assert Counter(args[0] for kind, args in runs.made if kind == "base") == {0: 560, 1: 80, 2: 16}
 
 
 def _raw(outcome):
