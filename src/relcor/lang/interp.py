@@ -78,7 +78,11 @@ innermost statement holding its change.  Nothing in a
 every iteration.  A mutant changed there gets its own step for its cut
 instead: the mutant's cut statement compiled on its own, as
 `_step<c>(values, fuel) -> (values, fuel)`, in a module of its own, so
-that no module holds a copy of the loop per mutant.  So every mutant of
+that no module holds a copy of the loop per mutant.  An own step compiles
+on its first call, in whichever process makes the mutant's row, so a batch
+that makes no row of a loop mutant (that of an already correct root, say)
+compiles none of them; one that Python refuses raises the user error
+there, as the mutant compiled alone would.  So every mutant of
 the batch is covered, by a dispatch or by its own step.  Each step, and
 the suffix, schedules its loops' check points from its own entry, as a
 run does from its start; no check point changes an outcome, so neither
@@ -690,11 +694,19 @@ def _emit_suffix(em: _Emitter, cuts: list) -> None:
 
 
 def _own_step(c: int, m, space: StateSpace, exact: bool):
-    """Compile statement `m`, a mutant's cut c, on its own as a step
-    `_step<c>(values, fuel) -> (values, fuel)`."""
-    em = _Emitter(space, exact)
-    _emit_def(em, f"_step{c}(", partial(em.stmt, m, 1), ", fuel")
-    return _define(em, f"_step{c}")
+    """Statement `m`, a mutant's cut c, as a step `_step<c>(values, fuel) ->
+    (values, fuel)` compiled on its own, on its first call."""
+    compiled = []
+
+    def step(values, fuel):
+        if not compiled:
+            em = _Emitter(space, exact)
+            _emit_def(em, f"_step{c}(", partial(em.stmt, m, 1), ", fuel")
+            compiled.append(_define(em, f"_step{c}"))
+        return compiled[0](values, fuel)
+
+    step.__name__ = f"_step{c}"
+    return step
 
 
 def compile_schema(base, mutants, space: StateSpace, mode: str) -> Schema | None:

@@ -68,6 +68,30 @@ handed to the caller, which keeps it or drops it, one program at a time.
 Other programs, those whose wide rows are cached, and all programs when
 Python refuses the schema, get their rows from `outcome_row`.
 
+The covered programs whose rows are not cached are the batch's jobs, each
+made once.  The batch makes them in process and in order until its rows,
+the base's included, have taken `_FORK_AFTER_S` (0.1 s).  If two jobs or
+more are left then, it forks a worker per CPU it may run on beyond its
+own, never more than one fewer than the jobs left, as mutation analysis
+spreads independent mutants over processors (Offutt, Pargas, Fichter and
+Khambekar, ICPP 1992).  It stays in process without `os.fork`, on one CPU,
+and while any thread besides the main one is alive.  A fork costs a few
+milliseconds plus copy-on-write faults in a large heap, more than the rows
+of a short batch take (`mutate_large`'s take about 30 ms, `arraysum_exact`'s
+about 12 ms on a 2-vCPU VM), which is what the gate is for.  This process
+and the workers take the jobs left from one pipe of 4-byte tokens, all
+written before the first fork, each the start of a chunk of jobs (one job
+per token up to 1,024 jobs), so that the uneven costs of rows balance at
+run time.  A worker makes rows from its copy of the levels and the memo,
+sends them back through a pipe of its own with `marshal` (NONTERMINATION
+as None, Undefined as its site), and ends with `os._exit` when the tokens
+run out or its parent is gone; what it adds to the memo or to the caches
+of compiled code ends with it.  The batch decodes those rows, makes itself
+any that no worker sent, and yields and caches every row in order, so
+rows, labels, fingerprints and the cache's contents do not depend on the
+split.  It reaps its workers when it ends, and kills them first when it
+is left by an exception or closed before its last row.
+
 The fold: the base's row splits the in-domain inputs into those where the
 base passes and those where it fails, each with its oracle (`oracle_at`).
 Each candidate's row is then counted over them: where the base passes, a
@@ -79,18 +103,26 @@ how often the base's states at a cut and the mutants' states after it
 meet again, but a batch never costs more than one step of the base per
 cut and distinct state of the base there, one step plus one suffix run
 per covered mutant and distinct state of the base at its cut, and one run
-per other program and input.
+per other program and input.  That bound holds in each process that makes
+rows; the memo is shared only within a process, and a row that a worker
+did not send is made again here.
 """
 
 from __future__ import annotations
 
+import marshal
+import math
+import os
 import random
+import threading
+import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .errors import EmptySuiteError, RelcorError
 from .lang.ast_nodes import ArrayRead, Var, preorder
-from .lang.interp import compile_program, compile_schema, execute, run_outcome
+from .lang.interp import (NONTERMINATION, Undefined, compile_program, compile_schema, execute,
+                          run_outcome)
 from .lang.semantics import denote, exact_row, tabulable
 from .relations import competence_domain
 from .space import ArrayDomain, State, StateSpace, hash_once
@@ -264,9 +296,142 @@ def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
 outcome_row.cache_clear = _rows.clear
 
 
+#: seconds that a batch makes its rows in process before it forks workers
+_FORK_AFTER_S = 0.1
+_TOKEN = 4  # bytes of a job token
+_SIGKILL = 9  # signal.SIGKILL, without the millisecond that importing `signal` takes
+
+
+def _encode(row: tuple) -> tuple:
+    """`row` in types that `marshal` writes: None for NONTERMINATION, the
+    site for Undefined."""
+    return tuple(out if type(out) is tuple else None if out is NONTERMINATION else out.site
+                 for out in row)
+
+
+def _decode(row: tuple) -> tuple:
+    return tuple(out if type(out) is tuple else NONTERMINATION if out is None else Undefined(out)
+                 for out in row)
+
+
+def _spare_cpus() -> int:
+    """How many workers a batch may fork beside this process: none without
+    `os.fork` or while a thread besides the main one is alive, else one
+    fewer than the CPUs this process may run on."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+class _Workers:
+    """Forked processes that make the rows of `jobs` beside this one (see
+    the module docstring).  This process and the workers take the jobs, in
+    order, from one pipe of tokens, each the index of a chunk's first job,
+    all written before the first fork; each worker sends the rows it makes
+    back through a pipe of its own, marshalled, until the tokens run out."""
+
+    def __init__(self, jobs: list, make, count: int):
+        import select  # only a batch that forks needs it
+
+        self.jobs, self.make, self.left, self.rows = jobs, make, set(jobs), {}
+        self.poll = select.select
+        # jobs per token, so that every token fits in one atomic write
+        self.per = -(-len(jobs) * _TOKEN // select.PIPE_BUF)
+        self.queue, tokens = os.pipe()
+        os.write(tokens, b"".join(k.to_bytes(_TOKEN, "little")
+                                  for k in range(0, len(jobs), self.per)))
+        os.close(tokens)
+        self.pids, self.out = [], {}  # result pipe -> what it has sent of a row
+        parent = os.getpid()
+        try:
+            for _ in range(count):
+                r, w = os.pipe()
+                self.out[r] = bytearray()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        self._work(parent, r, w)
+                    self.pids.append(pid)
+                finally:
+                    os.close(w)  # a worker never returns from `_work`
+        except OSError:  # no more processes or pipes: fewer workers take the jobs
+            pass
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def _work(self, parent: int, r: int, w: int):
+        """A worker's life: take tokens and send their rows until none is
+        left or the parent is gone, then end without unwinding, so that no
+        buffer or clean-up of the parent's runs twice."""
+        try:
+            os.close(r)
+            while os.getppid() == parent and (token := os.read(self.queue, _TOKEN)):
+                k = int.from_bytes(token, "little")
+                for j in range(k, min(k + self.per, len(self.jobs))):
+                    row = marshal.dumps((j, _encode(self.make(self.jobs[j]))))
+                    data = memoryview(len(row).to_bytes(4, "little") + row)
+                    while data:
+                        data = data[os.write(w, data):]
+        finally:
+            os._exit(0)
+
+    def _receive(self, timeout) -> None:
+        """Decode what the workers have sent, waiting up to `timeout` seconds
+        (None: until one sends or ends) for the first of it."""
+        for fd in self.poll(list(self.out), [], [], timeout)[0]:
+            data = os.read(fd, 1 << 16)
+            if not data:  # the worker has ended
+                os.close(fd)
+                del self.out[fd]
+                continue
+            sent = self.out[fd]
+            sent += data
+            while len(sent) >= 4 and len(sent) >= 4 + (n := int.from_bytes(sent[:4], "little")):
+                j, row = marshal.loads(sent[4:4 + n])
+                del sent[:4 + n]
+                self.rows[self.jobs[j]] = _decode(row)
+
+    def take(self, p):
+        """The row of job `p`, as a worker sent it or made here, where this
+        process takes tokens while any are left; None if `p` is no job left."""
+        if p not in self.left:
+            return None
+        self.left.remove(p)
+        while True:
+            self._receive(0)
+            if p in self.rows:
+                return self.rows.pop(p)
+            token = os.read(self.queue, _TOKEN)
+            if token:
+                k = int.from_bytes(token, "little")
+                self.rows.update((q, self.make(q)) for q in self.jobs[k:k + self.per])
+            elif self.out:
+                self._receive(None)
+            else:  # no worker is left to send it
+                return self.make(p)
+
+    def close(self, kill: bool) -> None:
+        """Close the pipes, so that a worker still writing ends, and reap
+        every worker, killed first if `kill`."""
+        for fd in (self.queue, *self.out):
+            os.close(fd)
+        self.out.clear()
+        for pid in self.pids:
+            try:
+                if kill:
+                    os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
+            except (ChildProcessError, ProcessLookupError):  # reaped already
+                pass
+
+
 def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     """Yield the row of `base`, then the row of each of `programs`, in order,
-    by split-stream execution where the batch's schema covers them (see the
+    by split-stream execution where the batch's schema covers them, on
+    forked workers too once its rows have taken `_FORK_AFTER_S` (see the
     module docstring).  Wide rows are cached as `outcome_row` caches them."""
     exact = mode == "exact"
     schema = None
@@ -281,6 +446,7 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
         for p in (base, *programs):
             yield outcome_row(p, suite, fuel, mode)
         return
+    fork_at = time.perf_counter() + _FORK_AFTER_S
     # levels[c]: each distinct (values, fuel left) of the base at cut c -> the
     # inputs that reach cut c in it
     level = {}
@@ -309,11 +475,8 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     memo = {(c, *state): base_row[ins[0]]
             for c, level in enumerate(levels[1:-1], 1) for state, ins in level.items()}
     last = len(schema.steps) - 1  # a step at the last cut ends the run
-    for p in programs:
-        key = (p, suite, fuel, mode)
-        if p not in schema.sites or key in _rows:
-            yield outcome_row(p, suite, fuel, mode)
-            continue
+
+    def make(p) -> tuple:
         cut, step = schema.sites[p]
         suffix, row = partial(schema.suffix, cut + 1), list(base_row)
         for state, ins in levels[cut].items():  # the base ended before cut elsewhere
@@ -329,8 +492,36 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
                     out = rest
             for i in ins:
                 row[i] = out
-        row = tuple(row)
-        yield row if exact else _store_row(key, row)
+        return tuple(row)
+
+    # the covered programs whose rows are not cached, each once, in order
+    jobs = [p for p in dict.fromkeys(programs)
+            if p in schema.sites and (exact or (p, suite, fuel, mode) not in _rows)]
+    made, workers, ended = 0, None, False
+    try:
+        for p in programs:
+            key = (p, suite, fuel, mode)
+            if p not in schema.sites or key in _rows:
+                yield outcome_row(p, suite, fuel, mode)
+                continue
+            row = None
+            if workers is not None:
+                row = workers.take(p)
+            elif made < len(jobs) and jobs[made] is p:
+                made += 1
+                if made < len(jobs) and time.perf_counter() >= fork_at:  # two jobs left
+                    fork_at = math.inf
+                    count = min(_spare_cpus(), len(jobs) - made)
+                    if count > 0:
+                        workers = _Workers(jobs[made - 1:], make, count)
+                        row = workers.take(p)
+            if row is None:
+                row = make(p)
+            yield row if exact else _store_row(key, row)
+        ended = True
+    finally:
+        if workers is not None:  # killed if left by an exception or closed early
+            workers.close(kill=not ended)
 
 
 def _reports(spec: Spec, suite: TestSuite, rows):

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -18,10 +19,13 @@ def checks(monkeypatch):
     """The answer of every divergence check made while the test runs.  The
     checks are wrapped where `interp._recurrence` makes them, so the
     compiled programs are dropped before and after, lest one made without
-    the wrapper run its checks uncounted."""
+    the wrapper run its checks uncounted.  Only this process's checks are
+    seen, so no batch forks workers while the fixture counts."""
+    from relcor import suites
     from relcor.lang import interp
 
     answers = []
+    monkeypatch.setattr(suites, "_FORK_AFTER_S", math.inf)
     recurrence = interp._recurrence
 
     def counted(loop):

@@ -68,3 +68,29 @@ def test_the_checks_of_a_benchmark_unit_hold(workload):
     checks = json.loads(unit.stdout.splitlines()[-1])["checks"]
     assert set(checks) == UNIT_CHECKS[workload]
     assert all(checks.values()), checks
+
+
+def test_only_the_fermat_workload_forks_workers(monkeypatch):
+    """A batch forks workers only once its rows have taken
+    `suites._FORK_AFTER_S` (0.1 s): `mutate_large`'s one batch and
+    `arraysum_exact`'s take about 30 and 12 ms on a 2-vCPU VM, and a fork
+    there would cost more than it saves; Fermat's level-1 batch takes about
+    0.45 s.  Spare CPUs are pretended, so that the time alone decides."""
+    import relcor.suites
+
+    def forked(*args):
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(relcor.suites, "_spare_cpus", lambda: 1)
+    monkeypatch.setattr(relcor.suites, "_Workers", forked)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    for name in ("mutate_large", "arraysum_exact", "fermat"):
+        setup, run, _ = workloads[name]
+        relcor.suites.outcome_row.cache_clear()
+        if name == "fermat":
+            with pytest.raises(AssertionError, match="forked"):
+                run(setup(1))
+        else:
+            run(setup(1))
+    relcor.suites.outcome_row.cache_clear()

@@ -4,11 +4,15 @@ Every name a module of `src/relcor` imports must be used in that module, or
 be re-exported through the `__all__` of a package `__init__`.  Every name in
 the `__all__` of `relcor` and `relcor.lang` must import.  No module rebinds
 a module-level name from a function (`global`): state that a call hands to
-a later one belongs to an object the caller holds.
+a later one belongs to an object the caller holds.  Importing relcor loads
+no `pickle`, `multiprocessing` or `concurrent.futures`.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,15 @@ def test_no_global_statement():
 def test_every_exported_name_imports(package):
     module = importlib.import_module(package)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_importing_relcor_loads_no_pickle_or_process_pool():
+    """Each benchmark unit pays for every module relcor imports in its
+    `setup_s`; batch workers are forked and send rows with `marshal`, so
+    none of these is needed."""
+    probe = ("import sys, relcor.repair; "
+             "print(sorted({'pickle', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["[]"]

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import os
 import pickle
 import random
 from functools import partial
@@ -7,7 +9,8 @@ import pytest
 
 import relcor.mutate
 from randgen import in_loops, program_space, random_program
-from relcor.errors import PatchError
+from relcor import suites
+from relcor.errors import PatchError, RelcorError
 from relcor.lang import ast_nodes as A
 from relcor.lang import interp
 from relcor.lang.ast_nodes import preorder, replace_nodes, to_source
@@ -297,8 +300,10 @@ FUELS = (0, 1, 8, 10**4)
 def compiled(monkeypatch):
     """The name of the function of every compile made while the test runs:
     "_run" for programs and schemata, "_eval" for expressions, "_rec" for
-    divergence checks."""
+    divergence checks.  Only this process's compiles are seen, so no batch
+    forks workers while the fixture counts."""
     names = []
+    monkeypatch.setattr(suites, "_FORK_AFTER_S", math.inf)
     define = interp._define
     monkeypatch.setattr(interp, "_define", lambda em, name: names.append(name) or define(em, name))
     compile_program.cache_clear()
@@ -430,6 +435,49 @@ def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
     assert len(loops) == 90 and len(set(loops)) == 26
     classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
     assert compiled.count("_rec") == 26
+
+
+def test_a_repair_of_a_correct_root_compiles_no_own_step(compiled):
+    """The root's verdict is read before any mutant's row is made, so none
+    of the own steps of the correct Fermat program's mutants, all changed
+    within a loop, compiles."""
+    from relcor.studies import fermat
+
+    built = fermat.build()
+    cfg = RepairConfig(operators=("AORB",), suite=built["suite"], fuel=fermat.FUEL,
+                       max_depth=1, mode="testing")
+    tree, metrics = repair(built["correct"], built["spec"], cfg)
+    assert tree.solutions == ["base"] and list(tree.nodes) == ["base"]
+    assert (metrics.fault_density_lb, metrics.fault_depth_ub) == (0, 0)
+    assert compiled.count("_run") == 1  # the schema, whose step runs the root
+    assert [name for name in compiled if name.startswith("_step")] == []
+
+
+@pytest.mark.parametrize("fork_after", [math.inf, 0])
+def test_an_own_step_that_python_refuses_raises_where_its_row_is_made(monkeypatch, fork_after):
+    """The user error of a refused own step comes out of the batch whether
+    it makes its rows in process or beside forked workers, which it then
+    reaps."""
+    define = interp._define
+
+    def refuse(em, name):
+        if name.startswith("_step"):  # only an own step is compiled by that name
+            raise RelcorError("nested too deeply for Python to compile: refused")
+        return define(em, name)
+
+    monkeypatch.setattr(interp, "_define", refuse)
+    monkeypatch.setattr(suites, "_FORK_AFTER_S", fork_after)
+    monkeypatch.setattr(suites, "_spare_cpus", lambda: 1)
+    spec = PredicateSpec(SP, "true", "x' >= 0")
+    suite = Suite(tuple(SP.states())[:40])
+    mutants = generate(LOOP, ("AORB",))
+    assert len(mutants) > 2 and all(m.site.path in in_loops(LOOP) for m in mutants)
+    outcome_row.cache_clear()
+    with pytest.raises(RelcorError, match="nested too deeply"):
+        classify_mutants(LOOP, mutants, spec, suite, "testing", 100)
+    with pytest.raises(ChildProcessError):  # the worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+    outcome_row.cache_clear()
 
 
 def test_a_schema_too_deep_for_python_falls_back_to_compiling_each_mutant(compiled):

@@ -1,6 +1,10 @@
+import math
+import os
 import random
+import threading
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from randgen import (
@@ -15,6 +19,7 @@ from relcor import suites
 from relcor.errors import EmptySuiteError
 from relcor.lang import semantics
 from relcor.lang.interp import (
+    NONTERMINATION,
     FinalState,
     NonTermination,
     Undefined,
@@ -174,8 +179,10 @@ def runs(monkeypatch):
     (the cut, values, fuel).  A schema's steps are functions `_step<c>`: the
     cut's step bound to a mutant index, 0 for the base, or a mutant's own
     step.  Its suffix is the function `_run` bound to a cut; a program
-    compiled alone is an unbound `_run`."""
+    compiled alone is an unbound `_run`.  Only this process's runs are
+    seen, so no batch forks workers while the fixture counts."""
     made = []
+    monkeypatch.setattr(suites, "_FORK_AFTER_S", math.inf)
     run_outcome = suites.run_outcome
 
     def record(run, values, fuel):
@@ -579,3 +586,156 @@ def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode):
     assert outcomes == {tuple, NonTermination, Undefined}
     assert "division by zero" in sites and any("out of bounds" in s for s in sites)
     assert len(seen) == 8
+
+
+# -- rows on forked workers ---------------------------------------------------------
+
+
+def _open_fds() -> set:
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _nothing_left(fds: set) -> None:
+    """No child process, exited or not, and no pipe is left of a batch."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Every batch with two jobs or more forks two workers at its first job,
+    on any host.  `forking.decoded` lists the rows this process received
+    from workers, as they were sent, and `forking.forks` counts the forks."""
+    monkeypatch.setattr(suites, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(suites, "_spare_cpus", lambda: 2)
+    decoded, forks = [], []
+    decode, fork = suites._decode, os.fork
+    monkeypatch.setattr(suites, "_decode", lambda row: decoded.append(row) or decode(row))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outcome_row.cache_clear()
+    yield SimpleNamespace(decoded=decoded, forks=forks)
+    outcome_row.cache_clear()
+
+
+def _labelled(monkeypatch, fork_after: float, *batch) -> list:
+    """The (label, row) pairs of `suite_labels(*batch)`, made from empty
+    caches by a batch that forks once its rows have taken `fork_after`."""
+    monkeypatch.setattr(suites, "_FORK_AFTER_S", fork_after)
+    outcome_row.cache_clear()
+    return list(suite_labels(*batch))
+
+
+def _random_batches(seed: int, n: int) -> list:
+    """Batches (base, programs, spec, suite, fuel, mode) from `_batches` in
+    both modes, each also at fuel 10^4, where the divergence checks end many
+    runs of a loop."""
+    rng = random.Random(seed)
+    return [(base, [m.program for m in mutants], spec, suite, f, mode)
+            for mode in ("wide", "exact")
+            for base, mutants, spec, suite, fuel in _batches(rng, mode, n)
+            for f in (fuel, 10**4)]
+
+
+def _fermat_batch() -> tuple:
+    from relcor.studies import fermat
+
+    built = fermat.build()
+    base = built["base"]
+    return (base, [m.program for m in generate(base, ("AORB",))], built["spec"],
+            built["suite"], fermat.FUEL, "wide")
+
+
+def test_rows_made_on_forked_workers_equal_rows_made_in_process(monkeypatch, forking):
+    """Rows and labels of random batches in both modes and of the Fermat
+    level-1 batch, with workers forked at the first job, equal those made
+    in process.  The workers send every kind of outcome, NONTERMINATION is
+    the same object after decoding, and each batch reaps its workers and
+    closes its pipes."""
+    fds = _open_fds()
+    forked = []  # workers per batch
+    for batch in [*_random_batches(1919, 40), _fermat_batch()]:
+        alone = _labelled(monkeypatch, math.inf, *batch)
+        forks = len(forking.forks)
+        pairs = _labelled(monkeypatch, 0, *batch)
+        forked.append(len(forking.forks) - forks)
+        _nothing_left(fds)
+        assert pairs == alone
+        assert all(out is NONTERMINATION for _, row in pairs for out in row
+                   if isinstance(out, NonTermination))
+    assert max(forked) == forked[-1] == 2 and forked.count(0) < len(forked) / 4
+    sent = {type(out) for row in forking.decoded for out in row}
+    assert sent == {tuple, type(None), str}  # final values, NONTERMINATION, Undefined
+    assert len(forking.decoded) > 500
+
+
+def test_rows_that_a_worker_leaves_unsent_are_made_in_process(monkeypatch, forking):
+    """A worker that ends after sending its first row, holding its second
+    job: this process makes the rows it did not send."""
+    encode = suites._encode
+    ended_r, ended_w = os.pipe()
+    sent = []
+
+    def once(row):
+        if sent:  # in a worker that has sent a row
+            os.write(ended_w, b"x")
+            os._exit(0)
+        sent.append(row)
+        return encode(row)
+
+    monkeypatch.setattr(suites, "_encode", once)
+    monkeypatch.setattr(suites, "_spare_cpus", lambda: 1)
+    fds = _open_fds()
+    for batch in [*_random_batches(2020, 15), _fermat_batch()]:
+        alone = _labelled(monkeypatch, math.inf, *batch)
+        assert _labelled(monkeypatch, 0, *batch) == alone
+        _nothing_left(fds)
+    os.close(ended_w)
+    ended = len(os.read(ended_r, 1 << 16))
+    os.close(ended_r)
+    assert 0 < ended <= len(forking.decoded) <= len(forking.forks)
+
+
+@pytest.mark.parametrize("leave", ["throw", "close"])
+def test_a_batch_left_midway_leaves_no_process(forking, leave):
+    """An exception raised in the batch at a row, or a consumer that stops
+    taking rows, kills and reaps the workers and closes their pipes."""
+    fds = _open_fds()
+    base, programs, _, suite, fuel, mode = _fermat_batch()
+    rows = suites._batch_rows(base, programs, suite, fuel, mode)
+    next(rows), next(rows), next(rows)  # the base's, then the first two jobs'
+    assert len(forking.forks) == 2
+    if leave == "throw":
+        with pytest.raises(KeyboardInterrupt):
+            rows.throw(KeyboardInterrupt)
+    else:
+        rows.close()
+    _nothing_left(fds)
+
+
+@pytest.mark.parametrize("why", ["one CPU", "a second thread", "no fork"])
+def test_a_batch_stays_in_process_where_it_may_not_fork(monkeypatch, why):
+    """Past its gate, on one CPU, while a second thread is alive or without
+    `os.fork`, a batch makes every row in process: a fork would raise."""
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if why == "a second thread":
+        thread.start()
+    try:
+        for batch in _random_batches(2121, 5):
+            assert _labelled(monkeypatch, 0, *batch) == _labelled(monkeypatch, math.inf, *batch)
+    finally:
+        done.set()
+        if why == "a second thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    outcome_row.cache_clear()
