@@ -32,22 +32,34 @@ have exhausted its fuel later.
   `semantics.denote` does) stays linear in the space even where the
   program diverges everywhere.
 * Wide-mode values keep growing, so a state rarely repeats.  Instead, a
-  loop whose guard and body (``Seq``, ``skip`` and scalar assignments
-  only) read no array and divide only by non-zero integer literals gets a
-  recurrent-set check (Gupta et al., "Proving non-termination", POPL 2008).
-  At a check point the run takes one concrete body step from the current
-  head state and builds a box from it: a variable that rose gets
-  [v, +inf), one that fell (-inf, v], one that stayed [v, v].  If interval
-  arithmetic shows that the guard holds on the whole box and that the body
-  maps the box into itself, the loop can never exit, and the run yields
-  ``NonTermination`` at once.  Such a body cannot be undefined on the box
-  (no array access, no divisor that can be zero), so ``Undefined`` was not
-  possible either.  Check points are global to a run: when its consumed
-  fuel reaches 8 and each time it has doubled since, in whichever such loop
-  is running, so a run makes about log2(fuel) checks (a schema counts them
-  per step and per suffix; see below).  The check is compiled to Python
-  once per distinct loop (`_recurrence`), whichever programs hold it, and
-  takes the loop's variables as arguments.  It takes the concrete step with
+  loop whose guard and body (scalar assignments, `if`s, block locals and
+  inner loops only) read no array and divide only by non-zero integer
+  literals gets a recurrent-set check (Gupta et al., "Proving
+  non-termination", POPL 2008).  At a check point the run takes one
+  concrete body step from the current head state and builds a box from it
+  over the variables whose head values an iteration may read: a variable
+  that rose gets [v, +inf), one that fell (-inf, v], one that stayed
+  [v, v].  The others, those that the body assigns on every path before it
+  reads them and the body's block locals, are left out of the box and may
+  take any value.  If interval arithmetic shows that the guard holds on the
+  whole box and that the body maps the box into itself, the loop can never
+  exit, and the run yields ``NonTermination`` at once.  A body with `if`s
+  and inner loops runs on the box along the one path that the box decides,
+  with no joins and no widening: each guard met must hold on the whole box
+  or on none of it, and an inner loop must end within `_UNROLL` iterations,
+  or the check gives up.  Its concrete step gives up at the same bound, as
+  the box, which holds the head state, cannot take a longer path.  Such a
+  body cannot be undefined on the box (no array access, no divisor that
+  can be zero), so ``Undefined`` was not possible either.  Check points are
+  global to a run: when its consumed fuel reaches 8 and each time it has
+  doubled since, in whichever such loop is running, so a run makes about
+  log2(fuel) checks (a schema counts them per step and per suffix; see
+  below).  A loop whose body holds more than assignments has check points
+  of its own, on the same schedule, since its inner loops would otherwise
+  take nearly all of them.  The check is compiled to Python once per
+  distinct loop (`_recurrence`), whichever programs hold it, and takes the
+  loop's variables as arguments; that of a loop whose body holds more than
+  assignments compiles on its first call.  It takes the concrete step with
   the program's own expressions and returns as soon as the guard is not
   certain on the box; only a box that passes has its image computed.  A
   checked loop tests its fuel once per iteration, against the next check
@@ -227,12 +239,15 @@ def _div(x, c: int):
     return (x if c > 0 else -x) if isinstance(x, float) else cdiv(x, c)
 
 
-_BOXABLE = (Seq, Skip, Assign, VarTarget, IntLit, Var, Neg, BinOp, BoolLit, Cmp, Not, And, Or)
+_BOXABLE = (Seq, Skip, Assign, VarTarget, IntLit, Var, Neg, BinOp, BoolLit, Cmp, Not, And, Or,
+            If, IfElse, Block, While)
+_UNROLL = 16  # iterations of an inner loop that a divergence check follows before it gives up
 
 
 def _boxable(loop: While) -> bool:
-    """Whether the loop's guard and body are total on every box: straight-line
-    scalar assignments, no array, divisors non-zero literals only."""
+    """Whether the loop's guard and body are total on every box: scalar
+    assignments, `if`s, block locals and inner loops, no array, divisors
+    non-zero literals only."""
     return all(
         isinstance(n, _BOXABLE)
         and not (isinstance(n, BinOp) and n.op in "/%"
@@ -241,11 +256,62 @@ def _boxable(loop: While) -> bool:
     )
 
 
+def _nested(loop: While) -> bool:
+    """Whether the loop's body holds more than assignments."""
+    return any(isinstance(n, (If, IfElse, Block, While)) for n in preorder(loop.body))
+
+
+def _declared(s) -> set:
+    """The block locals declared within statement `s`."""
+    return {n.name for n in preorder(s) if isinstance(n, Block)}
+
+
+def _assigned(s) -> dict:
+    """The variables that statement `s` may assign, but for its own block
+    locals, in order."""
+    local = _declared(s)
+    return dict.fromkeys(n.target.name for n in preorder(s)
+                         if isinstance(n, Assign) and n.target.name not in local)
+
+
 def _loop_names(loop: While) -> list:
-    """The variables of the loop's guard and body, sorted: the arguments of
-    its divergence check."""
-    return sorted({n.name for part in (loop.cond, loop.body)
-                   for n in preorder(part) if isinstance(n, (Var, VarTarget))})
+    """The variables of the loop's guard and body, but for the block locals
+    that its body declares, sorted: the arguments of its divergence check."""
+    local = _declared(loop.body)
+    return sorted({n.name for part in (loop.cond, loop.body) for n in preorder(part)
+                   if isinstance(n, (Var, VarTarget)) and n.name not in local})
+
+
+def _exposed(s, done: frozenset, out: set) -> frozenset:
+    """Add to `out` the variables that statement `s` may read before it
+    assigns them, those in `done` being assigned already, and return the
+    variables assigned on every path through `s`."""
+    def read(node) -> None:
+        out.update(n.name for n in preorder(node) if isinstance(n, Var) and n.name not in done)
+
+    if isinstance(s, Assign):
+        read(s.expr)
+        return done | {s.target.name}
+    if isinstance(s, Seq):
+        return _exposed(s.second, _exposed(s.first, done, out), out)
+    if isinstance(s, Block):  # a local starts at 0 in wide mode
+        return _exposed(s.body, done | {s.name}, out) - {s.name}
+    if isinstance(s, (If, IfElse)):
+        read(s.cond)
+        then = _exposed(s.then, done, out)
+        return then & _exposed(s.orelse, done, out) if isinstance(s, IfElse) else done
+    if isinstance(s, While):
+        read(s.cond)
+        _exposed(s.body, done, out)
+    return done
+
+
+def _live(loop: While) -> set:
+    """The variables whose values at the loop's head an iteration may read:
+    those of its guard, and those its body may read before it assigns them."""
+    out = {n.name for n in preorder(loop.cond) if isinstance(n, Var)}
+    _exposed(loop.body, frozenset(), out)
+    return out
 
 
 # -- code generation ---------------------------------------------------------------
@@ -268,6 +334,8 @@ class _Emitter:
         self.tmp = 0
         #: the divergence check of each `_boxable` wide-mode loop, by its name in the code
         self.recurrences: dict = {}
+        #: the variable holding the fuel at the next check point of each checked loop
+        self.schedules: list = []
         #: the mutant programs a schema dispatches on, in index order (see `schema`)
         self.covered: list = []
 
@@ -373,13 +441,17 @@ class _Emitter:
             if self.exact or not _boxable(s):
                 self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
             else:  # one test per iteration: as _chk >= -1, fuel -1 is a check point
-                rec = f"_rec{len(self.recurrences)}"
-                self.recurrences[rec] = _recurrence(s)
+                k = len(self.recurrences)
+                self.recurrences[f"_rec{k}"] = _recurrence(s)
+                # a loop that holds more than assignments has check points of its
+                # own, which the loops within it would otherwise take
+                chk = f"_chk{k}" if _nested(s) else "_chk"
+                self.schedules.append(chk)
                 values = ", ".join(_V + n for n in _loop_names(s))
-                self.emit(depth + 1, "if fuel <= _chk:")
+                self.emit(depth + 1, f"if fuel <= {chk}:")
                 self.emit(depth + 2, "if fuel < 0: raise _OutOfFuel()")
-                self.emit(depth + 2, "_chk = max(2 * fuel - _fuel0, -1)")  # consumed fuel doubled
-                self.emit(depth + 2, f"if {rec}({values}): raise _OutOfFuel()")
+                self.emit(depth + 2, f"{chk} = max(2 * fuel - _fuel0, -1)")  # consumed fuel doubled
+                self.emit(depth + 2, f"if _rec{k}({values}): raise _OutOfFuel()")
             if self.exact:
                 head = self.fresh()
                 in_scope = "".join(f"{_V}{n}, " for n in self.domains)
@@ -462,11 +534,79 @@ class _Boxes(_Emitter):
 
     def __init__(self):
         super().__init__(StateSpace(()), exact=False)
+        self.depth = 1  # of the lines that `image` emits
+        #: the variables whose intervals live in their own two locals
+        #: `_p<name>`, `_q<name>`, assigned in place (see `image`)
+        self.pinned: set = set()
 
     def let(self, value: str) -> str:
         t = self.fresh()
-        self.emit(1, f"{t} = {value}")
+        self.emit(self.depth, f"{t} = {value}")
         return t
+
+    def stmt(self, s, depth: int) -> None:
+        """As a program runs `s`, but an inner loop gives up, returning False,
+        where `image` would: after `_UNROLL` iterations whose guard held."""
+        if not isinstance(s, While):
+            return super().stmt(s, depth)
+        self.emit(depth, f"for _ in range({_UNROLL}):")
+        self.emit(depth + 1, f"if not {self.cond(s.cond)}: break")
+        self.stmt(s.body, depth + 1)
+        self.emit(depth, "else: return False")
+
+    def pin(self, name: str, value: tuple) -> tuple:
+        """Emit `name`'s interval `value` into its own two locals."""
+        own = (f"_p{name}", f"_q{name}")
+        self.pinned.add(name)
+        if value != own:
+            self.emit(self.depth, f"{own[0]}, {own[1]} = {value[0]}, {value[1]}")
+        return own
+
+    def image(self, s, env: dict) -> None:
+        """Emit the run of statement `s` from the box `env` (name ->
+        interval), which it updates, along the one path that the box
+        decides: every guard met must hold on all of it or on none of it,
+        and an inner loop must stop within `_UNROLL` iterations; the
+        emitted code returns False where the path is not decided.  Python
+        takes an `if`'s branch and a loop's iterations at run time, so each
+        variable that such a statement assigns keeps its interval in its
+        own two locals from there on, whichever branch assigned it."""
+        if isinstance(s, Seq):
+            self.image(s.first, env)
+            self.image(s.second, env)
+        elif isinstance(s, Assign):
+            name, value = s.target.name, self.ival(s.expr, env)
+            if name in self.pinned:
+                value = self.pin(name, value)
+            elif value[0].startswith("_p"):  # a copy, as the other's may change in place
+                value = (self.let(value[0]), self.let(value[1]))
+            env[name] = value
+        elif isinstance(s, Block):
+            env[s.name] = ("0",) * 2  # no local shadows a variable
+            self.image(s.body, env)
+            del env[s.name]
+        elif isinstance(s, (If, IfElse, While)):
+            for name in _assigned(s):
+                env[name] = self.pin(name, env[name])
+            depth = self.depth
+            if isinstance(s, While):
+                self.emit(depth, f"for _ in range({_UNROLL}):")
+                self.depth += 1
+                holds, fails = self.certain(s.cond, env)
+                self.emit(self.depth, f"if {fails}: break")
+                self.emit(self.depth, f"if not {holds}: return False")
+                self.image(s.body, env)
+            else:
+                holds, fails = self.certain(s.cond, env)
+                for head, branch in ((f"if {holds}:", s.then),
+                                     (f"elif {fails}:", getattr(s, "orelse", Skip()))):
+                    self.emit(depth, head)
+                    self.depth, start = depth + 1, len(self.lines)
+                    self.image(branch, env)
+                    if len(self.lines) == start:
+                        self.emit(self.depth, "pass")
+            self.depth = depth
+            self.emit(depth, "else: return False")
 
     def ival(self, e, env: dict) -> tuple:
         """The interval of expression `e` where each variable ranges over its
@@ -490,8 +630,8 @@ class _Boxes(_Emitter):
                 return self.let(f"_div({lo}, {c})"), self.let(f"_div({hi}, {c})")
             m = abs(c) - 1  # the remainder takes the dividend's sign, |r| <= min(|x|, m)
             rlo, rhi = self.fresh(), self.fresh()
-            self.emit(1, f"if {lo} == {hi}: {rlo} = {rhi} = cmod({lo}, {c})")
-            self.emit(1, f"else: {rlo} = 0 if {lo} >= 0 else max({lo}, {-m});"
+            self.emit(self.depth, f"if {lo} == {hi}: {rlo} = {rhi} = cmod({lo}, {c})")
+            self.emit(self.depth, f"else: {rlo} = 0 if {lo} >= 0 else max({lo}, {-m});"
                          f" {rhi} = 0 if {hi} <= 0 else min({hi}, {m})")
             return rlo, rhi
         rlo, rhi = self.ival(e.right, env)
@@ -532,20 +672,28 @@ class _Boxes(_Emitter):
 
 @lru_cache(maxsize=4096)
 def _recurrence(loop: While):
-    """Compile the divergence check of a `_boxable` wide-mode loop (see the
-    module docstring) to f(*values) -> bool over `_loop_names(loop)`:
-    whether the loop, at its head with its variables at `values`, can never
-    exit.  After the concrete step and the box, the check returns False as
-    soon as the guard is not certain on the box; only then does it compute
-    the box's image."""
+    """The divergence check of a `_boxable` wide-mode loop (see the module
+    docstring), f(*values) -> bool over `_loop_names(loop)`: whether the
+    loop, at its head with its variables at `values`, can never exit.
+    After the concrete step and the box, the check returns False as soon as
+    the guard is not certain on the box; only then does it compute the
+    box's image.  A check whose loop holds more than assignments compiles
+    on its first call."""
+    if _nested(loop):
+        return _on_first_call(partial(_compile_recurrence, loop), "_rec")
+    return _compile_recurrence(loop)
+
+
+def _compile_recurrence(loop: While):
     em = _Boxes()
-    names = _loop_names(loop)
-    steps = [(n.target.name, n.expr) for n in preorder(loop.body) if isinstance(n, Assign)]
-    assigned = dict.fromkeys(name for name, _ in steps)
+    names, live = _loop_names(loop), _live(loop)
+    assigned = [n for n in _assigned(loop.body) if n in live]
     em.emit(0, f"def _rec({', '.join(_V + n for n in names)}):")
     em.lines += [f"    _h{n} = {_V}{n}" for n in assigned]  # the head's values
     em.stmt(loop.body, 1)
-    box = {n: (_V + n,) * 2 for n in names}  # a variable the body leaves alone stays put
+    # a variable the body leaves alone stays put; one it assigns before it
+    # reads it may take any value
+    box = {n: (_V + n,) * 2 if n in live else ("-_INF", "_INF") for n in names}
     for n in assigned:
         v, h, lo, hi = _V + n, "_h" + n, "_l" + n, "_u" + n
         em.emit(1, f"if {v} > {h}: {lo} = {h}; {hi} = _INF")
@@ -554,8 +702,7 @@ def _recurrence(loop: While):
         box[n] = (lo, hi)
     em.emit(1, f"if not {em.certain(loop.cond, box)[0]}: return False")
     image = dict(box)
-    for name, e in steps:
-        image[name] = em.ival(e, image)
+    em.image(loop.body, image)
     inside = [f"{box[n][0]} <= {image[n][0]} and {image[n][1]} <= {box[n][1]}" for n in assigned]
     em.emit(1, f"return {' and '.join(inside) or 'True'}")
     return _define(em, "_rec")
@@ -630,11 +777,12 @@ def _emit_def(em: _Emitter, head: str, body, returns: str = "") -> None:
     names = [_V + n for n in em.space.names]
     em.emit(0, f"def {head}_values, fuel):")
     _unpack(em, "_values", names)
-    prologue, checks = len(em.lines), len(em.recurrences)
+    prologue, checked = len(em.lines), len(em.schedules)
     body()
-    if len(em.recurrences) > checks:  # the fuel at the function's next check point
-        em.lines[prologue:prologue] = ["    _fuel0 = fuel",
-                                       f"    _chk = max(fuel - {_CHECK_FROM}, -1)"]
+    if len(em.schedules) > checked:  # the fuel at the function's first check points
+        em.lines[prologue:prologue] = ["    _fuel0 = fuel"] + [
+            f"    {chk} = max(fuel - {_CHECK_FROM}, -1)"
+            for chk in dict.fromkeys(em.schedules[checked:])]
     em.emit(1, f"return {_tuple(names)}{returns}")
 
 
@@ -693,20 +841,29 @@ def _emit_suffix(em: _Emitter, cuts: list) -> None:
         em.stmt(s, 2)
 
 
+def _on_first_call(compile_it, name: str):
+    """A function `name` that calls what `compile_it()` returns, which it
+    makes on its first call, in whichever process makes that call."""
+    compiled = []
+
+    def call(*args):
+        if not compiled:
+            compiled.append(compile_it())
+        return compiled[0](*args)
+
+    call.__name__ = name
+    return call
+
+
 def _own_step(c: int, m, space: StateSpace, exact: bool):
     """Statement `m`, a mutant's cut c, as a step `_step<c>(values, fuel) ->
     (values, fuel)` compiled on its own, on its first call."""
-    compiled = []
+    def compile_it():
+        em = _Emitter(space, exact)
+        _emit_def(em, f"_step{c}(", partial(em.stmt, m, 1), ", fuel")
+        return _define(em, f"_step{c}")
 
-    def step(values, fuel):
-        if not compiled:
-            em = _Emitter(space, exact)
-            _emit_def(em, f"_step{c}(", partial(em.stmt, m, 1), ", fuel")
-            compiled.append(_define(em, f"_step{c}"))
-        return compiled[0](values, fuel)
-
-    step.__name__ = f"_step{c}"
-    return step
+    return _on_first_call(compile_it, f"_step{c}")
 
 
 def compile_schema(base, mutants, space: StateSpace, mode: str) -> Schema | None:

@@ -69,23 +69,28 @@ Other programs, those whose wide rows are cached, and all programs when
 Python refuses the schema, get their rows from `outcome_row`.
 
 The covered programs whose rows are not cached are the batch's jobs, each
-made once.  The batch makes them in process and in order until its rows,
-the base's included, have taken `_FORK_AFTER_S` (0.1 s).  If two jobs or
-more are left then, it forks a worker per CPU it may run on beyond its
-own, never more than one fewer than the jobs left, as mutation analysis
-spreads independent mutants over processors (Offutt, Pargas, Fichter and
-Khambekar, ICPP 1992).  It stays in process without `os.fork`, on one CPU,
-and while any thread besides the main one is alive.  A fork costs a few
-milliseconds plus copy-on-write faults in a large heap, more than the rows
-of a short batch take (`mutate_large`'s take about 30 ms, `arraysum_exact`'s
-about 12 ms on a 2-vCPU VM), which is what the gate is for.  This process
-and the workers take the jobs left from one pipe of 4-byte tokens, all
-written before the first fork, each the start of a chunk of jobs (one job
-per token up to 1,024 jobs), so that the uneven costs of rows balance at
-run time.  A worker makes rows from its copy of the levels and the memo,
-sends them back through a pipe of its own with `marshal` (NONTERMINATION
-as None, Undefined as its site), and ends with `os._exit` when the tokens
-run out or its parent is gone; what it adds to the memo or to the caches
+made once.  The batch makes them in process and in order, timed from the
+base's row on, and reads their pace before each, until its gate opens:
+once the jobs made have taken a tenth of `_FORK_AFTER_S` (0.1 s), about
+what a fork costs, and the jobs left would take `_FORK_AFTER_S` or more at
+the mean time per job so far.  If two jobs or more are left then, it
+forks a worker per CPU it may run on beyond its own, never more than one
+fewer than the jobs left, as mutation analysis spreads independent
+mutants over processors (Offutt, Pargas, Fichter and Khambekar, ICPP
+1992).  It stays in process without `os.fork`, on one CPU, and while any
+thread besides the main one is alive.  A fork costs a few milliseconds
+plus copy-on-write faults in a large heap, more than the rows of a short
+batch take (`mutate_large`'s take about 30 ms, `arraysum_exact`'s about
+12 ms on a 2-vCPU VM), which is what the gate is for; the base's steps
+are not timed, as they may be slow where the rows are fast.  Fermat's
+level-1 batch forks after its first job.  This process and the workers
+take the jobs left from one pipe of 4-byte tokens, all written before the
+first fork, each the start of a chunk of jobs (one job per token up to
+1,024 jobs), so that the uneven costs of rows balance at run time.  A
+worker makes rows from its copy of the levels and the memo, sends them
+back through a pipe of its own with `marshal` (NONTERMINATION as None,
+Undefined as its site), and ends with `os._exit` when the tokens run out
+or its parent is gone; what it adds to the memo or to the caches
 of compiled code ends with it.  The batch decodes those rows, makes itself
 any that no worker sent, and yields and caches every row in order, so
 rows, labels, fingerprints and the cache's contents do not depend on the
@@ -111,7 +116,6 @@ did not send is made again here.
 from __future__ import annotations
 
 import marshal
-import math
 import os
 import random
 import threading
@@ -296,7 +300,9 @@ def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
 outcome_row.cache_clear = _rows.clear
 
 
-#: seconds that a batch makes its rows in process before it forks workers
+#: seconds of rows left, at the pace of those made so far, for which a batch
+#: forks workers; the rows made must have taken a tenth of it, about what a
+#: fork costs
 _FORK_AFTER_S = 0.1
 _TOKEN = 4  # bytes of a job token
 _SIGKILL = 9  # signal.SIGKILL, without the millisecond that importing `signal` takes
@@ -431,8 +437,9 @@ class _Workers:
 def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     """Yield the row of `base`, then the row of each of `programs`, in order,
     by split-stream execution where the batch's schema covers them, on
-    forked workers too once its rows have taken `_FORK_AFTER_S` (see the
-    module docstring).  Wide rows are cached as `outcome_row` caches them."""
+    forked workers too once the pace of its rows shows `_FORK_AFTER_S` of
+    them left (see the module docstring).  Wide rows are cached as
+    `outcome_row` caches them."""
     exact = mode == "exact"
     schema = None
     if suite.inputs:
@@ -446,7 +453,6 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
         for p in (base, *programs):
             yield outcome_row(p, suite, fuel, mode)
         return
-    fork_at = time.perf_counter() + _FORK_AFTER_S
     # levels[c]: each distinct (values, fuel left) of the base at cut c -> the
     # inputs that reach cut c in it
     level = {}
@@ -497,7 +503,8 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     # the covered programs whose rows are not cached, each once, in order
     jobs = [p for p in dict.fromkeys(programs)
             if p in schema.sites and (exact or (p, suite, fuel, mode) not in _rows)]
-    made, workers, ended = 0, None, False
+    made, workers, ended, gate = 0, None, False, True
+    start = time.perf_counter()
     try:
         for p in programs:
             key = (p, suite, fuel, mode)
@@ -508,13 +515,15 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
             if workers is not None:
                 row = workers.take(p)
             elif made < len(jobs) and jobs[made] is p:
-                made += 1
-                if made < len(jobs) and time.perf_counter() >= fork_at:  # two jobs left
-                    fork_at = math.inf
-                    count = min(_spare_cpus(), len(jobs) - made)
+                spent, left = time.perf_counter() - start, len(jobs) - made  # p's row and on
+                if (gate and left > 1 and spent >= _FORK_AFTER_S / 10
+                        and spent * left >= _FORK_AFTER_S * made):  # the pace of `made` rows
+                    gate = False
+                    count = min(_spare_cpus(), left - 1)
                     if count > 0:
-                        workers = _Workers(jobs[made - 1:], make, count)
+                        workers = _Workers(jobs[made:], make, count)
                         row = workers.take(p)
+                made += 1
             if row is None:
                 row = make(p)
             yield row if exact else _store_row(key, row)

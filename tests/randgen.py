@@ -207,6 +207,47 @@ def random_straight_loop(rng: random.Random, space: StateSpace) -> A.Node:
     return A.While(_cond(rng, names, 1, straight=True), body)
 
 
+def random_nested_loop(rng: random.Random, space: StateSpace) -> A.Node:
+    """A `while` loop that the wide-mode divergence check accepts and whose
+    body holds more than assignments: two or three statements, at least one
+    of them an `if`, an `if`-`else`, an inner loop or a block whose local is
+    assigned first, nested up to two deep, over scalar assignments, guards
+    and `if`s that multiply and divide by non-zero literals only."""
+    fresh = itertools.count()
+
+    def cond(names):
+        return _cond(rng, names, 1, straight=True)
+
+    def assign(names):
+        return A.Assign(A.VarTarget(rng.choice(names)), _expr(rng, names, 2, straight=True))
+
+    def stmt(names, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return assign(names)
+        if roll < 0.45:
+            return A.If(cond(names), stmts(names, depth - 1))
+        if roll < 0.6:
+            return A.IfElse(cond(names), stmts(names, depth - 1), stmts(names, depth - 1))
+        if roll < 0.85:
+            return A.While(cond(names), stmts(names, depth - 1))
+        name = f"t{next(fresh)}"
+        first = A.Assign(A.VarTarget(name), _expr(rng, names, 2, straight=True))
+        return A.Block(name, Interval(-1, 1), A.Seq(first, stmts(names + [name], depth - 1)))
+
+    def stmts(names, depth):
+        body = stmt(names, depth)
+        for _ in range(rng.randint(0, 1)):
+            body = A.Seq(body, stmt(names, depth))
+        return body
+
+    names = list(space.names)
+    while True:
+        body = A.Seq(stmt(names, 2), stmts(names, 2))
+        if any(isinstance(n, (A.If, A.IfElse, A.While, A.Block)) for n in A.preorder(body)):
+            return A.While(cond(names), body)
+
+
 def random_chain(rng: random.Random, space: StateSpace, wide: bool = False) -> A.Node:
     """Two to five `random_program` statements, each block assigning its
     local first, in sequence and grouped by `Seq` at random: a base whose

@@ -71,11 +71,12 @@ def test_the_checks_of_a_benchmark_unit_hold(workload):
 
 
 def test_only_the_fermat_workload_forks_workers(monkeypatch):
-    """A batch forks workers only once its rows have taken
-    `suites._FORK_AFTER_S` (0.1 s): `mutate_large`'s one batch and
-    `arraysum_exact`'s take about 30 and 12 ms on a 2-vCPU VM, and a fork
-    there would cost more than it saves; Fermat's level-1 batch takes about
-    0.45 s.  Spare CPUs are pretended, so that the time alone decides."""
+    """A batch forks workers only once the pace of its rows shows at least
+    `suites._FORK_AFTER_S` (0.1 s) of rows left: `mutate_large`'s one batch
+    and `arraysum_exact`'s take about 30 and 12 ms in all on a 2-vCPU VM,
+    and a fork there would cost more than it saves; Fermat's level-1 batch
+    takes about 0.35 s.  Spare CPUs are pretended, so that the time alone
+    decides."""
     import relcor.suites
 
     def forked(*args):

@@ -423,8 +423,11 @@ def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
 
 
 def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
-    """One check per distinct boxable loop of the base and its mutants, not
-    one per module that holds the loop."""
+    """At most one check per distinct boxable loop of the base and its
+    mutants, not one per module that holds the loop: each of the 26 loops
+    whose bodies are assignments compiles with the program, and each of the
+    25 that hold more compiles on its first call, which 5 of them never
+    get."""
     from relcor.studies import fermat
 
     built = fermat.build()
@@ -432,9 +435,10 @@ def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
     mutants = generate(base, ("AORB",))
     loops = [n for p in (base, *(m.program for m in mutants)) for n in preorder(p)
              if isinstance(n, A.While) and interp._boxable(n)]
-    assert len(loops) == 90 and len(set(loops)) == 26
+    assert len(loops) == 131 and len(set(loops)) == 51
+    assert len({loop for loop in loops if not interp._nested(loop)}) == 26
     classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
-    assert compiled.count("_rec") == 26
+    assert compiled.count("_rec") == 46
 
 
 def test_a_repair_of_a_correct_root_compiles_no_own_step(compiled):

@@ -12,7 +12,14 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
-from randgen import program_space, random_chain, random_program, random_straight_loop
+from randgen import (
+    program_space,
+    random_chain,
+    random_nested_loop,
+    random_program,
+    random_straight_loop,
+)
+from relcor.lang import interp
 from relcor.lang.ast_nodes import Seq, While, preorder
 from relcor.lang.interp import (
     FinalState,
@@ -147,3 +154,48 @@ def test_wide_runs_at_high_fuel_agree_with_the_tree_walker(checks):
     assert set(kinds) == {"final", refimpl.NONTERMINATION, refimpl.UNDEFINED}
     # each proof ends one run; the other divergent runs exhaust their fuel or abort
     assert kinds[refimpl.NONTERMINATION] > checks.count(True) > 50
+
+
+def test_every_proof_of_a_loop_that_holds_more_than_assignments_is_a_run_that_never_ends(
+        monkeypatch):
+    """Every wide run at fuel 10^4 that the check of a loop holding more
+    than assignments ends, on random nested loops and in the Fermat level-1
+    batch (131 runs, of mutants 20 and 22), exhausts its fuel in the
+    tree-walker."""
+    proofs = []
+    recurrence = interp._recurrence
+
+    def flagged(loop):
+        check = recurrence(loop)
+        if not interp._nested(loop):
+            return check
+        return lambda *values: proofs.append(check(*values)) or proofs[-1]
+
+    monkeypatch.setattr(interp, "_recurrence", flagged)
+    compile_program.cache_clear()
+
+    def proved_runs(p, states) -> int:
+        count = 0
+        for s in states:
+            proofs.clear()
+            got = execute(p, s, 10**4, "wide")
+            if any(proofs):
+                assert got == NonTermination()
+                assert _reference(p, s, 10**4, "wide") == refimpl.NONTERMINATION, (p, s)
+                count += 1
+        return count
+
+    from relcor.studies import fermat
+
+    rng = random.Random(4545)
+    try:
+        spaces = [program_space(rng, max_states=24) for _ in range(20)]
+        random_proofs = sum(proved_runs(random_nested_loop(rng, sp), sp.states())
+                            for sp in spaces)
+        built = fermat.build()
+        mutants = [m.program for m in generate(built["base"], ("AORB",))]
+        fermat_proofs = [proved_runs(p, built["suite"].inputs) for p in mutants]
+    finally:
+        compile_program.cache_clear()
+    assert random_proofs > 30
+    assert sum(fermat_proofs) == 131 and fermat_proofs[19] == 66 and fermat_proofs[21] == 65

@@ -2,9 +2,11 @@
 
 import random
 import time
+from collections import Counter
+from functools import lru_cache
 
 import pytest
-from randgen import program_space, random_program, random_straight_loop
+from randgen import program_space, random_nested_loop, random_program, random_straight_loop
 from relcor.errors import CapacityError, RelcorError
 from relcor.lang import ast_nodes as A
 from relcor.lang import interp
@@ -328,6 +330,20 @@ BOXABLE_LOOPS = (
     "while (y < 100) { y = y + x; x = x + 1; }",
 )
 
+# loops whose bodies hold more than assignments, on WIDE: an inner loop
+# that the box check follows to its end, one longer than it follows, one
+# whose end the box cannot decide, an `if` it cannot decide, and block
+# locals and `if`-`else`s that it decides either way
+NESTED_LOOPS = (
+    "while (x >= 0) { y = 0; while (y < 10) { y = y + 1; } x = x + 1; }",
+    "while (x >= 0) { y = 0; while (y < 20) { y = y + 1; } x = x + 1; }",
+    "while (x >= 0) { y = x; while (y > 0) { y = y - 1; } x = x + 1; }",
+    "while (x > -100) { if (x % 2 == 0) { y = y + 1; } x = x + 1; }",
+    "while (x != 5) { int t; t = x; if (t > 0) { x = x + 1; } else { x = x - 1; } }",
+    "while (y >= x) { { int t; t = y - x; y = y + t % 3; } if (x < 0) { x = x - 1; } }",
+    "while (x < 50) { while (y < 3) { y = y + 1; } if (y == 3) { x = x + 1; } }",
+)
+
 
 # -- the interpreted recurrent-box check, the compiled check's reference -----------
 #
@@ -394,30 +410,116 @@ def _ref_holds(c, env: dict):
     return True if True in (left, right) else None if None in (left, right) else False
 
 
-def _ref_diverges(loop, values: tuple) -> bool:
-    """Whether `loop`, at the head with its variables (sorted by name) at
-    `values`, can never exit: one concrete step, a box grown from it, the
-    guard on the whole box and the box's image inside the box."""
-    steps = [(n.target.name, n.expr) for n in preorder(loop.body) if isinstance(n, A.Assign)]
+def _ref_paths(s):
+    """Each path through statement `s`, as the variables it reads and
+    assigns in order, ("read", names) and ("write", name): each `if` taken
+    both ways and each loop run zero times or once, which is enough to
+    find every variable that some path reads before it assigns it."""
+    def reads(node):
+        return [("read", {n.name for n in preorder(node) if isinstance(n, A.Var)})]
+
+    if isinstance(s, A.Assign):
+        yield reads(s.expr) + [("write", s.target.name)]
+    elif isinstance(s, A.Seq):
+        for first in _ref_paths(s.first):
+            for second in _ref_paths(s.second):
+                yield first + second
+    elif isinstance(s, A.Block):  # a local starts at 0 in wide mode
+        for path in _ref_paths(s.body):
+            yield [("write", s.name)] + path
+    elif isinstance(s, (A.If, A.IfElse, A.While)):
+        taken = s.body if isinstance(s, A.While) else s.then
+        skipped = s.orelse if isinstance(s, A.IfElse) else A.Skip()
+        for branch in (taken, skipped):
+            for path in _ref_paths(branch):
+                yield reads(s.cond) + path
+    else:
+        yield []
+
+
+@lru_cache(maxsize=None)
+def _ref_live(loop) -> set:
+    """The variables that some path through the guard and the body of
+    `loop` reads before it assigns them."""
+    live = set()
+    for path in _ref_paths(A.Seq(A.If(loop.cond, A.Skip()), loop.body)):
+        written = set()
+        for kind, names in path:
+            if kind == "read":
+                live |= names - written
+            else:
+                written.add(names)
+    return live
+
+
+class _GaveUp(Exception):
+    pass
+
+
+def _ref_run(s, env: dict) -> dict:
+    """The box `env` after statement `s`, along the one path that the box
+    decides; gives up where a guard is neither certain nor impossible on
+    it, or where an inner loop would make `interp._UNROLL` iterations.  On
+    a box of single values this is a concrete run."""
+    if isinstance(s, A.Assign):
+        return {**env, s.target.name: _ref_ival(s.expr, env)}
+    if isinstance(s, A.Seq):
+        return _ref_run(s.second, _ref_run(s.first, env))
+    if isinstance(s, A.Block):
+        out = _ref_run(s.body, {**env, s.name: (0, 0)})
+        return {n: v for n, v in out.items() if n != s.name}
+    if isinstance(s, (A.If, A.IfElse)):
+        holds = _ref_holds(s.cond, env)
+        if holds is None:
+            raise _GaveUp("an undecided if")
+        if holds:
+            return _ref_run(s.then, env)
+        return _ref_run(s.orelse, env) if isinstance(s, A.IfElse) else env
+    if isinstance(s, A.While):
+        for _ in range(interp._UNROLL):
+            holds = _ref_holds(s.cond, env)
+            if holds is None:
+                raise _GaveUp("an undecided inner loop")
+            if not holds:
+                return env
+            env = _ref_run(s.body, env)
+        raise _GaveUp("an inner loop past the bound")
+    return env
+
+
+def _ref_check(loop, values: tuple) -> str:
+    """Whether `loop`, at the head with its variables (sorted by name, but
+    for its body's block locals) at `values`, can never exit: "proved", or
+    why not.  One concrete step, a box grown from it over the variables
+    whose values at the head an iteration may read, the guard on the whole
+    box and the box's image inside the box.  The other variables are left
+    out of both, so that reading one of them would raise a KeyError."""
+    local = {n.name for n in preorder(loop.body) if isinstance(n, A.Block)}
     names = sorted({n.name for part in (loop.cond, loop.body) for n in preorder(part)
-                    if isinstance(n, (A.Var, A.VarTarget))})
-
-    def step(env):
-        env = dict(env)
-        for name, e in steps:
-            env[name] = _ref_ival(e, env)
-        return env
-
-    here = dict(zip(names, values))
-    after = step({n: (v, v) for n, v in here.items()})
+                    if isinstance(n, (A.Var, A.VarTarget)) and n.name not in local})
+    live = _ref_live(loop)
+    here = {n: v for n, v in zip(names, values) if n in live}
+    try:
+        after = _ref_run(loop.body, {n: (v, v) for n, v in here.items()})
+    except _GaveUp as e:
+        return f"the concrete step: {e}"
     box = {}
     for n, v in here.items():
         w = after[n][0]
         box[n] = (v, INF) if w > v else (-INF, v) if w < v else (v, v)
     if _ref_holds(loop.cond, box) is not True:
-        return False
-    image = step(box)
-    return all(box[n][0] <= image[n][0] and image[n][1] <= box[n][1] for n in box)
+        return "the guard on the box"
+    try:
+        image = _ref_run(loop.body, box)
+    except _GaveUp as e:
+        return f"the box: {e}"
+    if all(box[n][0] <= image[n][0] and image[n][1] <= box[n][1] for n in box):
+        return "proved"
+    return "the image"
+
+
+def _ref_diverges(loop, values: tuple) -> bool:
+    return _ref_check(loop, values) == "proved"
 
 
 def test_divergence_proofs_change_no_outcome(monkeypatch, checks):
@@ -499,15 +601,19 @@ def test_the_box_check_proves_loops_that_keep_their_direction(checks):
 def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypatch):
     """At every check point of wide runs at fuel 10^4, the compiled check
     answers as the interpreted reference does, on the loops above and on
-    random straight loops."""
-    answers = []  # (compiled, interpreted)
+    random straight and nested loops.  The checks of nested loops give up
+    for every reason the reference knows."""
+    answers, reasons = [], Counter()  # (compiled, interpreted); why nested checks answer
     recurrence = interp._recurrence
 
     def compared(loop):
         check = recurrence(loop)
 
         def both(*values):
-            answers.append((check(*values), _ref_diverges(loop, values)))
+            reason = _ref_check(loop, values)
+            if interp._nested(loop):
+                reasons[reason] += 1
+            answers.append((check(*values), reason == "proved"))
             return answers[-1][0]
         return both
 
@@ -521,11 +627,13 @@ def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypat
                "while (!(y != 0) && x < 100) { x = x - 1; }",
                "while (!(x <= 12) || x < 13) { x = x + 1; }",
                "while (!(x < 12) || x < 12) { x = x + 1; }")
-    runs = [(parse(src, WIDE), s) for src in (*BOXABLE_LOOPS, *negated) for s in WIDE.states()]
-    for _ in range(200):
-        sp = program_space(rng, max_states=60)
-        p = random_straight_loop(rng, sp)
-        runs += [(p, s) for s in rng.sample(list(sp.states()), min(4, sp.num_states))]
+    runs = [(parse(src, WIDE), s)
+            for src in (*BOXABLE_LOOPS, *negated, *NESTED_LOOPS) for s in WIDE.states()]
+    for make in (random_straight_loop, random_nested_loop):
+        for _ in range(200):
+            sp = program_space(rng, max_states=60)
+            p = make(rng, sp)
+            runs += [(p, s) for s in rng.sample(list(sp.states()), min(4, sp.num_states))]
     try:
         for p, s in runs:
             execute(p, s, 10**4, "wide")
@@ -534,9 +642,15 @@ def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypat
     assert [got for got, _ in answers] == [want for _, want in answers]
     proved = sum(got for got, _ in answers)
     assert proved > 300 and len(answers) - proved > 300
+    assert set(reasons) >= {"proved", "the concrete step: an inner loop past the bound",
+                            "the box: an undecided if", "the box: an undecided inner loop"}
+    assert reasons["proved"] > 100
 
 
-def test_the_fermat_level1_batch_makes_9955_checks_and_991_proofs(checks):
+def test_the_fermat_level1_batch_makes_14088_checks_and_1122_proofs(checks):
+    """991 proofs of loops whose bodies are assignments, and 131 of the outer
+    loop, which holds a loop and an `if`: the runs of mutants 20 and 22
+    that would exhaust their fuel, whose inner loops set r to 0 or to 1."""
     from relcor.studies import fermat
 
     built = fermat.build()
@@ -547,7 +661,7 @@ def test_the_fermat_level1_batch_makes_9955_checks_and_991_proofs(checks):
     finally:
         outcome_row.cache_clear()
     assert len(labels) == 48
-    assert len(checks) == 9955 and checks.count(True) == 991
+    assert len(checks) == 14088 and checks.count(True) == 1122
 
 
 def test_a_squaring_loop_is_proved_before_its_digits_blow_up():
@@ -571,16 +685,17 @@ def test_loops_that_end_late_are_not_claimed():
 
 def test_loops_outside_the_boxable_fragment_are_left_to_fuel():
     for src in ("x = 0; i = 0; while (i >= 0) { x = x + a[i % 4]; i = i + 1; }",
-                "while (i >= 0) { if (x < 3) { i = i + 1; } }",
+                "while (i >= 0) { if (x % (i + 1) < 3) { i = i + 1; } }",
                 "while (i >= 0) { x = i / (x + 1); i = i + 1; }",
                 "while (i >= 0) { i = i + 1; while (x < 0) { x = x / i; } }"):
         p = parse(src, ARR)
         assert "_rec0" not in compile_program(p, ARR, "wide").__globals__
         s = ARR.state({"a": (0, 0, 0, 0), "x": 0, "i": 0})
         assert execute(p, s, 1000, "wide") == NonTermination()
-    p = parse("while (i >= 0) { i = i + 1; }", ARR)
-    assert "_rec0" in compile_program(p, ARR, "wide").__globals__
-    assert "_rec0" not in compile_program(p, ARR, "exact").__globals__
+    for src in ("while (i >= 0) { i = i + 1; }", "while (i >= 0) { if (x < 3) { i = i + 1; } }"):
+        p = parse(src, ARR)
+        assert "_rec0" in compile_program(p, ARR, "wide").__globals__
+        assert "_rec0" not in compile_program(p, ARR, "exact").__globals__
 
 
 def test_denote_beats_the_recursion_on_a_loop_that_never_ends():

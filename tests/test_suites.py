@@ -739,3 +739,55 @@ def test_a_batch_stays_in_process_where_it_may_not_fork(monkeypatch, why):
             thread.join(timeout=10)
     assert not thread.is_alive()
     outcome_row.cache_clear()
+
+
+class _Forked(Exception):
+    pass
+
+
+def _fork_point(monkeypatch, base, cost):
+    """The clock and the jobs left where a batch of `base`'s AORB mutants
+    forks, or None if it never does, under a clock that only runs move:
+    each run of a step adds `cost(k)` seconds, k its mutant (0 for the
+    base).  A spare CPU is pretended."""
+    now, point = [0.0], []
+    run = suites.run_outcome
+
+    def timed(step, values, fuel):
+        now[0] += cost(step.args[0])
+        return run(step, values, fuel)
+
+    def forked(jobs, make, count):
+        point.append((now[0], len(jobs)))
+        raise _Forked()
+
+    monkeypatch.setattr(suites, "run_outcome", timed)
+    monkeypatch.setattr(suites, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(suites, "_spare_cpus", lambda: 1)
+    monkeypatch.setattr(suites, "_Workers", forked)
+    programs = [m.program for m in generate(base, ("AORB",))]
+    outcome_row.cache_clear()
+    try:
+        list(suites._batch_rows(base, programs, Suite(tuple(SP.states())), 10, "wide"))
+    except _Forked:
+        return point[0]
+    finally:
+        outcome_row.cache_clear()
+    return None
+
+
+def test_a_batch_whose_first_rows_are_slow_forks_before_they_have_taken_the_gate(monkeypatch):
+    """Rows that take 30 ms each, 10 runs of 3 ms: once the first row has
+    taken a tenth of `_FORK_AFTER_S`, the pace of the rows shows that those
+    left would take more than all of it, so the batch forks at 30 ms, with
+    all but one of its jobs left."""
+    point = _fork_point(monkeypatch, parse("x = x + 1 + 1;", SP), lambda k: 0.003 if k else 0)
+    assert point == (pytest.approx(0.03), 7)
+
+
+def test_a_batch_of_many_fast_rows_never_forks(monkeypatch):
+    """200 rows of 0.4 ms each, 80 ms in all, after a base whose runs take
+    0.2 s: the pace of the rows is timed from the base's row on, and the
+    rows left never look like the 0.1 s that a fork pays for."""
+    base = parse("x = x" + " + 1" * 50 + ";", SP)
+    assert _fork_point(monkeypatch, base, lambda k: 0.00004 if k else 0.02) is None
