@@ -13,10 +13,12 @@ space, mode).  Two evaluation modes exist:
 
 Division truncates toward zero and modulus takes the dividend's sign
 (C semantics) in both modes.  Each completed loop-body iteration consumes
-one unit of fuel; exhaustion yields ``NonTermination``.  Block locals are
-initialized to the low end of their interval (zero in wide mode); programs
-are expected to assign locals before reading them, which is also what
-keeps their denotations deterministic.
+one unit of fuel; exhaustion yields ``NonTermination``, as `abort` and the
+checks below do: compiled code raises one exception, `_NoEnd`, for every
+run that never ends.  Block locals are initialized to the low end of their
+interval (`local_interval`, which exact mode requires; zero in wide mode);
+programs are expected to assign locals before reading them (`exposed`
+finds where they may not), which also keeps their denotations deterministic.
 
 Both modes can end a run that will never end before its fuel runs out, and
 neither changes an outcome for any fuel by doing so: the run would only
@@ -175,19 +177,8 @@ class UndefinedEval(Exception):
         self.site = site
 
 
-class _Aborted(Exception):
-    pass
-
-
-class _OutOfFuel(Exception):
-    pass
-
-
-class _Repeated(Exception):
-    pass
-
-
-_NO_END = (_OutOfFuel, _Repeated, _Aborted)  # abort never terminates in any state
+class _NoEnd(Exception):
+    """Raised by compiled code for a run that never ends."""
 
 
 def cdiv(a: int, b: int) -> int:
@@ -210,6 +201,13 @@ def _aread(arr: tuple, i: int, length: int, name: str):
     if not 0 <= i < length:
         raise UndefinedEval(f"index {i} out of bounds for {name}[{length}]")
     return arr[i]
+
+
+def local_interval(s: Block):
+    """The interval of block `s`'s local, which exact mode requires."""
+    if s.interval is None:
+        raise RelcorError(f"block local {s.name!r} needs a : lo..hi annotation in exact mode")
+    return s.interval
 
 
 # -- recurrent boxes (wide mode) ---------------------------------------------------
@@ -261,57 +259,53 @@ def _nested(loop: While) -> bool:
     return any(isinstance(n, (If, IfElse, Block, While)) for n in preorder(loop.body))
 
 
-def _declared(s) -> set:
-    """The block locals declared within statement `s`."""
-    return {n.name for n in preorder(s) if isinstance(n, Block)}
-
-
 def _assigned(s) -> dict:
     """The variables that statement `s` may assign, but for its own block
     locals, in order."""
-    local = _declared(s)
+    local = {n.name for n in preorder(s) if isinstance(n, Block)}
     return dict.fromkeys(n.target.name for n in preorder(s)
                          if isinstance(n, Assign) and n.target.name not in local)
 
 
-def _loop_names(loop: While) -> list:
-    """The variables of the loop's guard and body, but for the block locals
-    that its body declares, sorted: the arguments of its divergence check."""
-    local = _declared(loop.body)
-    return sorted({n.name for part in (loop.cond, loop.body) for n in preorder(part)
-                   if isinstance(n, (Var, VarTarget)) and n.name not in local})
+def exposed(s) -> set:
+    """The variables that some path through statement `s` reads before it
+    assigns them, a block local within `s` counting as assigned: for the
+    divergence check's box (`_live`) and exact-mode tabulation (`semantics`)."""
+    out = set()
 
+    def walk(s, done: frozenset) -> frozenset:  # -> the variables assigned on every path
+        if isinstance(s, (Assign, If, IfElse, While)):  # an array target's index is read too
+            read = s if isinstance(s, Assign) else s.cond
+            out.update(n.name for n in preorder(read) if isinstance(n, Var) and n.name not in done)
+        if isinstance(s, Assign):
+            return done | {s.target.name}
+        if isinstance(s, Seq):
+            return walk(s.second, walk(s.first, done))
+        if isinstance(s, Block):
+            return walk(s.body, done | {s.name}) - {s.name}
+        if isinstance(s, (If, IfElse)):
+            then = walk(s.then, done)
+            return then & walk(s.orelse, done) if isinstance(s, IfElse) else done
+        if isinstance(s, While):
+            walk(s.body, done)
+        return done
 
-def _exposed(s, done: frozenset, out: set) -> frozenset:
-    """Add to `out` the variables that statement `s` may read before it
-    assigns them, those in `done` being assigned already, and return the
-    variables assigned on every path through `s`."""
-    def read(node) -> None:
-        out.update(n.name for n in preorder(node) if isinstance(n, Var) and n.name not in done)
-
-    if isinstance(s, Assign):
-        read(s.expr)
-        return done | {s.target.name}
-    if isinstance(s, Seq):
-        return _exposed(s.second, _exposed(s.first, done, out), out)
-    if isinstance(s, Block):  # a local starts at 0 in wide mode
-        return _exposed(s.body, done | {s.name}, out) - {s.name}
-    if isinstance(s, (If, IfElse)):
-        read(s.cond)
-        then = _exposed(s.then, done, out)
-        return then & _exposed(s.orelse, done, out) if isinstance(s, IfElse) else done
-    if isinstance(s, While):
-        read(s.cond)
-        _exposed(s.body, done, out)
-    return done
+    walk(s, frozenset())
+    return out
 
 
 def _live(loop: While) -> set:
     """The variables whose values at the loop's head an iteration may read:
     those of its guard, and those its body may read before it assigns them."""
-    out = {n.name for n in preorder(loop.cond) if isinstance(n, Var)}
-    _exposed(loop.body, frozenset(), out)
-    return out
+    return {n.name for n in preorder(loop.cond) if isinstance(n, Var)} | exposed(loop.body)
+
+
+@lru_cache(maxsize=4096)
+def _loop_names(loop: While) -> tuple:
+    """The variables of a `_boxable` loop's guard and body, but for the block
+    locals that its body declares, sorted: the arguments of its divergence
+    check, cached since each program that holds the loop emits a call."""
+    return tuple(sorted(_live(loop) | set(_assigned(loop.body))))
 
 
 # -- code generation ---------------------------------------------------------------
@@ -393,7 +387,7 @@ class _Emitter:
         if isinstance(s, Skip):
             self.emit(depth, "pass")
         elif isinstance(s, Abort):
-            self.emit(depth, "raise _Aborted()")
+            self.emit(depth, "raise _NoEnd()")
         elif isinstance(s, Assign):
             t = s.target
             value = self.expr(s.expr)
@@ -439,7 +433,7 @@ class _Emitter:
             self.stmt(s.body, depth + 1)
             self.emit(depth + 1, "fuel -= 1")
             if self.exact or not _boxable(s):
-                self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
+                self.emit(depth + 1, "if fuel < 0: raise _NoEnd()")
             else:  # one test per iteration: as _chk >= -1, fuel -1 is a check point
                 k = len(self.recurrences)
                 self.recurrences[f"_rec{k}"] = _recurrence(s)
@@ -449,14 +443,14 @@ class _Emitter:
                 self.schedules.append(chk)
                 values = ", ".join(_V + n for n in _loop_names(s))
                 self.emit(depth + 1, f"if fuel <= {chk}:")
-                self.emit(depth + 2, "if fuel < 0: raise _OutOfFuel()")
+                self.emit(depth + 2, "if fuel < 0: raise _NoEnd()")
                 self.emit(depth + 2, f"{chk} = max(2 * fuel - _fuel0, -1)")  # consumed fuel doubled
-                self.emit(depth + 2, f"if _rec{k}({values}): raise _OutOfFuel()")
+                self.emit(depth + 2, f"if _rec{k}({values}): raise _NoEnd()")
             if self.exact:
                 head = self.fresh()
                 in_scope = "".join(f"{_V}{n}, " for n in self.domains)
                 self.emit(depth + 1, f"{head} = ({in_scope})")
-                self.emit(depth + 1, f"if {head} in {seen}: raise _Repeated()")
+                self.emit(depth + 1, f"if {head} in {seen}: raise _NoEnd()")
                 self.emit(depth + 1, f"{seen}.add({head})")
         elif isinstance(s, Block):
             with self._local(s, depth):
@@ -468,11 +462,7 @@ class _Emitter:
     def _local(self, s: Block, depth: int):
         """Declare block `s`'s local while its body is emitted."""
         if self.exact:
-            if s.interval is None:
-                raise RelcorError(
-                    f"block local {s.name!r} needs a : lo..hi annotation in exact mode"
-                )
-            init = s.interval.lo
+            init = local_interval(s).lo
             saved = self.domains.get(s.name)
             self.domains[s.name] = s.interval
         else:
@@ -732,9 +722,7 @@ _RUNTIME = {
     "cmod": cmod,
     "_aread": _aread,
     "UndefinedEval": UndefinedEval,
-    "_Aborted": _Aborted,
-    "_OutOfFuel": _OutOfFuel,
-    "_Repeated": _Repeated,
+    "_NoEnd": _NoEnd,
     "_add": _add,
     "_mul": _mul,
     "_div": _div,
@@ -923,7 +911,7 @@ def run_outcome(run, values: tuple, fuel: int):
     values tuple, NONTERMINATION, or Undefined."""
     try:
         return run(values, fuel)
-    except _NO_END:
+    except _NoEnd:
         return NONTERMINATION
     except UndefinedEval as u:
         return Undefined(u.site)

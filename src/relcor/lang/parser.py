@@ -166,15 +166,14 @@ class _Parser:
         if self.depth >= MAX_NESTING:
             self.error(f"statements nest more than {MAX_NESTING} levels deep")
 
-    def parse_stmts(self, top=False):
+    def parse_stmts(self):
         stmts = []
         saved_locals = len(self.locals)
         base = self.depth
         while not self.at("}") and self.peek()[0] != "eof":
             self.depth = base + len(stmts)
             if self.at("int"):
-                blk = self.parse_decl(top)
-                stmts.append(blk)
+                stmts.append(self.parse_decl())
                 break  # the declaration consumed the rest of the scope
             stmts.append(self.parse_stmt())
         self.depth = base
@@ -186,7 +185,7 @@ class _Parser:
             out = Seq(s, out)
         return out
 
-    def parse_decl(self, top):
+    def parse_decl(self):
         self.check_depth()
         self.expect("int")
         kind, name, line, col = self.next()
@@ -205,7 +204,7 @@ class _Parser:
         self.expect(";")
         self.locals.append(name)
         self.depth += 1 if init is None else 2  # Block, then Seq(init, rest)
-        rest = self.parse_stmts(top)
+        rest = self.parse_stmts()
         self.locals.pop()
         if init is not None:
             rest = Seq(Assign(VarTarget(name), init), rest)
@@ -429,7 +428,7 @@ def parse(text: str, space: StateSpace | None = None):
     """
     declared, arrays = _scope(space) if space is not None else (None, set())
     p = _Parser(text, declared, arrays)
-    return p.end(p.parse_stmts(top=True))
+    return p.end(p.parse_stmts())
 
 
 def parse_predicate(text: str, space: StateSpace, primed: bool = False):

@@ -9,8 +9,9 @@
   so the outcome of every run is final.
 * Structural recursion, `denote_structural`.  It defines [p] and is the
   tests' reference; `denote` falls back to it for a program whose block
-  local may be read before it is assigned, because [p] then quantifies over
-  the local's initial value, which a single run cannot do.
+  local may be read before it is assigned (`interp.exposed`, which also
+  builds the wide-mode divergence check's box), because [p] then
+  quantifies over the local's initial value, which a single run cannot do.
 
 The recursion maps each construct compositionally to a finite relation:
 
@@ -25,11 +26,12 @@ The recursion maps each construct compositionally to a finite relation:
 
 Guards and assigned values are compiled by the interpreter's emitter
 (`interp.compile_eval`); the recursion keeps its own interval and index
-checks.  Partiality shrinks the domain: a state where an expression or guard
-cannot be evaluated (or where an assigned value leaves the declared
-interval) contributes no pair.  Both routes raise the same errors, before
-they build any state: a space or a block's extended space over
-`DEFAULT_CAP` states (`CapacityError`) and a block local without an
+checks, and takes a block's interval from `interp.local_interval`, as the
+emitter does.  Partiality shrinks the domain: a state where an expression
+or guard cannot be evaluated (or where an assigned value leaves the
+declared interval) contributes no pair.  Both routes raise the same
+errors, before they build any state: a space or a block's extended space
+over `DEFAULT_CAP` states (`CapacityError`) and a block local without an
 interval (`RelcorError`).
 
 `exact_row` takes the same two routes to give [p] at some states as a row
@@ -38,11 +40,11 @@ of raw outcomes, the form of `suites.outcome_row`.
 
 from __future__ import annotations
 
-from ..errors import RelcorError
 from ..relations import Relation, empty, identity, require_deterministic
 from ..space import State, StateSpace
 from . import ast_nodes as A
-from .interp import NONTERMINATION, UndefinedEval, compile_eval, compile_program, run_outcome
+from .interp import (NONTERMINATION, UndefinedEval, compile_eval, compile_program, exposed,
+                     local_interval, run_outcome)
 
 
 def _split_by_guard(cond, space: StateSpace, states):
@@ -70,7 +72,7 @@ def conclusive_fuel(p, space: StateSpace) -> int:
         if isinstance(s, A.While):
             return size + bound(s.body, size)
         if isinstance(s, A.Block):
-            return bound(s.body, size * _interval(s).size)
+            return bound(s.body, size * local_interval(s).size)
         if isinstance(s, A.Seq):
             return bound(s.first, size) + bound(s.second, size)
         if isinstance(s, A.If):
@@ -82,51 +84,24 @@ def conclusive_fuel(p, space: StateSpace) -> int:
     return bound(p, space.num_states) + 1
 
 
-def _interval(block: A.Block):
-    if block.interval is None:
-        raise RelcorError(
-            f"block local {block.name!r} needs a : lo..hi annotation in exact mode"
-        )
-    return block.interval
-
-
 def tabulable(p, space: StateSpace) -> bool:
-    """Whether one run per state defines [p]: every block local is assigned
-    on every path before it is read.  The walk visits every block and checks
-    its extended space, so it raises the errors the structural recursion
-    raises for blocks, in the same order, before any state is built."""
-    unset_read = False
+    """Whether one run per state defines [p]: no block local may be read
+    before it is assigned (`interp.exposed`).  First the walk visits every
+    block in preorder and checks its extended space, so it raises the
+    errors the structural recursion raises for blocks, in the same order,
+    before any state is built."""
+    blocks = []
 
-    def check_reads(node, unset) -> None:
-        nonlocal unset_read
-        unset_read = unset_read or any(
-            isinstance(n, A.Var) and n.name in unset for n in A.preorder(node)
-        )
-
-    def assigned(s, sp: StateSpace, unset: frozenset) -> frozenset:
-        """The locals still unassigned after `s`."""
-        if isinstance(s, (A.Skip, A.Abort)):
-            return unset
-        if isinstance(s, A.Assign):  # a target is no Var, but an array index may read one
-            check_reads(s, unset)
-            return unset - {s.target.name}
-        if isinstance(s, A.Seq):
-            return assigned(s.second, sp, assigned(s.first, sp, unset))
-        if isinstance(s, (A.If, A.While)):
-            check_reads(s.cond, unset)
-            assigned(s.then if isinstance(s, A.If) else s.body, sp, unset)
-            return unset  # the body may not run
-        if isinstance(s, A.IfElse):
-            check_reads(s.cond, unset)
-            return assigned(s.then, sp, unset) | assigned(s.orelse, sp, unset)
+    def walk(s, sp: StateSpace) -> None:
         if isinstance(s, A.Block):
-            ext = sp.extend(s.name, _interval(s))
-            ext.check_enumerable()
-            return assigned(s.body, ext, unset | {s.name}) - {s.name}
-        raise TypeError(f"not a statement node: {s!r}")
+            sp = sp.extend(s.name, local_interval(s))
+            sp.check_enumerable()
+            blocks.append(s)
+        for c in s.children():
+            walk(c, sp)
 
-    assigned(p, space, frozenset())
-    return not unset_read
+    walk(p, space)
+    return not any(b.name in exposed(b.body) for b in blocks)
 
 
 def _runs(p, space: StateSpace, states, fuel: int):
@@ -198,7 +173,7 @@ def _denote(p, space: StateSpace, states: list) -> Relation:
         closed = step.closure()
         return Relation(space, {pr for pr in closed.pairs if pr[1] in t_false})
     if isinstance(p, A.Block):
-        ext = space.extend(p.name, _interval(p))
+        ext = space.extend(p.name, local_interval(p))
         inner = _denote(p.body, ext, list(ext.states()))
         pairs = {
             (State(space, s.values[:-1]), State(space, t.values[:-1]))

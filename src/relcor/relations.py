@@ -5,9 +5,10 @@ are pure; refinement is evaluated literally from its defining equation.
 
 Correctness is decided from competence domains alone.  A relation and both
 spec classes in `relcor.specs` answer the same two questions, `domain()`
-(dom(R)) and `competence_domain(p)` (dom(R & P)), so `competence_domain`,
-`is_correct` and `more_correct` take either a relation or a spec and never
-enumerate a predicate spec.
+(dom(R)) and `membership(s, t)` ((s, t) in R), so `competence_domain`
+(dom(R & P), one `membership` check per pair of P), `is_correct` and
+`more_correct` take either a relation or a spec and never enumerate a
+predicate spec.
 """
 
 from __future__ import annotations
@@ -71,11 +72,8 @@ class Relation:
     def domain(self) -> StateSet:
         return StateSet(self.space, frozenset(s for (s, _) in self.pairs))
 
-    def competence_domain(self, p: "Relation") -> StateSet:
-        """dom(self & p), in O(|p|) lookups."""
-        self._check(p)
-        pairs = self.pairs
-        return StateSet(self.space, frozenset(s for (s, t) in p.pairs if (s, t) in pairs))
+    def membership(self, s, t) -> bool:
+        return (s, t) in self.pairs
 
     # -- predicates ----------------------------------------------------------
 
@@ -121,8 +119,8 @@ def require_deterministic(p: Relation, what: str) -> None:
 def competence_domain(r, p: Relation, warn_nondeterministic: bool = True) -> StateSet:
     """dom(R & P): the initial states on which p's behavior satisfies r.
 
-    `r` is a Relation or a spec; the cost is that of `r.competence_domain(p)`,
-    O(|p|) membership checks.
+    `r` is a Relation or a spec; the cost is one `r.membership` check per
+    pair of p, O(|p|).
     """
     if r.space != p.space:
         raise SpaceMismatchError("relations live on different state spaces")
@@ -132,13 +130,13 @@ def competence_domain(r, p: Relation, warn_nondeterministic: bool = True) -> Sta
         logging.getLogger(__name__).warning(
             "competence_domain called with a non-deterministic program relation"
         )
-    return r.competence_domain(p)
+    return StateSet(p.space, frozenset(s for (s, t) in p.pairs if r.membership(s, t)))
 
 
 def is_correct(p: Relation, r) -> bool:
     """Absolute correctness of a deterministic program function: dom(R & P) == dom(R).
 
-    `r` is a Relation or a spec.  The cost is one `r.competence_domain(p)`
+    `r` is a Relation or a spec.  The cost is one `competence_domain(r, p)`
     (O(|p|) membership checks) plus `r.domain()`, which a spec computes once
     and keeps; a predicate spec is never enumerated.
     """
@@ -149,8 +147,8 @@ def is_correct(p: Relation, r) -> bool:
 def more_correct(pp: Relation, p: Relation, r, strict: bool = False) -> bool:
     """pp at-least-as-correct-as p with respect to r: CD(pp) >= CD(p).
 
-    `r` is a Relation or a spec; the cost is two `r.competence_domain`
-    calls, O(|pp| + |p|) membership checks, and nothing enumerates r.
+    `r` is a Relation or a spec; the cost is two `competence_domain` calls,
+    O(|pp| + |p|) membership checks, and nothing enumerates r.
     """
     require_deterministic(pp, "more_correct's candidate")
     require_deterministic(p, "more_correct's base")

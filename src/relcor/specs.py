@@ -10,11 +10,11 @@ through the interpreter's emitter (`interp.compile_eval`), as programs do.
 
 Both spec classes answer the questions of the relation-level checks
 through the same two methods that `relcor.relations.Relation` has, so
-`is_correct` and `more_correct` take a spec directly:
+`competence_domain`, `is_correct` and `more_correct` take a spec directly:
 
-* ``competence_domain(p)`` is dom(R & P) = {s | (s, t) in P and (s, t) in R}:
-  one ``membership`` check per pair of the program relation, O(|P|), for
-  deterministic and nondeterministic P alike.
+* ``membership(s, t)`` is (s, t) in R.  `relations.competence_domain` makes
+  one check per pair of the program relation, O(|P|), for deterministic and
+  nondeterministic P alike.
 * ``domain()`` is dom(R).  For an enumerated spec it is the relation's domain,
   computed when the spec is built.  For a predicate spec it is the set of
   states where the domain predicate holds and some output satisfies the
@@ -90,9 +90,6 @@ class EnumeratedSpec:
     def domain(self) -> StateSet:
         return StateSet(self.space, self._dom)
 
-    def competence_domain(self, p: Relation) -> StateSet:
-        return self.rel.competence_domain(p)
-
     def enumerate(self) -> Relation:
         return self.rel
 
@@ -165,9 +162,6 @@ class PredicateSpec:
             self._domain = StateSet(self.space, frozenset(
                 s for s in self.space.states() if self.in_dom(s)))
         return self._domain
-
-    def competence_domain(self, p: Relation) -> StateSet:
-        return StateSet(self.space, frozenset(s for (s, t) in p.pairs if self.membership(s, t)))
 
     def enumerate(self) -> Relation:
         n = self.space.num_states

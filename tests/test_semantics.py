@@ -21,7 +21,7 @@ from relcor.lang.interp import (
     execute,
 )
 from relcor.lang.parser import parse
-from relcor.lang.semantics import conclusive_fuel, denote, denote_structural
+from relcor.lang.semantics import conclusive_fuel, denote, denote_structural, tabulable
 from relcor.mutate import generate
 from relcor.repair import classify_mutants
 from relcor.relations import identity
@@ -117,6 +117,16 @@ def test_a_local_read_before_it_is_assigned_takes_every_initial_value():
         rel = denote(p, SP)
         assert rel == denote_structural(p, SP)
         assert not rel.is_deterministic()
+
+
+def test_a_local_read_only_in_an_array_target_index_is_read_before_it_is_assigned():
+    # t picks the element that x goes into before t = 0 assigns it, so [p]
+    # writes x into a[0] or a[1]; one run (t starting at 0) gives a[0] only
+    p = parse("int t : 0..1; a[t] = x; t = 0;", ARR)
+    assert not tabulable(p, ARR)
+    rel = denote(p, ARR)
+    assert rel == denote_structural(p, ARR)
+    assert not rel.is_deterministic()
 
 
 def test_conclusive_fuel_counts_the_block_locals_in_scope():
@@ -249,7 +259,7 @@ class _FuelOnlyEmitter(interp._Emitter):
         self.emit(depth, f"while {self.cond(s.cond)}:")
         self.stmt(s.body, depth + 1)
         self.emit(depth + 1, "fuel -= 1")
-        self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
+        self.emit(depth + 1, "if fuel < 0: raise _NoEnd()")
 
 
 def test_repeat_detection_changes_no_outcome(monkeypatch):
@@ -288,7 +298,7 @@ class _WideFuelOnlyEmitter(interp._Emitter):
         self.emit(depth, f"while {self.cond(s.cond)}:")
         self.stmt(s.body, depth + 1)
         self.emit(depth + 1, "fuel -= 1")
-        self.emit(depth + 1, "if fuel < 0: raise _OutOfFuel()")
+        self.emit(depth + 1, "if fuel < 0: raise _NoEnd()")
 
 
 WIDE = StateSpace((("x", Interval(-4, 4)), ("y", Interval(-2, 2))))
