@@ -15,10 +15,11 @@ Division truncates toward zero and modulus takes the dividend's sign
 (C semantics) in both modes.  Each completed loop-body iteration consumes
 one unit of fuel; exhaustion yields ``NonTermination``, as `abort` and the
 checks below do: compiled code raises one exception, `_NoEnd`, for every
-run that never ends.  Block locals are initialized to the low end of their
-interval (`local_interval`, which exact mode requires; zero in wide mode);
-programs are expected to assign locals before reading them (`exposed`
-finds where they may not), which also keeps their denotations deterministic.
+run that never ends.  A block local, which may not redeclare a variable in
+scope (a `RelcorError` in both modes, as in the parser), starts at the low
+end of its interval (`local_interval`, which exact mode requires; zero in
+wide mode); programs are expected to assign locals before reading them
+(`exposed` finds where they may not), which also keeps [p] deterministic.
 
 Both modes can end a run that will never end before its fuel runs out, and
 neither changes an outcome for any fuel by doing so: the run would only
@@ -460,21 +461,14 @@ class _Emitter:
 
     @contextmanager
     def _local(self, s: Block, depth: int):
-        """Declare block `s`'s local while its body is emitted."""
-        if self.exact:
-            init = local_interval(s).lo
-            saved = self.domains.get(s.name)
-            self.domains[s.name] = s.interval
-        else:
-            init = 0
-            saved = None
-        self.emit(depth, f"{_V}{s.name} = {init}")
+        """Declare block `s`'s local while its body is emitted; a local may
+        not redeclare a name in scope, as in `StateSpace.extend`."""
+        if s.name in self.domains:
+            raise RelcorError(f"block local {s.name!r} redeclares a variable in scope")
+        self.domains[s.name] = s.interval
+        self.emit(depth, f"{_V}{s.name} = {local_interval(s).lo if self.exact else 0}")
         yield
-        if self.exact:
-            if saved is None:
-                self.domains.pop(s.name, None)
-            else:
-                self.domains[s.name] = saved
+        del self.domains[s.name]
 
     # mutant schemata ---------------------------------------------------------
 
@@ -572,7 +566,7 @@ class _Boxes(_Emitter):
                 value = (self.let(value[0]), self.let(value[1]))
             env[name] = value
         elif isinstance(s, Block):
-            env[s.name] = ("0",) * 2  # no local shadows a variable
+            env[s.name] = ("0",) * 2  # a fresh name: `_local` refuses one that shadows
             self.image(s.body, env)
             del env[s.name]
         elif isinstance(s, (If, IfElse, While)):

@@ -23,7 +23,10 @@ other syntax for them, and the usual scope checks apply.
 
 A block-local declaration scopes over the remaining statements of the
 enclosing block.  The optional `: lo..hi` annotation gives the local's
-finite domain, required for exact-mode semantics.
+finite domain, required for exact-mode semantics.  Scope checks always
+apply: a name must be a variable of the space or a local in scope, and a
+local may not redeclare either, as the interpreter and the semantics
+refuse a local that shadows; sibling blocks may reuse a name.
 
 A unary minus on an integer literal (`-1`, also `-(1)`) is read as a
 negative `IntLit`, which is how `to_source` prints one, so
@@ -111,10 +114,10 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, declared: set | None, arrays: set, primed: bool = False):
+    def __init__(self, text: str, declared: set, arrays: set, primed: bool = False):
         self.toks = _tokenize(text)
         self.i = 0
-        self.declared = declared  # None disables scope checking
+        self.declared = declared
         self.arrays = arrays
         self.primed = primed  # whether primed names (outputs) may be read
         self.locals: list[str] = []
@@ -147,8 +150,6 @@ class _Parser:
         return kind == "name" and lx not in KEYWORDS
 
     def check_var(self, name, tok, want_array=False):
-        if self.declared is None:
-            return
         if name not in self.declared and name not in self.locals:
             self.error(f"undeclared variable {name!r}", tok)
         if want_array != (name in self.arrays):
@@ -168,7 +169,6 @@ class _Parser:
 
     def parse_stmts(self):
         stmts = []
-        saved_locals = len(self.locals)
         base = self.depth
         while not self.at("}") and self.peek()[0] != "eof":
             self.depth = base + len(stmts)
@@ -177,7 +177,6 @@ class _Parser:
                 break  # the declaration consumed the rest of the scope
             stmts.append(self.parse_stmt())
         self.depth = base
-        del self.locals[saved_locals:]
         if not stmts:
             return Skip()
         out = stmts[-1]
@@ -191,7 +190,7 @@ class _Parser:
         kind, name, line, col = self.next()
         if kind != "name" or name in KEYWORDS:
             raise ParseError("expected variable name after 'int'", line, col)
-        if self.declared is not None and (name in self.declared or name in self.locals):
+        if name in self.declared or name in self.locals:
             raise ParseError(f"redeclaration of {name!r}", line, col)
         interval = None
         if self.at(":"):
@@ -420,14 +419,9 @@ def _scope(space: StateSpace) -> tuple:
     return set(space.names), {n for n, d in space.vars if isinstance(d, ArrayDomain)}
 
 
-def parse(text: str, space: StateSpace | None = None):
-    """Parse program source into an AST.
-
-    When `space` is given, variable references are checked against its
-    declarations (plus block locals); otherwise scope checking is skipped.
-    """
-    declared, arrays = _scope(space) if space is not None else (None, set())
-    p = _Parser(text, declared, arrays)
+def parse(text: str, space: StateSpace):
+    """Parse program source over the variables of `space` into an AST."""
+    p = _Parser(text, *_scope(space))
     return p.end(p.parse_stmts())
 
 

@@ -82,21 +82,18 @@ def sites(p: Node, kinds=SITE_KINDS) -> list:
 
 
 def _mutations_at(node: Node, family: str):
-    """Yield (operator tag, replacement description, replacement node)."""
+    """Yield (operator tag, replacement description, replacement value for
+    `_fragment_for`)."""
     if family == "AORB":
         for op in ARITH_OPS:
             if op != node.op:
-                yield f"AORB:{node.op}->{op}", op, dc_replace(node, op=op)
+                yield f"AORB:{node.op}->{op}", op, op
     elif family == "literal+-1":
-        for delta in (1, -1):
-            tag = f"literal{'+' if delta > 0 else ''}{delta}"
-            yield tag, str(node.value + delta), IntLit(node.value + delta)
-    elif family == "index+-1":
-        for delta, op in ((1, "+"), (-1, "-")):
-            new_index = BinOp(op, node.index, IntLit(1))
-            yield f"index{op}1", f"[{op}1]", dc_replace(node, index=new_index)
+        for value in (node.value + 1, node.value - 1):
+            yield f"literal{value - node.value:+d}", str(value), value
     else:
-        raise ValueError(f"unknown operator family {family!r}")
+        for delta, op in ((1, "+"), (-1, "-")):
+            yield f"index{op}1", f"[{op}1]", delta
 
 
 def generate(p: Node, operators=("AORB",)) -> list:
@@ -107,22 +104,15 @@ def generate(p: Node, operators=("AORB",)) -> list:
             raise ValueError(f"unknown operator family {fam!r}")
     mutants = []
     nodes = preorder(p)
-    for i, node in enumerate(nodes):
-        kind = _node_kind(node)
+    for site in sites(p):
+        node = nodes[site.path]
         for fam in operators:
-            if _FAMILY_KIND[fam] != kind:
+            if _FAMILY_KIND[fam] != site.kind:
                 continue
-            for tag, desc, new_node in _mutations_at(node, fam):
-                program = replace_nodes(p, {i: new_node})
-                mutants.append(
-                    Mutant(
-                        ordinal=len(mutants) + 1,
-                        site=MutationSite(i, kind),
-                        operator=tag,
-                        replacement=desc,
-                        program=program,
-                    )
-                )
+            for tag, desc, value in _mutations_at(node, fam):
+                program = replace_nodes(p, {site.path: _fragment_for(node, site, value)})
+                mutants.append(Mutant(ordinal=len(mutants) + 1, site=site, operator=tag,
+                                      replacement=desc, program=program))
     return mutants
 
 

@@ -22,6 +22,8 @@ from ..repair import verify_fault
 from ..specs import spec_from_json
 from . import load_fixture_json, load_fixture_text
 
+__all__ = ["build", "run", "check"]  # the interface of a study (see `studies`)
+
 
 def build() -> dict:
     spec = spec_from_json(load_fixture_json("arraysum_spec.json"))

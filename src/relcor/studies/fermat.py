@@ -12,6 +12,8 @@ from ..specs import spec_from_json
 from ..suites import TestSuite, outcome_row, run_suite
 from . import load_fixture_json, load_fixture_text
 
+__all__ = ["build", "run", "check"]  # the interface of a study (see `studies`)
+
 FUEL = 10**4
 N_RANGE = (1, 100)
 

@@ -10,6 +10,8 @@ from ..relations import Relation, competence_domain, correctness_order, is_corre
 from ..space import Interval, StateSpace
 from . import load_fixture_json
 
+__all__ = ["build", "run", "check"]  # the interface of a study (see `studies`)
+
 LETTERS = "abcde"
 
 

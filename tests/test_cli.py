@@ -131,6 +131,14 @@ def test_program_parse_error_exits_2(tiny, capsys):
     assert code == 2
 
 
+def test_repair_of_a_program_whose_local_shadows_exits_2(tiny, capsys):
+    shadow = tiny["dir"] / "shadow.imp"
+    shadow.write_text("x = x - 2;\n{ int x : 0..3; x = 1; }\n")
+    code = main(["repair", "--spec", tiny["spec"], "--program", str(shadow)])
+    assert code == 2
+    assert "2:7: redeclaration of 'x'" in capsys.readouterr().err
+
+
 def test_semantics_dumps_the_program_function(tiny, capsys):
     code, out = run(capsys, "semantics", "--spec", tiny["spec"],
                     "--program", tiny["good"])

@@ -1,12 +1,14 @@
-"""Import lint of the package, with the standard library's `ast` only.
+"""Import lint of the package, with the standard library's `ast` and
+`symtable` only.
 
 Every name a module of `src/relcor` imports must be used in that module, or
 be re-exported through the `__all__` of a package `__init__`.  Every name in
 the `__all__` of `relcor` and `relcor.lang` must import.  No module rebinds
 a module-level name from a function (`global`): state that a call hands to
 a later one belongs to an object the caller holds.  Every module-level
-function and class is read by some module, listed in an `__all__` or wrapped
-by the benchmark's tracer.  Importing relcor loads no `pickle`,
+function and class is read by some module (a name resolved to module scope,
+an attribute of an imported module or an import), listed in an `__all__` or
+wrapped by the benchmark's tracer.  Importing relcor loads no `pickle`,
 `multiprocessing` or `concurrent.futures`.
 """
 
@@ -14,6 +16,7 @@ import ast
 import importlib
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -75,23 +78,51 @@ def test_no_unused_import():
     assert {path: names for path, names in found.items() if names} == {}
 
 
+def _module_reads(module: str, tree: ast.Module, source: str) -> set:
+    """The module-level names, as "module.name", that `module` reads: by a
+    name that resolves to its module scope (a function calling itself does
+    not count), by an attribute of a name that an import binds to a
+    module, by importing it, or by listing it in its `__all__`.  `module`
+    is the dotted path of its file, which ends in `__init__` for a package,
+    whose names are read as the package's."""
+    package = module.rsplit(".", 1)[0]
+    bound = {}  # name -> the module, or module.name, that an import binds to it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]  # what `import a.b` binds
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            origin = ".".join(filter(None, (base, node.module)))
+            bound.update((alias.asname or alias.name, f"{origin}.{alias.name}")
+                         for alias in node.names)
+    name = module.removesuffix(".__init__")
+    read = {f"{name}.{n}" for n in exported(tree)} | set(bound.values())
+    read |= {f"{bound[n.value.id]}.{n.attr}" for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+             and n.value.id in bound}  # one that is no module names no definition
+
+    def scope(table, owner: str) -> None:  # `owner`: the module-level definition it is in
+        read.update(f"{name}.{sym.get_name()}" for sym in table.get_symbols()
+                    if sym.is_referenced() and sym.get_name() != owner
+                    and (sym.is_global() or table.get_type() == "module"))
+        for child in table.get_children():
+            scope(child, owner or child.get_name())
+
+    scope(symtable.symtable(source, module, "exec"), "")
+    return read
+
+
 def unread_definitions(sources: dict) -> list:
     """The module-level functions and classes of `sources` (module name ->
-    source), as "module.name", that no module reads (by a Name, an
-    attribute or an import alias) and no `__all__` lists."""
+    source), as "module.name", that no module reads (`_module_reads`)."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        read |= exported(tree)
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
-            elif isinstance(n, ast.alias):
-                read.add(n.name)
-    return sorted(f"{module}.{n.name}" for module, tree in trees.items() for n in tree.body
-                  if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name not in read)
+    read = set().union(*(_module_reads(m, trees[m], sources[m]) for m in sources))
+    defined = (f"{module.removesuffix('.__init__')}.{n.name}"
+               for module, tree in trees.items() for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef)))
+    return sorted(set(defined) - read)
 
 
 def test_the_lint_sees_unread_definitions():
@@ -107,11 +138,22 @@ def test_the_lint_sees_unread_definitions():
             "def dead(): pass\n"
             "class Dead:\n"
             "    def method(self): pass\n"
+            "def hidden(): pass\n"
+            "def other(): pass\n"
             "handler = by_name\n"
         ),
-        "pkg.b": "from . import a\nfrom .a import imported\nf = a.by_attribute\n",
+        "pkg.b": (
+            "from . import a\n"
+            "from .a import imported\n"
+            "f = a.by_attribute\n"
+            "def reader(obj):\n"
+            "    hidden = obj.other\n"
+            "    return hidden, obj.hidden\n"
+            "reader(None)\n"
+        ),
     }
-    assert unread_definitions(sources) == ["pkg.a.Dead", "pkg.a.dead"]
+    assert unread_definitions(sources) == [
+        "pkg.a.Dead", "pkg.a.dead", "pkg.a.hidden", "pkg.a.other", "pkg.a.recursive"]
 
 
 #: module-level names that only the benchmark's tracer reads, each kept for

@@ -206,6 +206,29 @@ def test_source_roundtrip():
     assert parse(to_source(p), SP) == p
 
 
-def test_parse_without_space_skips_scope_checks():
-    p = parse("q = r + 1;")
-    assert p == A.Assign(A.VarTarget("q"), A.BinOp("+", A.Var("r"), A.IntLit(1)))
+def _parse_error_at(text: str) -> tuple:
+    with pytest.raises(ParseError) as exc:
+        parse(text, SP)
+    return str(exc.value).split(": ", 1)[1], exc.value.line, exc.value.col
+
+
+def test_a_local_may_not_redeclare_a_name_in_scope():
+    """A block local is a fresh variable: one that redeclares a variable of
+    the space or an enclosing local, at any depth, is a parse error at its
+    name.  Sibling blocks may reuse a name, and a local is out of scope
+    after its block."""
+    assert _parse_error_at("int x : 0..1; x = 0;") == ("redeclaration of 'x'", 1, 5)
+    assert _parse_error_at("skip; int a : 0..1;") == ("redeclaration of 'a'", 1, 11)
+    assert _parse_error_at("int t : 0..1; int t : 0..1;") == ("redeclaration of 't'", 1, 19)
+    nested = ("int t : 0..1 = 0;\n"
+              "if (x < 1) {\n"
+              "  while (i < 2) {\n"
+              "    { int u : 0..1; i = 2; { int t : 0..2; t = 1; } }\n"
+              "  }\n"
+              "}\n")
+    assert _parse_error_at(nested) == ("redeclaration of 't'", 4, 34)
+    siblings = parse("{ int t : 0..1; t = 0; } if (x < 1) { int t : 0..3 = x; i = t; }"
+                     " else { int t : 0..2 = 1; x = t; }", SP)
+    assert [n.name for n in A.preorder(siblings) if isinstance(n, A.Block)] == ["t"] * 3
+    assert _parse_error_at("{ int t : 0..1; t = 0; } t = 1;") == (
+        "undeclared variable 't'", 1, 26)

@@ -16,6 +16,7 @@ from randgen import (
     program_space,
     random_chain,
     random_nested_loop,
+    random_predicate,
     random_program,
     random_straight_loop,
 )
@@ -24,13 +25,16 @@ from relcor.lang.ast_nodes import Seq, While, preorder
 from relcor.lang.interp import (
     FinalState,
     NonTermination,
+    UndefinedEval,
+    compile_eval,
     compile_program,
     compile_schema,
     execute,
     run_outcome,
 )
+from relcor.lang.parser import parse_predicate
 from relcor.mutate import generate
-from relcor.space import ArrayDomain
+from relcor.space import ArrayDomain, Interval, StateSpace
 from relcor.specs import PredicateSpec
 from relcor.suites import TestSuite as Suite
 from relcor.suites import _batch_rows, outcome_row
@@ -199,3 +203,42 @@ def test_every_proof_of_a_loop_that_holds_more_than_assignments_is_a_run_that_ne
         compile_program.cache_clear()
     assert random_proofs > 30
     assert sum(fermat_proofs) == 131 and fermat_proofs[19] == 66 and fermat_proofs[21] == 65
+
+
+def test_spec_predicates_agree_with_the_tree_walker():
+    """`compile_eval(cond, space, primed=True)`, through which every spec
+    predicate goes, gives the tree-walker's value of random relation
+    predicates and of fixed ones on pairs of states, reading x' and a'[i]
+    from the outputs, and raises UndefinedEval exactly where the
+    tree-walker finds the predicate undefined.  The fixed ones cover C `/`
+    and `%` on negative operands, division by zero and an out-of-bounds
+    a'[i]."""
+    rng = random.Random(5151)
+    sp = StateSpace((("x", Interval(-3, 3)), ("y", Interval(-3, 2)),
+                     ("a", ArrayDomain(2, Interval(-2, 1)))))
+    fixed = ["x / y == x' / y'", "x % y' < x' % y", "(x - 7) / 2 + (y' - 5) % 3 == -x'",
+             "a'[x] == a[x'] || a'[y' + 1] > y", "x' / 0 == 1 && a'[2] > 0"]
+    cases = [(sp, text) for text in fixed]
+    for i in range(200):
+        space = program_space(rng, max_states=60)
+        cases.append((space, random_predicate(rng, list(space.names), primed=True)))
+    machine, outcomes = refimpl._Machine(None, 0), Counter()
+    for space, text in cases:
+        node = parse_predicate(text, space, primed=True)
+        compiled, states = compile_eval(node, space, primed=True), list(space.states())
+        for _ in range(60):
+            s, t = rng.choice(states), rng.choice(states)
+            env = {**dict(zip(space.names, s.values)),
+                   **{f"{n}'": v for n, v in zip(space.names, t.values)}}
+            try:
+                expected = machine.cond(node, env)
+            except refimpl._Undefined:
+                expected = refimpl.UNDEFINED
+            try:
+                got = compiled(s.values, t.values)
+            except UndefinedEval:
+                got = refimpl.UNDEFINED
+            assert got == expected, (text, s.values, t.values)
+            outcomes[str(got)] += 1
+    assert sum(outcomes.values()) == 12300
+    assert min(outcomes.values()) > 300  # true, false and undefined

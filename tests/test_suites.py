@@ -3,6 +3,7 @@ import os
 import random
 import threading
 from collections import Counter
+from dataclasses import replace as dc_replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from randgen import (
     random_relation,
 )
 from relcor import suites
-from relcor.errors import EmptySuiteError
+from relcor.errors import EmptySuiteError, RelcorError
 from relcor.lang import semantics
 from relcor.lang.interp import (
     NONTERMINATION,
@@ -29,7 +30,8 @@ from relcor.lang.interp import (
     run_outcome,
 )
 from relcor.lang.parser import parse
-from relcor.lang.ast_nodes import ArrayTarget, BinOp, Block, If, IfElse, While, preorder
+from relcor.lang.ast_nodes import (ArrayTarget, BinOp, Block, If, IfElse, Var, VarTarget, While,
+                                   preorder, replace_nodes)
 from relcor.mutate import (
     ARRAY_INDEX,
     BINARY_ARITH,
@@ -635,6 +637,62 @@ def _random_batches(seed: int, n: int) -> list:
             for mode in ("wide", "exact")
             for base, mutants, spec, suite, fuel in _batches(rng, mode, n)
             for f in (fuel, 10**4)]
+
+
+def _shadowing(rng, p, space: StateSpace):
+    """`p` with one of its blocks, at random, renamed to redeclare a name in
+    scope there (a variable of `space` or an enclosing local), with that
+    name; None if `p` has no block."""
+    seen, blocks = [], []  # preorder; (index, block, the names in scope there)
+
+    def walk(node, scope: list) -> None:
+        if isinstance(node, Block):
+            blocks.append((len(seen), node, scope))
+            scope = [*scope, node.name]
+        seen.append(node)
+        for c in node.children():
+            walk(c, scope)
+
+    walk(p, list(space.names))
+    if not blocks:
+        return None
+    i, block, scope = rng.choice(blocks)
+    local = scope[len(space.names):]  # an enclosing local, where there is one, more often
+    name = rng.choice(local if local and rng.random() < 0.75 else scope)
+    body = replace_nodes(block, {j: dc_replace(n, name=name) for j, n in enumerate(preorder(block))
+                                 if isinstance(n, (Var, VarTarget)) and n.name == block.name})
+    return replace_nodes(p, {i: dc_replace(body, name=name)}), name
+
+
+@pytest.mark.parametrize("fork", [False, True])
+def test_no_mode_runs_a_local_that_shadows(request, fork):
+    """A random program with one block renamed to redeclare a name in scope,
+    a variable of the space or an enclosing local, is refused with a
+    RelcorError in both modes by `compile_program`, `execute` and the batch
+    kernel (with workers forked at its first job, too), and by `denote`."""
+    if fork:
+        request.getfixturevalue("forking")
+    rng = random.Random(2323)
+    refused = []
+    for mode in ("wide", "exact"):
+        for base, _, spec, suite, fuel in _batches(rng, mode, 1000):
+            shadowing = _shadowing(rng, base, spec.space)
+            if shadowing is None:
+                continue
+            if len(refused) == (30 if mode == "wide" else 60):
+                break
+            p, name = shadowing
+            programs = [m.program for m in generate(p, OPERATOR_FAMILIES)]
+            for run_mode in ("wide", "exact"):
+                for call in (partial(compile_program, p, spec.space, run_mode),
+                             partial(execute, p, suite.inputs[0], fuel, run_mode),
+                             lambda: list(suite_labels(p, programs, spec, suite, fuel, run_mode))):
+                    with pytest.raises(RelcorError, match="redeclares|duplicate variable names"):
+                        call()
+            with pytest.raises(RelcorError, match="duplicate variable names"):
+                semantics.denote(p, spec.space)
+            refused.append(name in spec.space.names)
+    assert len(refused) == 60 and 3 < refused.count(False) < refused.count(True)
 
 
 def _fermat_batch() -> tuple:
