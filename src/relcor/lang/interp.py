@@ -45,8 +45,9 @@ have exhausted its fuel later.
   [v, v].  The others, those that the body assigns on every path before it
   reads them and the body's block locals, are left out of the box and may
   take any value.  If interval arithmetic shows that the guard holds on the
-  whole box and that the body maps the box into itself, the loop can never
-  exit, and the run yields ``NonTermination`` at once.  A body with `if`s
+  whole box (a comparison whose sides differ by a constant holds on all of
+  it or on none) and that the body maps the box into itself, the loop can
+  never exit, and the run yields ``NonTermination`` at once.  A body with `if`s
   and inner loops runs on the box along the one path that the box decides,
   with no joins and no widening: each guard met must hold on the whole box
   or on none of it, and an inner loop must end within `_UNROLL` iterations,
@@ -69,6 +70,14 @@ have exhausted its fuel later.
   point, which is never below fuel -1, and tests for exhaustion only there.
   A program without such a loop compiles exactly as it would without the
   check.
+
+A wide-mode counting loop, one whose guard is one `<`, `<=`, `>` or `>=`
+and whose iteration adds invariant amounts to some variables and amounts
+affine in those to the others (`acceleration`), runs in closed form, with
+no check and no check point: if its guard holds, `_exit` finds the first k
+in 1..fuel at which it fails, and every variable takes its value after k
+iterations at once while the fuel drops by k; with no such k, the run
+yields ``NonTermination``, as iterating would.
 
 A batch of single-site mutants of one base compiles once, as a mutant
 schema (Untch, Offutt and Harrold, "Mutation analysis using mutant
@@ -309,6 +318,15 @@ def _loop_names(loop: While) -> tuple:
     return tuple(sorted(_live(loop) | set(_assigned(loop.body))))
 
 
+def _closed_form(loop: While):
+    """`acceleration.closed_form` of a wide-mode loop.  The module is
+    imported on first use: exact mode and programs without loops never
+    need it."""
+    from . import acceleration
+
+    return acceleration.closed_form(loop, _V)
+
+
 # -- code generation ---------------------------------------------------------------
 
 _V = "v_"  # prefix keeping program variables clear of generated helpers
@@ -327,8 +345,10 @@ class _Emitter:
         self.domains = dict(space.vars)
         self.lines: list[str] = []
         self.tmp = 0
-        #: the divergence check of each `_boxable` wide-mode loop, by its name in the code
-        self.recurrences: dict = {}
+        #: the functions that the code calls beyond `_RUNTIME`, by name: the
+        #: divergence check of each checked wide-mode loop, and `_exit` where a
+        #: loop is accelerated
+        self.helpers: dict = {}
         #: the variable holding the fuel at the next check point of each checked loop
         self.schedules: list = []
         #: the mutant programs a schema dispatches on, in index order (see `schema`)
@@ -426,6 +446,17 @@ class _Emitter:
             self.stmt(s.then, depth + 1)
             self.emit(depth, "else:")
             self.stmt(s.orelse, depth + 1)
+        elif isinstance(s, While) and not self.exact and (closed := _closed_form(s)):
+            from .acceleration import exit_count
+
+            *coef, values = closed
+            self.helpers["_exit"] = exit_count
+            self.emit(depth, f"if {self.cond(s.cond)}:")
+            self.emit(depth + 1, f"_k = _exit({', '.join(coef)}, fuel)")
+            self.emit(depth + 1, "if _k is None: raise _NoEnd()")
+            if values:
+                self.emit(depth + 1, f"{', '.join(values)} = {', '.join(values.values())}")
+            self.emit(depth + 1, "fuel -= _k")
         elif isinstance(s, While):
             if self.exact:
                 seen = self.fresh()
@@ -436,8 +467,8 @@ class _Emitter:
             if self.exact or not _boxable(s):
                 self.emit(depth + 1, "if fuel < 0: raise _NoEnd()")
             else:  # one test per iteration: as _chk >= -1, fuel -1 is a check point
-                k = len(self.recurrences)
-                self.recurrences[f"_rec{k}"] = _recurrence(s)
+                k = len(self.schedules)
+                self.helpers[f"_rec{k}"] = _recurrence(s)
                 # a loop that holds more than assignments has check points of its
                 # own, which the loops within it would otherwise take
                 chk = f"_chk{k}" if _nested(s) else "_chk"
@@ -631,7 +662,9 @@ class _Boxes(_Emitter):
 
     def certain(self, c, env: dict) -> tuple:
         """Two Python conditions: that condition `c` holds on every state of
-        the box `env`, and that it holds on none."""
+        the box `env`, and that it holds on none.  A comparison whose sides
+        differ by a constant is decided by that constant, where intervals
+        would take the variables of its two sides as independent."""
         if isinstance(c, BoolLit):
             return str(c.value), str(not c.value)
         if isinstance(c, Not):
@@ -641,6 +674,14 @@ class _Boxes(_Emitter):
             if isinstance(c, And):
                 return f"({lt} and {rt})", f"({lf} or {rf})"
             return f"({lt} or {rt})", f"({lf} and {rf})"
+        from .acceleration import gap
+
+        diff = gap(c, _V)
+        if diff is not None and set(diff) <= {()}:  # sides that cancel decide it everywhere
+            v = diff.get((), 0)
+            holds = {"<": v < 0, "<=": v <= 0, ">": v > 0, ">=": v >= 0, "==": v == 0,
+                     "!=": v != 0}[c.op]
+            return str(holds), str(not holds)
         op, a, b = c.op, self.ival(c.left, env), self.ival(c.right, env)
         if op in (">", ">="):
             op, a, b = ("<" if op == ">" else "<="), b, a
@@ -747,7 +788,7 @@ def _define(em: _Emitter, name: str):
         if isinstance(e, SyntaxError) and "too many" not in str(e.msg):
             raise
         raise RelcorError(f"nested too deeply for Python to compile: {e}") from None
-    namespace = {**_RUNTIME, **em.recurrences}
+    namespace = {**_RUNTIME, **em.helpers}
     exec(code, namespace)
     return namespace[name]
 

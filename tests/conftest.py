@@ -36,3 +36,17 @@ def checks(monkeypatch):
     interp.compile_program.cache_clear()
     yield answers
     interp.compile_program.cache_clear()
+
+
+@pytest.fixture
+def no_acceleration(monkeypatch):
+    """Wide-mode counting loops iterate, as other loops do, while the test
+    runs, so that a test of the divergence check keeps checking them.  The
+    compiled programs are dropped before and after, lest one made with
+    acceleration run."""
+    from relcor.lang import acceleration, interp
+
+    monkeypatch.setattr(acceleration, "closed_form", lambda loop, prefix: None)
+    interp.compile_program.cache_clear()
+    yield
+    interp.compile_program.cache_clear()

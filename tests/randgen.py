@@ -269,3 +269,51 @@ def in_loops(p: A.Node) -> set:
         if isinstance(n, A.While):
             inside.update(range(i + 1, i + len(A.preorder(n))))
     return inside
+
+
+def random_accelerable_loop(rng: random.Random, space: StateSpace) -> A.Node:
+    """A `while` loop that wide mode runs in closed form
+    (`acceleration.closed_form`), over a space of at least three scalar
+    variables: one or two counters, each adding an amount that the loop
+    leaves alone, a literal or a product of a literal and a variable that
+    no statement assigns; up to two other variables, each adding an amount
+    affine in the counters; and a guard, one of `<`, `<=`, `>` and `>=`,
+    between two sides whose difference is affine in the assigned variables.
+    The assignments come in random order, so some read a counter before
+    its update and some after."""
+    names = list(space.names)
+    rng.shuffle(names)
+    ncounters = rng.randint(1, min(2, len(names) - 2))
+    nothers = rng.randint(0, min(2, len(names) - ncounters - 1))
+    counters = names[:ncounters]
+    others = names[ncounters:ncounters + nothers]
+    invariant = names[ncounters + nothers:]
+
+    def amount() -> A.Node:  # left alone by the loop
+        roll = rng.random()
+        lit = A.IntLit(rng.randint(-3, 3))
+        if roll < 0.5:
+            return lit
+        var = A.Var(rng.choice(invariant))
+        if roll < 0.7:
+            return var
+        return A.Neg(var) if roll < 0.8 else A.BinOp("*", lit, var)
+
+    def plus(e: A.Node, term: A.Node) -> A.Node:
+        return A.BinOp(rng.choice("+-"), e, term) if rng.random() < 0.8 else A.BinOp("+", term, e)
+
+    steps = [A.Assign(A.VarTarget(y), plus(A.Var(y), amount())) for y in counters]
+    for x in others:
+        term = A.BinOp("*", amount(), A.Var(rng.choice(counters)))
+        steps.append(A.Assign(A.VarTarget(x), plus(plus(A.Var(x), term), amount())))
+    rng.shuffle(steps)
+    body = steps[0]
+    for s in steps[1:]:
+        body = A.Seq(body, s)
+    assigned = counters + others
+    side = A.Var(rng.choice(assigned))
+    for _ in range(rng.randint(0, 1)):
+        side = plus(side, A.BinOp("*", A.IntLit(rng.randint(-2, 2)), A.Var(rng.choice(assigned))))
+    other = amount() if rng.random() < 0.7 else plus(amount(), A.Var(rng.choice(assigned)))
+    left, right = (side, other) if rng.random() < 0.5 else (other, side)
+    return A.While(A.Cmp(rng.choice(("<", "<=", ">", ">=")), left, right), body)

@@ -13,6 +13,7 @@ from relcor import suites
 from relcor.errors import PatchError, RelcorError
 from relcor.lang import ast_nodes as A
 from relcor.lang import interp
+from relcor.lang.acceleration import closed_form
 from relcor.lang.ast_nodes import preorder, replace_nodes, to_source
 from relcor.lang.interp import (
     NONTERMINATION,
@@ -425,9 +426,9 @@ def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
 def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
     """At most one check per distinct boxable loop of the base and its
     mutants, not one per module that holds the loop: each of the 26 loops
-    whose bodies are assignments compiles with the program, and each of the
-    25 that hold more compiles on its first call, which 5 of them never
-    get."""
+    whose bodies are assignments compiles with the program but for the 16
+    that are accelerated, which need none, and each of the 25 that hold
+    more compiles on its first call, which 5 of them never get."""
     from relcor.studies import fermat
 
     built = fermat.build()
@@ -436,9 +437,11 @@ def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
     loops = [n for p in (base, *(m.program for m in mutants)) for n in preorder(p)
              if isinstance(n, A.While) and interp._boxable(n)]
     assert len(loops) == 131 and len(set(loops)) == 51
-    assert len({loop for loop in loops if not interp._nested(loop)}) == 26
+    plain = {loop for loop in loops if not interp._nested(loop)}
+    assert len(plain) == 26
+    assert len({loop for loop in plain if closed_form(loop, interp._V)}) == 16
     classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)
-    assert compiled.count("_rec") == 46
+    assert compiled.count("_rec") == 30
 
 
 def test_a_repair_of_a_correct_root_compiles_no_own_step(compiled):

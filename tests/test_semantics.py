@@ -4,12 +4,20 @@ import random
 import time
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 
 import pytest
-from randgen import program_space, random_nested_loop, random_program, random_straight_loop
+from randgen import (
+    program_space,
+    random_accelerable_loop,
+    random_nested_loop,
+    random_program,
+    random_straight_loop,
+)
 from relcor.errors import CapacityError, RelcorError
 from relcor.lang import ast_nodes as A
 from relcor.lang import interp
+from relcor.lang.acceleration import closed_form
 from relcor.lang.ast_nodes import While, preorder
 from relcor.lang.interp import (
     FinalState,
@@ -228,7 +236,7 @@ def test_python_compiler_limits_are_user_errors():
         PredicateSpec(SP, "x == " + " + ".join(["x"] * 220), "true")
 
 
-def test_the_divergence_check_compiles_wherever_its_loop_does(checks):
+def test_the_divergence_check_compiles_wherever_its_loop_does(checks, no_acceleration):
     # the longest chain of additions that Python compiles in a checked
     # loop's body, and in its guard, where exact mode has no check: the
     # check's interval arithmetic is flat
@@ -302,6 +310,7 @@ class _WideFuelOnlyEmitter(interp._Emitter):
 
 
 WIDE = StateSpace((("x", Interval(-4, 4)), ("y", Interval(-2, 2))))
+ABC = StateSpace(tuple((n, Interval(0, 1)) for n in "abc"))
 
 # loops the divergence check accepts, on WIDE: rising, falling and unchanged
 # variables, `/` and `%` by literals of both signs on dividends of both signs,
@@ -404,12 +413,51 @@ def _ref_cmp(op: str, a, b):
     return eq if op == "==" or eq is None else not eq
 
 
+def _ref_degree(e):
+    """A bound on the degree of expression `e` as a polynomial, or None if
+    it divides or reads an array."""
+    if isinstance(e, (A.IntLit, A.Var)):
+        return int(isinstance(e, A.Var))
+    if isinstance(e, A.Neg):
+        return _ref_degree(e.operand)
+    if not isinstance(e, A.BinOp) or e.op in "/%":
+        return None
+    left, right = _ref_degree(e.left), _ref_degree(e.right)
+    if left is None or right is None:
+        return None
+    return left + right if e.op == "*" else max(left, right)
+
+
+@lru_cache(maxsize=None)
+def _ref_constant_gap(c):
+    """The value of `c.left - c.right` where it is one value on every state,
+    else None; None too where a side divides or reads an array.  Found
+    without expanding it: a polynomial of degree at most d in each of its m
+    variables that takes one value on the grid {0..d}^m is constant.  (The
+    compiled check expands the sides and gives up past `acceleration._TERMS`
+    terms, which no guard of these tests reaches.)"""
+    degrees = (_ref_degree(c.left), _ref_degree(c.right))
+    if None in degrees:
+        return None
+    names = sorted({n.name for side in (c.left, c.right) for n in preorder(side)
+                    if isinstance(n, A.Var)})
+    gaps = set()
+    for point in product(range(max(degrees) + 1), repeat=len(names)):
+        env = {n: (v, v) for n, v in zip(names, point)}
+        gaps.add(_ref_ival(c.left, env)[0] - _ref_ival(c.right, env)[0])
+    return gaps.pop() if len(gaps) == 1 else None
+
+
 def _ref_holds(c, env: dict):
     """True if condition `c` holds on every state of the box `env`, False
-    if on none, None if it depends."""
+    if on none, None if it depends.  A comparison whose sides differ by a
+    constant is decided by that constant alone."""
     if isinstance(c, A.BoolLit):
         return c.value
     if isinstance(c, A.Cmp):
+        gap = _ref_constant_gap(c)
+        if gap is not None:
+            return _ref_cmp(c.op, (gap, gap), (0, 0))
         return _ref_cmp(c.op, _ref_ival(c.left, env), _ref_ival(c.right, env))
     if isinstance(c, A.Not):
         v = _ref_holds(c.operand, env)
@@ -532,7 +580,7 @@ def _ref_diverges(loop, values: tuple) -> bool:
     return _ref_check(loop, values) == "proved"
 
 
-def test_divergence_proofs_change_no_outcome(monkeypatch, checks):
+def test_divergence_proofs_change_no_outcome(monkeypatch, checks, no_acceleration):
     rng = random.Random(909)
     cases = [(random_program(rng, sp, wide=True), sp)
              for sp in (program_space(rng, max_states=60) for _ in range(300))]
@@ -570,21 +618,28 @@ def test_only_programs_with_a_boxable_loop_compile_differently(monkeypatch):
         return sources[-1]
 
     rng = random.Random(910)
-    changed = 0
+    cases = []
+    for i in range(200):
+        sp = program_space(rng, max_states=60)
+        cases.append((random_program(rng, sp, wide=True) if i % 2
+                      else random_straight_loop(rng, sp), sp))
+    cases += [(random_accelerable_loop(rng, ABC), ABC) for _ in range(20)]
+    changed = accelerated = 0
     try:
-        for i in range(200):
-            sp = program_space(rng, max_states=60)
-            p = random_program(rng, sp, wide=True) if i % 2 else random_straight_loop(rng, sp)
-            boxable = any(isinstance(n, While) and interp._boxable(n) for n in preorder(p))
+        for p, sp in cases:
+            loops = [n for n in preorder(p) if isinstance(n, While) and interp._boxable(n)]
+            checked = [n for n in loops if closed_form(n, interp._V) is None]
             for mode in ("exact", "wide"):
                 new = source(p, sp, mode, emitter)
                 old = source(p, sp, mode, _WideFuelOnlyEmitter)
-                assert (new != old) == (mode == "wide" and boxable)
-                assert ("_fuel0" in new) == (new != old)
+                assert (new != old) == (mode == "wide" and bool(loops))
+                # an accelerated loop has no check point
+                assert ("_fuel0" in new) == (mode == "wide" and bool(checked))
                 changed += new != old
+                accelerated += new != old and len(checked) < len(loops)
     finally:
         compile_program.cache_clear()
-    assert 50 < changed < 150
+    assert 70 < changed < 170 and accelerated > 20
 
 
 def test_check_points_are_global_to_a_run(checks):
@@ -596,10 +651,13 @@ def test_check_points_are_global_to_a_run(checks):
     assert 0 < len(checks) <= 11
 
 
-def test_the_box_check_proves_loops_that_keep_their_direction(checks):
+def test_the_box_check_proves_loops_that_keep_their_direction(checks, no_acceleration):
     # 0 * inf = 0, a negative factor, `%` and `/` of a falling dividend, a
-    # negated falling value, and assignments taken in their order
-    for src in ("while (x * 0 < 1) { x = x + 1; }", "while (x * -1 < 5) { x = x + 1; }",
+    # negated falling value, and assignments taken in their order; the sides
+    # of `x * 0 < 1` cancel, so it is decided without 0 * inf, but not those
+    # of `x * 0 < y + 1`
+    for src in ("while (x * 0 < 1) { x = x + 1; }", "while (x * 0 < y + 1) { x = x + 1; }",
+                "while (x * -1 < 5) { x = x + 1; }",
                 "while (x % 3 > -3) { x = x - 1; }", "while (x / -2 >= 0) { x = x - 1; }",
                 "while (-x >= 0 && y == 0) { x = x - 1; }", "while (x < 5) { x = x + 1; x = 0; }"):
         checks.clear()
@@ -608,7 +666,8 @@ def test_the_box_check_proves_loops_that_keep_their_direction(checks):
         assert checks == [True], src
 
 
-def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypatch):
+def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypatch,
+                                                                       no_acceleration):
     """At every check point of wide runs at fuel 10^4, the compiled check
     answers as the interpreted reference does, on the loops above and on
     random straight and nested loops.  The checks of nested loops give up
@@ -657,10 +716,14 @@ def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypat
     assert reasons["proved"] > 100
 
 
-def test_the_fermat_level1_batch_makes_14088_checks_and_1122_proofs(checks):
-    """991 proofs of loops whose bodies are assignments, and 131 of the outer
+def test_the_fermat_level1_batch_makes_6301_checks_and_563_proofs(checks):
+    """432 proofs of loops whose bodies are assignments, and 131 of the outer
     loop, which holds a loop and an `if`: the runs of mutants 20 and 22
-    that would exhaust their fuel, whose inner loops set r to 0 or to 1."""
+    that would exhaust their fuel, whose inner loops set r to 0 or to 1.
+    The counting loops (the first loop and the inner one, of the base and
+    of most mutants) are accelerated and make no check; with acceleration
+    off the batch makes 14,088 checks and 1,122 proofs, 991 of them of
+    loops of assignments."""
     from relcor.studies import fermat
 
     built = fermat.build()
@@ -671,7 +734,7 @@ def test_the_fermat_level1_batch_makes_14088_checks_and_1122_proofs(checks):
     finally:
         outcome_row.cache_clear()
     assert len(labels) == 48
-    assert len(checks) == 14088 and checks.count(True) == 1122
+    assert len(checks) == 6301 and checks.count(True) == 563
 
 
 def test_a_squaring_loop_is_proved_before_its_digits_blow_up():
@@ -681,7 +744,7 @@ def test_a_squaring_loop_is_proved_before_its_digits_blow_up():
     assert time.perf_counter() - start < 0.5
 
 
-def test_loops_that_end_late_are_not_claimed():
+def test_loops_that_end_late_are_not_claimed(no_acceleration):
     p = parse("while (x < 1000000) { x = x + 1; }", WIDE)
     out = execute(p, WIDE.state({"x": 0, "y": 0}), 10**6, "wide")
     assert isinstance(out, FinalState) and out.state.values == (1000000, 0)
@@ -693,7 +756,7 @@ def test_loops_that_end_late_are_not_claimed():
         assert isinstance(execute(built["correct"], s, fermat.FUEL, "wide"), FinalState)
 
 
-def test_loops_outside_the_boxable_fragment_are_left_to_fuel():
+def test_loops_outside_the_boxable_fragment_are_left_to_fuel(no_acceleration):
     for src in ("x = 0; i = 0; while (i >= 0) { x = x + a[i % 4]; i = i + 1; }",
                 "while (i >= 0) { if (x % (i + 1) < 3) { i = i + 1; } }",
                 "while (i >= 0) { x = i / (x + 1); i = i + 1; }",
