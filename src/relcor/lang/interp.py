@@ -31,7 +31,8 @@ have exhausted its fuel later.
   recurs: a run is deterministic, so a repeated head state means it cycles
   forever.  Exact-mode values stay in finite intervals, so a divergent run
   stops after at most |states in scope| + 1 iterations of its loop however
-  much fuel it has, and running a program on a whole space (as
+  much fuel it has: every run ends, also at unbounded fuel (`math.inf`,
+  which `semantics` runs at), and running a program on a whole space (as
   `semantics.denote` does) stays linear in the space even where the
   program diverges everywhere.
 * Wide-mode values keep growing, so a state rarely repeats.  Instead, a
@@ -54,22 +55,21 @@ have exhausted its fuel later.
   or the check gives up.  Its concrete step gives up at the same bound, as
   the box, which holds the head state, cannot take a longer path.  Such a
   body cannot be undefined on the box (no array access, no divisor that
-  can be zero), so ``Undefined`` was not possible either.  Check points are
-  global to a run: when its consumed fuel reaches 8 and each time it has
-  doubled since, in whichever such loop is running, so a run makes about
-  log2(fuel) checks (a schema counts them per step and per suffix; see
-  below).  A loop whose body holds more than assignments has check points
-  of its own, on the same schedule, since its inner loops would otherwise
-  take nearly all of them.  The check is compiled to Python once per
-  distinct loop (`_recurrence`), whichever programs hold it, and takes the
-  loop's variables as arguments; that of a loop whose body holds more than
-  assignments compiles on its first call.  It takes the concrete step with
-  the program's own expressions and returns as soon as the guard is not
-  certain on the box; only a box that passes has its image computed.  A
-  checked loop tests its fuel once per iteration, against the next check
-  point, which is never below fuel -1, and tests for exhaustion only there.
-  A program without such a loop compiles exactly as it would without the
-  check.
+  can be zero), so ``Undefined`` was not possible either.  Each checked
+  loop has check points of its own, counted in the fuel consumed since the
+  run's start: its first iteration at which that reaches 8, and then the
+  first at which it has doubled since the loop's last check.  An inner
+  loop entered again does not restart its schedule, so a run makes about
+  log2(fuel) checks plus at most one per checked loop it enters (a schema
+  counts them per step and per suffix; see below).  The check compiles to
+  Python on its first call, once per distinct loop (`_recurrence`),
+  whichever programs hold it, and takes the loop's variables as
+  arguments.  It takes the concrete step with the program's own
+  expressions and returns as soon as the guard is not certain on the box;
+  only a box that passes has its image computed.  A checked loop tests
+  its fuel once per iteration, against its next check point, which is
+  never below fuel -1, and tests for exhaustion only there.  A program
+  without such a loop compiles exactly as it would without the check.
 
 A wide-mode counting loop, one whose guard is one `<`, `<=`, `>` or `>=`
 and whose iteration adds invariant amounts to some variables and amounts
@@ -264,11 +264,6 @@ def _boxable(loop: While) -> bool:
     )
 
 
-def _nested(loop: While) -> bool:
-    """Whether the loop's body holds more than assignments."""
-    return any(isinstance(n, (If, IfElse, Block, While)) for n in preorder(loop.body))
-
-
 def _assigned(s) -> dict:
     """The variables that statement `s` may assign, but for its own block
     locals, in order."""
@@ -310,14 +305,6 @@ def _live(loop: While) -> set:
     return {n.name for n in preorder(loop.cond) if isinstance(n, Var)} | exposed(loop.body)
 
 
-@lru_cache(maxsize=4096)
-def _loop_names(loop: While) -> tuple:
-    """The variables of a `_boxable` loop's guard and body, but for the block
-    locals that its body declares, sorted: the arguments of its divergence
-    check, cached since each program that holds the loop emits a call."""
-    return tuple(sorted(_live(loop) | set(_assigned(loop.body))))
-
-
 def _closed_form(loop: While):
     """`acceleration.closed_form` of a wide-mode loop.  The module is
     imported on first use: exact mode and programs without loops never
@@ -349,8 +336,8 @@ class _Emitter:
         #: divergence check of each checked wide-mode loop, and `_exit` where a
         #: loop is accelerated
         self.helpers: dict = {}
-        #: the variable holding the fuel at the next check point of each checked loop
-        self.schedules: list = []
+        #: the checked loops emitted so far; loop k keeps its next check point in `_chk<k>`
+        self.checked = 0
         #: the mutant programs a schema dispatches on, in index order (see `schema`)
         self.covered: list = []
 
@@ -466,17 +453,14 @@ class _Emitter:
             self.emit(depth + 1, "fuel -= 1")
             if self.exact or not _boxable(s):
                 self.emit(depth + 1, "if fuel < 0: raise _NoEnd()")
-            else:  # one test per iteration: as _chk >= -1, fuel -1 is a check point
-                k = len(self.schedules)
-                self.helpers[f"_rec{k}"] = _recurrence(s)
-                # a loop that holds more than assignments has check points of its
-                # own, which the loops within it would otherwise take
-                chk = f"_chk{k}" if _nested(s) else "_chk"
-                self.schedules.append(chk)
-                values = ", ".join(_V + n for n in _loop_names(s))
-                self.emit(depth + 1, f"if fuel <= {chk}:")
+            else:  # one test per iteration: as _chk<k> >= -1, fuel -1 is a check point
+                k = self.checked
+                self.checked += 1
+                names, self.helpers[f"_rec{k}"] = _recurrence(s)
+                values = ", ".join(_V + n for n in names)
+                self.emit(depth + 1, f"if fuel <= _chk{k}:")
                 self.emit(depth + 2, "if fuel < 0: raise _NoEnd()")
-                self.emit(depth + 2, f"{chk} = max(2 * fuel - _fuel0, -1)")  # consumed fuel doubled
+                self.emit(depth + 2, f"_chk{k} = max(2 * fuel - _fuel0, -1)")  # consumed doubled
                 self.emit(depth + 2, f"if _rec{k}({values}): raise _NoEnd()")
             if self.exact:
                 head = self.fresh()
@@ -696,41 +680,41 @@ class _Boxes(_Emitter):
 
 
 @lru_cache(maxsize=4096)
-def _recurrence(loop: While):
+def _recurrence(loop: While) -> tuple:
     """The divergence check of a `_boxable` wide-mode loop (see the module
-    docstring), f(*values) -> bool over `_loop_names(loop)`: whether the
-    loop, at its head with its variables at `values`, can never exit.
-    After the concrete step and the box, the check returns False as soon as
+    docstring), as (names, f): `names` are the variables of its guard and
+    body but for its body's block locals, sorted, and f(*values) -> bool,
+    over their values at the loop's head, tells whether the loop can never
+    exit.  After the concrete step and the box, f returns False as soon as
     the guard is not certain on the box; only then does it compute the
-    box's image.  A check whose loop holds more than assignments compiles
-    on its first call."""
-    if _nested(loop):
-        return _on_first_call(partial(_compile_recurrence, loop), "_rec")
-    return _compile_recurrence(loop)
+    box's image.  f compiles on its first call, once per distinct loop,
+    whichever programs hold it."""
+    live = _live(loop)
+    names = tuple(sorted(live | set(_assigned(loop.body))))
 
+    def compile_it():
+        em, assigned = _Boxes(), [n for n in _assigned(loop.body) if n in live]
+        em.emit(0, f"def _rec({', '.join(_V + n for n in names)}):")
+        em.lines += [f"    _h{n} = {_V}{n}" for n in assigned]  # the head's values
+        em.stmt(loop.body, 1)
+        # a variable the body leaves alone stays put; one it assigns before it
+        # reads it may take any value
+        box = {n: (_V + n,) * 2 if n in live else ("-_INF", "_INF") for n in names}
+        for n in assigned:
+            v, h, lo, hi = _V + n, "_h" + n, "_l" + n, "_u" + n
+            em.emit(1, f"if {v} > {h}: {lo} = {h}; {hi} = _INF")
+            em.emit(1, f"elif {v} < {h}: {lo} = -_INF; {hi} = {h}")
+            em.emit(1, f"else: {lo} = {hi} = {h}")
+            box[n] = (lo, hi)
+        em.emit(1, f"if not {em.certain(loop.cond, box)[0]}: return False")
+        image = dict(box)
+        em.image(loop.body, image)
+        inside = [f"{box[n][0]} <= {image[n][0]} and {image[n][1]} <= {box[n][1]}"
+                  for n in assigned]
+        em.emit(1, f"return {' and '.join(inside) or 'True'}")
+        return _define(em, "_rec")
 
-def _compile_recurrence(loop: While):
-    em = _Boxes()
-    names, live = _loop_names(loop), _live(loop)
-    assigned = [n for n in _assigned(loop.body) if n in live]
-    em.emit(0, f"def _rec({', '.join(_V + n for n in names)}):")
-    em.lines += [f"    _h{n} = {_V}{n}" for n in assigned]  # the head's values
-    em.stmt(loop.body, 1)
-    # a variable the body leaves alone stays put; one it assigns before it
-    # reads it may take any value
-    box = {n: (_V + n,) * 2 if n in live else ("-_INF", "_INF") for n in names}
-    for n in assigned:
-        v, h, lo, hi = _V + n, "_h" + n, "_l" + n, "_u" + n
-        em.emit(1, f"if {v} > {h}: {lo} = {h}; {hi} = _INF")
-        em.emit(1, f"elif {v} < {h}: {lo} = -_INF; {hi} = {h}")
-        em.emit(1, f"else: {lo} = {hi} = {h}")
-        box[n] = (lo, hi)
-    em.emit(1, f"if not {em.certain(loop.cond, box)[0]}: return False")
-    image = dict(box)
-    em.image(loop.body, image)
-    inside = [f"{box[n][0]} <= {image[n][0]} and {image[n][1]} <= {box[n][1]}" for n in assigned]
-    em.emit(1, f"return {' and '.join(inside) or 'True'}")
-    return _define(em, "_rec")
+    return names, _on_first_call(compile_it, "_rec")
 
 
 #: the fields of the statements that hold statements, and all their fields
@@ -800,12 +784,11 @@ def _emit_def(em: _Emitter, head: str, body, returns: str = "") -> None:
     names = [_V + n for n in em.space.names]
     em.emit(0, f"def {head}_values, fuel):")
     _unpack(em, "_values", names)
-    prologue, checked = len(em.lines), len(em.schedules)
+    prologue, checked = len(em.lines), em.checked
     body()
-    if len(em.schedules) > checked:  # the fuel at the function's first check points
+    if em.checked > checked:  # the fuel at the function's first check points
         em.lines[prologue:prologue] = ["    _fuel0 = fuel"] + [
-            f"    {chk} = max(fuel - {_CHECK_FROM}, -1)"
-            for chk in dict.fromkeys(em.schedules[checked:])]
+            f"    _chk{k} = max(fuel - {_CHECK_FROM}, -1)" for k in range(checked, em.checked)]
     em.emit(1, f"return {_tuple(names)}{returns}")
 
 

@@ -4,9 +4,8 @@
 
 * Tabulated execution, the usual one: the compiled exact-mode program runs
   on every state of the space, and each run that ends gives one pair.
-  Fuel is `conclusive_fuel`, which no terminating run exhausts, and the
-  interpreter stops a divergent run as soon as a loop-head state repeats,
-  so the outcome of every run is final.
+  Fuel is `UNBOUNDED`: the interpreter stops a divergent run as soon as a
+  loop-head state repeats, so every run ends, and its outcome is final.
 * Structural recursion, `denote_structural`.  It defines [p] and is the
   tests' reference; `denote` falls back to it for a program whose block
   local may be read before it is assigned (`interp.exposed`, which also
@@ -40,11 +39,16 @@ of raw outcomes, the form of `suites.outcome_row`.
 
 from __future__ import annotations
 
+import math
+
 from ..relations import Relation, empty, identity, require_deterministic
 from ..space import State, StateSpace
 from . import ast_nodes as A
 from .interp import (NONTERMINATION, UndefinedEval, compile_eval, compile_program, exposed,
                      local_interval, run_outcome)
+
+#: the fuel of exact runs over a space: repeat detection ends every one
+UNBOUNDED = math.inf
 
 
 def _split_by_guard(cond, space: StateSpace, states):
@@ -58,30 +62,6 @@ def _split_by_guard(cond, space: StateSpace, states):
         except UndefinedEval:
             pass
     return true_set, false_set
-
-
-def conclusive_fuel(p, space: StateSpace) -> int:
-    """Fuel that no terminating exact-mode run of `p` on `space` exhausts:
-    the sum over `While` nodes of |space x block locals in scope|, plus one.
-
-    A terminating deterministic run never revisits a (loop, state) pair, so
-    each loop completes at most that many iterations in one run.
-    """
-
-    def bound(s, size: int) -> int:
-        if isinstance(s, A.While):
-            return size + bound(s.body, size)
-        if isinstance(s, A.Block):
-            return bound(s.body, size * local_interval(s).size)
-        if isinstance(s, A.Seq):
-            return bound(s.first, size) + bound(s.second, size)
-        if isinstance(s, A.If):
-            return bound(s.then, size)
-        if isinstance(s, A.IfElse):
-            return bound(s.then, size) + bound(s.orelse, size)
-        return 0
-
-    return bound(p, space.num_states) + 1
 
 
 def tabulable(p, space: StateSpace) -> bool:
@@ -117,7 +97,7 @@ def denote(p, space: StateSpace) -> Relation:
     space.check_enumerable()
     if not tabulable(p, space):
         return denote_structural(p, space)
-    runs = _runs(p, space, space.states(), conclusive_fuel(p, space))
+    runs = _runs(p, space, space.states(), UNBOUNDED)
     return Relation(space, {(s, State(space, t)) for s, t in runs if type(t) is tuple})
 
 

@@ -33,7 +33,6 @@ BINARY_ARITH = "binary-arith-op"
 INTEGER_LITERAL = "integer-literal"
 ARRAY_INDEX = "array-index"
 
-SITE_KINDS = (BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX)
 OPERATOR_FAMILIES = ("AORB", "literal+-1", "index+-1")
 
 _FAMILY_KIND = {"AORB": BINARY_ARITH, "literal+-1": INTEGER_LITERAL, "index+-1": ARRAY_INDEX}
@@ -71,14 +70,10 @@ def _node_kind(node: Node) -> str | None:
     return None
 
 
-def sites(p: Node, kinds=SITE_KINDS) -> list:
-    """Mutation sites of the given kinds, in deterministic preorder."""
-    out = []
-    for i, node in enumerate(preorder(p)):
-        k = _node_kind(node)
-        if k in kinds:
-            out.append(MutationSite(i, k))
-    return out
+def sites(p: Node) -> list:
+    """Mutation sites, in deterministic preorder."""
+    kinds = ((i, _node_kind(node)) for i, node in enumerate(preorder(p)))
+    return [MutationSite(i, k) for i, k in kinds if k is not None]
 
 
 def _mutations_at(node: Node, family: str):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import RelcorError
 from .lang.ast_nodes import Node, to_source
-from .lang.semantics import conclusive_fuel, denote
+from .lang.semantics import UNBOUNDED, denote
 from .mutate import OPERATOR_FAMILIES, apply_patch, generate, outcome_digest
 from .relations import competence_domain, space_to_json
 from .space import StateSpace
@@ -32,8 +32,9 @@ class RepairConfig:
     mode: str = "testing"  # testing | exact
 
     def __post_init__(self):
-        if self.fuel < 0:  # a count of loop iterations
-            raise RelcorError(f"fuel must be >= 0, got {self.fuel}")
+        if type(self.fuel) is not int or self.fuel < 0:  # a bool is no count either
+            raise RelcorError(f"fuel must be >= 0 and an int, a count of loop iterations,"
+                              f" got {self.fuel!r}")
         if unknown := [f for f in self.operators if f not in OPERATOR_FAMILIES]:
             raise RelcorError(f"unknown operator family {unknown[0]!r}")
 
@@ -66,20 +67,17 @@ class FaultMetrics:
     fault_depth_ub: int | None  # None when no solution was found
 
 
-def _verdict_rows(base: Node, spec: Spec, suite: TestSuite | None, mode: str,
-                  fuel: int) -> tuple:
-    """The (suite, fuel, run mode) whose rows give every verdict on `base`
+def _verdict_rows(spec: Spec, suite: TestSuite | None, mode: str, fuel: int) -> tuple:
+    """The (suite, fuel, run mode) whose rows give every verdict on a base
     and its mutants: the suite in wide mode for testing, and every state of
-    the space at `conclusive_fuel(base)` in exact mode for exact.  A
-    mutation changes no loop or block, so that fuel is conclusive for every
-    descendant of `base` too."""
+    the space at `UNBOUNDED` fuel in exact mode for exact, where every run
+    ends by itself (see `semantics`)."""
     if mode == "testing":
         if suite is None:
             raise RelcorError("testing mode requires a suite")
         return suite, fuel, "wide"
     if mode == "exact":
-        space = spec.space
-        return TestSuite(tuple(space.states())), conclusive_fuel(base, space), "exact"
+        return TestSuite(tuple(spec.space.states())), UNBOUNDED, "exact"
     raise ValueError(f"unknown classification mode {mode!r}")
 
 
@@ -96,12 +94,13 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     label the batch with `suites.suite_labels`, which reads the base's row
     once and each mutant's row once, and drop the base's own label.  Testing
     mode runs the suite at `fuel`.  Exact mode runs every state of the space
-    at `conclusive_fuel`, so that a row is [p] and the labels compare
-    competence domains: the ground truth on finite spaces.  `suite_labels`
-    compiles the batch once, as a mutant schema, and fills the rows of the
-    mutants it covers by split-stream execution in both modes.
+    to its end, at `UNBOUNDED` fuel, so that a row is [p] and the labels
+    compare competence domains: the ground truth on finite spaces.
+    `suite_labels` compiles the batch once, as a mutant schema, and fills
+    the rows of the mutants it covers by split-stream execution in both
+    modes.
     """
-    suite, fuel, run_mode = _verdict_rows(base, spec, suite, mode, fuel)
+    suite, fuel, run_mode = _verdict_rows(spec, suite, mode, fuel)
     labelled = suite_labels(base, [m.program for m in mutants], spec, suite, fuel, run_mode)
     next(labelled)  # the base's own
     return [(m, label, row if label in KEPT else None)
@@ -114,7 +113,7 @@ def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
     in its first batch (`suites.suite_labels`)."""
     if cfg.max_depth < 1:
         raise RelcorError("max_depth must be >= 1")
-    suite, fuel, run_mode = _verdict_rows(base, spec, cfg.suite, cfg.mode, cfg.fuel)
+    suite, fuel, run_mode = _verdict_rows(spec, cfg.suite, cfg.mode, cfg.fuel)
     root = RepairNode(label="base", program=base, parent=None, classification=None,
                       fingerprint="", depth=0)
     tree = RepairTree(root="base", nodes={"base": root}, edges=[])

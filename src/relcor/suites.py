@@ -23,8 +23,8 @@ input.  An exact row is `semantics.exact_row`: the same runs when one run
 per state defines [p], and otherwise [p]'s image of each input, so that a
 block local read before it is assigned ranges over all its values.  Exact
 mode (`repair.classify_mutants`) is testing over every state of the space
-at `conclusive_fuel`, which no terminating run exhausts, so its verdicts
-are those of the competence domains.
+at `semantics.UNBOUNDED` fuel, where every run ends by itself, so its
+verdicts are those of the competence domains.
 
 Wide rows are cached, least recently used out, with one entry per program
 and suite, so a program's runs are made once however many verdicts and

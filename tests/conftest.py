@@ -29,8 +29,8 @@ def checks(monkeypatch):
     recurrence = interp._recurrence
 
     def counted(loop):
-        check = recurrence(loop)
-        return lambda *values: answers.append(check(*values)) or answers[-1]
+        names, check = recurrence(loop)
+        return names, lambda *values: answers.append(check(*values)) or answers[-1]
 
     monkeypatch.setattr(interp, "_recurrence", counted)
     interp.compile_program.cache_clear()

@@ -271,6 +271,11 @@ def in_loops(p: A.Node) -> set:
     return inside
 
 
+def holds_more_than_assignments(loop: A.While) -> bool:
+    """Whether the body of `loop` holds an `if`, a block or a loop."""
+    return any(isinstance(n, (A.If, A.IfElse, A.Block, A.While)) for n in A.preorder(loop.body))
+
+
 def random_accelerable_loop(rng: random.Random, space: StateSpace) -> A.Node:
     """A `while` loop that wide mode runs in closed form
     (`acceleration.closed_form`), over a space of at least three scalar

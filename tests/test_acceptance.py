@@ -26,7 +26,7 @@ from relcor.lang.ast_nodes import (
     Abort, Assign, Block, If, IfElse, Seq, Skip, While, preorder, replace_nodes,
 )
 from relcor.lang.interp import FinalState, NonTermination, execute
-from relcor.lang.semantics import conclusive_fuel, denote, denote_structural, tabulable
+from relcor.lang.semantics import UNBOUNDED, denote, denote_structural, tabulable
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
 from relcor.repair import RepairConfig, classify_mutants, repair, tree_to_json
@@ -291,8 +291,7 @@ def _denote_agrees_with_bounded_execution(n):
         for s, t in rel.pairs:
             images.setdefault(s, set()).add(t)
         fallbacks += not rel.is_deterministic()
-        fuel = conclusive_fuel(p, sp)
-        outcomes = [execute(p, s, fuel, mode="exact") for s in sp.states()]
+        outcomes = [execute(p, s, UNBOUNDED, mode="exact") for s in sp.states()]
         for s, out in zip(sp.states(), outcomes):
             if isinstance(out, FinalState):
                 # a block local starts at the low end of its interval, one
@@ -348,7 +347,6 @@ def _agree(rng, base, mutants, spec, suite) -> str:
     returns the label."""
     sp = spec.space
     m = rng.choice(mutants)
-    fuel = max(conclusive_fuel(base, sp), conclusive_fuel(m.program, sp))
     base_fn = denote(base, sp)
     mut_fn = denote(m.program, sp)
     if is_correct(mut_fn, spec):
@@ -359,7 +357,7 @@ def _agree(rng, base, mutants, spec, suite) -> str:
         exact_label = "as_correct"
     else:
         exact_label = "not_more_correct"
-    report = run_suite(m.program, base, spec, suite, fuel, mode="exact")
+    report = run_suite(m.program, base, spec, suite, UNBOUNDED, mode="exact")
     assert classify(report) == exact_label
     return exact_label
 

@@ -5,11 +5,13 @@ every one still exists."""
 
 import importlib
 import importlib.util
+import itertools
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -72,26 +74,55 @@ def test_the_checks_of_a_benchmark_unit_hold(workload):
 
 def test_only_the_fermat_workload_forks_workers(monkeypatch):
     """A batch forks workers only once the pace of its rows shows at least
-    `suites._FORK_AFTER_S` (0.1 s) of rows left: `mutate_large`'s one batch
-    and `arraysum_exact`'s take about 30 and 12 ms in all on a 2-vCPU VM,
-    and a fork there would cost more than it saves; Fermat's level-1 batch
-    takes about 0.35 s.  Spare CPUs are pretended, so that the time alone
-    decides."""
-    import relcor.suites
+    `suites._FORK_AFTER_S` (0.1 s) of rows left.  A fake clock charges each
+    job of a workload's first batch a fixed time, its pace on a 2-vCPU VM,
+    so that the decision does not hang on the host's speed: Fermat's
+    level-1 batch, 48 jobs of about 8 ms (0.37 s in all), forks after its
+    second job; `mutate_large`'s, 456 jobs of about 0.07 ms, and
+    `arraysum_exact`'s, about 12 ms in all, never fork, as a fork there
+    would cost more than it saves.  Spare CPUs are pretended, so that the
+    pace alone decides."""
+    import relcor.suites as suites
+    from relcor.lang.semantics import UNBOUNDED
+    from relcor.mutate import generate
 
-    def forked(*args):
-        raise AssertionError("forked")
+    class Forked(Exception):
+        pass
 
-    monkeypatch.setattr(relcor.suites, "_spare_cpus", lambda: 1)
-    monkeypatch.setattr(relcor.suites, "_Workers", forked)
+    def fork(jobs, make, count):  # in place of `suites._Workers`
+        raise Forked(len(jobs))
+
+    monkeypatch.setattr(suites, "_spare_cpus", lambda: 1)
+    monkeypatch.setattr(suites, "_Workers", fork)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads").WORKLOADS
-    for name in ("mutate_large", "arraysum_exact", "fermat"):
-        setup, run, _ = workloads[name]
-        relcor.suites.outcome_row.cache_clear()
-        if name == "fermat":
-            with pytest.raises(AssertionError, match="forked"):
-                run(setup(1))
-        else:
-            run(setup(1))
-    relcor.suites.outcome_row.cache_clear()
+    workloads = importlib.import_module("workloads")
+
+    def jobs_left_at_the_fork(base, operators, suite, fuel, mode, jobs, seconds):
+        """The jobs left when the batch of `base`'s mutants forks, each of
+        its `jobs` charged `seconds / jobs`, or None if it never forks."""
+        programs = [m.program for m in generate(base, operators)]
+        assert len(programs) == jobs
+        # the batch reads the clock as it starts, then before each job
+        ticks = itertools.chain([0], itertools.count())
+        monkeypatch.setattr(suites, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks) * seconds / jobs))
+        suites.outcome_row.cache_clear()
+        try:
+            rows = list(suites._batch_rows(base, programs, suite, fuel, mode))
+        except Forked as fork:
+            return fork.args[0]
+        finally:
+            suites.outcome_row.cache_clear()
+        assert len(rows) == jobs + 1
+        return None
+
+    fermat = workloads.setup_fermat(1)
+    assert jobs_left_at_the_fork(fermat["base"], ("AORB",), fermat["suite"], workloads.FUEL,
+                                 "wide", 48, 48 * 0.008) == 46
+    large = workloads.setup_mutate_large(1)
+    assert jobs_left_at_the_fork(large["base"], ("AORB", "literal+-1"), large["suite"],
+                                 workloads.FUEL, "wide", 456, 456 * 0.00007) is None
+    arraysum = workloads.setup_arraysum_exact(1)
+    every_state = suites.TestSuite(tuple(arraysum["spec"].space.states()))
+    assert jobs_left_at_the_fork(arraysum["program"], arraysum["operators"], every_state,
+                                 UNBOUNDED, "exact", 10, 0.012) is None

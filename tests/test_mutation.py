@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 import relcor.mutate
-from randgen import in_loops, program_space, random_program
+from randgen import holds_more_than_assignments, in_loops, program_space, random_program
 from relcor import suites
 from relcor.errors import PatchError, RelcorError
 from relcor.lang import ast_nodes as A
@@ -110,14 +110,14 @@ def test_mutants_are_single_site():
 
 def test_apply_patch_is_simultaneous():
     p = parse("x = 0; i = 0;", SP)
-    found = sites(p, (INTEGER_LITERAL,))
+    found = [site for site in sites(p) if site.kind == INTEGER_LITERAL]
     patch = Patch(((found[0], 5), (found[1], 4)))
     assert to_source(apply_patch(p, patch)).split() == ["x", "=", "5;", "i", "=", "4;"]
 
 
 def test_apply_patch_rejects_overlapping_sites():
     p = parse("x = 1;", SP)
-    site = sites(p, (INTEGER_LITERAL,))[0]
+    site = next(site for site in sites(p) if site.kind == INTEGER_LITERAL)
     with pytest.raises(PatchError):
         apply_patch(p, Patch(((site, 2), (site, 3))))
 
@@ -425,10 +425,10 @@ def test_the_fermat_level1_batch_compiles_each_mutant_alone(compiled):
 
 def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
     """At most one check per distinct boxable loop of the base and its
-    mutants, not one per module that holds the loop: each of the 26 loops
-    whose bodies are assignments compiles with the program but for the 16
-    that are accelerated, which need none, and each of the 25 that hold
-    more compiles on its first call, which 5 of them never get."""
+    mutants, not one per module that holds the loop, each compiled on its
+    first call: of the 26 loops whose bodies are assignments, the 16 that
+    are accelerated need none and the other 10 are all called; 5 of the 25
+    that hold more are never called."""
     from relcor.studies import fermat
 
     built = fermat.build()
@@ -437,7 +437,7 @@ def test_the_fermat_level1_batch_compiles_each_divergence_check_once(compiled):
     loops = [n for p in (base, *(m.program for m in mutants)) for n in preorder(p)
              if isinstance(n, A.While) and interp._boxable(n)]
     assert len(loops) == 131 and len(set(loops)) == 51
-    plain = {loop for loop in loops if not interp._nested(loop)}
+    plain = {loop for loop in loops if not holds_more_than_assignments(loop)}
     assert len(plain) == 26
     assert len({loop for loop in plain if closed_form(loop, interp._V)}) == 16
     classify_mutants(base, mutants, built["spec"], built["suite"], "testing", fermat.FUEL)

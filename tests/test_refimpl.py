@@ -13,6 +13,7 @@ from functools import partial
 from pathlib import Path
 
 from randgen import (
+    holds_more_than_assignments,
     program_space,
     random_chain,
     random_nested_loop,
@@ -170,10 +171,10 @@ def test_every_proof_of_a_loop_that_holds_more_than_assignments_is_a_run_that_ne
     recurrence = interp._recurrence
 
     def flagged(loop):
-        check = recurrence(loop)
-        if not interp._nested(loop):
-            return check
-        return lambda *values: proofs.append(check(*values)) or proofs[-1]
+        names, check = recurrence(loop)
+        if not holds_more_than_assignments(loop):
+            return names, check
+        return names, lambda *values: proofs.append(check(*values)) or proofs[-1]
 
     monkeypatch.setattr(interp, "_recurrence", flagged)
     compile_program.cache_clear()

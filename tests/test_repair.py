@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 
 from relcor.errors import RelcorError
 from relcor.lang.parser import parse
-from relcor.lang.semantics import conclusive_fuel
+from relcor.lang.semantics import UNBOUNDED
 from relcor.mutate import INTEGER_LITERAL, Patch, sites
 from relcor.repair import (
     KEPT,
@@ -43,6 +44,14 @@ def test_config_rejects_an_unknown_operator_family_and_negative_fuel():
         RepairConfig(operators=("AORB", "ROR"))
     with pytest.raises(RelcorError, match="fuel must be >= 0"):
         RepairConfig(fuel=-1)
+
+
+@pytest.mark.parametrize("fuel", [math.inf, 2.5, True])
+def test_config_rejects_a_fuel_that_is_no_count_of_iterations(fuel):
+    # at math.inf, a wide run of a loop that never ends, and that no check
+    # proves, would never run out of fuel
+    with pytest.raises(RelcorError, match="fuel must be >= 0 and an int"):
+        RepairConfig(fuel=fuel)
 
 
 def test_single_seeded_fault_repaired_at_depth_one():
@@ -125,7 +134,7 @@ def test_testing_mode_labels_without_full_reports(monkeypatch):
     # each mode hands back the row its verdicts read for every kept mutant, and no other row
     every_state = Suite(tuple(SP.states()))
     for classified, row_of in (
-        (exact, lambda p: outcome_row(p, every_state, conclusive_fuel(SEEDED, SP), "exact")),
+        (exact, lambda p: outcome_row(p, every_state, UNBOUNDED, "exact")),
         (testing, lambda p: outcome_row(p, suite, 100, "wide")),
     ):
         kept = [(m, row) for m, label, row in classified if label in KEPT]
@@ -135,7 +144,7 @@ def test_testing_mode_labels_without_full_reports(monkeypatch):
 
 def test_verify_fault_on_a_literal_patch():
     base = parse("x = x + 1;", SP)
-    site = sites(base, (INTEGER_LITERAL,))[0]
+    site = next(site for site in sites(base) if site.kind == INTEGER_LITERAL)
     good = verify_fault(base, Patch(((site, 2),)), SPEC)
     assert good["is_fault_removal"]
     assert len(good["cd_after"]) > len(good["cd_before"])

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 from randgen import (
+    holds_more_than_assignments,
     program_space,
     random_accelerable_loop,
     random_nested_loop,
@@ -25,11 +26,13 @@ from relcor.lang.interp import (
     Undefined,
     cdiv,
     cmod,
+    compile_eval,
     compile_program,
     execute,
+    run_outcome,
 )
 from relcor.lang.parser import parse
-from relcor.lang.semantics import conclusive_fuel, denote, denote_structural, tabulable
+from relcor.lang.semantics import UNBOUNDED, denote, denote_structural, tabulable
 from relcor.mutate import generate
 from relcor.repair import classify_mutants
 from relcor.relations import identity
@@ -137,12 +140,6 @@ def test_a_local_read_only_in_an_array_target_index_is_read_before_it_is_assigne
     assert not rel.is_deterministic()
 
 
-def test_conclusive_fuel_counts_the_block_locals_in_scope():
-    p = parse("while (x < 3) { int t : 0..1; t = 0; while (t < 1) { t = t + 1; } x = x + 1; }", SP)
-    assert conclusive_fuel(p, SP) == 4 + 4 * 2 + 1
-    assert conclusive_fuel(parse("x = 1;", SP), SP) == 1
-
-
 def test_array_sum_loop_denotation():
     p = parse("x = 0; i = 0; while (i < 3) { x = x + a[i]; i = i + 1; }", ARR)
     rel = denote(p, ARR)
@@ -163,7 +160,7 @@ def test_execute_agrees_with_denote_here():
     p = parse("while (x < 3) { x = x + 2; }", SP)
     rel = denote(p, SP)
     for s in SP.states():
-        out = execute(p, s, fuel=conclusive_fuel(p, SP))
+        out = execute(p, s, fuel=UNBOUNDED)
         if isinstance(out, FinalState):
             assert (s, out.state) in rel.pairs
         else:
@@ -258,6 +255,28 @@ def test_the_divergence_check_compiles_wherever_its_loop_does(checks, no_acceler
         assert checks == [True]
 
 
+def _conclusive_fuel(p, space: StateSpace) -> int:
+    """Fuel that no terminating exact-mode run of `p` on `space` exhausts:
+    the sum over its loops of |space x block locals in scope|, plus one.  A
+    terminating deterministic run never revisits a (loop, state) pair, so
+    each loop completes at most that many iterations in one run."""
+
+    def bound(s, size: int) -> int:
+        if isinstance(s, While):
+            return size + bound(s.body, size)
+        if isinstance(s, A.Block):
+            return bound(s.body, size * s.interval.size)
+        if isinstance(s, A.Seq):
+            return bound(s.first, size) + bound(s.second, size)
+        if isinstance(s, A.If):
+            return bound(s.then, size)
+        if isinstance(s, A.IfElse):
+            return bound(s.then, size) + bound(s.orelse, size)
+        return 0
+
+    return bound(p, space.num_states) + 1
+
+
 class _FuelOnlyEmitter(interp._Emitter):
     """Exact-mode loops without repeat detection: fuel alone bounds them."""
 
@@ -276,25 +295,54 @@ def test_repeat_detection_changes_no_outcome(monkeypatch):
     for _ in range(300):
         sp = program_space(rng, max_states=60)
         p = random_program(rng, sp)
-        cases.append((p, sp, (0, 1, 7, conclusive_fuel(p, sp))))
+        cases.append((p, sp))
     # a loop that changes only a block local still ends
-    p = parse("{ int t : 0..3; t = 0; while (t < 3) { t = t + 1; } x = t; }", SP)
-    cases.append((p, SP, (0, 1, 7, conclusive_fuel(p, SP))))
+    cases.append((parse("{ int t : 0..3; t = 0; while (t < 3) { t = t + 1; } x = t; }", SP), SP))
 
-    def outcomes():
+    def outcomes(top):  # the last fuel: unbounded, or one no terminating run exhausts
         compile_program.cache_clear()
-        return [[execute(p, s, fuel, "exact") for s in sp.states() for fuel in fuels]
-                for p, sp, fuels in cases]
+        return [[execute(p, s, fuel, "exact") for s in sp.states()
+                 for fuel in (0, 1, 7, top(p, sp))] for p, sp in cases]
 
-    new = outcomes()
+    new = outcomes(lambda p, sp: UNBOUNDED)
     monkeypatch.setattr(interp, "_Emitter", _FuelOnlyEmitter)
-    try:
-        old = outcomes()
+    try:  # fuel alone never ends a run at unbounded fuel
+        old = outcomes(_conclusive_fuel)
     finally:
         compile_program.cache_clear()
     assert new == old
     kinds = {type(out) for outs in new for out in outs}
     assert kinds == {FinalState, NonTermination, Undefined}
+
+
+def test_exact_runs_at_unbounded_fuel_end_as_fuel_alone_ends_them(monkeypatch):
+    """On random programs with loops in loops and block locals in loops,
+    every exact run at unbounded fuel ends, with the outcome that loops
+    without repeat detection give at a fuel that no terminating run
+    exhausts."""
+    rng = random.Random(818)
+    cases, inner = [], Counter()
+    while min(inner[While], inner[A.Block]) < 40:  # programs with each kind within a loop
+        sp = program_space(rng, max_states=40)
+        p = random_program(rng, sp)
+        within = {type(n) for loop in preorder(p) if isinstance(loop, While)
+                  for n in preorder(loop.body) if isinstance(n, (While, A.Block))}
+        inner.update(within)
+        if within:
+            cases.append((p, sp))
+
+    def outcomes(fuel):
+        compile_program.cache_clear()
+        return [execute(p, s, fuel(p, sp), "exact") for p, sp in cases for s in sp.states()]
+
+    new = outcomes(lambda p, sp: UNBOUNDED)
+    monkeypatch.setattr(interp, "_Emitter", _FuelOnlyEmitter)
+    try:
+        old = outcomes(_conclusive_fuel)
+    finally:
+        compile_program.cache_clear()
+    assert new == old
+    assert {type(out) for out in new} == {FinalState, NonTermination, Undefined}
 
 
 class _WideFuelOnlyEmitter(interp._Emitter):
@@ -642,13 +690,55 @@ def test_only_programs_with_a_boxable_loop_compile_differently(monkeypatch):
     assert 70 < changed < 170 and accelerated > 20
 
 
-def test_check_points_are_global_to_a_run(checks):
-    # the inner loop is entered afresh on every outer iteration and runs 10
-    # iterations each time, yet the run checks only as its consumed fuel
-    # reaches 8, 16, ..., 8192
-    p = parse("while (x >= 0) { y = 0; while (y < 10) { y = y + 1; } x = x + 1; }", WIDE)
+def test_an_inner_loop_entered_again_does_not_restart_its_schedule(checks, no_acceleration):
+    # the inner loop is entered afresh on each of about 900 outer iterations
+    # and runs 10 iterations each time, yet each loop checks only as the
+    # run's consumed fuel reaches 8, 16, ..., 8192, and no check proves the
+    # outer loop, which exhausts the fuel
+    p = parse("while (x < 1000) { y = 0; while (y < 10) { y = y + 1; } x = x + 1; }", WIDE)
     assert execute(p, WIDE.state({"x": 0, "y": 0}), 10**4, "wide") == NonTermination()
-    assert 0 < len(checks) <= 11
+    assert 10 < len(checks) <= 2 * 11 and not any(checks)
+
+
+def _shared_checks(consumed: int) -> int:
+    """The checks that a schedule shared by all the loops of a run makes by
+    the time the run has consumed `consumed` fuel: at most one as that
+    reaches each of 8, 16, 32, ..."""
+    return sum(1 for j in range(64) if interp._CHECK_FROM << j <= consumed)
+
+
+def test_sibling_loops_check_no_more_than_a_shared_schedule_plus_one_each(checks,
+                                                                         no_acceleration):
+    """A run through two sibling checked loops makes no more checks than
+    one schedule shared by its loops would, plus one per checked loop that
+    it enters: a loop entered late may check at its first iteration."""
+    # the first loop checks as 8 fuel is consumed and exits; the second
+    # checks at 9, 18 and 36, where a shared schedule would check at 16 and 32
+    p = parse("while (x < 8) { x = x + 1; } while (y < 40) { y = y + 1; }", WIDE)
+    assert execute(p, WIDE.state({"x": 0, "y": 0}), 100, "wide").state["y"] == 40
+    assert len(checks) == 4 == _shared_checks(48) + 1
+    rng = random.Random(916)
+    sp = StateSpace(tuple((n, Interval(-9, 9)) for n in "abcd"))
+    both_checked = beyond = 0
+    for _ in range(500):
+        # counting loops, iterated here, often end only after a check or more
+        loops = (random_accelerable_loop(rng, sp), random_accelerable_loop(rng, sp))
+        first, both = (interp._own_step(0, p, sp, False) for p in (loops[0], A.Seq(*loops)))
+        guards = [compile_eval(loop.cond, sp) for loop in loops]
+        for _ in range(4):
+            values = tuple(rng.randint(-9, 9) for _ in "abcd")
+            for fuel in (9, 100, 10**4):
+                checks.clear()
+                between = run_outcome(first, values, fuel)  # the state after the first loop
+                entered = guards[0](values) + (type(between) is tuple and guards[1](between[0]))
+                in_first = len(checks)
+                checks.clear()
+                out = run_outcome(both, values, fuel)
+                consumed = fuel - out[1] if type(out) is tuple else fuel
+                assert len(checks) <= _shared_checks(consumed) + entered, (loops, values, fuel)
+                both_checked += 0 < in_first < len(checks)
+                beyond += len(checks) > _shared_checks(consumed)
+    assert both_checked > 40 and beyond > 10
 
 
 def test_the_box_check_proves_loops_that_keep_their_direction(checks, no_acceleration):
@@ -676,15 +766,15 @@ def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypat
     recurrence = interp._recurrence
 
     def compared(loop):
-        check = recurrence(loop)
+        names, check = recurrence(loop)
 
         def both(*values):
             reason = _ref_check(loop, values)
-            if interp._nested(loop):
+            if holds_more_than_assignments(loop):
                 reasons[reason] += 1
             answers.append((check(*values), reason == "proved"))
             return answers[-1][0]
-        return both
+        return names, both
 
     monkeypatch.setattr(interp, "_recurrence", compared)
     compile_program.cache_clear()
