@@ -152,7 +152,10 @@ def exit_count(a: int, b: int, c: int, fuel: int):
         k = -(c // b) if b < 0 else None  # the ceiling of c / -b
     elif b * b - 4 * a * c < 0:
         k = None  # no real root: it keeps the sign of c
-    else:  # it crosses 0 at (-b - sqrt(d)) / 2a, whose ceiling is e or, for a < 0, e + 1
-        e = -((b + isqrt(b * b - 4 * a * c)) // (2 * a))
-        k = next((k for k in range(max(e, 1), e + 2) if (a * k + b) * k + c <= 0), None)
+    else:  # it crosses 0 at (-b - sqrt(d)) / 2a, whose ceiling is k or, for a < 0, k + 1
+        k = max(-((b + isqrt(b * b - 4 * a * c)) // (2 * a)), 1)
+        if (a * k + b) * k + c > 0:
+            k += 1
+            if (a * k + b) * k + c > 0:
+                k = None
     return k if k is not None and k <= fuel else None

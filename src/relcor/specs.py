@@ -31,10 +31,16 @@ and logs a warning the first time only.
 s in dom(R).  On a space that `StateSpace.check_enumerable` accepts it
 searches for a witness output, stopping at the first, once per state (the
 answers are kept, and ``domain()`` reads them too), so exact and testing
-verdicts agree.  That costs at most |S| evaluations per state and usually
-far fewer.  On a larger space (the Fermat study's has 10^27 states) it
-reads the domain predicate alone, and the spec's author must make sure
-that the predicate implies a witness.
+verdicts agree.  The relation predicate reads an output only through its
+primed names, so the search tries only the values of the variables it
+primes, in the order of `space.states()`, with every other output variable
+at its domain's first value.  That is at most |read outputs| evaluations
+per state, the product of those variables' domain sizes (7 for the bundled
+arraysum spec, whose relation primes only x), not |S|, and the first
+undefined evaluation is logged at the pair where a search over all of S
+would first meet one.  On a larger space (the Fermat study's has 10^27
+states) it reads the domain predicate alone, and the spec's author must
+make sure that the predicate implies a witness.
 
 ``oracle_at(s)`` is the oracle of both modes at an input s in dom(R), as a
 test of a raw outcome (a final values tuple, ``NONTERMINATION`` or an
@@ -48,12 +54,14 @@ evaluated again, since it holds at every s in dom(R).
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
 from .errors import CapacityError, ParseError
 from .relations import Relation, reading, relation_from_json, space_from_json
 from .space import DEFAULT_CAP, State, StateSet, StateSpace
+from .lang.ast_nodes import ArrayRead, Var, preorder
 from .lang.interp import FinalState, UndefinedEval, compile_eval
 from .lang.parser import parse_predicate
 
@@ -102,10 +110,17 @@ class PredicateSpec:
         #: the domain predicate, parsed
         self.dom_cond = parse_predicate(dom_src, space)
         self._dom = compile_eval(self.dom_cond, space)
-        self._rel = compile_eval(parse_predicate(rel_src, space, primed=True), space, primed=True)
+        rel_cond = parse_predicate(rel_src, space, primed=True)
+        self._rel = compile_eval(rel_cond, space, primed=True)
         self._domain = None
         #: in_dom's answers by state; None where the space is too large to search
         self._witnessed = {} if space.num_states <= DEFAULT_CAP else None
+        if self._witnessed is not None:
+            read = {n.name[:-1] for n in preorder(rel_cond)
+                    if isinstance(n, (Var, ArrayRead)) and n.name.endswith("'")}
+            #: per variable, the output values that in_dom's witness search tries
+            self._outputs = [tuple(d.values()) if name in read else (next(d.values()),)
+                             for name, d in space.vars]
         #: evaluations of either predicate that were undefined and so counted as false
         self.undefined = 0
 
@@ -129,7 +144,7 @@ class PredicateSpec:
             return self._dom_holds(s)
         if s not in self._witnessed:
             self._witnessed[s] = self._dom_holds(s) and any(
-                self._related(s, t) for t in self.space.value_tuples())
+                self._related(s, t) for t in itertools.product(*self._outputs))
         return self._witnessed[s]
 
     def _related(self, s: State, t: tuple) -> bool:

@@ -54,13 +54,21 @@ def correct_program_for(rng: random.Random, rel: Relation) -> Relation:
     return Relation(rel.space, frozenset(pairs))
 
 
-def random_predicate(rng: random.Random, names: list, primed: bool) -> str:
-    """A C-style spec predicate over `names`, and over their primed outputs
-    when `primed`.  `/` and `%` may divide by zero, so the predicate can be
-    undefined at some states."""
+def random_predicate(rng: random.Random, names: list, primed: bool, arrays: tuple = ()) -> str:
+    """A C-style spec predicate over the scalar `names`, and over their
+    primed outputs when `primed`.  With `arrays`, a term may also read an
+    element of one of them, `a[i]`, or when `primed` `a'[i]`, at an index
+    that may be out of bounds (a literal index is in -1..2, two of whose
+    values fall inside the two elements of a `program_space` array).  `/`
+    and `%` may divide by zero, so the predicate can be undefined at some
+    states."""
     pool = list(names) + ([f"{n}'" for n in names] if primed else [])
+    array_pool = list(arrays) + ([f"{a}'" for a in arrays] if primed else [])
 
     def term() -> str:
+        if arrays and rng.random() < 0.4:
+            index = rng.choice(pool) if rng.random() < 0.3 else rng.choice((-1, 0, 0, 1, 1, 2))
+            return f"{rng.choice(array_pool)}[{index}]"
         return str(rng.randint(-2, 3)) if rng.random() < 0.3 else rng.choice(pool)
 
     def atom() -> str:

@@ -1,7 +1,9 @@
 import ast as pyast
+import itertools
 import logging
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -19,6 +21,7 @@ from relcor.specs import (
     abs_oracle,
     spec_from_json,
 )
+from relcor.studies import load_fixture_json
 
 SP = StateSpace((("n", Interval(0, 12)), ("x", Interval(0, 4)), ("y", Interval(0, 4))))
 
@@ -230,16 +233,34 @@ def _reference_predicate(src: str):
     return lambda env: bool(eval(code, globs, env))
 
 
+class _CArray(tuple):
+    """An array value that, as in C and unlike a Python tuple, has no element
+    at a negative index."""
+
+    def __getitem__(self, i):
+        if i < 0:
+            raise IndexError(i)
+        return tuple.__getitem__(self, i)
+
+
+def _env(s, suffix: str = "") -> dict:
+    return {n + suffix: _CArray(v) if isinstance(v, tuple) else v
+            for n, v in s.bindings().items()}
+
+
 class _ReferenceSpec:
     """In_dom, membership, domain and enumerate of a predicate spec, evaluated
     by the old compiler and counting every raising evaluation as undefined.
     In_dom searches for a witness output, as it does on every space that
-    can be enumerated."""
+    can be enumerated, among the output states in which every variable that
+    the relation source does not prime holds its domain's first value."""
 
     def __init__(self, space, dom_src, rel_src):
         self.space = space
         self.dom = _reference_predicate(dom_src)
         self.rel = _reference_predicate(rel_src)
+        primed = set(_PRIME.findall(rel_src))
+        self.fixed = {n: next(d.values()) for n, d in space.vars if n not in primed}
         self.undefined = 0
 
     def _holds(self, f, env) -> bool:
@@ -250,14 +271,15 @@ class _ReferenceSpec:
             return False
 
     def dom_holds(self, s) -> bool:
-        return self._holds(self.dom, s.bindings())
+        return self._holds(self.dom, _env(s))
 
     def related(self, s, t) -> bool:
-        out = {f"{n}__out": v for n, v in t.bindings().items()}
-        return self._holds(self.rel, {**s.bindings(), **out})
+        return self._holds(self.rel, {**_env(s), **_env(t, "__out")})
 
     def in_dom(self, s) -> bool:  # s in dom(R), on a space small enough to search
-        return self.dom_holds(s) and any(self.related(s, t) for t in self.space.states())
+        return self.dom_holds(s) and any(
+            self.related(s, t) for t in self.space.states()
+            if all(t[n] == v for n, v in self.fixed.items()))
 
     def membership(self, s, t) -> bool:
         return self.dom_holds(s) and self.related(s, t)
@@ -271,23 +293,45 @@ class _ReferenceSpec:
         return {(s, t) for s in inputs for t in states if self.related(s, t)}
 
 
+def _full_search(ref: _ReferenceSpec, states: list):
+    """The first witness output of each state, or None where there is none,
+    by a search over every state, and where that search meets its first
+    undefined evaluation: a state for the domain predicate, a pair of
+    states for the relation."""
+    witnesses, first = [], None
+    for s in states:
+        before = ref.undefined
+        holds = ref.dom_holds(s)
+        if ref.undefined > before and first is None:
+            first = s
+        witness = None
+        for t in states if holds else ():
+            before = ref.undefined
+            if ref.related(s, t):
+                witness = t
+                break
+            if ref.undefined > before and first is None:
+                first = (s, t)
+        witnesses.append(witness)
+    return witnesses, first
+
+
 def test_the_witness_search_warns_first_where_a_search_over_states_would(caplog):
-    """in_dom searches value tuples, but it counts each undefined evaluation
-    and logs the first at its pair of states, as a search over
-    `space.states()` meets them."""
+    """in_dom searches only the outputs that the relation reads, but it logs
+    its first undefined evaluation at the pair of states where a search
+    over `space.states()` meets the first; it counts the evaluations it
+    makes, as the projected reference does."""
     rng = random.Random(4545)
     warned = 0
     for _ in range(120):
         sp = program_space(rng, max_states=30)
         spec = PredicateSpec(sp, "true", random_predicate(rng, list(sp.names), primed=True))
-        ref, first = _ReferenceSpec(sp, "true", spec.rel_src), None
+        full = _ReferenceSpec(sp, "true", spec.rel_src)
+        _, first = _full_search(full, list(sp.states()))
+        ref = _ReferenceSpec(sp, "true", spec.rel_src)
         for s in sp.states():
-            for t in sp.states():
-                before = ref.undefined
-                if ref.related(s, t):
-                    break
-                if ref.undefined > before and first is None:
-                    first = (s, t)
+            ref.in_dom(s)
+        assert ref.undefined <= full.undefined
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="relcor.specs"):
             for s in sp.states():
@@ -321,3 +365,50 @@ def test_predicates_agree_with_the_old_compiler():
         undefined += new.undefined > 0
         partial += 0 < len(new.domain()) < sp.num_states
     assert undefined > 10 and partial > 10
+
+
+def test_the_witness_search_over_read_outputs_agrees_with_a_search_over_every_state(caplog):
+    """in_dom tries only the outputs that the relation predicate primes; its
+    answers and its logged warning are those of a search over
+    `space.states()`, on spaces with and without an array, for relations
+    that prime nothing, that prime a variable declared after one they leave
+    alone, whose witnesses need an output array other than the first, and
+    that are undefined somewhere."""
+    rng = random.Random(2525)
+    cases = dict.fromkeys(("primes nothing", "primes past an unprimed variable",
+                           "needs an array past the first", "undefined"), 0)
+    for i in range(300):
+        sp = program_space(rng, max_states=40, array=i % 3 > 0)
+        scalars = [n for n in sp.names if n != "a"]
+        arrays = ("a",) if "a" in sp.names else ()
+        dom = "true" if i % 2 else random_predicate(rng, scalars, primed=False, arrays=arrays)
+        rel = random_predicate(rng, scalars, primed=True, arrays=arrays)
+        states = list(sp.states())
+        witnesses, first = _full_search(_ReferenceSpec(sp, dom, rel), states)
+        spec = PredicateSpec(sp, dom, rel)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="relcor.specs"):
+            assert [spec.in_dom(s) for s in states] == [t is not None for t in witnesses]
+        assert [r.args[0] for r in caplog.records] == ([first] if first else [])
+        read = set(_PRIME.findall(rel))
+        cases["primes nothing"] += not read
+        cases["primes past an unprimed variable"] += any(
+            u not in read and v in read for u, v in itertools.combinations(sp.names, 2))
+        cases["needs an array past the first"] += bool(arrays) and any(
+            t["a"] != states[0]["a"] for t in witnesses if t)
+        cases["undefined"] += first is not None
+    assert min(cases.values()) > 10, cases
+
+
+def test_the_bundled_arraysum_spec_tries_only_the_values_of_x_per_state():
+    """Its relation, x' == a[1] + a[2] + a[3], primes only x, so in_dom makes
+    at most |dom(x)| = 7 evaluations per state of its 2,835, where a search
+    over every output state makes up to 31."""
+    spec = spec_from_json(load_fixture_json("arraysum_spec.json"))
+    calls = []
+    related = spec._related
+    spec._related = lambda s, t: calls.append(s) or related(s, t)
+    assert all(spec.in_dom(s) for s in spec.space.states())
+    per_state = Counter(calls)
+    assert len(per_state) == spec.space.num_states == 2835
+    assert max(per_state.values()) <= spec.space.domain_of("x").size == 7
