@@ -127,7 +127,12 @@ as it would without schemata.
 
 The same emitter compiles single expressions and conditions
 (`compile_eval`), for the guards and assigned values of the structural
-semantics and for spec predicates, whose primed names read output values.
+semantics and for spec predicates, whose primed names read output values,
+and a predicate spec's verdicts, loops over value tuples with its
+predicates inlined (`compile_spec`).  An array read at a literal index
+inside the array compiles to a plain subscript; every other index goes
+through the bounds check `_aread`, so a literal outside the array is
+undefined, as a computed index is.
 """
 
 from __future__ import annotations
@@ -135,6 +140,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
+from itertools import product
 
 from ..errors import RelcorError
 from ..space import ArrayDomain, State, StateSpace
@@ -357,6 +363,8 @@ class _Emitter:
             return _var(e.name)
         if isinstance(e, ArrayRead):
             length = self.arrays[e.name.rstrip("'")]
+            if isinstance(e.index, IntLit) and 0 <= e.index.value < length:
+                return f"{_var(e.name)}[{e.index.value}]"  # in bounds: no check to make
             return f"_aread({_var(e.name)}, {self.expr(e.index)}, {length}, {e.name!r})"
         if isinstance(e, Neg):
             return f"(-{self.expr(e.operand)})"
@@ -754,9 +762,9 @@ def _tuple(names) -> str:
     return f"({', '.join(names)},)" if names else "()"
 
 
-def _unpack(em: _Emitter, values: str, names: list) -> None:
+def _unpack(em: _Emitter, values: str, names: list, depth: int = 1) -> None:
     if names:
-        em.emit(1, f"({', '.join(names)},) = {values}")
+        em.emit(depth, f"({', '.join(names)},) = {values}")
 
 
 def _define(em: _Emitter, name: str):
@@ -922,6 +930,82 @@ def compile_eval(node, space: StateSpace, primed: bool = False):
     value = em.cond(node) if isinstance(node, (BoolLit, Cmp, Not, And, Or)) else em.expr(node)
     em.emit(1, f"return {value}")
     return _define(em, "_eval")
+
+
+def compile_spec(dom, rel, space: StateSpace, outputs, undefined) -> tuple:
+    """Compile a predicate spec, its domain predicate `dom` and its relation
+    predicate `rel` (whose primed names read an output), to the functions
+    of its verdicts over value tuples, `(in_dom, split, count)`:
+
+    * ``in_dom(values)``: whether the domain predicate holds and, unless
+      `outputs` is None, some output of ``itertools.product(*outputs)`` is
+      related, tried in that order up to the first.  With `outputs` the
+      answers are kept by value tuple, so each input is searched once.
+    * ``split(inputs, row)``: the indices of `inputs` in dom(R) where the
+      outcome in `row` is related (passing) and those where it is not
+      (failing), as two lists.  A raw outcome that is no values tuple
+      fails.
+    * ``count(inputs, row, indices)``: how many of `indices` pass in `row`.
+
+    An undefined evaluation counts as false, after a call of
+    ``undefined(e, values)`` for the domain predicate or ``undefined(e,
+    values, out)`` for the relation."""
+    em = _Emitter(space, exact=True)
+    em.helpers.update(_undefined=undefined, _outputs=outputs, _product=product)
+    ins, outs = [_V + n for n in space.names], [_OUT + n for n in space.names]
+    kept = outputs is not None
+
+    def related(depth: int, *then: str) -> None:  # `then` where `_o` is related to `_v`
+        _unpack(em, "_o", outs, depth)
+        em.emit(depth, "try:")
+        em.emit(depth + 1, f"if {em.cond(rel)}:")
+        for line in then:
+            em.emit(depth + 2, line)
+        em.emit(depth, "except UndefinedEval as _e:")
+        em.emit(depth + 1, "_undefined(_e, _v, _o)")
+
+    em.emit(0, "def _search(_v):")
+    _unpack(em, "_v", ins)
+    em.emit(1, "try:")
+    em.emit(2, f"if not {em.cond(dom)}:")
+    em.emit(3, "return False")
+    em.emit(1, "except UndefinedEval as _e:")
+    em.emit(2, "return _undefined(_e, _v)")
+    if kept:
+        em.emit(1, "for _o in _product(*_outputs):")
+        related(2, "return True")
+    em.emit(1, f"return {not kept}")
+    if kept:
+        em.emit(0, "_known = {}")
+        em.emit(0, "def _in_dom(_v):")
+        em.emit(1, "_d = _known.get(_v)")
+        em.emit(1, "if _d is None:")
+        em.emit(2, "_d = _known[_v] = _search(_v)")
+        em.emit(1, "return _d")
+    else:
+        em.emit(0, "_in_dom = _search")
+    em.emit(0, "def _split(_inputs, _row):")
+    em.emit(1, "_pass, _fail = [], []")
+    em.emit(1, "for _i, _v in enumerate(_inputs):")
+    em.emit(2, "if not _in_dom(_v):")
+    em.emit(3, "continue")
+    em.emit(2, "_o = _row[_i]")
+    em.emit(2, "if type(_o) is tuple:")
+    _unpack(em, "_v", ins, 3)
+    related(3, "_pass.append(_i)", "continue")
+    em.emit(2, "_fail.append(_i)")
+    em.emit(1, "return _pass, _fail")
+    em.emit(0, "def _count(_inputs, _row, _indices):")
+    em.emit(1, "_n = 0")
+    em.emit(1, "for _i in _indices:")
+    em.emit(2, "_o = _row[_i]")
+    em.emit(2, "if type(_o) is tuple:")
+    em.emit(3, "_v = _inputs[_i]")
+    _unpack(em, "_v", ins, 3)
+    related(3, "_n += 1")
+    em.emit(1, "return _n")
+    em.emit(0, "_verdicts = (_in_dom, _split, _count)")
+    return _define(em, "_verdicts")
 
 
 def run_outcome(run, values: tuple, fuel: int):

@@ -97,20 +97,22 @@ rows, labels, fingerprints and the cache's contents do not depend on the
 split.  It reaps its workers when it ends, and kills them first when it
 is left by an exception or closed before its last row.
 
-The fold: the base's row splits the in-domain inputs into those where the
-base passes and those where it fails, each with its oracle (`oracle_at`).
-Each candidate's row is then counted over them: where the base passes, a
-pass is an n0 cell and a failure an n3 cell (`not_more_correct`); where it
-fails, a pass is an n1 cell and a failure an n2 cell.  `classify` labels
-the report; the base's own report is those two counts.  No candidate is
-stopped once its label is settled.  The savings depend on the data, on
-how often the base's states at a cut and the mutants' states after it
-meet again, but a batch never costs more than one step of the base per
-cut and distinct state of the base there, one step plus one suffix run
-per covered mutant and distinct state of the base at its cut, and one run
-per other program and input.  That bound holds in each process that makes
-rows; the memo is shared only within a process, and a row that a worker
-did not send is made again here.
+The fold, one for both modes and both kinds of spec, reads the inputs as
+value tuples: the spec splits them by the base's row (`spec.split`) into
+the indices of the in-domain inputs where the base passes and those where
+it fails, and each candidate's row is then counted over the two lists
+(`spec.count`; a predicate spec compiles both, see `specs`).  Where the
+base passes, a pass is an n0 cell and a failure an n3 cell
+(`not_more_correct`); where it fails, a pass is an n1 cell and a failure
+an n2 cell.  `classify` labels the report; the base's own report is those
+two counts.  No candidate is stopped once its label is settled.  The
+savings depend on the data, on how often the base's states at a cut and
+the mutants' states after it meet again, but a batch never costs more than
+one step of the base per cut and distinct state of the base there, one
+step plus one suffix run per covered mutant and distinct state of the base
+at its cut, and one run per other program and input.  That bound holds in
+each process that makes rows; the memo is shared only within a process,
+and a row that a worker did not send is made again here.
 """
 
 from __future__ import annotations
@@ -536,15 +538,12 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
 def _reports(spec: Spec, suite: TestSuite, rows):
     """Each row of `rows` with its report against the first, the base's (see
     the module docstring), as (report, row) pairs, the base's own first,
-    from the counts its row splits the inputs into, with no oracle read
-    again.  The others are made as the pairs are taken."""
+    from the counts its row splits the inputs into.  The others are made as
+    the pairs are taken."""
     rows = iter(rows)
     base_row = next(rows)
-    passing, failing = [], []
-    for i, (s, out) in enumerate(zip(suite.inputs, base_row)):
-        if spec.in_dom(s):
-            passes = spec.oracle_at(s)
-            (passing if passes(out) else failing).append((i, passes))
+    inputs = [s.values for s in suite.inputs]
+    passing, failing = spec.split(inputs, base_row)
     outside = len(suite) - len(passing) - len(failing)  # inputs outside dom(R) pass vacuously
 
     def report(kept: int, fixed: int) -> SuiteReport:
@@ -561,8 +560,7 @@ def _reports(spec: Spec, suite: TestSuite, rows):
 
     yield report(len(passing), 0), base_row
     for row in rows:
-        yield report(sum(passes(row[i]) for i, passes in passing),
-                     sum(passes(row[i]) for i, passes in failing)), row
+        yield report(spec.count(inputs, row, passing), spec.count(inputs, row, failing)), row
 
 
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 import relcor.cli
 from relcor.cli import main
+from relcor.studies import fixture_path, load_fixture_json
 
 
 @pytest.fixture()
@@ -167,6 +169,31 @@ def test_repair_command_writes_artifacts(tiny, capsys):
     assert summary["fault_depth_ub"] == 1
     assert dot.read_text().startswith("digraph")
     assert "nodes" in json.loads(tree.read_text())
+
+
+#: SHA-256 of the exact-mode repair tree of arraysum.imp, by k: `a` of size 4
+#: in 0..k, `x` in 0..3k and `i` in 0..4 (the bundled spec is k = 2)
+ARRAYSUM_TREES = {
+    2: "61ba231e6ccbe83456e33a5e86a8130ebbe250cc7e93ffe8da38f5da5938a91f",
+    4: "082fe097f06f9dabbdb3b07820354ad44365430e6f45f6559250462788caa5aa",
+}
+
+
+@pytest.mark.parametrize("k", sorted(ARRAYSUM_TREES))
+def test_the_exact_arraysum_repair_trees_are_byte_identical(k, tmp_path, capsys):
+    spec = fixture_path("arraysum_spec.json")
+    if k != 2:
+        doc = load_fixture_json("arraysum_spec.json")
+        for var in doc["space"]["vars"]:
+            var["max"] = {"a": k, "x": 3 * k}.get(var["name"], var["max"])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+    tree = tmp_path / "tree.json"
+    code, _ = run(capsys, "repair", "--mode", "exact", "--operators", "literal+-1", "index+-1",
+                  "--max-depth", "2", "--spec", str(spec),
+                  "--program", str(fixture_path("arraysum.imp")), "--json-out", str(tree))
+    assert code == 0
+    assert hashlib.sha256(tree.read_bytes()).hexdigest() == ARRAYSUM_TREES[k]
 
 
 def test_repair_seed_env_var_is_the_default(tiny, capsys, monkeypatch):

@@ -192,6 +192,25 @@ def test_out_of_bounds_array_read_is_undefined():
     assert isinstance(execute(p, s, fuel=10), Undefined)
 
 
+@pytest.mark.parametrize("mode", ["exact", "wide"])
+def test_a_literal_index_in_bounds_reads_without_a_check(mode, monkeypatch):
+    """A literal index inside the array compiles to a plain subscript, with
+    no call of the bounds check; one outside it, at either end, is still
+    undefined, as a computed index is."""
+    checked = []
+    aread = interp._RUNTIME["_aread"]
+    monkeypatch.setitem(interp._RUNTIME, "_aread", lambda *args: checked.append(args[1]) or
+                        aread(*args))
+    compile_program.cache_clear()
+    s = ARR.state({"a": (1, 2, 0, 2), "x": 0, "i": 0})
+    outs = [execute(parse(f"x = a[{k}];", ARR), s, fuel=10, mode=mode) for k in (0, 3, 4, -1)]
+    compile_program.cache_clear()
+    assert [out.state["x"] for out in outs[:2]] == [1, 2]
+    assert outs[2:] == [Undefined("index 4 out of bounds for a[4]"),
+                        Undefined("index -1 out of bounds for a[4]")]
+    assert checked == [4, -1]
+
+
 def test_division_truncates_toward_zero():
     assert cdiv(7, 2) == 3
     assert cdiv(-7, 2) == -3

@@ -3,18 +3,18 @@ import itertools
 import logging
 import random
 import re
-from collections import Counter
 
 import pytest
 
-from randgen import program_space, random_predicate
+from randgen import program_space, random_predicate, random_program, random_relation
 from relcor import suites
 from relcor.errors import CapacityError, ParseError
-from relcor.lang.interp import FinalState, NonTermination, cdiv, cmod
-from relcor.lang.parser import parse
-from relcor.lang.semantics import denote
+from relcor.lang.interp import FinalState, NonTermination, UndefinedEval, cdiv, cmod, compile_eval
+from relcor.lang.parser import parse, parse_predicate
+from relcor.lang.semantics import UNBOUNDED, denote
+from relcor.mutate import generate
 from relcor.relations import Relation, competence_domain, is_correct, relation_to_json, space_to_json
-from relcor.space import ArrayDomain, Interval, StateSpace
+from relcor.space import ArrayDomain, Interval, State, StateSpace
 from relcor.specs import (
     EnumeratedSpec,
     PredicateSpec,
@@ -106,14 +106,18 @@ def test_state_without_a_witness_output_is_outside_the_domain():
 
 def test_in_dom_searches_for_a_witness_once_per_state_on_enumerable_spaces_only():
     space = StateSpace((("x", Interval(0, 3)),))
-    spec = PredicateSpec(space, "true", "x' == 2 * x")
-    calls = []
-    related = spec._related
-    spec._related = lambda s, t: calls.append(s) or related(s, t)
-    assert [spec.in_dom(s) for s in space.states()] == [True, True, False, False]
-    assert [spec.in_dom(s) for s in space.states()] == [True, True, False, False]
+    # an output that is no witness makes the relation undefined, so the
+    # undefined count tells the outputs tried before the first witness
+    spec = PredicateSpec(space, "true", "x' == 2 * x || 1 / 0 == 0")
+    answers, tried = [], []
+    for s in space.states():
+        before = spec.undefined
+        answers.append(spec.in_dom(s))
+        tried.append(spec.undefined - before + answers[-1])
+    assert answers == [True, True, False, False]
     # x = 0 stops at its first witness; x = 2 and x = 3 try every output
-    assert [s["x"] for s in calls] == [0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
+    assert tried == [1, 3, 4, 4]
+    assert [spec.in_dom(s) for s in space.states()] == answers and spec.undefined == 10
     large = PredicateSpec(SP.extend("z", Interval(0, 10**6)), "true", "x' == x + 10")
     assert large.in_dom(large.space.state({"n": 0, "x": 0, "y": 0, "z": 0}))
 
@@ -197,6 +201,22 @@ def test_a_primed_array_read_reads_the_output_array():
             assert spec.membership(s, t) == (t["a"][1] == s["a"][0])
     with pytest.raises(ParseError, match="is an array"):
         PredicateSpec(space, "true", "a' == a")
+
+
+def test_a_primed_literal_index_out_of_bounds_is_undefined_and_counted():
+    """A literal index inside the array compiles to a plain subscript, one
+    outside it still raises, also on a primed name, and a spec counts it."""
+    space = StateSpace((("a", ArrayDomain(4, Interval(0, 1))),))
+    s = space.state({"a": (0, 0, 0, 1)})
+    read = lambda src: compile_eval(parse_predicate(src, space, primed=True), space, primed=True)
+    assert read("a'[3] == 1")(s.values, s.values)
+    with pytest.raises(UndefinedEval, match=r"index 4 out of bounds for a'\[4\]"):
+        read("a'[4] == 0")(s.values, s.values)
+    spec = PredicateSpec(space, "true", "a'[4] == 0")
+    assert not any(spec.in_dom(t) for t in space.states())
+    assert spec.undefined == 16 * 16  # every output of every state is tried
+    assert not spec.membership(s, s) and spec.undefined == 16 * 16 + 1
+    assert all(PredicateSpec(space, "true", "a'[3] == a[0]").in_dom(t) for t in space.states())
 
 
 def test_a_negative_index_is_undefined_not_the_last_element():
@@ -403,12 +423,138 @@ def test_the_witness_search_over_read_outputs_agrees_with_a_search_over_every_st
 def test_the_bundled_arraysum_spec_tries_only_the_values_of_x_per_state():
     """Its relation, x' == a[1] + a[2] + a[3], primes only x, so in_dom makes
     at most |dom(x)| = 7 evaluations per state of its 2,835, where a search
-    over every output state makes up to 31."""
-    spec = spec_from_json(load_fixture_json("arraysum_spec.json"))
-    calls = []
-    related = spec._related
-    spec._related = lambda s, t: calls.append(s) or related(s, t)
-    assert all(spec.in_dom(s) for s in spec.space.states())
-    per_state = Counter(calls)
-    assert len(per_state) == spec.space.num_states == 2835
-    assert max(per_state.values()) <= spec.space.domain_of("x").size == 7
+    over every output state makes up to 31. A state whose witness is x' = v
+    makes v + 1: 11,340 evaluations in all, and 7 where the sum is 6."""
+    doc = load_fixture_json("arraysum_spec.json")
+    space = spec_from_json(doc).space
+    # an output that is no witness makes the relation undefined, so the
+    # undefined count tells the outputs tried before the first witness
+    spec = PredicateSpec(space, doc["dom"], f"({doc['rel']}) || 1 / 0 == 0")
+    tried = []
+    for s in space.states():
+        before = spec.undefined
+        assert spec.in_dom(s)
+        tried.append(spec.undefined - before + 1)
+    assert len(tried) == space.num_states == 2835
+    assert tried == [sum(s["a"][1:]) + 1 for s in space.states()]
+    assert sum(tried) == 11_340 and max(tried) == space.domain_of("x").size == 7
+
+
+# -- the fold of verdicts against a naive one ---------------------------------------
+
+
+class _ReferenceFold(_ReferenceSpec):
+    """`_ReferenceSpec` with in_dom's answers kept by `State`, one oracle per
+    in-domain input, and the place of the first undefined evaluation."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.known, self.first = {}, None
+
+    def _note(self, before: int, holds: bool, where) -> bool:
+        if self.first is None and self.undefined > before:
+            self.first = where
+        return holds
+
+    def dom_holds(self, s) -> bool:  # arguments are evaluated left to right
+        return self._note(self.undefined, super().dom_holds(s), s)
+
+    def related(self, s, t) -> bool:
+        return self._note(self.undefined, super().related(s, t), (s, t))
+
+    def in_dom(self, s) -> bool:
+        if s not in self.known:
+            self.known[s] = super().in_dom(s)
+        return self.known[s]
+
+    def oracle(self, s):
+        return lambda out: type(out) is tuple and self.related(s, State(self.space, out))
+
+
+class _EnumeratedReference:
+    undefined, first = 0, None
+
+    def __init__(self, rel):
+        self.rel, self.dom = rel, rel.domain()
+
+    def in_dom(self, s) -> bool:
+        return s in self.dom
+
+    def oracle(self, s):
+        return lambda out: type(out) is tuple and (s, State(self.rel.space, out)) in self.rel.pairs
+
+
+def _reference_reports(ref, suite, rows) -> list:
+    """The report of each row against the first, the base's: each input
+    decided in or out of dom(R) in order and, when in, judged on the base
+    by its own oracle; then each other row judged by those oracles, on the
+    base's passing inputs first and then on its failing ones."""
+    judged = []  # (input, its oracle, whether the base passes)
+    for i, s in enumerate(suite.inputs):
+        if ref.in_dom(s):
+            passes = ref.oracle(s)
+            judged.append((i, passes, passes(rows[0][i])))
+    reports = []
+    for k, row in enumerate(rows):
+        cells = [len(suite) - len(judged), 0, 0, 0]  # n0..n3; outside dom(R) both pass
+        order = [j for j in judged if j[2]] + [j for j in judged if not j[2]]
+        for i, passes, base in order:
+            ok = base if k == 0 else passes(row[i])
+            cells[0 if base and ok else 1 if ok else 3 if base else 2] += 1
+        n0, n1, n2, n3 = cells
+        reports.append(suites.SuiteReport(n2 == n3 == 0, n3 == 0, n1 > 0, n0, n1, n2, n3))
+    return reports
+
+
+@pytest.mark.parametrize("mode", ["wide", "exact"])
+def test_the_fold_equals_a_naive_fold_with_one_oracle_per_input(mode, caplog):
+    """Every row's n0-n3, `PredicateSpec.undefined` and the first warning's
+    pair equal those of `_reference_reports`, over two batches per spec
+    (so the second reads in_dom's kept answers), on random predicate specs
+    with arrays and undefined evaluations and on enumerated specs."""
+    rng = random.Random(3131 if mode == "wide" else 3132)
+    cases = dict.fromkeys(("enumerated", "warned", "undefined in a row",
+                           "in dom(R) by a witness other than itself",
+                           "outside dom(R) for want of a witness"), 0)
+    for i in range(120):
+        sp = program_space(rng, max_states=30, array=i % 3 > 0)
+        scalars = [n for n in sp.names if n != "a"]
+        arrays = ("a",) if "a" in sp.names else ()
+        if i % 4 == 0:
+            rel = random_relation(rng, sp)
+            spec, ref = EnumeratedSpec(rel), _EnumeratedReference(rel)
+        else:
+            dom = "true" if i % 2 else random_predicate(rng, scalars, primed=False, arrays=arrays)
+            rel = random_predicate(rng, scalars, primed=True, arrays=arrays)
+            if i % 4 == 1:  # undefined at outputs where the first scalar is 0
+                rel = f"({rel}) || 1 / {scalars[0]}' > 0"
+            spec, ref = PredicateSpec(sp, dom, rel), _ReferenceFold(sp, dom, rel)
+        states = list(sp.states())
+        if mode == "exact":
+            suite, fuel = suites.TestSuite(tuple(states)), UNBOUNDED
+        else:
+            suite = suites.TestSuite(tuple(rng.sample(states, rng.randint(1, len(states)))))
+            fuel = rng.choice((0, 3, 40))
+        base = random_program(rng, sp, unassigned_reads=False, wide=mode == "wide")
+        programs = [base] + [m.program for m in generate(base, ("AORB", "literal+-1"))][:8]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="relcor.specs"):
+            for batch in (programs, programs[::-1]):
+                rows = [suites.outcome_row(p, suite, fuel, mode) for p in batch]
+                pairs = suites._reports(spec, suite, rows)
+                reports = [next(pairs)[0]]
+                split = getattr(spec, "undefined", 0)
+                reports += [report for report, _ in pairs]
+                assert reports == _reference_reports(ref, suite, rows)
+                assert getattr(spec, "undefined", 0) == ref.undefined
+                cases["undefined in a row"] += ref.undefined > split
+        assert [r.args[0] for r in caplog.records] == ([ref.first] if ref.first else [])
+        cases["enumerated"] += isinstance(spec, EnumeratedSpec)
+        cases["warned"] += ref.first is not None
+        if isinstance(spec, PredicateSpec):
+            held = [s for s in states if ref.dom_holds(s)]
+            cases["in dom(R) by a witness other than itself"] += any(
+                not ref.related(s, s) for s in held if ref.in_dom(s))
+            cases["outside dom(R) for want of a witness"] += any(not ref.in_dom(s) for s in held)
+    suites.outcome_row.cache_clear()
+    assert min(cases.values()) > 3, cases
