@@ -32,7 +32,7 @@ from .interp import (
     execute,
 )
 from .parser import parse
-from .semantics import denote
+from .semantics import denote, denote_structural
 
 __all__ = [
     "Abort", "And", "ArrayRead", "ArrayTarget", "Assign", "BinOp", "Block",
@@ -41,5 +41,5 @@ __all__ = [
     "preorder", "replace_nodes", "to_source",
     "FinalState", "NonTermination", "Undefined",
     "compile_program", "execute",
-    "parse", "denote",
+    "parse", "denote", "denote_structural",
 ]

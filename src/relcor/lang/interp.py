@@ -15,11 +15,14 @@ Division truncates toward zero and modulus takes the dividend's sign
 (C semantics) in both modes.  Each completed loop-body iteration consumes
 one unit of fuel; exhaustion yields ``NonTermination``, as `abort` and the
 checks below do: compiled code raises one exception, `_NoEnd`, for every
-run that never ends.  A block local, which may not redeclare a variable in
-scope (a `RelcorError` in both modes, as in the parser), starts at the low
-end of its interval (`local_interval`, which exact mode requires; zero in
-wide mode); programs are expected to assign locals before reading them
-(`exposed` finds where they may not), which also keeps [p] deterministic.
+run that never ends.  A block local may not redeclare a variable in scope
+(a `RelcorError` in both modes, as in the parser).  In wide mode it starts
+at zero.  Exact mode requires its interval (`local_interval`) and refuses,
+with a `RelcorError` as it compiles the block, a local that some path
+through the block may read before it assigns it (`exposed`): no exact run
+reads a local's initial value, so one run per state defines [p], and [p]
+is a function.  The local starts at the low end of its interval, which
+only repeat detection's loop-head states hold.
 
 Both modes can end a run that will never end before its fuel runs out, and
 neither changes an outcome for any fuel by doing so: the run would only
@@ -281,7 +284,8 @@ def _assigned(s) -> dict:
 def exposed(s) -> set:
     """The variables that some path through statement `s` reads before it
     assigns them, a block local within `s` counting as assigned: for the
-    divergence check's box (`_live`) and exact-mode tabulation (`semantics`)."""
+    divergence check's box (`_live`) and the block locals that exact mode
+    refuses (`_Emitter._local`)."""
     out = set()
 
     def walk(s, done: frozenset) -> frozenset:  # -> the variables assigned on every path
@@ -485,9 +489,13 @@ class _Emitter:
     @contextmanager
     def _local(self, s: Block, depth: int):
         """Declare block `s`'s local while its body is emitted; a local may
-        not redeclare a name in scope, as in `StateSpace.extend`."""
+        not redeclare a name in scope, as in `StateSpace.extend`, and in
+        exact mode it may not be read before it is assigned (`exposed`)."""
         if s.name in self.domains:
             raise RelcorError(f"block local {s.name!r} redeclares a variable in scope")
+        if self.exact and s.name in exposed(s.body):
+            raise RelcorError(f"block local {s.name!r} may be read before it is assigned,"
+                              f" which exact mode refuses")
         self.domains[s.name] = s.interval
         self.emit(depth, f"{_V}{s.name} = {local_interval(s).lo if self.exact else 0}")
         yield

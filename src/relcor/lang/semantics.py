@@ -1,18 +1,16 @@
 """Denotational semantics: the function a program computes on a finite space.
 
-`denote(p, space)` is the relation [p] on `space`.  It has two routes:
+`denote(p, space)` is the relation [p] on `space`: the compiled exact-mode
+program runs on every state of the space, and each run that ends gives one
+pair.  Fuel is `UNBOUNDED`: the interpreter stops a divergent run as soon
+as a loop-head state repeats, so every run ends, and its outcome is final.
+Exact mode refuses a block whose local may be read before it is assigned
+(`interp.exposed`), so no run depends on a local's initial value, and
+[p] is a function.
 
-* Tabulated execution, the usual one: the compiled exact-mode program runs
-  on every state of the space, and each run that ends gives one pair.
-  Fuel is `UNBOUNDED`: the interpreter stops a divergent run as soon as a
-  loop-head state repeats, so every run ends, and its outcome is final.
-* Structural recursion, `denote_structural`.  It defines [p] and is the
-  tests' reference; `denote` falls back to it for a program whose block
-  local may be read before it is assigned (`interp.exposed`, which also
-  builds the wide-mode divergence check's box), because [p] then
-  quantifies over the local's initial value, which a single run cannot do.
-
-The recursion maps each construct compositionally to a finite relation:
+`denote_structural` defines [p] by structural recursion and is the
+tests' reference.  It maps each construct compositionally to a finite
+relation:
 
 * abort -> the empty relation; skip -> the identity.
 * assignment -> {(s, s[target := E(s)]) | E defined at s, value in domain}
@@ -28,24 +26,23 @@ Guards and assigned values are compiled by the interpreter's emitter
 checks, and takes a block's interval from `interp.local_interval`, as the
 emitter does.  Partiality shrinks the domain: a state where an expression
 or guard cannot be evaluated (or where an assigned value leaves the
-declared interval) contributes no pair.  Both routes raise the same
-errors, before they build any state: a space or a block's extended space
-over `DEFAULT_CAP` states (`CapacityError`) and a block local without an
-interval (`RelcorError`).
-
-`exact_row` takes the same two routes to give [p] at some states as a row
-of raw outcomes, the form of `suites.outcome_row`.
+declared interval) contributes no pair.  Both routes raise a space over
+`DEFAULT_CAP` states (`CapacityError`) and a block local without an
+interval (`RelcorError`) before they build any state; the recursion also
+raises `CapacityError` for a block whose extended space is over the cap,
+which the runs never build.  The recursion accepts a block local read
+before it is assigned and quantifies over its initial value, so [p] may
+then be no function.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..relations import Relation, empty, identity, require_deterministic
+from ..relations import Relation, empty, identity
 from ..space import State, StateSpace
 from . import ast_nodes as A
-from .interp import (NONTERMINATION, UndefinedEval, compile_eval, compile_program, exposed,
-                     local_interval, run_outcome)
+from .interp import UndefinedEval, compile_eval, compile_program, local_interval, run_outcome
 
 #: the fuel of exact runs over a space: repeat detection ends every one
 UNBOUNDED = math.inf
@@ -64,62 +61,31 @@ def _split_by_guard(cond, space: StateSpace, states):
     return true_set, false_set
 
 
-def tabulable(p, space: StateSpace) -> bool:
-    """Whether one run per state defines [p]: no block local may be read
-    before it is assigned (`interp.exposed`).  First the walk visits every
-    block in preorder and checks its extended space, so it raises the
-    errors the structural recursion raises for blocks, in the same order,
-    before any state is built."""
-    blocks = []
-
-    def walk(s, sp: StateSpace) -> None:
-        if isinstance(s, A.Block):
-            sp = sp.extend(s.name, local_interval(s))
-            sp.check_enumerable()
-            blocks.append(s)
-        for c in s.children():
-            walk(c, sp)
-
-    walk(p, space)
-    return not any(b.name in exposed(b.body) for b in blocks)
-
-
-def _runs(p, space: StateSpace, states, fuel: int):
-    """(s, the raw outcome of p's exact-mode run on s) for each of `states`."""
-    run = compile_program(p, space, "exact")
-    return ((s, run_outcome(run, s.values, fuel)) for s in states)
-
-
 def denote(p, space: StateSpace) -> Relation:
-    """The relation [p] on `space`, by running `p` on every state, or by
-    `denote_structural` when a block local may be read before it is
-    assigned (see the module docstring)."""
+    """The relation [p] on `space`: the final states of `p`'s exact-mode
+    runs, one per state (see the module docstring)."""
     space.check_enumerable()
-    if not tabulable(p, space):
-        return denote_structural(p, space)
-    runs = _runs(p, space, space.states(), UNBOUNDED)
-    return Relation(space, {(s, State(space, t)) for s, t in runs if type(t) is tuple})
-
-
-def exact_row(p, space: StateSpace, states, fuel: int) -> tuple:
-    """The outcome of `p` at each of `states` of `space`, in order: its
-    exact-mode run at `fuel` (`interp.run_outcome`) when one run per state
-    defines [p], and otherwise its image under [p], the final values or
-    NONTERMINATION outside dom([p]).  Raises NonDeterministicError when [p]
-    is not a function."""
-    if tabulable(p, space):
-        return tuple([out for _, out in _runs(p, space, states, fuel)])
-    rel = denote_structural(p, space)
-    require_deterministic(rel, "an exact row")
-    image = {s: t.values for s, t in rel.pairs}
-    return tuple([image.get(s, NONTERMINATION) for s in states])
+    run = compile_program(p, space, "exact")
+    outs = ((s, run_outcome(run, s.values, UNBOUNDED)) for s in space.states())
+    return Relation(space, {(s, State(space, t)) for s, t in outs if type(t) is tuple})
 
 
 def denote_structural(p, space: StateSpace) -> Relation:
     """The relation [p] on `space`, computed by structural recursion."""
     space.check_enumerable()
-    tabulable(p, space)  # the capacity and interval checks of every block
+    _check_blocks(p, space)
     return _denote(p, space, list(space.states()))
+
+
+def _check_blocks(s, space: StateSpace) -> None:
+    """Raise the errors of the extended space of every block in `s`, in
+    preorder, before any state is built: a local without an interval
+    (`RelcorError`) and a space over the cap (`CapacityError`)."""
+    if isinstance(s, A.Block):
+        space = space.extend(s.name, local_interval(s))
+        space.check_enumerable()
+    for c in s.children():
+        _check_blocks(c, space)
 
 
 def _denote(p, space: StateSpace, states: list) -> Relation:

@@ -37,6 +37,10 @@ class RepairConfig:
                               f" got {self.fuel!r}")
         if unknown := [f for f in self.operators if f not in OPERATOR_FAMILIES]:
             raise RelcorError(f"unknown operator family {unknown[0]!r}")
+        if self.mode not in ("testing", "exact"):
+            raise RelcorError(f"unknown repair mode {self.mode!r}")
+        if self.max_depth < 1:
+            raise RelcorError("max_depth must be >= 1")
 
 
 @dataclass
@@ -111,8 +115,6 @@ def repair(base: Node, spec: Spec, cfg: RepairConfig) -> tuple:
     """Breadth-first stepwise repair; returns (RepairTree, FaultMetrics).
     The root's fingerprint and solution check come from the base's own pair
     in its first batch (`suites.suite_labels`)."""
-    if cfg.max_depth < 1:
-        raise RelcorError("max_depth must be >= 1")
     suite, fuel, run_mode = _verdict_rows(spec, cfg.suite, cfg.mode, cfg.fuel)
     root = RepairNode(label="base", program=base, parent=None, classification=None,
                       fingerprint="", depth=0)

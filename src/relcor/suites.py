@@ -18,13 +18,12 @@ Every verdict of both modes is folded from rows.  `outcome_row(program,
 suite, fuel, mode)` is the tuple of the program's raw outcomes on the
 suite's inputs, in order: the final values tuple where the run ends,
 `NONTERMINATION` where it does not, `Undefined(site)` where it is
-undefined.  A wide row compiles the program once and runs it once per
-input.  An exact row is `semantics.exact_row`: the same runs when one run
-per state defines [p], and otherwise [p]'s image of each input, so that a
-block local read before it is assigned ranges over all its values.  Exact
-mode (`repair.classify_mutants`) is testing over every state of the space
-at `semantics.UNBOUNDED` fuel, where every run ends by itself, so its
-verdicts are those of the competence domains.
+undefined.  A row of either mode compiles the program once and runs it
+once per input.  Exact mode (`repair.classify_mutants`) is testing over
+every state of the space at `semantics.UNBOUNDED` fuel, where every run
+ends by itself.  It refuses a program whose block local may be read before
+it is assigned (`interp.exposed`), so its runs are [p], and its verdicts
+are those of the competence domains.
 
 Wide rows are cached, least recently used out, with one entry per program
 and suite, so a program's runs are made once however many verdicts and
@@ -40,25 +39,23 @@ left of it from one statement to the next.
 the base's; inputs outside dom(R) pass vacuously for both.  A mutant batch
 needs only a label per mutant, and `suite_labels` folds it the same way
 from rows that the batch shares.  It compiles the batch's mutant schema
-(`interp.compile_schema`) over the programs whose rows it has to make: in
-wide mode those not cached yet, in exact mode every program, provided that
-the base and the program are `semantics.tabulable`, so that one run per
-state gives the row.  It fills the rows of the base and of the covered
-mutants by split-stream execution (Just, Ernst and Fraser, ISSTA 2014),
-over one partition of the inputs per cut: `levels[c]` maps each distinct
-(values, fuel left) of the base at cut c to the inputs that reach cut c in
-it.  Level 0 groups the suite's inputs.  The base's step for cut c runs
-once per entry of level c; an outcome that ends the run is the base's on
-every input of the entry, and the others group into level c + 1, whose
-entries after the last cut are the base's final values (the 560 states of
-the arraysum space with elements narrowed to 0..1 reach the loop of
-`x = 0; i = 0; while ...` in 16 states).  The schema covers every
-single-site mutant, also one changed within a loop, which has its own step
-for its cut.  A covered mutant changed at cut c runs only that step, once
-per entry of level c, its outcome copied to every input of the entry;
-where the base ended before c, so does the mutant, with the base's
-outcome.  The rest of its run, from cut c + 1, is looked up in a memo
-keyed by (cut, values, fuel left), which starts with the base's states and
+(`interp.compile_schema`) over the programs whose rows it has to make,
+those not cached yet: in exact mode every program.  It fills the rows of
+the base and of the covered mutants by split-stream execution (Just, Ernst
+and Fraser, ISSTA 2014), over one partition of the inputs per cut:
+`levels[c]` maps each distinct (values, fuel left) of the base at cut c to
+the inputs that reach cut c in it.  Level 0 groups the suite's inputs.  The
+base's step for cut c runs once per entry of level c; an outcome that ends
+the run is the base's on every input of the entry, and the others group
+into level c + 1, whose entries after the last cut are the base's final
+values (the 560 states of the arraysum space with elements narrowed to
+0..1 reach the loop of `x = 0; i = 0; while ...` in 16 states).  The schema
+covers every single-site mutant, also one changed within a loop, which has
+its own step for its cut.  A covered mutant changed at cut c runs only that
+step, once per entry of level c, its outcome copied to every input of the
+entry; where the base ended before c, so does the mutant, with the base's
+outcome.  The rest of its run, from cut c + 1, is looked up in a memo keyed
+by (cut, values, fuel left), which starts with the base's states and
 outcomes, and the base's suffix runs at most once per key; where c is the
 base's last cut, the step's values are final.  When the base's wide row is
 cached and every covered mutant sits at cut 0, only level 0 is built and
@@ -129,7 +126,7 @@ from .errors import EmptySuiteError, RelcorError
 from .lang.ast_nodes import ArrayRead, Var, preorder
 from .lang.interp import (NONTERMINATION, Undefined, compile_program, compile_schema, execute,
                           run_outcome)
-from .lang.semantics import denote, exact_row, tabulable
+from .lang.semantics import denote
 from .relations import competence_domain
 from .space import ArrayDomain, State, StateSpace, hash_once
 from .specs import PredicateSpec, Spec
@@ -146,13 +143,22 @@ class TestSuite:
 
 @dataclass
 class SuiteReport:
-    cumulabs: bool
-    cumulrel: bool
-    cumulstrict: bool
     n0: int
     n1: int
     n2: int
     n3: int
+
+    @property
+    def cumulabs(self) -> bool:
+        return self.n2 == self.n3 == 0
+
+    @property
+    def cumulrel(self) -> bool:
+        return self.n3 == 0
+
+    @property
+    def cumulstrict(self) -> bool:
+        return self.n1 > 0
 
 
 # -- test data selection -----------------------------------------------------------
@@ -276,7 +282,10 @@ _ROWS_MAX = 4096
 
 
 def _store_row(key, row: tuple) -> tuple:
-    """Cache `row` as the most recently used."""
+    """Cache `row`, of key (program, suite, fuel, mode), as the most
+    recently used, unless it is exact."""
+    if key[3] == "exact":
+        return row
     _rows[key] = row
     if len(_rows) > _ROWS_MAX:
         del _rows[next(iter(_rows))]
@@ -288,13 +297,10 @@ def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
     wide mode only (see the module docstring)."""
     if not suite.inputs:
         return ()
-    space = suite.inputs[0].space
-    if mode == "exact":
-        return exact_row(program, space, suite.inputs, fuel)
     key = (program, suite, fuel, mode)
     row = _rows.pop(key, None)
     if row is None:
-        run = compile_program(program, space, mode)
+        run = compile_program(program, suite.inputs[0].space, mode)
         row = tuple([run_outcome(run, s.values, fuel) for s in suite.inputs])
     return _store_row(key, row)
 
@@ -442,15 +448,11 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     forked workers too once the pace of its rows shows `_FORK_AFTER_S` of
     them left (see the module docstring).  Wide rows are cached as
     `outcome_row` caches them."""
-    exact = mode == "exact"
     schema = None
     if suite.inputs:
-        space = suite.inputs[0].space
-        # one run per state gives an exact row only where the program is tabulable
-        todo = [p for p in programs
-                if (tabulable(p, space) if exact else (p, suite, fuel, mode) not in _rows)]
-        if todo and (not exact or tabulable(base, space)):
-            schema = compile_schema(base, todo, space, mode)
+        todo = [p for p in programs if (p, suite, fuel, mode) not in _rows]
+        if todo:
+            schema = compile_schema(base, todo, suite.inputs[0].space, mode)
     if schema is None:
         for p in (base, *programs):
             yield outcome_row(p, suite, fuel, mode)
@@ -461,7 +463,7 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
     for i, s in enumerate(suite.inputs):
         level.setdefault((s.values, fuel), []).append(i)
     levels = [level]
-    base_row = None if exact else _rows.pop((base, suite, fuel, mode), None)
+    base_row = _rows.pop((base, suite, fuel, mode), None)
     if base_row is None or any(cut for cut, _ in schema.sites.values()):
         base_row = [None] * len(suite)
         for step in schema.steps:
@@ -478,7 +480,7 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
             for i in ins:
                 base_row[i] = values
         base_row = tuple(base_row)
-    yield base_row if exact else _store_row((base, suite, fuel, mode), base_row)
+    yield _store_row((base, suite, fuel, mode), base_row)
     # (cut, values, fuel) -> the outcome of the base's suffix from there
     memo = {(c, *state): base_row[ins[0]]
             for c, level in enumerate(levels[1:-1], 1) for state, ins in level.items()}
@@ -504,7 +506,7 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
 
     # the covered programs whose rows are not cached, each once, in order
     jobs = [p for p in dict.fromkeys(programs)
-            if p in schema.sites and (exact or (p, suite, fuel, mode) not in _rows)]
+            if p in schema.sites and (p, suite, fuel, mode) not in _rows]
     made, workers, ended, gate = 0, None, False, True
     start = time.perf_counter()
     try:
@@ -528,7 +530,7 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
                 made += 1
             if row is None:
                 row = make(p)
-            yield row if exact else _store_row(key, row)
+            yield _store_row(key, row)
         ended = True
     finally:
         if workers is not None:  # killed if left by an exception or closed early
@@ -547,16 +549,7 @@ def _reports(spec: Spec, suite: TestSuite, rows):
     outside = len(suite) - len(passing) - len(failing)  # inputs outside dom(R) pass vacuously
 
     def report(kept: int, fixed: int) -> SuiteReport:
-        n2, n3 = len(failing) - fixed, len(passing) - kept
-        return SuiteReport(
-            cumulabs=n2 == n3 == 0,
-            cumulrel=n3 == 0,
-            cumulstrict=fixed > 0,
-            n0=outside + kept,
-            n1=fixed,
-            n2=n2,
-            n3=n3,
-        )
+        return SuiteReport(outside + kept, fixed, len(failing) - fixed, len(passing) - kept)
 
     yield report(len(passing), 0), base_row
     for row in rows:

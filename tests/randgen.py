@@ -10,6 +10,7 @@ import itertools
 import random
 
 from relcor.lang import ast_nodes as A
+from relcor.lang.interp import exposed
 from relcor.relations import Relation
 from relcor.space import ArrayDomain, Interval, StateSpace
 
@@ -191,12 +192,13 @@ def random_program(rng: random.Random, space: StateSpace, unassigned_reads: bool
     """A random statement over the variables of `space`, with block locals
     (`int t : lo..hi;`).  With `unassigned_reads`, a block may read its local
     before assigning it, so that [p] quantifies over the local's initial
-    value; otherwise every block assigns its local first, and one exact-mode
-    run per state defines [p].  With `wide`, an assignment inside a loop
-    multiplies and divides by non-zero literals only (see `_expr`), so that
-    its values grow at most exponentially with the number of iterations and
-    a wide-mode run of 10^4 iterations stays cheap.  The arrays of `space`
-    are read and assigned too."""
+    value and exact mode refuses such a program; otherwise every block assigns
+    its local first, and one exact-mode run per state defines [p].  With
+    `wide`, an assignment inside a loop multiplies and divides by non-zero
+    literals only (see `_expr`), so that its values grow at most
+    exponentially with the number of iterations and a wide-mode run of 10^4
+    iterations stays cheap.  The arrays of `space` are read and assigned
+    too."""
     names = [n for n, d in space.vars if not isinstance(d, ArrayDomain)]
     arrays = tuple(n for n, d in space.vars if isinstance(d, ArrayDomain))
     return _stmt(rng, names, rng.randint(1, 3), itertools.count(), unassigned_reads, wide,
@@ -277,6 +279,12 @@ def in_loops(p: A.Node) -> set:
         if isinstance(n, A.While):
             inside.update(range(i + 1, i + len(A.preorder(n))))
     return inside
+
+
+def reads_a_local_unassigned(p: A.Node) -> bool:
+    """Whether some block local of `p` may be read before it is assigned
+    (`interp.exposed` of the block's body), which exact mode refuses."""
+    return any(n.name in exposed(n.body) for n in A.preorder(p) if isinstance(n, A.Block))
 
 
 def holds_more_than_assignments(loop: A.While) -> bool:

@@ -18,15 +18,16 @@ from randgen import (
     random_predicate,
     random_program,
     random_relation,
+    reads_a_local_unassigned,
     small_space,
 )
 from relcor import suites
-from relcor.errors import CapacityError, NonDeterministicError
+from relcor.errors import CapacityError, NonDeterministicError, RelcorError
 from relcor.lang.ast_nodes import (
     Abort, Assign, Block, If, IfElse, Seq, Skip, While, preorder, replace_nodes,
 )
 from relcor.lang.interp import FinalState, NonTermination, execute
-from relcor.lang.semantics import UNBOUNDED, denote, denote_structural, tabulable
+from relcor.lang.semantics import UNBOUNDED, denote, denote_structural
 from relcor.mutate import generate
 from relcor.relations import competence_domain, is_correct, more_correct, refines
 from relcor.repair import RepairConfig, classify_mutants, repair, tree_to_json
@@ -279,34 +280,38 @@ def _correct_programs_are_more_correct_than_everything(n):
 
 
 def _denote_agrees_with_bounded_execution(n):
+    """On every program that exact mode accepts, [p] by structural recursion
+    is the set of its exact runs that end.  Exact mode refuses the others,
+    which read a block local before assigning it, and whose [p] may be no
+    function.  A block over 0..10^7 anywhere puts its extended space over
+    the cap: the recursion raises CapacityError, while the runs, which never
+    build that space, give [p] unchanged."""
     rng = random.Random(505)
     spot = random.Random(515)  # apart from `rng`, so that the programs stay the same
-    fallbacks = diverging = blocks = 0
+    refused = nondeterministic = diverging = blocks = 0
     for _ in range(n):
         sp = program_space(rng, max_states=500)
         p = random_program(rng, sp)
         rel = denote_structural(p, sp)
-        assert denote(p, sp) == rel
-        images = {}
-        for s, t in rel.pairs:
-            images.setdefault(s, set()).add(t)
-        fallbacks += not rel.is_deterministic()
-        outcomes = [execute(p, s, UNBOUNDED, mode="exact") for s in sp.states()]
-        for s, out in zip(sp.states(), outcomes):
-            if isinstance(out, FinalState):
-                # a block local starts at the low end of its interval, one
-                # of the initial values [p] quantifies over
-                assert out.state in images[s]
-        diverging += any(isinstance(out, NonTermination) for out in outcomes)
-        blocks += any(isinstance(node, Block) for node in preorder(p))
-        # a block over 0..10^7 anywhere puts its extended space over the cap
         nodes = preorder(p)
         i = spot.choice([i for i, node in enumerate(nodes) if isinstance(node, STATEMENTS)])
         big = replace_nodes(p, {i: Block("big", Interval(0, 10**7), nodes[i])})
-        for route in (denote, denote_structural):
-            with pytest.raises(CapacityError):
-                route(big, sp)
-    assert fallbacks > 0 and diverging > 0 and blocks > fallbacks
+        with pytest.raises(CapacityError):
+            denote_structural(big, sp)
+        if reads_a_local_unassigned(p):
+            for q in (p, big):
+                with pytest.raises(RelcorError, match="read before it is assigned"):
+                    denote(q, sp)
+            refused += 1
+            nondeterministic += not rel.is_deterministic()
+            continue
+        assert denote(p, sp) == rel == denote(big, sp)
+        outcomes = [execute(p, s, UNBOUNDED, mode="exact") for s in sp.states()]
+        assert rel.pairs == {(s, out.state) for s, out in zip(sp.states(), outcomes)
+                             if isinstance(out, FinalState)}
+        diverging += any(isinstance(out, NonTermination) for out in outcomes)
+        blocks += any(isinstance(node, Block) for node in preorder(p))
+    assert nondeterministic > 0 and diverging > 0 and blocks > refused > nondeterministic
 
 
 def _testing_mode_agrees_with_exact_mode(n):
@@ -382,13 +387,14 @@ def _enumerated_label(mut_fn, base_fn, r):
 
 
 def _spec_domains_agree_with_the_enumerated_spec(n):
-    """Exact labels against the set algebra of the enumerated spec, also for
-    bases that may read a block local before assigning it; where [p] of the
-    base or of a mutant is then no function, exact mode raises."""
+    """Exact labels against the set algebra of the enumerated spec.  Exact
+    mode refuses a base that may read a block local before assigning it with
+    a RelcorError that is no NonDeterministicError, also where its [p] is no
+    function; competence domains of its [p] are still the set algebra's."""
     rng = random.Random(707)
-    partial_domains = labels = structural = nondeterministic = 0
+    partial_domains = labels = refused = nondeterministic = 0
     seen = set()
-    while labels < n or structural < n // 20 or nondeterministic < n // 40:
+    while labels < n or refused < n // 20 or nondeterministic < n // 40:
         sp = program_space(rng, max_states=40)
         if rng.random() < 0.5:
             spec = EnumeratedSpec(random_relation(rng, sp))
@@ -400,7 +406,7 @@ def _spec_domains_agree_with_the_enumerated_spec(n):
         assert spec.domain() == r.domain()
         partial_domains += 0 < len(r.domain()) < sp.num_states
         base = random_program(rng, sp, unassigned_reads=True)
-        base_fn = denote(base, sp)
+        base_fn = denote_structural(base, sp)
         # a random relation stands in for a nondeterministic program
         for p in (base_fn, random_relation(rng, sp)):
             meet = _meet_domain(r, p)
@@ -408,13 +414,15 @@ def _spec_domains_agree_with_the_enumerated_spec(n):
             assert competence_domain(r, p, warn_nondeterministic=False).members == meet
         mutants = generate(base, ("AORB", "literal+-1"))
         sample = rng.sample(mutants, min(3, len(mutants)))
-        fns = [denote(m.program, sp) for m in sample]
-        if not all(fn.is_deterministic() for fn in [base_fn, *fns]):
-            with pytest.raises(NonDeterministicError):
+        if reads_a_local_unassigned(base):
+            with pytest.raises(RelcorError, match="read before it is assigned") as refusal:
                 classify_mutants(base, sample, spec, None, mode="exact")
-            nondeterministic += 1
+            assert not isinstance(refusal.value, NonDeterministicError)
+            refused += 1
+            nondeterministic += not base_fn.is_deterministic()
             continue
-        structural += bool(sample) and not tabulable(base, sp)
+        assert base_fn == denote(base, sp)
+        fns = [denote(m.program, sp) for m in sample]
         classified = classify_mutants(base, sample, spec, None, mode="exact")
         for (_, label, _), fn in zip(classified, fns):
             assert label == _enumerated_label(fn, base_fn, r)

@@ -141,6 +141,18 @@ def test_repair_of_a_program_whose_local_shadows_exits_2(tiny, capsys):
     assert "2:7: redeclaration of 'x'" in capsys.readouterr().err
 
 
+def test_exact_mode_on_a_local_read_before_it_is_assigned_exits_2(tiny, capsys):
+    unassigned = tiny["dir"] / "unassigned.imp"
+    unassigned.write_text("{ int t : 0..1; x = x + 2 - t; }\n")
+    for argv in (["semantics"], ["repair", "--mode", "exact"]):
+        code = main([*argv, "--spec", tiny["spec"], "--program", str(unassigned)])
+        assert code == 2
+        assert "block local 't' may be read before it is assigned" in capsys.readouterr().err
+    # testing mode runs it, t starting at 0, where it is correct
+    code = main(["repair", "--spec", tiny["spec"], "--program", str(unassigned)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["solutions"] == ["base"]
+
+
 def test_semantics_dumps_the_program_function(tiny, capsys):
     code, out = run(capsys, "semantics", "--spec", tiny["spec"],
                     "--program", tiny["good"])

@@ -8,7 +8,8 @@ from functools import partial
 import pytest
 
 import relcor.mutate
-from randgen import holds_more_than_assignments, in_loops, program_space, random_program
+from randgen import (holds_more_than_assignments, in_loops, program_space, random_program,
+                     reads_a_local_unassigned)
 from relcor import suites
 from relcor.errors import PatchError, RelcorError
 from relcor.lang import ast_nodes as A
@@ -326,7 +327,8 @@ def _schema_run(schema, cut: int, step, values: tuple, fuel: int) -> tuple:
 
 def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
     """Every mutant is covered: one changed outside every loop by a dispatch
-    in its cut's step, one changed within a loop by its own step."""
+    in its cut's step, one changed within a loop by its own step.  Exact
+    mode compiles no schema of a base that it refuses."""
     rng = random.Random(1313)
     covered = looped = 0
     kinds, seen = set(), set()
@@ -337,6 +339,11 @@ def test_a_schema_runs_each_mutant_as_the_mutant_compiled_alone():
             mutants = generate(base, OPERATOR_FAMILIES)
             inside = in_loops(base)
             schema = interp.compile_schema(base, [m.program for m in mutants], sp, mode)
+            if mode == "exact" and reads_a_local_unassigned(base):
+                assert schema is None
+                with pytest.raises(RelcorError, match="read before it is assigned"):
+                    compile_program(base, sp, mode)
+                continue
             assert (set(schema.sites) if schema else set()) == {m.program for m in mutants}
             if schema is None:
                 continue

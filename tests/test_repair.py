@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import relcor.repair
 from relcor.errors import RelcorError
 from relcor.lang.parser import parse
 from relcor.lang.semantics import UNBOUNDED
@@ -101,6 +102,35 @@ def test_max_depth_bounds_the_search():
     assert all(n.depth <= 1 for n in tree.nodes.values())
 
 
+def test_max_frontier_expands_only_the_first_kept_children(monkeypatch):
+    # x - 2 - 2 has two kept children, (x * 2) - 2 and (x - 2) * 2, each
+    # right at one state, and neither has a kept child of its own
+    spec = PredicateSpec(SP, "x <= 16", "x' == x + 4")
+    base = parse("x = x - 2 - 2;", SP)
+    expanded = []
+    monkeypatch.setattr(relcor.repair, "generate",
+                        lambda p, operators: expanded.append(p) or generate(p, operators))
+    full, _ = repair(base, spec, make_exact_cfg(max_depth=2))
+    children = [child for parent, child, _ in full.edges if parent == "base"]
+    assert children == ["base.2", "base.6"] and not full.solutions
+    assert full.dead_ends == children
+    assert expanded == [base, *(full.nodes[c].program for c in children)]
+    expanded.clear()
+    cut, _ = repair(base, spec, make_exact_cfg(max_depth=2, max_frontier=1))
+    assert expanded == [base, cut.nodes["base.2"].program]
+    assert cut.nodes.keys() == full.nodes.keys() and cut.edges == full.edges
+    assert cut.dead_ends == ["base.2"] and not cut.nodes["base.6"].dead_end
+
+
+def test_config_rejects_an_unknown_mode_and_a_max_depth_below_1():
+    with pytest.raises(RelcorError, match="unknown repair mode 'bogus'"):
+        RepairConfig(mode="bogus")
+    for depth in (0, -1):
+        with pytest.raises(RelcorError, match="max_depth must be >= 1"):
+            RepairConfig(max_depth=depth)
+    assert RepairConfig(max_depth=1, mode="exact").mode == "exact"
+
+
 def test_classify_mutants_modes_agree_on_exhaustive_suite():
     mutants = generate(SEEDED, ("AORB",))
     exact = classify_mutants(SEEDED, mutants, SPEC, None, mode="exact")
@@ -170,17 +200,16 @@ def test_dot_export_mentions_every_node():
         assert f'"{label}"' in dot
 
 
-def test_exact_repair_reads_an_unassigned_local_over_all_its_values():
+def test_exact_repair_refuses_a_local_read_before_it_is_assigned():
     # t is read before it is assigned, so [p] takes both of its values: t = 1
-    # gives x + 1, and t = 0 runs forever.  A run that starts t at 0 alone
-    # runs forever everywhere, for the base and for its correct mutant 3
-    # (x = x + 2) alike.
+    # gives x + 1, and t = 0 runs forever.  Exact mode refuses the program
+    # rather than run it from one of them; testing mode runs t from 0.
     sp = StateSpace((("x", Interval(0, 5)),))
     spec = PredicateSpec(sp, "x <= 3", "x' == x + 2")
     base = parse("int t : 0..1; while (t == 0) { skip; } x = x + 1;", sp)
-    cfg = RepairConfig(operators=("literal+-1",), mode="exact")
-    tree, metrics = repair(base, spec, cfg)
-    assert tree.nodes["base.3"].program == parse(
-        "int t : 0..1; while (t == 0) { skip; } x = x + 2;", sp)
-    assert tree.solutions == ["base.3"] and metrics.fault_depth_ub == 1
-    assert tree.nodes["base.3"].fingerprint != tree.nodes["base"].fingerprint
+    with pytest.raises(RelcorError, match="'t' may be read before it is assigned"):
+        repair(base, spec, RepairConfig(operators=("literal+-1",), mode="exact"))
+    suite = select_tests(spec, strategy="exhaustive")
+    tree, _ = repair(base, spec, RepairConfig(operators=("literal+-1",), suite=suite, fuel=10,
+                                              max_depth=1))
+    assert tree.dead_ends == ["base"] and tree.solutions == []

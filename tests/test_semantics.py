@@ -13,7 +13,9 @@ from randgen import (
     random_accelerable_loop,
     random_nested_loop,
     random_program,
+    random_relation,
     random_straight_loop,
+    reads_a_local_unassigned,
 )
 from relcor.errors import CapacityError, RelcorError
 from relcor.lang import ast_nodes as A
@@ -32,13 +34,15 @@ from relcor.lang.interp import (
     run_outcome,
 )
 from relcor.lang.parser import parse
-from relcor.lang.semantics import UNBOUNDED, denote, denote_structural, tabulable
-from relcor.mutate import generate
-from relcor.repair import classify_mutants
+from relcor.lang.semantics import UNBOUNDED, denote, denote_structural
+from relcor.mutate import OPERATOR_FAMILIES, generate
+from relcor.repair import RepairConfig, classify_mutants, repair
 from relcor.relations import identity
 from relcor.space import ArrayDomain, Interval, StateSpace
-from relcor.specs import PredicateSpec
-from relcor.suites import outcome_row
+from relcor.specs import EnumeratedSpec, PredicateSpec
+from relcor.suites import TestSuite as Suite
+from relcor.suites import outcome_row, suite_labels
+from test_refimpl import _kind, _raw, _reference
 
 SP = StateSpace((("x", Interval(0, 3)),))
 INF = float("inf")
@@ -113,31 +117,128 @@ def test_block_local_is_projected_away():
     assert denote(p, SP) == identity(SP)
 
 
+def _refused_by_exact_mode(p, sp) -> None:
+    """Exact mode refuses `p` where it compiles it, in `compile_program`,
+    `execute` and `denote`; wide mode runs it, the local starting at 0."""
+    s = next(iter(sp.states()))
+    for call in (lambda: compile_program(p, sp, "exact"), lambda: execute(p, s, 10, "exact"),
+                 lambda: denote(p, sp)):
+        with pytest.raises(RelcorError, match="may be read before it is assigned"):
+            call()
+    assert isinstance(execute(p, s, 10, "wide"), FinalState)
+
+
 def test_a_local_read_before_it_is_assigned_takes_every_initial_value():
-    # one run (t starting at 1) gives x' = 1; [p] relates x to every t
+    # [p] relates x to every t; a run would give one of them
     p = parse("{ int t : 1..3; x = t; }", SP)
-    rel = denote(p, SP)
-    assert rel == denote_structural(p, SP)
+    rel = denote_structural(p, SP)
     assert {(s["x"], t["x"]) for s, t in rel.pairs} == {
         (x, v) for x in range(4) for v in (1, 2, 3)
     }
+    _refused_by_exact_mode(p, SP)
+    assert execute(p, SP.state({"x": 3}), 10, "wide").state["x"] == 0
     # t stays unassigned on one path before x = t reads it
     for src in ("{ int t : 0..2; if (x < 1) { t = 0; } else { skip; } x = t; }",
                 "{ int t : 0..2; while (x < 1) { t = 1; x = x + 1; } x = t; }"):
         p = parse(src, SP)
-        rel = denote(p, SP)
-        assert rel == denote_structural(p, SP)
-        assert not rel.is_deterministic()
+        assert not denote_structural(p, SP).is_deterministic()
+        _refused_by_exact_mode(p, SP)
 
 
 def test_a_local_read_only_in_an_array_target_index_is_read_before_it_is_assigned():
     # t picks the element that x goes into before t = 0 assigns it, so [p]
-    # writes x into a[0] or a[1]; one run (t starting at 0) gives a[0] only
+    # writes x into a[0] or a[1]
     p = parse("int t : 0..1; a[t] = x; t = 0;", ARR)
-    assert not tabulable(p, ARR)
-    rel = denote(p, ARR)
-    assert rel == denote_structural(p, ARR)
-    assert not rel.is_deterministic()
+    assert not denote_structural(p, ARR).is_deterministic()
+    _refused_by_exact_mode(p, ARR)
+
+
+def _starts_by_reading_its_local(p) -> bool:
+    """Whether some block of `p` starts with an assignment of its local's
+    value: where `random_program` makes a block read its local unassigned."""
+    return any(isinstance(b.body.first, A.Assign) and b.body.first.expr == A.Var(b.name)
+               for b in preorder(p) if isinstance(b, A.Block))
+
+
+def _with_a_block(rng, sp, **kw):
+    """A `random_program` over `sp` that holds a block."""
+    while True:
+        p = random_program(rng, sp, **kw)
+        if any(isinstance(n, A.Block) for n in preorder(p)):
+            return p
+
+
+def test_exact_mode_refuses_exactly_the_programs_that_read_a_local_unassigned():
+    """On random programs with and without blocks that read their local
+    before assigning it: exact-mode `compile_program`, `execute`, `denote`,
+    a `suite_labels` batch and `repair` raise RelcorError exactly where some
+    block local is in `interp.exposed` of the block's body, which is where
+    `random_program` made a block read its local first.  Wide mode runs
+    every program as the tree-walker does, a local starting at 0.
+    `denote_structural` still gives [p]: on an accepted program it equals
+    `denote`, and on a refused one it holds each exact run that starts a
+    local at the low end of its interval, and is no function for some."""
+    rng = random.Random(2727)
+    counts = Counter()
+    for i in range(200):
+        sp = program_space(rng, max_states=24, array=i % 3 == 2)
+        p = (_with_a_block if i % 4 else random_program)(rng, sp, unassigned_reads=i % 2 == 0,
+                                                        wide=True)
+        refused = reads_a_local_unassigned(p)
+        assert refused == _starts_by_reading_its_local(p)
+        states = list(sp.states())
+        spec, suite = EnumeratedSpec(random_relation(rng, sp)), Suite(tuple(states))
+        programs = [m.program for m in generate(p, OPERATOR_FAMILIES)]
+        cfg = RepairConfig(operators=OPERATOR_FAMILIES, max_depth=1, mode="exact")
+        for call in (lambda: compile_program(p, sp, "exact"),
+                     lambda: execute(p, states[0], UNBOUNDED, "exact"),
+                     lambda: denote(p, sp),
+                     lambda: list(suite_labels(p, programs, spec, suite, UNBOUNDED, "exact")),
+                     lambda: repair(p, spec, cfg)):
+            if refused:
+                with pytest.raises(RelcorError, match="may be read before it is assigned"):
+                    call()
+            else:
+                call()
+        rel = denote_structural(p, sp)
+        if refused:
+            for s in states:
+                out = _reference(p, s, 100, "exact")
+                if _kind(out) == "final":
+                    assert (s, sp.state(dict(zip(sp.names, out)))) in rel.pairs
+            counts["no function"] += not rel.is_deterministic()
+        else:
+            assert denote(p, sp) == rel
+        for s in rng.sample(states, min(3, len(states))):
+            for fuel in (0, 3, 100):
+                assert _raw(execute(p, s, fuel, "wide")) == _reference(p, s, fuel, "wide")
+        counts["refused" if refused else "accepted"] += 1
+    compile_program.cache_clear()
+    outcome_row.cache_clear()
+    assert counts["refused"] > 20 and counts["accepted"] > 100 and counts["no function"] > 2, counts
+
+
+def test_no_mutant_changes_whether_exact_mode_accepts_its_program():
+    """No single-site mutation of any family changes which block locals may
+    be read before they are assigned: every mutant of a program that exact
+    mode accepts compiles in exact mode, and every mutant of one that it
+    refuses is refused, so an exact repair never meets the refusal in the
+    middle of its search."""
+    rng = random.Random(2828)
+    counts = Counter()
+    for i in range(400):
+        sp = program_space(rng, max_states=24, array=i % 2 == 1)
+        p = _with_a_block(rng, sp, unassigned_reads=i % 4 < 2)
+        refused = reads_a_local_unassigned(p)
+        for m in generate(p, OPERATOR_FAMILIES):
+            if refused:
+                with pytest.raises(RelcorError, match="may be read before it is assigned"):
+                    compile_program(m.program, sp, "exact")
+            else:
+                compile_program(m.program, sp, "exact")
+            counts[m.site.kind, refused] += 1
+    compile_program.cache_clear()
+    assert len(counts) >= 6 and min(counts.values()) > 20, counts
 
 
 def test_array_sum_loop_denotation():
@@ -313,7 +414,7 @@ def test_repeat_detection_changes_no_outcome(monkeypatch):
     cases = []
     for _ in range(300):
         sp = program_space(rng, max_states=60)
-        p = random_program(rng, sp)
+        p = random_program(rng, sp, unassigned_reads=False)
         cases.append((p, sp))
     # a loop that changes only a block local still ends
     cases.append((parse("{ int t : 0..3; t = 0; while (t < 3) { t = t + 1; } x = t; }", SP), SP))
@@ -343,7 +444,7 @@ def test_exact_runs_at_unbounded_fuel_end_as_fuel_alone_ends_them(monkeypatch):
     cases, inner = [], Counter()
     while min(inner[While], inner[A.Block]) < 40:  # programs with each kind within a loop
         sp = program_space(rng, max_states=40)
-        p = random_program(rng, sp)
+        p = random_program(rng, sp, unassigned_reads=False)
         within = {type(n) for loop in preorder(p) if isinstance(loop, While)
                   for n in preorder(loop.body) if isinstance(n, (While, A.Block))}
         inner.update(within)
@@ -697,6 +798,11 @@ def test_only_programs_with_a_boxable_loop_compile_differently(monkeypatch):
             loops = [n for n in preorder(p) if isinstance(n, While) and interp._boxable(n)]
             checked = [n for n in loops if closed_form(n, interp._V) is None]
             for mode in ("exact", "wide"):
+                if mode == "exact" and reads_a_local_unassigned(p):
+                    for emitter_class in (emitter, _WideFuelOnlyEmitter):
+                        with pytest.raises(RelcorError, match="read before it is assigned"):
+                            source(p, sp, mode, emitter_class)
+                    continue
                 new = source(p, sp, mode, emitter)
                 old = source(p, sp, mode, _WideFuelOnlyEmitter)
                 assert (new != old) == (mode == "wide" and bool(loops))
@@ -896,11 +1002,19 @@ def test_denote_beats_the_recursion_on_a_loop_that_never_ends():
 
 
 def test_capacity_errors_come_before_any_state_is_built():
-    # 16 * 2^19 states at the 19th block pass the cap; the 20th block's do not
+    # 16 * 2^19 states at the 19th block pass the cap; the 20th block's do
+    # not, and the recursion raises before it builds any; runs never build it
     sp = StateSpace((("x", Interval(0, 15)),))
     p = parse("".join(f"int t{i} : 0..1 = 0; " for i in range(20)) + "x = x;", sp)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        denote_structural(p, sp)
+    assert time.perf_counter() - start < 1.0
+    assert denote(p, sp) == identity(sp)
+    # a space over the cap is refused by both routes before any state is built
+    big = StateSpace(tuple((f"v{i}", Interval(0, 15)) for i in range(6)))
     for route in (denote, denote_structural):
         start = time.perf_counter()
         with pytest.raises(CapacityError):
-            route(p, sp)
+            route(parse("v0 = v0;", big), big)
         assert time.perf_counter() - start < 1.0

@@ -501,8 +501,7 @@ def _reference_reports(ref, suite, rows) -> list:
         for i, passes, base in order:
             ok = base if k == 0 else passes(row[i])
             cells[0 if base and ok else 1 if ok else 3 if base else 2] += 1
-        n0, n1, n2, n3 = cells
-        reports.append(suites.SuiteReport(n2 == n3 == 0, n3 == 0, n1 > 0, n0, n1, n2, n3))
+        reports.append(suites.SuiteReport(*cells))
     return reports
 
 

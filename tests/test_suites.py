@@ -256,7 +256,9 @@ def test_a_repair_takes_its_roots_row_and_verdict_from_its_first_batch(mode):
     roots = [(GOOD, SPEC, Suite(tuple(SP.states())), 100)]
     for i in range(120):
         sp = program_space(rng, max_states=30, array=i % 3 == 2)
-        base = random_program(rng, sp, unassigned_reads=i % 4 == 0, wide=mode == "testing")
+        # exact mode refuses a block local read before it is assigned
+        base = random_program(rng, sp, unassigned_reads=i % 4 == 0 and mode == "testing",
+                              wide=mode == "testing")
         states = list(sp.states())
         suite = Suite(tuple(rng.sample(states, rng.randint(1, len(states)))))
         roots.append((base, _random_spec(rng, sp), suite, rng.choice((0, 3, 40))))
@@ -373,8 +375,8 @@ def _program_batches(rng, n: int):
     """`n` pairs of batches (mode, base, mutants, suite, fuels), one per mode
     over one space: a random program, its mutants of every family, every
     state, at fuels 0, 1, 8 and 10^4.  An exact base reads each block local
-    after assigning it, since only such a program has its exact rows made by
-    runs (`semantics.tabulable`); a wide base may read it before."""
+    after assigning it, since exact mode refuses a local that may be read
+    before (`interp.exposed`); a wide base may read it before."""
     for i in range(n):
         sp = program_space(rng, max_states=12, array=i % 2 == 1)
         for mode in ("exact", "wide"):
@@ -534,8 +536,7 @@ def _reference_report(suite, base_passes: list, passes: list) -> SuiteReport:
     cells = [0, 0, 0, 0]  # n0..n3
     for b, c in zip(base_passes, passes):
         cells[0 if b and c else 1 if c else 3 if b else 2] += 1
-    n0, n1, n2, n3 = cells
-    return SuiteReport(n2 == n3 == 0, n3 == 0, n1 > 0, n0, n1, n2, n3)
+    return SuiteReport(*cells)
 
 
 def _twin(spec):
@@ -675,7 +676,8 @@ def test_no_mode_runs_a_local_that_shadows(request, fork):
     """A random program with one block renamed to redeclare a name in scope,
     a variable of the space or an enclosing local, is refused with a
     RelcorError in both modes by `compile_program`, `execute` and the batch
-    kernel (with workers forked at its first job, too), and by `denote`."""
+    kernel (with workers forked at its first job, too), by `denote`, which
+    compiles it, and by `denote_structural`, which extends the space."""
     if fork:
         request.getfixturevalue("forking")
     rng = random.Random(2323)
@@ -695,8 +697,10 @@ def test_no_mode_runs_a_local_that_shadows(request, fork):
                              lambda: list(suite_labels(p, programs, spec, suite, fuel, run_mode))):
                     with pytest.raises(RelcorError, match="redeclares|duplicate variable names"):
                         call()
-            with pytest.raises(RelcorError, match="duplicate variable names"):
+            with pytest.raises(RelcorError, match="redeclares"):
                 semantics.denote(p, spec.space)
+            with pytest.raises(RelcorError, match="duplicate variable names"):
+                semantics.denote_structural(p, spec.space)
             refused.append(name in spec.space.names)
     assert len(refused) == 60 and 3 < refused.count(False) < refused.count(True)
 
