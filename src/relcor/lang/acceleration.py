@@ -147,15 +147,23 @@ def closed_form(loop: While, prefix: str):
 
 def exit_count(a: int, b: int, c: int, fuel: int):
     """The first k in 1..fuel at which a*k*k + b*k + c <= 0, or None, where
-    c > 0: after how many iterations an accelerated loop exits."""
+    c > 0: after how many iterations an accelerated loop exits.  Plain
+    integer arithmetic, with one integer square root of the discriminant
+    where a != 0."""
     if a == 0:
-        k = -(c // b) if b < 0 else None  # the ceiling of c / -b
-    elif b * b - 4 * a * c < 0:
-        k = None  # no real root: it keeps the sign of c
-    else:  # it crosses 0 at (-b - sqrt(d)) / 2a, whose ceiling is k or, for a < 0, k + 1
-        k = max(-((b + isqrt(b * b - 4 * a * c)) // (2 * a)), 1)
+        if b >= 0:
+            return None
+        k = -(c // b)  # the ceiling of c / -b
+        return k if k <= fuel else None
+    d = b * b - 4 * a * c
+    if d < 0:
+        return None  # no real root: it keeps the sign of c
+    # it crosses 0 at (-b - sqrt(d)) / 2a, whose ceiling is k or, for a < 0, k + 1
+    k = -((b + isqrt(d)) // (2 * a))
+    if k < 1:
+        k = 1
+    if (a * k + b) * k + c > 0:
+        k += 1
         if (a * k + b) * k + c > 0:
-            k += 1
-            if (a * k + b) * k + c > 0:
-                k = None
-    return k if k is not None and k <= fuel else None
+            return None
+    return k if k <= fuel else None

@@ -232,12 +232,22 @@ def local_interval(s: Block):
 # -- recurrent boxes (wide mode) ---------------------------------------------------
 #
 # An interval is a pair (lo, hi); lo is an int or -inf, hi an int or +inf,
-# so no operation below ever adds +inf to -inf.  The infinities are floats,
-# and an int never meets one in arithmetic (a huge int cannot be converted),
-# only in comparisons, which Python makes exactly.
+# so no operation below ever adds +inf to -inf.  The infinities are floats.
+# An int meets one in comparisons, which Python makes exactly, and in
+# arithmetic only as a literal c with |c| < 2**53 (`_small`), in x + c,
+# c + x, x - c, x * c and c * x: a float infinity plus or times such an int
+# is that infinity or its negation, as `_add` and `_mul` would give, and an
+# int stays exact.  Any other int, however huge, meets an infinity only in
+# `_add` and `_mul`, which never convert it (a huge int cannot be).
 
 _INF = float("inf")
 _CHECK_FROM = 8  # consumed fuel at a run's first check point
+
+
+def _small(e) -> bool:
+    """Whether expression `e` is an integer literal that plain `+` and `*`
+    may meet with a float infinity."""
+    return isinstance(e, IntLit) and -2**53 < e.value < 2**53
 
 
 def _add(x, y):
@@ -545,7 +555,10 @@ class _Boxes(_Emitter):
     """Emits a loop's divergence check (`_recurrence`): its interval
     arithmetic in three-address form, one local per bound, so that no
     expression nests deeper than the program's own.  An interval is a pair
-    of Python operands (lo, hi), the same one twice for a single value."""
+    of Python operands (lo, hi), the same one twice for a single value.
+    Two single values, or an interval and a `_small` literal (on either
+    side of `+` and `*`, on the right of `-`), meet in plain Python
+    operators; every other pair goes through `_add` and `_mul`."""
 
     def __init__(self):
         super().__init__(StateSpace(()), exact=False)
@@ -652,6 +665,17 @@ class _Boxes(_Emitter):
         rlo, rhi = self.ival(e.right, env)
         if lo == hi and rlo == rhi:
             return (self.let(f"{lo} {e.op} {rlo}"),) * 2
+        if _small(e.right) or e.op != "-" and _small(e.left):  # x op c, or c + x, c * x
+            if _small(e.right):
+                c = e.right.value
+            else:
+                c, lo, hi = e.left.value, rlo, rhi
+            if e.op != "*":
+                return self.let(f"{lo} {e.op} ({c})"), self.let(f"{hi} {e.op} ({c})")
+            if c == 0:
+                return ("(0)",) * 2
+            lo, hi = (lo, hi) if c > 0 else (hi, lo)
+            return self.let(f"({c}) * {lo}"), self.let(f"({c}) * {hi}")
         if e.op == "+":
             return self.let(f"_add({lo}, {rlo})"), self.let(f"_add({hi}, {rhi})")
         if e.op == "-":

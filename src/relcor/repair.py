@@ -82,7 +82,7 @@ def _verdict_rows(spec: Spec, suite: TestSuite | None, mode: str, fuel: int) -> 
         return suite, fuel, "wide"
     if mode == "exact":
         return TestSuite(tuple(spec.space.states())), UNBOUNDED, "exact"
-    raise ValueError(f"unknown classification mode {mode!r}")
+    raise RelcorError(f"unknown classification mode {mode!r}")
 
 
 #: the labels of the mutants that repair keeps

@@ -33,7 +33,8 @@ def test_the_exit_count_is_the_first_k_at_which_the_quadratic_stops_being_positi
     quadratics scaled past 2^64 whose roots lie near chosen points in
     1..300, some exactly on an integer, so that the estimate from `isqrt`
     sometimes lands one below the exit, and double roots; fuels 0, 1,
-    random, and exactly the exit."""
+    random, and exactly the exit.  No call takes more than one integer
+    square root."""
     roots = []
     isqrt = acceleration.isqrt
     monkeypatch.setattr(acceleration, "isqrt", lambda d: roots.append(isqrt(d)) or roots[-1])
@@ -64,6 +65,7 @@ def test_the_exit_count_is_the_first_k_at_which_the_quadratic_stops_being_positi
             roots.clear()
             got = exit_count(a, b, c, fuel)
             assert got == _first_exit(a, b, c, fuel), (a, b, c, fuel)
+            assert len(roots) <= 1, (a, b, c, fuel)
             kinds.add((int(math.copysign(1, a)) if a else 0, got is None, got == fuel))
             if roots and got is not None:  # the estimate from isqrt's root
                 estimate = -((b + roots[0]) // (2 * a))

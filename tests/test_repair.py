@@ -131,6 +131,12 @@ def test_config_rejects_an_unknown_mode_and_a_max_depth_below_1():
     assert RepairConfig(max_depth=1, mode="exact").mode == "exact"
 
 
+def test_classify_mutants_rejects_an_unknown_mode_as_a_user_error():
+    suite = select_tests(SPEC, strategy="exhaustive")
+    with pytest.raises(RelcorError, match="unknown classification mode 'bogus'"):
+        classify_mutants(SEEDED, generate(SEEDED, ("AORB",)), SPEC, suite, mode="bogus")
+
+
 def test_classify_mutants_modes_agree_on_exhaustive_suite():
     mutants = generate(SEEDED, ("AORB",))
     exact = classify_mutants(SEEDED, mutants, SPEC, None, mode="exact")

@@ -931,16 +931,79 @@ def test_the_compiled_box_check_proves_what_the_interpreted_one_proves(monkeypat
     assert reasons["proved"] > 100
 
 
-def test_the_fermat_level1_batch_makes_6301_checks_and_563_proofs(checks):
+# literal operands for the box check's plain arithmetic: zero and small ones of
+# both signs, and from 2**53 on, which keep `_add` and `_mul` (2**1100 cannot
+# even be converted to a float)
+_LITERALS = (0, 1, -1, 3, -2, 2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 2**1100)
+
+
+def _literal_expr(rng: random.Random, depth: int):
+    """An expression over x and y whose every `+`, `-` and `*` has a literal
+    operand, on the left or on the right."""
+    if depth == 0:
+        return A.Var(rng.choice("xy"))
+    sub, lit = _literal_expr(rng, depth - 1), A.IntLit(rng.choice(_LITERALS))
+    return A.BinOp(rng.choice("+-*"), *((sub, lit) if rng.random() < 0.5 else (lit, sub)))
+
+
+def test_literal_operands_meet_infinite_bounds_as_the_reference_does(monkeypatch):
+    """Loops whose literal operands meet a bound of +-inf in the box check:
+    positive, negative and zero multipliers, literals on the left of `+` and
+    `*`, literals from 2**53 on, which keep `_add` and `_mul`, and head
+    values past 2**1100.  Each compiled check answers as `_ref_check` does,
+    and none raises an OverflowError."""
+    sources = []
+    define = interp._define
+    monkeypatch.setattr(interp, "_define",
+                        lambda em, name: sources.append("\n".join(em.lines)) or define(em, name))
+    fixed = {  # loop -> whether its check calls `_add` or `_mul`
+        "while (x > 0) { x = x * 3 + 9007199254740991; }": False,
+        "while (x < 0) { x = x * -2 - 5; y = y * 0; }": False,
+        "while (y * 0 < x) { x = x + 1; y = y - 1; }": False,
+        "while (5 + x > 0) { x = 2 * x + 3; y = -3 * y; }": False,
+        "while (x * -3 < 1) { x = x + 1; }": False,
+        "while (x > 0) { x = x + 9007199254740992; }": True,
+        "while (x > 0) { x = 9007199254740992 * x; }": True,
+        f"while (x > 0) {{ x = x - {2**1100}; }}": True,
+        "while (x > y) { x = x + 1; y = 1 - y; }": True,
+    }
+    rng = random.Random(2828)
+    loops = [parse(src, WIDE) for src in fixed]
+    for _ in range(300):
+        loops.append(While(A.Cmp(rng.choice(("<", "<=", ">", ">=", "!=")),
+                                 _literal_expr(rng, rng.randint(1, 2)),
+                                 _literal_expr(rng, rng.randint(0, 1))),
+                           A.Seq(A.Assign(A.VarTarget("x"), _literal_expr(rng, rng.randint(1, 2))),
+                                 A.Assign(A.VarTarget("y"), _literal_expr(rng, 1)))))
+    heads = (-3, 0, 2, 2**1100 + 1, -(2**1100) - 7)
+    reasons = Counter()
+    for i, loop in enumerate(loops):
+        names, check = interp._recurrence.__wrapped__(loop)  # compiled afresh
+        for values in product(heads, repeat=len(names)):
+            reason = _ref_check(loop, values)
+            assert check(*values) == (reason == "proved"), (loop, values)
+            reasons[reason] += 1
+        if i < len(fixed):
+            assert ("_add(" in sources[-1] or "_mul(" in sources[-1]) == list(fixed.values())[i]
+    assert reasons["proved"] > 300 and reasons["the image"] > 100
+    assert reasons["the guard on the box"] > 300
+
+
+def test_the_fermat_level1_batch_makes_6301_checks_and_563_proofs(checks, monkeypatch):
     """432 proofs of loops whose bodies are assignments, and 131 of the outer
     loop, which holds a loop and an `if`: the runs of mutants 20 and 22
     that would exhaust their fuel, whose inner loops set r to 0 or to 1.
     The counting loops (the first loop and the inner one, of the base and
-    of most mutants) are accelerated and make no check; with acceleration
-    off the batch makes 14,088 checks and 1,122 proofs, 991 of them of
-    loops of assignments."""
+    of most mutants) are accelerated and make no check, but 55,665 calls
+    of `exit_count`; with acceleration off the batch makes 14,088 checks
+    and 1,122 proofs, 991 of them of loops of assignments."""
+    from relcor.lang import acceleration
     from relcor.studies import fermat
 
+    exits = []
+    exit_count = acceleration.exit_count
+    monkeypatch.setattr(acceleration, "exit_count",
+                        lambda *args: exits.append(args) or exit_count(*args))
     built = fermat.build()
     outcome_row.cache_clear()
     try:
@@ -950,6 +1013,7 @@ def test_the_fermat_level1_batch_makes_6301_checks_and_563_proofs(checks):
         outcome_row.cache_clear()
     assert len(labels) == 48
     assert len(checks) == 6301 and checks.count(True) == 563
+    assert len(exits) == 55665
 
 
 def test_a_squaring_loop_is_proved_before_its_digits_blow_up():
