@@ -6,7 +6,8 @@ pair.  Fuel is `UNBOUNDED`: the interpreter stops a divergent run as soon
 as a loop-head state repeats, so every run ends, and its outcome is final.
 Exact mode refuses a block whose local may be read before it is assigned
 (`interp.exposed`), so no run depends on a local's initial value, and
-[p] is a function.
+[p] is a function; `denote` marks it so (`Relation.function`), and the
+correctness checks take it as one without walking its pairs.
 
 `denote_structural` defines [p] by structural recursion and is the
 tests' reference.  It maps each construct compositionally to a finite
@@ -67,7 +68,8 @@ def denote(p, space: StateSpace) -> Relation:
     space.check_enumerable()
     run = compile_program(p, space, "exact")
     outs = ((s, run_outcome(run, s.values, UNBOUNDED)) for s in space.states())
-    return Relation(space, {(s, State(space, t)) for s, t in outs if type(t) is tuple})
+    return Relation(space, {(s, State(space, t)) for s, t in outs if type(t) is tuple},
+                    function=True)
 
 
 def denote_structural(p, space: StateSpace) -> Relation:

@@ -150,11 +150,9 @@ def outcome_digest(outcomes) -> str:
     """SHA-256 over raw outcomes (as in `suites.outcome_row`): for each, the
     repr of its final values, or the outcome's type name where the run does
     not end in a state, then ``|``."""
-    h = hashlib.sha256()
-    for out in outcomes:
-        h.update((repr(out) if type(out) is tuple else type(out).__name__).encode())
-        h.update(b"|")
-    return h.hexdigest()
+    text = "".join([(repr(out) if type(out) is tuple else type(out).__name__) + "|"
+                    for out in outcomes])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def semantic_fingerprint(p: Node, probe, fuel: int) -> str:

@@ -24,6 +24,9 @@ from .space import ArrayDomain, Interval, StateSet, StateSpace
 class Relation:
     space: StateSpace
     pairs: frozenset = field(default_factory=frozenset)
+    #: a function by construction (`semantics.denote`), so that
+    #: `is_deterministic` need not walk the pairs; no part of equality
+    function: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset(self.pairs))
@@ -78,6 +81,8 @@ class Relation:
     # -- predicates ----------------------------------------------------------
 
     def is_deterministic(self) -> bool:
+        if self.function:
+            return True
         seen = {}
         for (s, t) in self.pairs:
             if seen.setdefault(s, t) != t:

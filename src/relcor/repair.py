@@ -96,7 +96,8 @@ def classify_mutants(base: Node, mutants, spec: Spec, suite: TestSuite | None,
     Returns [(mutant, classification, row), ...], where row is the
     mutant's row when it is kept (`KEPT`) and None otherwise.  Both modes
     label the batch with `suites.suite_labels`, which reads the base's row
-    once and each mutant's row once, and drop the base's own label.  Testing
+    once and each mutant's row once, up to its first n3 cell, and drop the
+    base's own label.  Testing
     mode runs the suite at `fuel`.  Exact mode runs every state of the space
     to its end, at `UNBOUNDED` fuel, so that a row is [p] and the labels
     compare competence domains: the ground truth on finite spaces.

@@ -60,8 +60,12 @@ compiles ``in_dom``, ``split`` and ``count`` together on first use
 predicate, the witness search and the relation predicate inlined, and
 counts an undefined evaluation as `membership` does: the base's row first,
 input by input with in_dom's search, then each row on the passing indices
-and then on the failing ones.  The domain predicate is not evaluated again
-for an outcome, since it holds at every input in dom(R).
+and then on the failing ones.  A mutant batch (`suites`) stops a row at its
+first failure on the passing indices and counts it no further; it holds a
+job's undefined evaluations back with ``held``, on whichever process made
+the row, and counts them, logging the first, with ``add_undefined``.  The
+domain predicate is not evaluated again for an outcome, since it holds at
+every input in dom(R).
 """
 
 from __future__ import annotations
@@ -142,6 +146,8 @@ class PredicateSpec:
         self._verdicts = None
         #: evaluations of either predicate that were undefined and so counted as false
         self.undefined = 0
+        #: while `held` runs: [undefined evaluations held back, the first's (site, values, out)]
+        self._held = None
 
     def _compiled(self) -> tuple:
         if self._verdicts is None:
@@ -157,15 +163,36 @@ class PredicateSpec:
         return self._verdicts
 
     def _count_undefined(self, e: UndefinedEval, values: tuple, out: tuple | None = None) -> bool:
-        self.undefined += 1
-        if self.undefined == 1:
+        held = self._held
+        if held is None:
+            self.add_undefined(1, (e.site, values, out))
+        else:
+            held[0] += 1
+            held[1] = held[1] or (e.site, values, out)
+        return False
+
+    def held(self, f, *args) -> tuple:
+        """`f(*args)` with the undefined evaluations it makes held back,
+        neither counted nor logged: (its value, (their count, the first's
+        (site, values, out))), for `add_undefined` to count later."""
+        self._held = held = [0, None]
+        try:
+            return f(*args), tuple(held)
+        finally:
+            self._held = None
+
+    def add_undefined(self, count: int, first: tuple | None) -> None:
+        """Count `count` undefined evaluations, and log `first`, the first's
+        (site, values, out), if they are the first of this spec."""
+        self.undefined += count
+        if count and self.undefined == count:
+            site, values, out = first
             s = State(self.space, values)
             log.warning(
                 "predicate undefined at %r: %s (later undefined evaluations are "
                 "counted in PredicateSpec.undefined, not logged)",
-                s if out is None else (s, State(self.space, out)), e.site,
+                s if out is None else (s, State(self.space, out)), site,
             )
-        return False
 
     def _dom_holds(self, s: State) -> bool:
         try:

@@ -60,8 +60,9 @@ outcomes, and the base's suffix runs at most once per key; where c is the
 base's last cut, the step's values are final.  When the base's wide row is
 cached and every covered mutant sits at cut 0, only level 0 is built and
 the base does not run.  A wide row so filled is cached, so a later
-`outcome_row` of the mutant makes no run; an exact row is folded and
-handed to the caller, which keeps it or drops it, one program at a time.
+`outcome_row` of the mutant makes no run, unless its job stopped (below);
+an exact row is folded and handed to the caller, which keeps it or drops
+it, one program at a time.
 Other programs, those whose wide rows are cached, and all programs when
 Python refuses the schema, get their rows from `outcome_row`.
 
@@ -84,14 +85,15 @@ level-1 batch forks after its first job.  This process and the workers
 take the jobs left from one pipe of 4-byte tokens, all written before the
 first fork, each the start of a chunk of jobs (one job per token up to
 1,024 jobs), so that the uneven costs of rows balance at run time.  A
-worker makes rows from its copy of the levels and the memo, sends them
-back through a pipe of its own with `marshal` (NONTERMINATION as None,
-Undefined as its site), and ends with `os._exit` when the tokens run out
-or its parent is gone; what it adds to the memo or to the caches
-of compiled code ends with it.  The batch decodes those rows, makes itself
-any that no worker sent, and yields and caches every row in order, so
-rows, labels, fingerprints and the cache's contents do not depend on the
-split.  It reaps its workers when it ends, and kills them first when it
+worker makes rows from its copy of the levels, the memo and the base's
+split, sends them back through a pipe of its own with `marshal`
+(NONTERMINATION as None, Undefined as its site, a stopped job's row as
+None, each with the undefined evaluations its job held back), and ends
+with `os._exit` when the tokens run out or its parent is gone; what it
+adds to the memo or to the caches of compiled code ends with it.  The
+batch decodes those rows, makes itself any that no worker sent, and yields
+and caches every row in order, so rows, labels, fingerprints and the
+cache's contents do not depend on the split.  It reaps its workers when it ends, and kills them first when it
 is left by an exception or closed before its last row.
 
 The fold, one for both modes and both kinds of spec, reads the inputs as
@@ -102,14 +104,47 @@ it fails, and each candidate's row is then counted over the two lists
 base passes, a pass is an n0 cell and a failure an n3 cell
 (`not_more_correct`); where it fails, a pass is an n1 cell and a failure
 an n2 cell.  `classify` labels the report; the base's own report is those
-two counts.  No candidate is stopped once its label is settled.  The
-savings depend on the data, on how often the base's states at a cut and
-the mutants' states after it meet again, but a batch never costs more than
-one step of the base per cut and distinct state of the base there, one
-step plus one suffix run per covered mutant and distinct state of the base
-at its cut, and one run per other program and input.  That bound holds in
-each process that makes rows; the memo is shared only within a process,
-and a row that a worker did not send is made again here.
+two counts.
+
+A batch stops a job at its first n3 cell, as mutation analysis stops a
+mutant once it is killed: `suite_labels` needs no more of its row.
+`_batch_rows` splits the inputs as soon as the base's row is made, before
+its first job and before it may fork, and keeps, per entry of the level of
+each job's cut, the entry's inputs where the base passes.  A job walks its
+level's entries in order, that of their first inputs in every process,
+and counts its outcome on those inputs after each entry that has some; at
+the first failure it stops, and has no row.  A program that no job makes
+has its whole row, made or cached, counted on the base-passing inputs at
+once.  Either way a program that fails one is labelled not_more_correct
+with the row None; a stopped row is never cached, and a job met again in
+the batch is not walked again.  Every other row is whole and passes every
+base-passing input (where the base ended before a mutant's cut, the
+mutant has the base's outcome), so its report needs only its count on the
+failing inputs.  So the rows stay whole for the base, for each kept mutant
+(`repair.KEPT`), whose row `repair` digests, and for each as_correct one.
+Where the base passes nowhere, as in Fermat's level-1 batch, no cell is
+counted before the fold.  The first n3 witness of a stopped job lies in
+the entry where it stopped.
+
+An undefined evaluation of a predicate spec counts as a failure, so a job
+meets one only in the entry where it stops.  `PredicateSpec.undefined`
+counts, and its one warning names the first of, the evaluations made in
+this order, wherever the rows were made: the base's split; then program by
+program, the evaluations on base-passing inputs up to its stop, and those
+on the failing inputs where it did not stop.  A job holds its evaluations
+back (`PredicateSpec.held`) in this process as on a worker, which sends
+their count and the first one's (site, values, output) with its row; the
+batch counts them (`PredicateSpec.add_undefined`) as it yields that
+program's row, so that no worker logs.
+
+The savings depend on the data, on how often the base's states at a cut
+and the mutants' states after it meet again and on how early a job meets
+an n3 cell, but a batch never costs more than one step of the base per
+cut and distinct state of the base there, one step plus one suffix run per
+covered mutant and distinct state of the base at its cut, and one run per
+other program and input.  That bound holds in each process that makes
+rows; the memo is shared only within a process, and a row that a worker
+did not send is made again here.
 """
 
 from __future__ import annotations
@@ -341,15 +376,17 @@ def _spare_cpus() -> int:
 
 class _Workers:
     """Forked processes that make the rows of `jobs` beside this one (see
-    the module docstring).  This process and the workers take the jobs, in
-    order, from one pipe of tokens, each the index of a chunk's first job,
-    all written before the first fork; each worker sends the rows it makes
-    back through a pipe of its own, marshalled, until the tokens run out."""
+    the module docstring).  `make(p)` is job p's (row, held): its row, or
+    None where it stopped, and the undefined evaluations it held back.  This
+    process and the workers take the jobs, in order, from one pipe of
+    tokens, each the index of a chunk's first job, all written before the
+    first fork; each worker sends what it makes back through a pipe of its
+    own, marshalled, until the tokens run out."""
 
     def __init__(self, jobs: list, make, count: int):
         import select  # only a batch that forks needs it
 
-        self.jobs, self.make, self.left, self.rows = jobs, make, set(jobs), {}
+        self.jobs, self.make, self.left, self.made = jobs, make, set(jobs), {}
         self.poll = select.select
         # jobs per token, so that every token fits in one atomic write
         self.per = -(-len(jobs) * _TOKEN // select.PIPE_BUF)
@@ -385,8 +422,9 @@ class _Workers:
             while os.getppid() == parent and (token := os.read(self.queue, _TOKEN)):
                 k = int.from_bytes(token, "little")
                 for j in range(k, min(k + self.per, len(self.jobs))):
-                    row = marshal.dumps((j, _encode(self.make(self.jobs[j]))))
-                    data = memoryview(len(row).to_bytes(4, "little") + row)
+                    row, held = self.make(self.jobs[j])
+                    sent = marshal.dumps((j, None if row is None else _encode(row), held))
+                    data = memoryview(len(sent).to_bytes(4, "little") + sent)
                     while data:
                         data = data[os.write(w, data):]
         finally:
@@ -404,24 +442,25 @@ class _Workers:
             sent = self.out[fd]
             sent += data
             while len(sent) >= 4 and len(sent) >= 4 + (n := int.from_bytes(sent[:4], "little")):
-                j, row = marshal.loads(sent[4:4 + n])
+                j, row, held = marshal.loads(sent[4:4 + n])
                 del sent[:4 + n]
-                self.rows[self.jobs[j]] = _decode(row)
+                self.made[self.jobs[j]] = (None if row is None else _decode(row), held)
 
     def take(self, p):
-        """The row of job `p`, as a worker sent it or made here, where this
-        process takes tokens while any are left; None if `p` is no job left."""
+        """The (row, held) of job `p`, as a worker sent it or made here,
+        where this process takes tokens while any are left; None if `p` is
+        no job left."""
         if p not in self.left:
             return None
         self.left.remove(p)
         while True:
             self._receive(0)
-            if p in self.rows:
-                return self.rows.pop(p)
+            if p in self.made:
+                return self.made.pop(p)
             token = os.read(self.queue, _TOKEN)
             if token:
                 k = int.from_bytes(token, "little")
-                self.rows.update((q, self.make(q)) for q in self.jobs[k:k + self.per])
+                self.made.update((q, self.make(q)) for q in self.jobs[k:k + self.per])
             elif self.out:
                 self._receive(None)
             else:  # no worker is left to send it
@@ -442,20 +481,68 @@ class _Workers:
                 pass
 
 
-def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
+_NOTHING_HELD = (0, None)  # no undefined evaluation, and so no first one
+
+
+class _Fold:
+    """The verdicts of rows against the base's row by `spec`, over the value
+    tuples of `suite`'s inputs (see the module docstring).  `split` reads
+    the base's row, once, before any other row is counted."""
+
+    def __init__(self, spec: Spec, suite: TestSuite):
+        self.spec, self.size = spec, len(suite)
+        self.inputs = [s.values for s in suite.inputs]
+
+    def split(self, base_row: tuple) -> list:
+        """Split the inputs by the base's row; returns the passing ones."""
+        self.passing, self.failing = self.spec.split(self.inputs, base_row)
+        return self.passing
+
+    def count(self, row, indices) -> int:
+        return self.spec.count(self.inputs, row, indices)
+
+    def held(self, f, *args) -> tuple:
+        """`f(*args)` with the spec's undefined evaluations that it makes
+        held back: (its value, (their count, the first's (site, values,
+        out)))."""
+        if isinstance(self.spec, PredicateSpec):
+            return self.spec.held(f, *args)
+        return f(*args), _NOTHING_HELD
+
+    def report(self, kept: int, fixed: int) -> SuiteReport:
+        """The report of a row that passes `kept` of the base's passing inputs
+        and `fixed` of its failing ones; inputs outside dom(R) pass vacuously."""
+        passing, failing = len(self.passing), len(self.failing)
+        return SuiteReport(self.size - passing - failing + kept, fixed, failing - fixed,
+                           passing - kept)
+
+
+def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str,
+                fold: _Fold | None = None):
     """Yield the row of `base`, then the row of each of `programs`, in order,
     by split-stream execution where the batch's schema covers them, on
     forked workers too once the pace of its rows shows `_FORK_AFTER_S` of
     them left (see the module docstring).  Wide rows are cached as
-    `outcome_row` caches them."""
-    schema = None
+    `outcome_row` caches them.  With a `fold`, the base's row is split
+    before it is yielded, and a program's row is None where the program
+    fails an input where the base passes: a job stops there."""
+    schema = passing = None
     if suite.inputs:
         todo = [p for p in programs if (p, suite, fuel, mode) not in _rows]
         if todo:
             schema = compile_schema(base, todo, suite.inputs[0].space, mode)
+
+    def whole(p):
+        """The row of `p`, made alone or cached, or None as above."""
+        row = outcome_row(p, suite, fuel, mode)
+        return None if passing and fold.count(row, passing) < len(passing) else row
+
     if schema is None:
-        for p in (base, *programs):
-            yield outcome_row(p, suite, fuel, mode)
+        base_row = outcome_row(base, suite, fuel, mode)
+        passing = fold.split(base_row) if fold else None
+        yield base_row
+        for p in programs:
+            yield whole(p)
         return
     # levels[c]: each distinct (values, fuel left) of the base at cut c -> the
     # inputs that reach cut c in it
@@ -480,16 +567,28 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
             for i in ins:
                 base_row[i] = values
         base_row = tuple(base_row)
-    yield _store_row((base, suite, fuel, mode), base_row)
+    base_row = _store_row((base, suite, fuel, mode), base_row)
+    passing = fold.split(base_row) if fold else None
+    yield base_row
     # (cut, values, fuel) -> the outcome of the base's suffix from there
     memo = {(c, *state): base_row[ins[0]]
             for c, level in enumerate(levels[1:-1], 1) for state, ins in level.items()}
     last = len(schema.steps) - 1  # a step at the last cut ends the run
+    # the covered programs whose rows are not cached, each once, in order
+    jobs = [p for p in dict.fromkeys(programs)
+            if p in schema.sites and (p, suite, fuel, mode) not in _rows]
+    # per cut of a job, for each entry of its level in order, the inputs of
+    # the entry where the base passes (a shared () where there is none)
+    passes = set(passing or ())
+    checks = {cut: [[i for i in ins if i in passes] or () for ins in levels[cut].values()]
+              for cut in {schema.sites[p][0] for p in jobs}}
 
-    def make(p) -> tuple:
+    def walk(p):
+        """The row of job `p`, or None at its first entry that holds an n3
+        cell.  Where the base ended before p's cut, p has its outcome."""
         cut, step = schema.sites[p]
         suffix, row = partial(schema.suffix, cut + 1), list(base_row)
-        for state, ins in levels[cut].items():  # the base ended before cut elsewhere
+        for (state, ins), pins in zip(levels[cut].items(), checks[cut]):
             out = run_outcome(step, *state)
             if type(out) is tuple:
                 if cut == last:
@@ -502,22 +601,28 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
                     out = rest
             for i in ins:
                 row[i] = out
+            if pins and fold.count(row, pins) < len(pins):
+                return None
         return tuple(row)
 
-    # the covered programs whose rows are not cached, each once, in order
-    jobs = [p for p in dict.fromkeys(programs)
-            if p in schema.sites and (p, suite, fuel, mode) not in _rows]
-    made, workers, ended, gate = 0, None, False, True
+    def make(p) -> tuple:
+        """(the row of job `p` or None, the undefined evaluations it held back)"""
+        return fold.held(walk, p) if fold else (walk(p), _NOTHING_HELD)
+
+    made, workers, ended, gate, stopped = 0, None, False, True, set()
     start = time.perf_counter()
     try:
         for p in programs:
             key = (p, suite, fuel, mode)
-            if p not in schema.sites or key in _rows:
-                yield outcome_row(p, suite, fuel, mode)
+            if p in stopped:  # met again in the batch
+                yield None
                 continue
-            row = None
+            if p not in schema.sites or key in _rows:
+                yield whole(p)
+                continue
+            done = None
             if workers is not None:
-                row = workers.take(p)
+                done = workers.take(p)
             elif made < len(jobs) and jobs[made] is p:
                 spent, left = time.perf_counter() - start, len(jobs) - made  # p's row and on
                 if (gate and left > 1 and spent >= _FORK_AFTER_S / 10
@@ -526,11 +631,16 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
                     count = min(_spare_cpus(), left - 1)
                     if count > 0:
                         workers = _Workers(jobs[made:], make, count)
-                        row = workers.take(p)
+                        done = workers.take(p)
                 made += 1
+            row, (undefined, first) = done or make(p)
+            if undefined:
+                fold.spec.add_undefined(undefined, first)
             if row is None:
-                row = make(p)
-            yield _store_row(key, row)
+                stopped.add(p)
+                yield None
+            else:
+                yield _store_row(key, row)
         ended = True
     finally:
         if workers is not None:  # killed if left by an exception or closed early
@@ -538,22 +648,16 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str):
 
 
 def _reports(spec: Spec, suite: TestSuite, rows):
-    """Each row of `rows` with its report against the first, the base's (see
-    the module docstring), as (report, row) pairs, the base's own first,
-    from the counts its row splits the inputs into.  The others are made as
-    the pairs are taken."""
-    rows = iter(rows)
+    """Each row of `rows` with its full report against the first, the
+    base's (see the module docstring), as (report, row) pairs, the base's
+    own first, from the counts its row splits the inputs into.  The others
+    are made as the pairs are taken."""
+    rows, fold = iter(rows), _Fold(spec, suite)
     base_row = next(rows)
-    inputs = [s.values for s in suite.inputs]
-    passing, failing = spec.split(inputs, base_row)
-    outside = len(suite) - len(passing) - len(failing)  # inputs outside dom(R) pass vacuously
-
-    def report(kept: int, fixed: int) -> SuiteReport:
-        return SuiteReport(outside + kept, fixed, len(failing) - fixed, len(passing) - kept)
-
-    yield report(len(passing), 0), base_row
+    fold.split(base_row)
+    yield fold.report(len(fold.passing), 0), base_row
     for row in rows:
-        yield report(spec.count(inputs, row, passing), spec.count(inputs, row, failing)), row
+        yield fold.report(fold.count(row, fold.passing), fold.count(row, fold.failing)), row
 
 
 def run_suite(candidate, base, spec: Spec, suite: TestSuite, fuel: int,
@@ -568,10 +672,19 @@ def suite_labels(base, programs, spec: Spec, suite: TestSuite, fuel: int, mode: 
     "as_correct"), then of each program against `base`, on the suite, as
     `classify(run_suite(...))` gives it, with the row it is folded from:
     (label, row) pairs, made as they are taken, so that the caller keeps
-    only the rows it wants.  The labels are folded from the rows of the
-    base and of each program (see the module docstring)."""
-    pairs = _reports(spec, suite, _batch_rows(base, programs, suite, fuel, mode))
-    return ((classify(report), row) for report, row in pairs)
+    only the rows it wants.  A "not_more_correct" program's row is None, as
+    the batch stops counting it, and its job stops making it, at its first
+    n3 cell (see the module docstring)."""
+    fold = _Fold(spec, suite)
+    rows = _batch_rows(base, programs, suite, fuel, mode, fold)
+    base_row = next(rows)
+    kept = len(fold.passing)  # by every row that does not fail one
+    yield classify(fold.report(kept, 0)), base_row
+    for row in rows:
+        if row is None:
+            yield "not_more_correct", None
+        else:
+            yield classify(fold.report(kept, fold.count(row, fold.failing))), row
 
 
 def classify(report: SuiteReport) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import pickle
@@ -137,6 +138,32 @@ def test_fingerprint_separates_behaviors():
     fp = lambda p: semantic_fingerprint(p, probe, fuel=50)
     assert fp(p1) != fp(p2)
     assert fp(p1) == fp(p3)
+
+
+def _digest_per_outcome(outcomes) -> str:
+    """`outcome_digest` as it was first written: two updates per outcome."""
+    h = hashlib.sha256()
+    for out in outcomes:
+        h.update((repr(out) if type(out) is tuple else type(out).__name__).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def test_outcome_digest_equals_the_digest_made_outcome_by_outcome():
+    """Rows with final values (arrays too), NONTERMINATION and Undefined
+    outcomes, and the empty row, digest to the same bytes as before."""
+    rng = random.Random(77)
+    rows = [(), (NONTERMINATION, Undefined("division by zero"), ((1, -2), 3), (0,))]
+    for _ in range(40):
+        sp = program_space(rng, max_states=30, array=rng.random() < 0.5)
+        p = random_program(rng, sp)
+        rows.append(tuple(run_outcome(compile_program(p, sp, "wide"), s.values, rng.choice((0, 3)))
+                          for s in sp.states()))
+    assert {type(out) for row in rows for out in row} == {tuple, NonTermination, Undefined}
+    assert any(type(v) is tuple for row in rows for out in row if type(out) is tuple for v in out)
+    for row in rows:
+        assert relcor.mutate.outcome_digest(row) == _digest_per_outcome(row)
+        assert relcor.mutate.outcome_digest(iter(row)) == _digest_per_outcome(row)
 
 
 def test_exact_fingerprints_see_runs_longer_than_the_fuel():

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from relcor.cli import main
 from relcor.errors import NonDeterministicError, SpaceMismatchError
 from relcor.relations import (
     Relation,
@@ -13,7 +16,10 @@ from relcor.relations import (
     relation_from_json,
     relation_to_json,
 )
+from relcor.lang.parser import parse
+from relcor.lang.semantics import denote
 from relcor.space import Interval, StateSpace
+from relcor.specs import PredicateSpec
 
 SP = StateSpace((("v", Interval(0, 2)),))
 
@@ -110,6 +116,38 @@ def test_is_correct_rejects_nondeterministic_candidate():
     r = rel((0, 1))
     with pytest.raises(NonDeterministicError):
         is_correct(rel((0, 1), (0, 2)), r)
+
+
+def test_only_a_denoted_relation_is_taken_as_a_function_unwalked():
+    """`denote` marks [p] a function, so the correctness checks walk none of
+    its pairs; any other relation, one read from JSON too, is walked, and a
+    nondeterministic one is refused.  The mark is no part of equality."""
+    spec = PredicateSpec(SP, "true", "v' == v")
+    p = denote(parse("v = v;", SP), SP)
+    same, read = Relation(SP, p.pairs), relation_from_json(relation_to_json(p))
+    assert p.function and not same.function and not read.function
+    assert p == same == read and hash(p) == hash(same)
+    assert is_correct(p, spec) and more_correct(p, p, spec, strict=False)
+    # the mark is trusted: a relation marked so is not walked, even where it
+    # is no function, as no relation that `denote` builds can be
+    assert Relation(SP, rel((0, 1), (0, 2)).pairs, function=True).is_deterministic()
+    with pytest.raises(NonDeterministicError):
+        is_correct(relation_from_json(relation_to_json(rel((0, 1), (0, 2)))), spec)
+
+
+def test_relcheck_refuses_a_nondeterministic_relation_read_from_json(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"type": "predicate", "space": relation_to_json(rel())["space"],
+                                "dom": "true", "rel": "v' == v"}))
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps(relation_to_json(rel((0, 1), (0, 2), (1, 1)))))
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(relation_to_json(rel((0, 0), (1, 1)))))
+    for query in (["--correct", str(both)], ["--more-correct", str(one), str(both)],
+                  ["--more-correct", str(both), str(one)]):
+        assert main(["relcheck", "--spec", str(spec), *query]) == 2
+        assert "NonDeterministicError" in capsys.readouterr().err
+    assert main(["relcheck", "--spec", str(spec), "--more-correct", str(one), str(one)]) == 0
 
 
 def test_more_correct_by_competence_domain_inclusion():

@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import random
@@ -5,6 +6,7 @@ import threading
 from collections import Counter
 from dataclasses import replace as dc_replace
 from functools import partial
+from itertools import groupby
 from types import SimpleNamespace
 
 import pytest
@@ -213,20 +215,30 @@ def test_suite_labels_run_the_base_once_and_each_program_once_per_input(runs):
     bad = parse("x = x + 3;", SP)
     assert next(suite_labels(GOOD, [], SPEC, wide, 100))[0] == "absolutely_correct"
     assert runs() == len(wide)  # inputs outside dom(R) take a run too
-    labels_of(GOOD, [bad], SPEC, wide, 100)
-    assert runs() == 2 * len(wide)
+    # bad's job stops at its first input, x = 0, where GOOD passes and bad
+    # does not: an n3 cell
     assert labels_of(GOOD, [bad], SPEC, wide, 100) == ["not_more_correct"]
+    assert runs() == len(wide) + 1
+    assert labels_of(GOOD, [bad], SPEC, wide, 100) == ["not_more_correct"]
+    assert runs() == len(wide) + 2  # GOOD's row is cached, bad's stopped one is not
     assert classify(run_suite(bad, GOOD, SPEC, wide, 100)) == "not_more_correct"
-    assert runs() == 2 * len(wide)  # neither the same batch again nor a report runs
+    assert runs() == 2 * len(wide) + 2  # a report makes bad's whole row, once
+    assert classify(run_suite(bad, GOOD, SPEC, wide, 100)) == "not_more_correct"
+    assert labels_of(GOOD, [bad], SPEC, wide, 100) == ["not_more_correct"]
+    assert runs() == 2 * len(wide) + 2  # and caches it: neither runs again
     assert labels_of(GOOD, [bad, GOOD, HALF], SPEC, suite, 100) == [
         "not_more_correct", "absolutely_correct", "not_more_correct"]
     # against a base that passes nowhere, HALF passes on x in 0..3 only
     before = runs()
     assert labels_of(BASE, [HALF, BASE], SPEC, suite, 100) == [
         "strictly_more_correct", "as_correct"]
-    assert runs() - before == len(suite)  # BASE's row; HALF's is cached
+    # BASE's row and HALF's, whose job against GOOD stopped at x = 4
+    assert runs() - before == 2 * len(suite)
+    assert labels_of(BASE, [HALF, BASE], SPEC, suite, 100) == [
+        "strictly_more_correct", "as_correct"]
+    assert runs() - before == 2 * len(suite)  # both whole rows are cached
     assert next(suite_labels(BASE, [], SPEC, suite, 100))[0] == "as_correct"  # its own
-    assert runs() - before == len(suite)
+    assert runs() - before == 2 * len(suite)
 
 
 def test_repair_fingerprints_its_kept_children_without_a_run(runs):
@@ -314,7 +326,7 @@ def _batches(rng, mode: str, n: int):
 @pytest.mark.parametrize("mode", ["wide", "exact"])
 def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
     rng = random.Random(1717 if mode == "wide" else 1718)
-    seen, kinds = set(), set()
+    seen, kinds, stops = set(), set(), 0
     for base, mutants, spec, suite, fuel in _batches(rng, mode, 150):
         programs = [m.program for m in mutants]
         outcome_row.cache_clear()
@@ -332,17 +344,23 @@ def test_suite_labels_equal_the_full_report_and_take_no_more_runs(mode, runs):
         suffixes = [args for kind, args in runs.made[calls:] if kind == "suffix"]
         assert len(suffixes) == len(set(suffixes))
         made = len(runs.made)
+        # a wide row is cached unless its job stopped at an n3 cell
+        stopped = {p for p in programs if (p, suite, fuel, mode) not in suites._rows}
+        assert mode == "exact" or stopped <= {
+            p for p, label in zip(programs, labels) if label == "not_more_correct"}
         assert labels == [classify(run_suite(p, base, spec, suite, fuel, mode))
                           for p in programs]
         assert labels_of(base, programs, spec, suite, fuel, mode) == labels
-        if mode == "wide":  # every row is cached: neither reports nor the batch run
-            assert len(runs.made) == made
+        if mode == "wide":  # the reports make each stopped row whole, alone, once
+            assert [kind for kind, _ in runs.made[made:]] == ["run"] * len(suite) * len(stopped)
+            stops += len(stopped)
         else:  # each report reads the base's row and the program's; the batch runs again
             assert runs() - before == 2 * labelled + 2 * len(suite) * len(programs)
         seen.update((type(spec).__name__, label) for label in labels)
         kinds.update(m.site.kind for m in mutants)
     assert kinds == {BINARY_ARITH, INTEGER_LITERAL, ARRAY_INDEX}
     assert len(seen) == 8  # every label, for both spec classes
+    assert mode == "exact" or stops > 100
 
 
 def _split_batches(rng, n: int, mode: str = "wide"):
@@ -450,17 +468,66 @@ def test_split_rows_key_the_rest_of_a_run_by_its_fuel_left():
     outcome_row.cache_clear()
 
 
+def _walk(chains: list, cut: int, n3) -> tuple:
+    """How a job at `cut` walks the level of its cut: the entries are the
+    distinct states of the base there (`chains` from `_cut_states`, one per
+    input), in the order of their first inputs, and the job stops at the
+    first entry that holds an input i where `n3(i)`.  Returns the number of
+    entries walked and the inputs of the entry where it stopped, or None."""
+    entries = {}
+    for i, chain in enumerate(chains):
+        if cut < len(chain):
+            entries.setdefault(chain[cut], []).append(i)
+    for n, ins in enumerate(entries.values(), 1):
+        if any(n3(i) for i in ins):
+            return n, ins
+    return len(entries), None
+
+
+def _walks_of(made: list) -> list:
+    """The (step, entries it ran on) of each job, in the order the jobs ran,
+    from `runs.made`: a job's step runs are contiguous where no worker is
+    forked, and each covered program has a step of its own."""
+    return [(step, len(list(g))) for step, g in
+            groupby(args[0] for kind, args in made if kind == "step")]
+
+
+def _check_walks(made: list, labelled: list, sites: dict, chains: list, spec, suite,
+                 base_row: tuple, row_of) -> int:
+    """Each job of a batch whose (program, label) pairs are `labelled` ran
+    its step on the entries of its cut's level in order, on all of them
+    unless it was labelled not_more_correct, and then up to and including
+    the first entry that holds an n3 cell by `row_of(p)`, p's row made
+    alone.  Returns how many jobs stopped."""
+    jobs = [(p, label) for p, label in dict(labelled).items()
+            if p in sites and any(sites[p][0] < len(chain) for chain in chains)]
+    walks = _walks_of(made)
+    assert len(walks) == len(jobs)
+    stops = 0
+    for (p, label), (step, n) in zip(jobs, walks):
+        cut, row = sites[p][0], row_of(p)
+        assert _cut_of(step) == cut
+        walked, at = _walk(chains, cut, lambda i: spec.in_dom(suite.inputs[i])
+                           and _passes(spec, suite.inputs[i], base_row[i])
+                           and not _passes(spec, suite.inputs[i], row[i]))
+        assert n == walked and (at is not None) == (label == "not_more_correct")
+        stops += at is not None
+    return stops
+
+
 def _cut_of(step) -> int:
     """The cut of a schema's step, from its name, `_step<c>`."""
     return int(getattr(step, "func", step).__name__[len("_step"):])
 
 
 def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
-    """Each step of the base, and each covered mutant's step, runs once per
-    distinct (values, fuel) that the base has at the step's cut, where the
-    base reaches it, and each suffix key at most once."""
+    """Each step of the base runs once per distinct (values, fuel) that the
+    base has at the step's cut, where the base reaches it, and each covered
+    mutant's step once per such state up to the first that holds an n3
+    cell, where its job stops; each suffix key runs at most once.  A later
+    `outcome_row` makes a stopped row whole, alone; the others are cached."""
     rng = random.Random(3232)
-    steps = suffixes = reached = own = 0
+    steps = suffixes = reached = own = stops = 0
     for base, mutants, spec, suite, fuel in _split_batches(rng, 100):
         programs = [m.program for m in mutants]
         schema = compile_schema(base, programs, spec.space, "wide")
@@ -471,7 +538,7 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
                     for c in range(len(schema.steps) if schema else 0)]
         outcome_row.cache_clear()
         start = len(runs.made)
-        labels_of(base, programs, spec, suite, fuel)
+        labels = labels_of(base, programs, spec, suite, fuel)
         made = runs.made[start:]
         kinds = Counter(kind for kind, _ in made)
         stepped = [args for kind, args in made if kind == "base"]
@@ -479,8 +546,16 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
         assert Counter(cut for cut, *_ in stepped) == {c: n for c, n in enumerate(distinct) if n}
         assert kinds["run"] == len(suite) * len({base, *programs} - covered)
         by_step = Counter(args[0] for kind, args in made if kind == "step")
-        assert all(n == distinct[_cut_of(step)] for step, n in by_step.items())
+        assert all(n <= distinct[_cut_of(step)] for step, n in by_step.items())
         assert len(by_step) == sum(distinct[c] > 0 for c, _ in sites.values())
+        # a job that is not stopped steps once per distinct state at its cut
+        whole = len(runs.made)  # every row of the batch but the stopped ones is cached now
+        rows = {p: outcome_row(p, suite, fuel, "wide") for p in [base, *programs]}
+        stopped = _check_walks(made, list(zip(programs, labels)), sites, chains, spec, suite,
+                               rows[base], rows.get)
+        assert Counter(kind for kind, _ in runs.made[whole:]) == (
+            {"run": len(suite) * stopped} if stopped else {})
+        stops += stopped
         keys = [args for kind, args in made if kind == "suffix"]
         assert len(keys) == len(set(keys))
         assert all(cut < len(schema.steps) for cut, *_ in keys)  # a last cut's step ends its run
@@ -488,22 +563,22 @@ def test_split_rows_run_the_base_once_each_step_once_and_each_suffix_once(runs):
         suffixes += len(keys)
         reached += sum(sum(c < len(chain) for chain in chains) for c, _ in sites.values())
         own += sum(not isinstance(step, partial) for step in by_step)
-        made = len(runs.made)  # every row of the batch is cached now
-        for p in programs:
-            outcome_row(p, suite, fuel, "wide")
-        assert len(runs.made) == made
     outcome_row.cache_clear()
+    assert stops > 50
     assert 0 < suffixes < steps / 2
     assert steps < reached * 0.6 and own > 400  # the partition shares steps, own steps too
 
 
 def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
     """Exact mode on every state of the arraysum program's space with the
-    elements narrowed to 0..1 (560 states).  Each step of the base, and each
-    mutant's step, runs once per distinct state of the base at its cut: 560
-    before `x = 0`, 80 before `i = 0` and 16 at the loop, where x and i are
-    0 and only the array varies.  A repair of the program runs no program
-    whole: the root's row is the one its first batch makes."""
+    elements narrowed to 0..1 (560 states).  Each step of the base runs once
+    per distinct state of the base at its cut: 560 before `x = 0`, 80 before
+    `i = 0` and 16 at the loop, where x and i are 0 and only the array
+    varies.  A mutant's step runs once per such state, in order, up to the
+    first where the base passes on some input and the mutant does not: 9 of
+    the 10 mutants stop there, most at their first state, so the batch makes
+    752 runs, where whole rows took 2,128.  A repair of the program runs no
+    program whole: the root's row is the one its first batch makes."""
     sp = StateSpace((("a", ArrayDomain(4, Interval(0, 1))), ("x", Interval(0, 6)),
                      ("i", Interval(0, 4))))
     base = parse("x = 0; i = 0; while (i < 3) { x = x + a[i]; i = i + 1; }", sp)
@@ -511,20 +586,27 @@ def test_a_loop_mutant_steps_once_per_distinct_loop_entry_state(runs):
     operators = ("literal+-1", "index+-1")
     programs = [m.program for m in generate(base, operators)]
     every_state = Suite(tuple(sp.states()))
-    labels_of(base, programs, spec, every_state, semantics.UNBOUNDED, "exact")
+    labels = labels_of(base, programs, spec, every_state, semantics.UNBOUNDED, "exact")
+    assert len(runs.made) == 752  # every run_outcome call, suffixes too
     assert Counter(kind for kind, _ in runs.made)["run"] == 0
     assert Counter(args[0] for kind, args in runs.made if kind == "base") == {0: 560, 1: 80, 2: 16}
     by_step = Counter(args[0] for kind, args in runs.made if kind == "step")
     assert Counter((_cut_of(step), n) for step, n in by_step.items()) == {
-        (0, 560): 2, (1, 80): 2, (2, 16): 6}
+        (0, 1): 2, (1, 1): 1, (1, 46): 1, (2, 1): 2, (2, 3): 1, (2, 5): 1, (2, 10): 1, (2, 16): 1}
     assert sum(not isinstance(step, partial) for step in by_step) == 6  # own steps
     keys = [args for kind, args in runs.made if kind == "suffix"]
     assert len(keys) == len(set(keys))
     assert {cut for cut, *_ in keys} == {1, 2}  # the loop's steps end their runs
+    schema = compile_schema(base, programs, sp, "exact")
+    chains = [_cut_states(schema, s.values, semantics.UNBOUNDED)[0] for s in every_state.inputs]
+    made = list(runs.made)
+    row_of = partial(outcome_row, suite=every_state, fuel=semantics.UNBOUNDED, mode="exact")
+    assert _check_walks(made, list(zip(programs, labels)), schema.sites, chains, spec,
+                        every_state, row_of(base), row_of) == 9
     runs.made.clear()
     tree, _ = repair(base, spec, RepairConfig(operators=operators, max_depth=2, mode="exact"))
     assert tree.solutions == ["base.7"]
-    assert Counter(kind for kind, _ in runs.made)["run"] == 0  # the root's row is its batch's
+    assert len(runs.made) == 752 and Counter(kind for kind, _ in runs.made)["run"] == 0
     assert Counter(args[0] for kind, args in runs.made if kind == "base") == {0: 560, 1: 80, 2: 16}
 
 
@@ -546,13 +628,55 @@ def _twin(spec):
     return spec
 
 
+def _labels_undefined(spec, suite, fuel, schema, base_passes: list, labelled: list,
+                      rows: dict) -> tuple:
+    """The undefined evaluations that labelling the (program, label) pairs
+    `labelled` counts after the base's split, by the rule of `suites`: each
+    judgement of a tuple outcome on an in-domain input is one evaluation,
+    and an undefined one fails.  A row that is not labelled not_more_correct
+    passes every base-passing input, defined, and is judged on the failing
+    ones.  A stopped job is judged on the base-passing inputs of the entry
+    where it stopped (`_walk`), and not again where its program is met
+    again; another not_more_correct row is judged on all base-passing
+    inputs.  Returns the count and how much of it stopped jobs held."""
+    probe = _twin(spec)
+
+    def judged(p, ins) -> int:
+        before = probe.undefined
+        for i in ins:
+            _passes(probe, suite.inputs[i], rows[p][i])
+        return probe.undefined - before
+
+    indom = [i for i, s in enumerate(suite.inputs) if probe.in_dom(s)]
+    passing = {i for i in indom if base_passes[i]}
+    failing = [i for i in indom if not base_passes[i]]
+    chains = [_cut_states(schema, s.values, fuel)[0] for s in suite.inputs] if schema else []
+    total = held = 0
+    stopped = set()
+    for p, label in labelled:
+        if p in stopped:
+            continue
+        if label != "not_more_correct":
+            total += judged(p, failing)
+        elif schema and p in schema.sites:
+            fails = lambda i: i in passing and not _passes(probe, suite.inputs[i], rows[p][i])
+            at = _walk(chains, schema.sites[p][0], fails)[1]
+            n = judged(p, [i for i in at if i in passing])
+            total, held = total + n, held + n
+            stopped.add(p)
+        else:
+            total += judged(p, sorted(passing))
+    return total, held
+
+
 @pytest.mark.parametrize("mode", ["wide", "exact"])
 def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode):
     """Rows against `execute` of each program compiled alone (no schema, no
-    row), and reports and labels against `abs_oracle` on those outcomes;
-    `PredicateSpec.undefined` counts the same on both sides.  `in_loops`
-    counts the covered mutants changed within a loop, which run their own
-    step."""
+    row), and reports and labels against `abs_oracle` on those outcomes.
+    `PredicateSpec.undefined` counts the evaluations of the reference's base
+    split and then those that `_labels_undefined` names, and a report counts
+    what the reference's does.  `in_loops` counts the covered mutants
+    changed within a loop, which run their own step."""
     rng = random.Random(2121 if mode == "wide" else 2122)
     covered = in_loops = undefined = 0
     outcomes, sites, seen = set(), set(), set()
@@ -574,16 +698,18 @@ def test_rows_and_folds_equal_a_reference_that_runs_each_input_alone(mode):
         ref_passes = lambda p: [abs_oracle(ref_spec, s, execute(p, s, fuel, mode)).passed
                                 for s in suite.inputs]
         base_passes = ref_passes(base)
+        if isinstance(spec, PredicateSpec):
+            counted, _ = _labels_undefined(spec, suite, fuel, schema, base_passes,
+                                           list(zip(programs, labels)), rows)
+            assert spec.undefined == ref_spec.undefined + counted
         assert labels == [classify(_reference_report(suite, base_passes, ref_passes(p)))
                           for p in programs]
-        if isinstance(spec, PredicateSpec):
-            assert spec.undefined == ref_spec.undefined
-        before = getattr(spec, "undefined", 0)
+        before, ref_before = getattr(spec, "undefined", 0), getattr(ref_spec, "undefined", 0)
         for p in programs:  # a report judges the base again, as the reference does
             assert run_suite(p, base, spec, suite, fuel, mode) == _reference_report(
                 suite, ref_passes(base), ref_passes(p))
         if isinstance(spec, PredicateSpec):
-            assert spec.undefined == ref_spec.undefined
+            assert spec.undefined - before == ref_spec.undefined - ref_before
             undefined += spec.undefined - before  # of the relation predicate on outputs
         outcomes.update(type(out) for row in rows.values() for out in row)
         sites.update(out.site for row in rows.values() for out in row
@@ -729,12 +855,120 @@ def test_rows_made_on_forked_workers_equal_rows_made_in_process(monkeypatch, for
         forked.append(len(forking.forks) - forks)
         _nothing_left(fds)
         assert pairs == alone
-        assert all(out is NONTERMINATION for _, row in pairs for out in row
+        assert all(out is NONTERMINATION for _, row in pairs for out in row or ()
                    if isinstance(out, NonTermination))
     assert max(forked) == forked[-1] == 2 and forked.count(0) < len(forked) / 4
     sent = {type(out) for row in forking.decoded for out in row}
     assert sent == {tuple, type(None), str}  # final values, NONTERMINATION, Undefined
     assert len(forking.decoded) > 500
+
+
+def _partial_spec(rng, sp, outputs: dict):
+    """A random spec of either class, which most often also relates some
+    inputs to the base's outputs, `outputs` (input -> values tuple), so that
+    the base passes there.  Most predicate specs' relations are undefined
+    where they do not hold otherwise and the first scalar's output is 0, or
+    its highest value, which in_dom's witness search tries last, or a value
+    that the base never outputs; where they do hold otherwise then, they
+    hold."""
+    if rng.random() < 0.25:
+        rel = random_relation(rng, sp)
+        return EnumeratedSpec(dc_replace(rel, pairs=rel.pairs | {
+            (s, State(sp, out)) for s, out in outputs.items() if rng.random() < 0.5}))
+    names = [n for n, d in sp.vars if not isinstance(d, ArrayDomain)]
+    dom = "true" if rng.random() < 0.5 else random_predicate(rng, names, primed=False)
+    rel = random_predicate(rng, names, primed=True)
+    if outputs and rng.random() < 0.6:
+        out = rng.choice(list(outputs.values()))
+        rel = f"({rel}) || {names[0]}' == {out[sp.names.index(names[0])]}"
+    if rng.random() < 0.75:
+        d, k = sp.domain_of(names[0]), sp.names.index(names[0])
+        unused = set(range(d.lo + 1, d.hi + 1)) - {out[k] for out in outputs.values()}
+        rel = rng.choice((f"({rel}) || 1 / {names[0]}' > 0",
+                          f"({rel}) || 1 / ({names[0]}' - {d.hi}) >= 0",
+                          f"({rel}) || 1 / ({names[0]}' - {min(unused, default=0)}) >= -1"))
+    return PredicateSpec(sp, dom, rel)
+
+
+def test_lazy_rows_label_as_whole_rows_in_process_and_on_workers(monkeypatch, forking, caplog):
+    """On random programs, their mutants of every family and random specs of
+    both classes, in both modes, with workers forked at the first job and
+    with none: every label equals the one folded from whole rows; a stopped
+    job's row is None and never enters the row cache, so a later
+    `outcome_row` of its program equals the program's row compiled alone;
+    `PredicateSpec.undefined` counts the split's evaluations and those that
+    `_labels_undefined` names, and it and the first warning's pair are the
+    same wherever the rows were made."""
+    rng = random.Random(2424)
+    cases = Counter()
+    for mode in ("wide", "exact"):
+        for i in range(100):
+            sp = program_space(rng, max_states=30, array=i % 3 == 2)
+            base = random_program(rng, sp, unassigned_reads=False, wide=mode == "wide")
+            programs = [m.program for m in generate(base, OPERATOR_FAMILIES)]
+            states = list(sp.states())
+            if mode == "exact":
+                suite, fuel = Suite(tuple(states)), semantics.UNBOUNDED
+            else:
+                suite = Suite(tuple(rng.sample(states, rng.randint(1, len(states)))))
+                fuel = rng.choice((0, 3, 40))
+            run = compile_program(base, sp, mode)
+            outs = {s: run_outcome(run, s.values, fuel) for s in suite.inputs}
+            spec = _partial_spec(rng, sp, {s: out for s, out in outs.items() if type(out) is tuple})
+            made = {}
+            for fork_after in (math.inf, 0):
+                labelling = _twin(spec)
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="relcor.specs"):
+                    pairs = _labelled(monkeypatch, fork_after, base, programs, labelling,
+                                      suite, fuel, mode)
+                made[fork_after] = (pairs, getattr(labelling, "undefined", 0),
+                                    [r.args for r in caplog.records])
+                for p, (label, row) in zip(programs, pairs[1:]):
+                    assert (row is None) == (label == "not_more_correct")
+                    if row is None:
+                        alone = compile_program(p, sp, mode)
+                        assert outcome_row(p, suite, fuel, mode) == tuple(
+                            run_outcome(alone, s.values, fuel) for s in suite.inputs)
+            assert made[0] == made[math.inf]
+            pairs, counted, warned = made[0]
+            outcome_row.cache_clear()
+            rows = {p: outcome_row(p, suite, fuel, mode) for p in [base, *programs]}
+            full = suites._reports(_twin(spec), suite, [rows[p] for p in [base, *programs]])
+            assert [label for label, _ in pairs] == [classify(report) for report, _ in full]
+            cases["stopped"] += any(row is None for _, row in pairs)
+            if isinstance(spec, PredicateSpec):
+                split = _twin(spec)
+                split.split([s.values for s in suite.inputs], rows[base])
+                base_passes = [_passes(_twin(spec), s, out)
+                               for s, out in zip(suite.inputs, rows[base])]
+                schema = compile_schema(base, programs, sp, mode)
+                later, held = _labels_undefined(spec, suite, fuel, schema, base_passes,
+                                                list(zip(programs, [l for l, _ in pairs[1:]])),
+                                                rows)
+                assert counted == split.undefined + later
+                cases["undefined held by stopped jobs"] += held
+                cases["warned after the split"] += bool(warned) and not split.undefined
+    outcome_row.cache_clear()
+    assert min(cases.values()) > 3, cases
+
+
+def test_a_batch_whose_base_passes_nowhere_counts_no_cell_early(monkeypatch):
+    """The Fermat level-1 batch, whose root passes no input: no job counts a
+    cell as it walks, and the fold counts each row once, on the failing
+    inputs, which are every input."""
+    batch = _fermat_batch()
+    counted, count = [], suites._Fold.count
+
+    def counting(fold, row, indices) -> int:
+        counted.append(indices)
+        return count(fold, row, indices)
+
+    monkeypatch.setattr(suites._Fold, "count", counting)
+    pairs = _labelled(monkeypatch, math.inf, *batch)
+    assert pairs[0][0] == "as_correct" and len(counted) == len(batch[1])
+    assert all(indices is counted[0] for indices in counted) and len(counted[0]) == len(batch[3])
+    outcome_row.cache_clear()
 
 
 def test_rows_that_a_worker_leaves_unsent_are_made_in_process(monkeypatch, forking):
