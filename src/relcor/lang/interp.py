@@ -964,6 +964,22 @@ def compile_eval(node, space: StateSpace, primed: bool = False):
     return _define(em, "_eval")
 
 
+def primed_names(e) -> set:
+    """The variables whose output `e` reads: x for ``x'`` and a for ``a'[i]``."""
+    return {n.name[:-1] for n in preorder(e) if isinstance(n, (Var, ArrayRead))
+            and n.name.endswith("'")}
+
+
+def _equated(rel) -> tuple | None:
+    """(v, e) where `rel` is ``v' == e`` or ``e == v'``, with v a scalar and
+    e reading no primed name; else None."""
+    if isinstance(rel, Cmp) and rel.op == "==":
+        for v, e in ((rel.left, rel.right), (rel.right, rel.left)):
+            if isinstance(v, Var) and v.name.endswith("'") and not primed_names(e):
+                return v.name[:-1], e
+    return None
+
+
 def compile_spec(dom, rel, space: StateSpace, outputs, undefined) -> tuple:
     """Compile a predicate spec, its domain predicate `dom` and its relation
     predicate `rel` (whose primed names read an output), to the functions
@@ -973,6 +989,10 @@ def compile_spec(dom, rel, space: StateSpace, outputs, undefined) -> tuple:
       `outputs` is None, some output of ``itertools.product(*outputs)`` is
       related, tried in that order up to the first.  With `outputs` the
       answers are kept by value tuple, so each input is searched once.
+      Where `rel` is ``v' == e`` or ``e == v'`` (`_equated`), the search is
+      one evaluation of e, whose value is a witness if it lies in v's
+      domain; where e is undefined, every output tried would be, and each
+      is reported so, in the order of the search.
     * ``split(inputs, row)``: the indices of `inputs` in dom(R) where the
       outcome in `row` is related (passing) and those where it is not
       (failing), as two lists.  A raw outcome that is no values tuple
@@ -1003,10 +1023,22 @@ def compile_spec(dom, rel, space: StateSpace, outputs, undefined) -> tuple:
     em.emit(3, "return False")
     em.emit(1, "except UndefinedEval as _e:")
     em.emit(2, "return _undefined(_e, _v)")
-    if kept:
-        em.emit(1, "for _o in _product(*_outputs):")
-        related(2, "return True")
-    em.emit(1, f"return {not kept}")
+    equated = _equated(rel) if kept else None
+    if equated:
+        v, e = equated
+        d = space.domain_of(v)
+        em.emit(1, "try:")
+        em.emit(2, f"_w = {em.expr(e)}")
+        em.emit(1, "except UndefinedEval as _e:")
+        em.emit(2, "for _o in _product(*_outputs):")
+        em.emit(3, "_undefined(_e, _v, _o)")
+        em.emit(2, "return False")
+        em.emit(1, f"return {d.lo} <= _w <= {d.hi}")
+    else:
+        if kept:
+            em.emit(1, "for _o in _product(*_outputs):")
+            related(2, "return True")
+        em.emit(1, f"return {not kept}")
     if kept:
         em.emit(0, "_known = {}")
         em.emit(0, "def _in_dom(_v):")

@@ -75,13 +75,15 @@ def _verdict_rows(spec: Spec, suite: TestSuite | None, mode: str, fuel: int) -> 
     """The (suite, fuel, run mode) whose rows give every verdict on a base
     and its mutants: the suite in wide mode for testing, and every state of
     the space at `UNBOUNDED` fuel in exact mode for exact, where every run
-    ends by itself (see `semantics`)."""
+    ends by itself (see `semantics`).  The exact suite holds the space's
+    value tuples, and no `State` is made per state."""
     if mode == "testing":
         if suite is None:
             raise RelcorError("testing mode requires a suite")
         return suite, fuel, "wide"
     if mode == "exact":
-        return TestSuite(tuple(spec.space.states())), UNBOUNDED, "exact"
+        space = spec.space
+        return TestSuite(space=space, values=tuple(space.value_tuples())), UNBOUNDED, "exact"
     raise RelcorError(f"unknown classification mode {mode!r}")
 
 

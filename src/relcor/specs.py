@@ -36,12 +36,17 @@ only through its primed names, so the search tries only the values of the
 variables it primes, in the order of `space.states()`, with every other
 output variable at its domain's first value.  That is at most |read
 outputs| evaluations per state, the product of those variables' domain
-sizes (7 for the bundled arraysum spec, whose relation primes only x), not
-|S|, and the first undefined evaluation is logged at the pair where a
-search over all of S would first meet one.  On a larger space (the Fermat
-study's has 10^27 states) it reads the domain predicate alone, at every
-call, and the spec's author must make sure that the predicate implies a
-witness.
+sizes, not |S|, and the first undefined evaluation is logged at the pair
+where a search over all of S would first meet one.  A relation ``v' ==
+e`` or ``e == v'``, with v a scalar and e reading no primed name (the
+bundled arraysum spec's ``x' == a[1] + a[2] + a[3]``), takes one
+evaluation of e per state: its value is the witness if it lies in v's
+domain.  Where e is undefined, each output the search would try counts one
+undefined evaluation, in the search's order, so ``undefined`` and the
+warning are as they would be without the shortcut.  On a larger space (the
+Fermat study's has 10^27 states) it reads the domain predicate alone, at
+every call, and the spec's author must make sure that the predicate implies
+a witness.
 
 The verdicts of both modes (`suites`) are folded from rows of raw outcomes
 (a final values tuple, ``NONTERMINATION`` or an ``Undefined``), over the
@@ -76,8 +81,7 @@ from dataclasses import dataclass
 from .errors import CapacityError, ParseError
 from .relations import Relation, reading, relation_from_json, space_from_json
 from .space import DEFAULT_CAP, State, StateSet, StateSpace
-from .lang.ast_nodes import ArrayRead, Var, preorder
-from .lang.interp import FinalState, UndefinedEval, compile_eval, compile_spec
+from .lang.interp import FinalState, UndefinedEval, compile_eval, compile_spec, primed_names
 from .lang.parser import parse_predicate
 
 log = logging.getLogger(__name__)
@@ -153,8 +157,7 @@ class PredicateSpec:
         if self._verdicts is None:
             outputs = None  # where the space is too large to search for a witness
             if self.space.num_states <= DEFAULT_CAP:
-                read = {n.name[:-1] for n in preorder(self._rel_cond)
-                        if isinstance(n, (Var, ArrayRead)) and n.name.endswith("'")}
+                read = primed_names(self._rel_cond)
                 # per variable, the output values that the witness search tries
                 outputs = [tuple(d.values()) if name in read else (next(d.values()),)
                            for name, d in self.space.vars]

@@ -25,9 +25,13 @@ ends by itself.  It refuses a program whose block local may be read before
 it is assigned (`interp.exposed`), so its runs are [p], and its verdicts
 are those of the competence domains.
 
+A suite keeps its inputs as value tuples and their space, and every row,
+batch and fold reads those: testing mode builds its suite from `State`s
+(`TestSuite(states)`, which test selection makes), while exact mode builds
+it from `space.value_tuples()`, with no `State` per state of the space.
 Wide rows are cached, least recently used out, with one entry per program
 and suite, so a program's runs are made once however many verdicts and
-fingerprints read them; the suite hashes its inputs once
+fingerprints read them; the suite hashes its value tuples once
 (`space.hash_once`), which keeps the key cheap.  Exact rows are not cached,
 because each may span a whole space of up to `DEFAULT_CAP` states.  A row
 covers every input, also those outside dom(R); test selection puts none
@@ -155,7 +159,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .errors import EmptySuiteError, RelcorError
 from .lang.ast_nodes import ArrayRead, Var, preorder
@@ -168,12 +172,30 @@ from .specs import PredicateSpec, Spec
 
 
 @hash_once
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TestSuite:
-    inputs: tuple  # of State, in a deterministic order
+    """Inputs in a deterministic order, kept as the value tuple of each
+    (`values`) and their `space`.  `TestSuite(states)` takes `State`s;
+    `TestSuite(space=..., values=...)` takes value tuples, so that exact
+    mode makes no `State` per state of its space."""
+
+    space: StateSpace | None  # None for an empty suite of States
+    values: tuple  # of value tuples
+
+    def __init__(self, inputs: tuple = (), *, space: StateSpace | None = None,
+                 values: tuple | None = None):
+        if values is None:
+            space, values = (inputs[0].space if inputs else None), tuple(s.values for s in inputs)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def inputs(self) -> tuple:
+        """The inputs as `State`s, made on the first read."""
+        return tuple(State(self.space, v) for v in self.values)
 
     def __len__(self):
-        return len(self.inputs)
+        return len(self.values)
 
 
 @dataclass
@@ -330,13 +352,13 @@ def _store_row(key, row: tuple) -> tuple:
 def outcome_row(program, suite: TestSuite, fuel: int, mode: str) -> tuple:
     """The raw outcome of `program` on each suite input, in order, cached in
     wide mode only (see the module docstring)."""
-    if not suite.inputs:
+    if not suite.values:
         return ()
     key = (program, suite, fuel, mode)
     row = _rows.pop(key, None)
     if row is None:
-        run = compile_program(program, suite.inputs[0].space, mode)
-        row = tuple([run_outcome(run, s.values, fuel) for s in suite.inputs])
+        run = compile_program(program, suite.space, mode)
+        row = tuple([run_outcome(run, values, fuel) for values in suite.values])
     return _store_row(key, row)
 
 
@@ -490,8 +512,7 @@ class _Fold:
     the base's row, once, before any other row is counted."""
 
     def __init__(self, spec: Spec, suite: TestSuite):
-        self.spec, self.size = spec, len(suite)
-        self.inputs = [s.values for s in suite.inputs]
+        self.spec, self.size, self.inputs = spec, len(suite), suite.values
 
     def split(self, base_row: tuple) -> list:
         """Split the inputs by the base's row; returns the passing ones."""
@@ -527,10 +548,10 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str,
     before it is yielded, and a program's row is None where the program
     fails an input where the base passes: a job stops there."""
     schema = passing = None
-    if suite.inputs:
+    if suite.values:
         todo = [p for p in programs if (p, suite, fuel, mode) not in _rows]
         if todo:
-            schema = compile_schema(base, todo, suite.inputs[0].space, mode)
+            schema = compile_schema(base, todo, suite.space, mode)
 
     def whole(p):
         """The row of `p`, made alone or cached, or None as above."""
@@ -547,8 +568,8 @@ def _batch_rows(base, programs, suite: TestSuite, fuel: int, mode: str,
     # levels[c]: each distinct (values, fuel left) of the base at cut c -> the
     # inputs that reach cut c in it
     level = {}
-    for i, s in enumerate(suite.inputs):
-        level.setdefault((s.values, fuel), []).append(i)
+    for i, values in enumerate(suite.values):
+        level.setdefault((values, fuel), []).append(i)
     levels = [level]
     base_row = _rows.pop((base, suite, fuel, mode), None)
     if base_row is None or any(cut for cut, _ in schema.sites.values()):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_python_dash_m_relcor_runs_the_cli():
+    """With only the source directory on the path, `python -m relcor` is the CLI."""
+    src = Path(relcor.cli.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-m", "relcor", "--help"],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: relcor")
 
 
 def test_relcheck_correct_verdicts(tiny, capsys):

@@ -151,9 +151,17 @@ def _digest_per_outcome(outcomes) -> str:
 
 def test_outcome_digest_equals_the_digest_made_outcome_by_outcome():
     """Rows with final values (arrays too), NONTERMINATION and Undefined
-    outcomes, and the empty row, digest to the same bytes as before."""
+    outcomes, and the empty row, digest to the same bytes as before, also
+    where one outcome object repeats, where equal outcomes are distinct
+    objects and where Undefined outcomes have different sites."""
     rng = random.Random(77)
-    rows = [(), (NONTERMINATION, Undefined("division by zero"), ((1, -2), 3), (0,))]
+    out = ((1, -2), 3)
+    rows = [(), (NONTERMINATION, Undefined("division by zero"), ((1, -2), 3), (0,)),
+            (out, NONTERMINATION, out, out, NONTERMINATION),
+            tuple(((1, int("-2")), 3) for _ in range(4)),
+            (Undefined("division by zero"), Undefined("index 4 out of bounds for a[4]"),
+             Undefined("division by zero"), (0,))]
+    assert rows[3][0] == rows[3][1] and rows[3][0] is not rows[3][1]
     for _ in range(40):
         sp = program_space(rng, max_states=30, array=rng.random() < 0.5)
         p = random_program(rng, sp)

@@ -19,10 +19,11 @@ from relcor.repair import (
 )
 from relcor.mutate import generate
 from relcor.relations import space_from_json
-from relcor.space import Interval, StateSpace
-from relcor.specs import PredicateSpec
+from relcor.space import Interval, State, StateSpace
+from relcor.specs import PredicateSpec, spec_from_json
+from relcor.studies import load_fixture_json, load_fixture_text
 from relcor.suites import TestSuite as Suite
-from relcor.suites import outcome_row, select_tests
+from relcor.suites import outcome_row, select_tests, suite_labels
 
 SP = StateSpace((("x", Interval(0, 20)),))
 SPEC = PredicateSpec(SP, "x <= 18", "x' == x + 2")
@@ -147,6 +148,31 @@ def test_classify_mutants_modes_agree_on_exhaustive_suite():
     for m, label, _ in exact:
         report = run_suite(m.program, SEEDED, SPEC, suite, fuel=100, mode="exact")
         assert classify(report) == label
+
+
+def test_exact_classification_makes_no_state_per_input(monkeypatch):
+    """Exact mode runs the narrowed arraysum batch (elements in 0..1, 560
+    states) over the space's value tuples: `classify_mutants` constructs no
+    `State`, and its labels and rows are those over a suite of the space's
+    `State`s."""
+    doc = load_fixture_json("arraysum_spec.json")
+    doc["space"]["vars"][0]["max"] = 1
+    spec = spec_from_json(doc)
+    base = parse(load_fixture_text("arraysum.imp"), spec.space)
+    mutants = generate(base, ("literal+-1", "index+-1"))
+    made, init = [], State.__init__
+    monkeypatch.setattr(State, "__init__", lambda self, *a, **k: made.append(a) or init(self, *a, **k))
+    classified = classify_mutants(base, mutants, spec, None, mode="exact")
+    monkeypatch.undo()
+    assert made == []
+    states = Suite(tuple(spec.space.states()))
+    assert len(states) == 560
+    labelled = suite_labels(base, [m.program for m in mutants], spec, states, UNBOUNDED, "exact")
+    next(labelled)
+    assert [(label, row if label in KEPT else None) for label, row in labelled] == [
+        (label, row) for _, label, row in classified]
+    kept = [(m, row) for m, label, row in classified if label in KEPT]
+    assert kept and all(row == outcome_row(m.program, states, UNBOUNDED, "exact") for m, row in kept)
 
 
 def test_testing_mode_labels_without_full_reports(monkeypatch):

@@ -6,10 +6,13 @@ import re
 
 import pytest
 
+from randgen import _expr as random_expr
 from randgen import program_space, random_predicate, random_program, random_relation
 from relcor import suites
 from relcor.errors import CapacityError, ParseError
-from relcor.lang.interp import FinalState, NonTermination, UndefinedEval, cdiv, cmod, compile_eval
+from relcor.lang.ast_nodes import _expr_src
+from relcor.lang.interp import (FinalState, NonTermination, UndefinedEval, _equated, cdiv, cmod,
+                                compile_eval)
 from relcor.lang.parser import parse, parse_predicate
 from relcor.lang.semantics import UNBOUNDED, denote
 from relcor.mutate import generate
@@ -438,6 +441,78 @@ def test_the_bundled_arraysum_spec_tries_only_the_values_of_x_per_state():
     assert len(tried) == space.num_states == 2835
     assert tried == [sum(s["a"][1:]) + 1 for s in space.states()]
     assert sum(tried) == 11_340 and max(tried) == space.domain_of("x").size == 7
+
+
+def test_the_bundled_arraysum_spec_evaluates_its_sum_once_per_state():
+    """Its relation, x' == a[1] + a[2] + a[3], equates x' with a sum that
+    reads no output, so in_dom reads the three elements once per state of
+    its 2,835, where a search over the values of x' reads them up to 7
+    times."""
+    spec = spec_from_json(load_fixture_json("arraysum_spec.json"))
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    for s in spec.space.states():
+        a, *rest = s.values
+        before = len(reads)
+        assert spec.in_dom(State(spec.space, (Counted(a), *rest)))
+        assert reads[before:] == [1, 2, 3]
+    assert spec.undefined == 0
+
+
+def test_a_relation_v_equals_e_is_searched_by_one_evaluation_of_e(caplog):
+    """Where the relation is v' == e or e == v', with v a scalar and e
+    reading no primed name (`interp._equated`), in_dom evaluates e once.
+    Its answers and its first warning are those of a search over
+    `space.states()`, and `PredicateSpec.undefined` counts one undefined
+    evaluation per output that the search over the read outputs tries, as
+    for every other relation.  Cases: both orientations, e undefined at
+    some states (by `/ 0`, `% 0` or an index out of bounds) and e outside
+    v's domain at some; and shapes that keep the search: a conjunction, an
+    e that reads a primed name and a primed array element."""
+    rng = random.Random(6161)
+    cases = dict.fromkeys(("v' == e", "e == v'", "e undefined", "e outside dom(v)",
+                           "conjunction", "e reads a primed name", "a primed array element"), 0)
+    for i in range(300):
+        sp = program_space(rng, max_states=40, array=i % 3 > 0)
+        scalars = [n for n in sp.names if n != "a"]
+        arrays = ("a",) if "a" in sp.names else ()
+        v, e = rng.choice(scalars), _expr_src(random_expr(rng, scalars, 2, arrays=arrays))
+        shape = rng.choice(list(cases)[:2] + list(cases)[4:])
+        rel = {"v' == e": f"{v}' == {e}", "e == v'": f"{e} == {v}'",
+               "conjunction": f"{v}' == {e} && {rng.choice(scalars)}' >= {v}",
+               "e reads a primed name": f"{v}' == {e} + {rng.choice(scalars)}'",
+               "a primed array element": f"{e} == a'[{rng.choice((0, 1))}]"}[shape]
+        if shape == "a primed array element" and not arrays:
+            continue
+        dom = "true" if i % 2 else random_predicate(rng, scalars, primed=False, arrays=arrays)
+        spec = PredicateSpec(sp, dom, rel)
+        assert (_equated(spec._rel_cond) is not None) == (shape in ("v' == e", "e == v'"))
+        states = list(sp.states())
+        witnesses, first = _full_search(_ReferenceSpec(sp, dom, rel), states)
+        ref = _ReferenceSpec(sp, dom, rel)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="relcor.specs"):
+            answers = [spec.in_dom(s) for s in states]
+        assert answers == [t is not None for t in witnesses] == [ref.in_dom(s) for s in states]
+        assert spec.undefined == ref.undefined
+        assert [r.args[0] for r in caplog.records] == ([first] if first else [])
+        cases[shape] += 1
+        if shape in ("v' == e", "e == v'"):
+            value = compile_eval(parse_predicate(f"{e} == 0", sp).left, sp)
+            outcomes = []
+            for s in states:
+                try:
+                    outcomes.append(value(s.values) in sp.domain_of(v))
+                except UndefinedEval:
+                    outcomes.append(None)
+            cases["e undefined"] += None in outcomes
+            cases["e outside dom(v)"] += False in outcomes
+    assert min(cases.values()) > 10, cases
 
 
 # -- the fold of verdicts against a naive one ---------------------------------------
